@@ -31,6 +31,10 @@ from .permaction import CycleParseError, GroupAction
 
 SCHEMA_VERSION = 1
 
+# Every --gens file, for verify and group alike, is read as an action of the
+# bundled degree; a point above it is a parse error (exit 2).
+GENS_DEGREE = 486
+
 EXPECTED_SUBORBIT_SIZES = (1, 2, 20, 36, 40, 45, 72, 90, 180)
 EXPECTED_SCAN_ARRAYS = {
     "{485; 1}",
@@ -462,11 +466,7 @@ def run_verification(
         timings.append((name, round(time.perf_counter() - start, 3)))
         entries.extend(produced)
 
-    if gens_path is None:
-        action = constructions.bundled_action()
-    else:
-        with open(gens_path) as handle:
-            action = permaction.parse_generator_file(handle.read(), degree=486)
+    action = _load_action(gens_path)
 
     run_stage("code", _code_claims)
     run_stage("flats", _flat_claims)
@@ -669,10 +669,11 @@ def _cmd_code(args) -> int:
 
 
 def _load_action(gens_path: str | None) -> GroupAction:
+    """The bundled action, or a --gens file read at the bundled degree."""
     if gens_path is None:
         return constructions.bundled_action()
     with open(gens_path) as handle:
-        return permaction.parse_generator_file(handle.read())
+        return permaction.parse_generator_file(handle.read(), degree=GENS_DEGREE)
 
 
 def _cmd_group(args) -> int:
@@ -771,6 +772,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CycleParseError as exc:
         print(f"generator data is corrupt: {exc}", file=sys.stderr)
+        return 2
+    except GraphStructureError as exc:
+        print(f"the action is unusable: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

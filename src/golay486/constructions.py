@@ -344,7 +344,9 @@ def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:
     Every flat-side vertex's 45 coset-side neighbors must form a coclique
     in the coset-half graph, and the halved graph on the coset side must
     equal the complement of that graph edge-for-edge on shared labels.
+    gamma_half labels the coset half 0..242 in the order of delta.half_a.
     """
+    position = {v: i for i, v in enumerate(delta.half_a)}
     counterexample = None
     blocks = 0
     sizes = set()
@@ -352,7 +354,7 @@ def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:
         block = delta.graph.neighbors(f)
         sizes.add(len(block))
         for u, v in combinations(block, 2):
-            if gamma_half.has_edge(u, v):
+            if gamma_half.has_edge(position[u], position[v]):
                 counterexample = (f, u, v)
                 break
         if counterexample:

@@ -1,11 +1,16 @@
 """Permutations and transitive group actions.
 
 Permutations are image tuples on 0..n-1 (1-based only in the external
-cycle notation).  The module covers cycle-notation parsing, orbits, exact
-group order by a deterministic Schreier-Sims stabilizer chain, the orbital
-(pair-orbit) decomposition of a transitive action, edge-orbit closures,
-collapsed adjacency matrices, and the scan that finds every union of
-orbitals forming a distance-regular graph.
+cycle notation).  The module covers cycle-notation parsing (bounded by
+MAX_DEGREE), orbits, exact group order, the orbital (pair-orbit)
+decomposition of a transitive action, edge-orbit closures, collapsed
+adjacency matrices, and the scan that finds every union of orbitals
+forming a distance-regular graph.
+
+Group order and orbitals both come from a stabilizer chain built by
+incremental deterministic Schreier-Sims (see StabilizerChain for why it is
+certified with no separate verification pass); orbitals() reads the
+suborbits and every row of the pair table off the chain with base (0, ...).
 """
 
 from __future__ import annotations
@@ -18,12 +23,18 @@ from functools import cached_property
 from math import lcm
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from .graph import Graph, GraphStructureError, IntersectionArray
 
 Permutation = tuple[int, ...]
 
 # With rank r there are up to 2^(r-1) orbital unions to scan.
 MAX_SCAN_RANK = 24
+
+# Largest degree a generator file may have; it keeps the degree^2 pair_ids
+# of an orbital decomposition at 64 MB or less.
+MAX_DEGREE = 4096
 
 
 class CycleParseError(ValueError):
@@ -85,14 +96,25 @@ def format_cycles(p: Permutation) -> str:
 _TOKEN = re.compile(r"\s*([(),;.]|\d+)")
 
 
+def _point(token: str, bound: int) -> int:
+    """The value of a digit token, or bound + 1 for any value above bound;
+    a token too long to be in range is never converted."""
+    if len(token.lstrip("0")) > len(str(bound)):
+        return bound + 1
+    return int(token)
+
+
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse a product of disjoint cycles of 1-based points in 1..degree.
 
     Whitespace and newlines may appear anywhere between tokens; points not
     mentioned are fixed; optional trailing punctuation (';' or '.') is
     allowed.  Repeated points, out-of-range points and malformed tokens
-    raise CycleParseError with the offending position.
+    raise CycleParseError with the offending position, and so does a
+    degree above MAX_DEGREE, before anything is allocated.
     """
+    if degree > MAX_DEGREE:
+        raise CycleParseError(f"degree above MAX_DEGREE={MAX_DEGREE}", 0)
     images = list(range(degree))
     seen: set[int] = set()
     pos = 0
@@ -141,9 +163,9 @@ def parse_cycles(text: str, degree: int) -> Permutation:
                 raise CycleParseError(f"expected a point but found {tok!r}", at)
             if not expect_point:
                 raise CycleParseError("missing comma between points", at)
-            point = int(tok)
+            point = _point(tok, degree)
             if not 1 <= point <= degree:
-                raise CycleParseError(f"point {point} outside 1..{degree}", at)
+                raise CycleParseError(f"point {tok} outside 1..{degree}", at)
             if point - 1 in seen:
                 raise CycleParseError(f"point {point} repeated", at)
             seen.add(point - 1)
@@ -157,14 +179,15 @@ def parse_generator_file(text: str, degree: int | None = None) -> "GroupAction":
     """Parse "name := cycles" assignments (the bundled-asset layout).
 
     Assignments may span lines; the degree defaults to the largest point
-    mentioned.  Raises CycleParseError on malformed cycle text.
+    mentioned.  Raises CycleParseError on malformed cycle text and, through
+    parse_cycles, on a degree (given or inferred) above MAX_DEGREE.
     """
     pieces = re.split(r"^\s*(\w+)\s*:=", text, flags=re.MULTILINE)
     if len(pieces) < 3:
         raise CycleParseError("no 'name := cycles' assignment found", 0)
     bodies = [pieces[i + 1] for i in range(1, len(pieces) - 1, 2)]
     if degree is None:
-        points = [int(tok) for body in bodies for tok in re.findall(r"\d+", body)]
+        points = [_point(t, MAX_DEGREE) for b in bodies for t in re.findall(r"\d+", b)]
         if not points:
             raise CycleParseError("no points in generator file", 0)
         degree = max(points)
@@ -208,123 +231,148 @@ def is_transitive(action: GroupAction) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic Schreier-Sims
+# Incremental deterministic Schreier-Sims
 # ---------------------------------------------------------------------------
 
 
 class _ChainLevel:
-    __slots__ = ("base", "gens", "transversal")
+    """One level of a stabilizer chain: strong generators gens, the orbit of
+    base under them in discovery order, and transversal[x] (with inverse[x])
+    mapping base to x.  tree holds the Schreier-tree edges (x, c), and
+    tested[c] counts the orbit points already paired with gens[c].
+    """
 
-    def __init__(self, base: int):
+    __slots__ = ("base", "gens", "orbit", "transversal", "inverse", "tree", "tested")
+
+    def __init__(self, base: int, ident: np.ndarray):
         self.base = base
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {}
+        self.gens: list[np.ndarray] = []
+        self.orbit = [base]
+        self.transversal = {base: ident}
+        self.inverse = {base: ident}
+        self.tree: set[tuple[int, int]] = set()
+        self.tested: list[int] = []
+
+    def add_generator(self, s: np.ndarray, ident: np.ndarray):
+        """Append s and grow the orbit in place: the points already in the
+        orbit take only s, the points it reaches take every generator."""
+        c = len(self.gens)
+        self.gens.append(s)
+        self.tested.append(0)
+        old = len(self.orbit)
+        k = 0
+        while k < len(self.orbit):
+            x = self.orbit[k]
+            for d in range(c if k < old else 0, c + 1):
+                y = int(self.gens[d][x])
+                if y not in self.transversal:
+                    t = self.gens[d][self.transversal[x]]
+                    inv = np.empty_like(t)
+                    inv[t] = ident
+                    self.transversal[y] = t
+                    self.inverse[y] = inv
+                    self.orbit.append(y)
+                    self.tree.add((x, d))
+            k += 1
 
 
 class StabilizerChain:
-    """A base and strong generating set for a permutation group.
+    """A base and strong generating set, by incremental deterministic
+    Schreier-Sims (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 
-    Built incrementally by sifting (each new generator is reduced against
-    the chain and stored at the first level whose base it moves), then
-    certified by a deterministic verification pass that sifts every
-    Schreier generator of every level; sift-to-identity proves membership
-    outright, so a clean pass makes the chain strong by Schreier's lemma.
-    Level j's orbit uses the generators of levels j and deeper, all of
-    which fix the earlier base points.
+    The base is the given prefix, extended by the least point moved by a
+    generator that fixes every base point so far.  Level j holds the strong
+    generators S_j fixing b_0..b_{j-1}; H_j = <S_j>.  Levels are completed
+    deepest first: for x in the orbit of b_j and s in S_j the Schreier
+    generator t_x s t_{x^s}^-1 fixes b_j and is sifted through the deeper
+    levels.  A residue other than the identity fixes b_0..b_{k-1} for some
+    k > j; it joins S_{j+1}..S_k, whose orbits grow in place (H_0..H_j do
+    not change, as the residue lies in H_j), and work resumes at level k.
+    A pair is sifted once: transversal elements never change once set, and
+    a generator that sifted to the identity stays in H_{j+1}, which only
+    grows.  Only Schreier-tree edges (x, s) are skipped, because t_{x^s}
+    was defined as t_x s, so their Schreier generator is the identity by
+    construction.  When the constructor returns every other Schreier
+    generator has sifted to the identity, so by Schreier's lemma H_{j+1} is
+    the stabilizer of b_j in H_j at every level and order() is exact.
+    ``sifted`` counts the Schreier generators sifted.
+
+    Internally permutations are numpy index arrays ("p, then q" is q[p]);
+    the public methods take and return tuples.
     """
 
-    def __init__(self, action: GroupAction):
+    def __init__(self, action: GroupAction, base: Sequence[int] = ()):
         self.degree = action.degree
+        self.sifted = 0
+        self._ident = np.arange(self.degree)
         self.levels: list[_ChainLevel] = []
+        for b in base:
+            if not 0 <= b < self.degree or b in self.base():
+                raise ValueError(f"base point {b} is out of range or repeated")
+            self.levels.append(_ChainLevel(b, self._ident))
         for g in action.generators:
-            self._add(g)
-        self._verify()
-
-    def _gens_from(self, idx: int) -> list[Permutation]:
-        return [g for level in self.levels[idx:] for g in level.gens]
-
-    def _rebuild(self, idx: int):
-        level = self.levels[idx]
-        gens = self._gens_from(idx)
-        level.transversal = {level.base: identity(self.degree)}
-        queue = deque([level.base])
-        while queue:
-            x = queue.popleft()
-            tx = level.transversal[x]
-            for g in gens:
-                y = g[x]
-                if y not in level.transversal:
-                    level.transversal[y] = compose(tx, g)
-                    queue.append(y)
-
-    def _sift(self, g: Permutation) -> tuple[Permutation, int]:
-        for idx, level in enumerate(self.levels):
-            y = g[level.base]
-            if y == level.base:
+            s = np.array(g, dtype=np.intp)
+            if np.array_equal(s, self._ident):
                 continue
-            t = level.transversal.get(y)
-            if t is None:
-                return g, idx
-            g = compose(g, inverse(t))
-        return g, len(self.levels)
+            depth = next(
+                (j for j, lv in enumerate(self.levels) if s[lv.base] != lv.base),
+                len(self.levels),
+            )
+            self._add_strong(s, 0, depth)
+        j = len(self.levels) - 1
+        while j >= 0:
+            j = self._complete_level(j)
 
-    def _add(self, g: Permutation):
-        ident = identity(self.degree)
-        stack = [g]
-        while stack:
-            h, idx = self._sift(stack.pop())
-            if h == ident:
-                continue
-            if idx == len(self.levels):
-                base = min(i for i in range(self.degree) if h[i] != i)
-                self.levels.append(_ChainLevel(base))
-            level = self.levels[idx]
-            level.gens.append(h)
-            # the new generator acts at this level and every shallower one
-            for j in range(idx, -1, -1):
-                self._rebuild(j)
-            for x, tx in level.transversal.items():
-                for s in self._gens_from(idx):
-                    schreier = compose(
-                        compose(tx, s), inverse(level.transversal[s[x]])
-                    )
-                    if schreier != ident:
-                        stack.append(schreier)
+    def _add_strong(self, s: np.ndarray, first: int, last: int):
+        """Add s, which fixes the base points before level `last`, to levels
+        first..last; last == len(levels) opens a level at its least moved point."""
+        if last == len(self.levels):
+            moved = int(np.flatnonzero(s != self._ident)[0])
+            self.levels.append(_ChainLevel(moved, self._ident))
+        for level in self.levels[first : last + 1]:
+            level.add_generator(s, self._ident)
 
-    def _verify(self):
-        """Sift all Schreier generators; add any non-member residue and retry."""
-        ident = identity(self.degree)
-        while True:
-            witness = None
-            for idx in range(len(self.levels) - 1, -1, -1):
-                level = self.levels[idx]
-                gens = self._gens_from(idx)
-                for x, tx in level.transversal.items():
-                    for s in gens:
-                        schreier = compose(
-                            compose(tx, s), inverse(level.transversal[s[x]])
-                        )
-                        residue, _ = self._sift(schreier)
-                        if residue != ident:
-                            witness = residue
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness is None:
-                return
-            self._add(witness)
+    def _complete_level(self, j: int) -> int:
+        """Sift the untested Schreier generators of level j.  Return j - 1
+        when all reduce to the identity; else add the first residue as a
+        strong generator and return the level it dropped out at."""
+        level = self.levels[j]
+        for c, s in enumerate(level.gens):
+            while level.tested[c] < len(level.orbit):
+                x = level.orbit[level.tested[c]]
+                level.tested[c] += 1
+                if (x, c) in level.tree:
+                    continue
+                schreier = level.inverse[int(s[x])][s[level.transversal[x]]]
+                self.sifted += 1
+                residue, k = self._sift(schreier, j + 1)
+                if residue is not None:
+                    self._add_strong(residue, j + 1, k)
+                    return k
+        return j - 1
+
+    def _sift(self, g: np.ndarray, start: int) -> tuple[np.ndarray | None, int]:
+        """Strip g through levels start..; (None, depth) when it reduces to
+        the identity, else the residue and the level where it dropped out."""
+        for k in range(start, len(self.levels)):
+            level = self.levels[k]
+            inv = level.inverse.get(int(g[level.base]))
+            if inv is None:
+                return g, k
+            g = inv[g]
+        return (None if np.array_equal(g, self._ident) else g), len(self.levels)
 
     def order(self) -> int:
         n = 1
         for level in self.levels:
-            n *= len(level.transversal)
+            n *= len(level.orbit)
         return n
 
     def contains(self, g: Permutation) -> bool:
-        residue, _ = self._sift(g)
-        return residue == identity(self.degree)
+        if len(g) != self.degree:
+            raise ValueError(f"degree mismatch: {len(g)} vs {self.degree}")
+        residue, _ = self._sift(np.array(g, dtype=np.intp), 0)
+        return residue is None
 
     def base(self) -> tuple[int, ...]:
         return tuple(level.base for level in self.levels)
@@ -344,10 +392,10 @@ def group_order(action: GroupAction) -> int:
 class OrbitalDecomposition:
     """Orbit partition of ordered pairs under the diagonal action.
 
-    pair_ids[i*n + j] is the orbital id of (i, j); ids are assigned by
-    breadth-first closure from the pairs (0, y) in ascending y, so the
-    labelling is deterministic.  For a transitive action the diagonal is a
-    single orbital and every orbital meets {base} x points.
+    pair_ids[i*n + j] is the orbital id of (i, j).  The orbitals of a
+    transitive action match the suborbits (the orbits of the stabilizer of
+    the base point) through the pairs (base, y); ids number the suborbits
+    by their least point, so the labelling is deterministic.
     """
 
     action: GroupAction
@@ -387,42 +435,39 @@ class OrbitalDecomposition:
 
 
 def orbitals(action: GroupAction) -> OrbitalDecomposition:
-    """Pair-orbit decomposition of a transitive action (checked)."""
-    if not is_transitive(action):
-        raise GraphStructureError("action is not transitive")
+    """Pair-orbit decomposition of a transitive action, read off the
+    stabilizer chain with base (0, ...): the orbits of the level-1 strong
+    generators, which generate the stabilizer of 0, are the suborbits, and
+    as the level-0 transversal element t_x maps (0, z) to (x, t_x[z]), row
+    x is pair_ids[x, t_x[z]] = suborbit of z.
+    """
+    chain = StabilizerChain(action, base=(0,))
+    top = chain.levels[0]
     n = action.degree
-    gens = action.generators
-    ids = array("i", [-1]) * (n * n)
-    rank = 0
-    first_pairs = []
-    for y0 in range(n):
-        if ids[y0] != -1:
-            continue
-        ids[y0] = rank
-        first_pairs.append((0, y0))
-        queue = deque([(0, y0)])
-        while queue:
-            i, j = queue.popleft()
-            for g in gens:
-                gi, gj = g[i], g[j]
-                k = gi * n + gj
-                if ids[k] == -1:
-                    ids[k] = rank
-                    queue.append((gi, gj))
-        rank += 1
-    # transitivity makes row 0 meet every orbital, so nothing is left over
-    sizes = [0] * rank
+    if len(top.orbit) != n:
+        raise GraphStructureError("action is not transitive")
+    stabilizer_gens = chain.levels[1].gens if len(chain.levels) > 1 else []
+    stabilizer = GroupAction(n, tuple(tuple(s.tolist()) for s in stabilizer_gens))
+    suborbit = [-1] * n
+    firsts = []
     for y in range(n):
-        sizes[ids[y]] += 1
-    pairing = tuple(ids[j * n + i] for (i, j) in first_pairs)
+        if suborbit[y] == -1:
+            for z in orbit(stabilizer, y):
+                suborbit[z] = len(firsts)
+            firsts.append(y)
+    ids = array("i", [0]) * (n * n)
+    rows = np.frombuffer(ids, dtype=np.intc).reshape(n, n)
+    labels = np.array(suborbit, dtype=np.intc)
+    for x, t in top.transversal.items():
+        rows[x, t] = labels
     return OrbitalDecomposition(
         action=action,
         base=0,
         pair_ids=ids,
-        rank=rank,
-        suborbit_sizes=tuple(sizes),
-        pairing=pairing,
-        diagonal_id=ids[0],
+        rank=len(firsts),
+        suborbit_sizes=tuple(np.bincount(labels).tolist()),
+        pairing=tuple(int(rows[y, 0]) for y in firsts),
+        diagonal_id=suborbit[0],
     )
 
 

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from golay486 import codes, constructions
+from golay486 import codes, constructions, permaction
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +18,22 @@ def gamma():
 @pytest.fixture(scope="session")
 def bundled_action():
     return constructions.bundled_action()
+
+
+@pytest.fixture(scope="session")
+def relabelled_action(bundled_action):
+    """The bundled action conjugated by a seeded random relabelling, so the
+    coset half is no longer 0..242."""
+    n = bundled_action.degree
+    sigma = list(range(n))
+    random.Random(2024).shuffle(sigma)
+    gens = []
+    for g in bundled_action.generators:
+        conj = [0] * n
+        for x in range(n):
+            conj[sigma[x]] = sigma[g[x]]
+        gens.append(tuple(conj))
+    return permaction.GroupAction(n, tuple(gens))
 
 
 @pytest.fixture(scope="session")

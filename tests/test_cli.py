@@ -123,6 +123,43 @@ def test_verify_with_relabelled_generators_passes(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_verify_with_seeded_relabelling_passes_block_claims(
+    tmp_path, capsys, relabelled_action
+):
+    from golay486 import permaction
+
+    gens = tmp_path / "gens.txt"
+    gens.write_text(
+        "".join(
+            f"{name} := {permaction.format_cycles(g)}\n"
+            for name, g in zip("abc", relabelled_action.generators)
+        )
+    )
+    code, out, _ = run(capsys, "verify", "--gens", str(gens), "--skip", "iso")
+    assert code == 0
+    verdicts = dict(line.split()[:2] for line in out.splitlines()[:-1])
+    assert verdicts["blocks.cocliques"] == "PASS"
+    assert verdicts["halved_delta.complement"] == "PASS"
+
+
+def test_gens_files_are_read_at_the_bundled_degree(tmp_path, capsys):
+    small = tmp_path / "small.txt"
+    small.write_text("a := (1,2,3)\nb := (1,2)\n")
+    code, out, _ = run(capsys, "group", "order", "--gens", str(small))
+    assert code == 0 and out.strip() == "6"
+    # 486 points with 483 fixed: not transitive, reported without a traceback
+    code, _, err = run(capsys, "group", "orbitals", "--gens", str(small))
+    assert code == 2
+    assert "not transitive" in err
+
+    huge = tmp_path / "huge.txt"
+    huge.write_text(f"a := (1,{10**9})\n")
+    for argv in (("group", "order"), ("verify",)):
+        code, _, err = run(capsys, *argv, "--gens", str(huge))
+        assert code == 2
+        assert "corrupt" in err and "position" in err
+
+
 def test_diagram_distance_delta(capsys):
     code, out, _ = run(capsys, "diagram", "delta", "--kind", "distance")
     assert code == 0

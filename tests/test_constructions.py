@@ -14,12 +14,15 @@ from golay486.constructions import (
     build_sigma_coordinate,
     build_std_ag,
     classify_types,
+    compute_coset_half,
     coset_half,
     cross_verify,
     experiment_flat_incidence,
     golay_coset_reps,
+    orbital_model,
     verify_koolen_riebeek_blocks,
 )
+from golay486.permaction import orbitals
 from golay486.graph import (
     antipodal_fold,
     are_isomorphic,
@@ -200,6 +203,19 @@ def test_blocks_report(orbital_models):
     assert report.counterexample is None
     same = blocks_report(orbital_models["delta"], orbital_models["gamma_half"])
     assert same == report
+
+
+def test_blocks_report_on_relabelled_action(relabelled_action):
+    decomp = orbitals(relabelled_action)
+    half = compute_coset_half(decomp)
+    assert half != tuple(range(243))
+    report = blocks_report(
+        orbital_model(decomp, "delta", half=half),
+        orbital_model(decomp, "gamma_half", half=half),
+    )
+    assert (report.blocks_checked, report.block_size) == (243, 45)
+    assert report.all_cocliques and report.counterexample is None
+    assert report.halved_equals_complement
 
 
 def test_halved_delta_equals_complement_directly(orbital_models):

@@ -1,9 +1,12 @@
 import math
 import random
 import re
-from collections import Counter
+from array import array
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golay486.constructions import _bundled_generators_text
 from golay486.graph import (
@@ -14,8 +17,10 @@ from golay486.graph import (
     is_distance_regular,
 )
 from golay486.permaction import (
+    MAX_DEGREE,
     CycleParseError,
     GroupAction,
+    OrbitalDecomposition,
     StabilizerChain,
     collapsed_matrix,
     compose,
@@ -52,6 +57,71 @@ def klein_four_regular_action():
     return GroupAction(degree=4, generators=(a, b))
 
 
+def alternating_action(n):
+    # 3-cycles (1,2,k) generate A_n
+    return GroupAction(
+        degree=n,
+        generators=tuple(parse_cycles(f"(1,2,{k})", n) for k in range(3, n + 1)),
+    )
+
+
+def mathieu_11_action():
+    a = parse_cycles("(1,2,3,4,5,6,7,8,9,10,11)", 11)
+    b = parse_cycles("(3,7,11,8)(4,10,5,6)", 11)
+    return GroupAction(11, (a, b))
+
+
+def orbitals_by_pair_bfs(action):
+    """Reference orbitals: breadth-first closure of the pairs (0, y), taken
+    in ascending y, under the generators, over all n^2 ordered pairs."""
+    n = action.degree
+    ids = array("i", [-1]) * (n * n)
+    rank = 0
+    first_pairs = []
+    for y0 in range(n):
+        if ids[y0] != -1:
+            continue
+        ids[y0] = rank
+        first_pairs.append((0, y0))
+        queue = deque([(0, y0)])
+        while queue:
+            i, j = queue.popleft()
+            for g in action.generators:
+                k = g[i] * n + g[j]
+                if ids[k] == -1:
+                    ids[k] = rank
+                    queue.append((g[i], g[j]))
+        rank += 1
+    assert -1 not in ids  # transitive: row 0 meets every orbital
+    sizes = [0] * rank
+    for y in range(n):
+        sizes[ids[y]] += 1
+    return OrbitalDecomposition(
+        action=action,
+        base=0,
+        pair_ids=ids,
+        rank=rank,
+        suborbit_sizes=tuple(sizes),
+        pairing=tuple(ids[j * n + i] for (i, j) in first_pairs),
+        diagonal_id=ids[0],
+    )
+
+
+def closure_size(degree, gens):
+    """Order of <gens> by listing every element."""
+    ident = identity(degree)
+    seen = {ident}
+    queue = deque([ident])
+    while queue:
+        p = queue.popleft()
+        for g in gens:
+            q = compose(p, g)
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return len(seen)
+
+
 def test_parse_cycles_examples():
     assert parse_cycles("(1,2,3)(4,5)", 5) == (1, 2, 0, 4, 3)
     assert parse_cycles("", 4) == identity(4)
@@ -71,6 +141,21 @@ def test_parse_cycles_errors_carry_positions():
         parse_cycles("(1,2", 5)
     with pytest.raises(CycleParseError):
         parse_cycles("(1 2)", 5)
+
+
+def test_degree_bound_rejects_huge_points_before_allocating():
+    with pytest.raises(CycleParseError) as info:
+        parse_generator_file(f"a := (1,{10**9})\n")
+    assert "MAX_DEGREE" in str(info.value)
+    with pytest.raises(CycleParseError):
+        parse_generator_file("a := (1," + "9" * 5000 + ")\n")
+    with pytest.raises(CycleParseError):
+        parse_generator_file("a := (1,2)\n", degree=10**9)
+    with pytest.raises(CycleParseError):
+        parse_cycles("(1,2)", 10**9)
+    with pytest.raises(CycleParseError):
+        parse_cycles("(1," + "9" * 5000 + ")", 5)
+    assert parse_generator_file(f"a := (1,{MAX_DEGREE})\n").degree == MAX_DEGREE
 
 
 def test_compose_inverse_order():
@@ -99,9 +184,71 @@ def test_group_order_small():
 
 def test_group_order_mathieu_11():
     # sporadic group with a known order, a sharp stabilizer-chain oracle
-    a = parse_cycles("(1,2,3,4,5,6,7,8,9,10,11)", 11)
-    b = parse_cycles("(3,7,11,8)(4,10,5,6)", 11)
-    assert group_order(GroupAction(11, (a, b))) == 7920
+    assert group_order(mathieu_11_action()) == 7920
+
+
+def test_group_order_mathieu_12():
+    a = parse_cycles("(1,2,3,4,5,6,7,8,9,10,11)", 12)
+    b = parse_cycles("(3,7,11,8)(4,10,5,6)", 12)
+    c = parse_cycles("(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)", 12)
+    assert group_order(GroupAction(12, (a, b, c))) == 95040
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_group_order_alternating_and_symmetric(n):
+    assert group_order(alternating_action(n)) == math.factorial(n) // 2
+    assert group_order(symmetric_action(n)) == math.factorial(n)
+
+
+def test_prescribed_base_is_used_when_first_generator_fixes_it():
+    # the first generator fixes point 0, so a chain without the prefix
+    # would start its base elsewhere
+    action = GroupAction(
+        6, (parse_cycles("(2,3,4,5,6)", 6), parse_cycles("(1,2)", 6))
+    )
+    assert StabilizerChain(action).base()[0] != 0
+    chain = StabilizerChain(action, base=(0,))
+    assert chain.base()[0] == 0
+    assert chain.order() == 720
+    assert orbitals(action) == orbitals_by_pair_bfs(action)
+    with pytest.raises(ValueError):
+        StabilizerChain(action, base=(0, 0))
+
+
+@st.composite
+def small_groups(draw):
+    n = draw(st.integers(1, 7))
+    perms = st.permutations(list(range(n))).map(tuple)
+    return GroupAction(n, tuple(draw(st.lists(perms, max_size=3))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups())
+def test_group_order_matches_brute_force_closure(action):
+    assert group_order(action) == closure_size(action.degree, action.generators)
+
+
+def test_contains_random_products_and_rejects_odd_permutations():
+    rng = random.Random(5)
+    for n in (5, 6, 7):
+        action = alternating_action(n)
+        chain = StabilizerChain(action)
+        for _ in range(20):
+            p = identity(n)
+            for _ in range(rng.randrange(1, 12)):
+                p = compose(p, rng.choice(action.generators))
+            assert chain.contains(p)
+        assert not chain.contains(parse_cycles("(1,2)", n))
+        assert not chain.contains(parse_cycles(f"(1,{n})", n))
+    with pytest.raises(ValueError):
+        chain.contains(identity(3))
+
+
+def test_sifted_count_repeats(bundled_action):
+    first = StabilizerChain(bundled_action)
+    again = StabilizerChain(bundled_action)
+    assert first.sifted == again.sifted > 0
+    assert first.base() == again.base()
 
 
 def test_format_parse_round_trip():
@@ -163,6 +310,27 @@ def test_orbitals_small_actions():
 
     with pytest.raises(GraphStructureError):
         orbitals(GroupAction(4, (parse_cycles("(1,2)", 4),)))
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        cyclic_action(7),
+        symmetric_action(5),
+        klein_four_regular_action(),
+        mathieu_11_action(),
+    ],
+    ids=["cyclic", "symmetric", "klein_four", "mathieu_11"],
+)
+def test_orbitals_match_pair_bfs(action):
+    assert orbitals(action) == orbitals_by_pair_bfs(action)
+
+
+def test_orbitals_match_pair_bfs_on_relabelled_bundled_action(relabelled_action):
+    got = orbitals(relabelled_action)
+    want = orbitals_by_pair_bfs(relabelled_action)
+    for field in ("pair_ids", "rank", "suborbit_sizes", "pairing", "diagonal_id"):
+        assert getattr(got, field) == getattr(want, field), field
 
 
 def test_bundled_orbitals(decomp):
