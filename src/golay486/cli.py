@@ -680,12 +680,17 @@ def _cmd_group(args) -> int:
     action = _load_action(args.gens)
     if args.action == "order":
         print(permaction.group_order(action))
-    elif args.action == "orbitals":
+        return 0
+    try:
         decomp = permaction.orbitals(action)
+    except GraphStructureError as exc:
+        # only an intransitive generator file gets here
+        print(f"generator data has no orbital decomposition: {exc}", file=sys.stderr)
+        return 2
+    if args.action == "orbitals":
         print(f"rank {decomp.rank}")
         print("suborbit sizes " + " ".join(map(str, sorted(decomp.suborbit_sizes))))
     else:  # scan
-        decomp = permaction.orbitals(action)
         for result in permaction.scan_orbital_unions(decomp):
             sizes = "+".join(map(str, result.suborbit_sizes))
             print(f"{sizes:<24} {result.array}")
@@ -772,9 +777,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except CycleParseError as exc:
         print(f"generator data is corrupt: {exc}", file=sys.stderr)
-        return 2
-    except GraphStructureError as exc:
-        print(f"the action is unusable: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

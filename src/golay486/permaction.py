@@ -10,7 +10,8 @@ forming a distance-regular graph.
 Group order and orbitals both come from a stabilizer chain built by
 incremental deterministic Schreier-Sims (see StabilizerChain for why it is
 certified with no separate verification pass); orbitals() reads the
-suborbits and every row of the pair table off the chain with base (0, ...).
+suborbits and every row of the pair table off the chain, whose base
+starts at point 0.
 """
 
 from __future__ import annotations
@@ -32,8 +33,11 @@ Permutation = tuple[int, ...]
 # With rank r there are up to 2^(r-1) orbital unions to scan.
 MAX_SCAN_RANK = 24
 
-# Largest degree a generator file may have; it keeps the degree^2 pair_ids
-# of an orbital decomposition at 64 MB or less.
+# Largest degree a generator file may have.  At this degree the two
+# degree^2 tables behind an orbital decomposition are 64 MiB each: the int32
+# pair_ids, and level 0 of the stabilizer chain (its transversal elements
+# and their inverses, 2 * degree arrays of degree uint16 points).  Each
+# deeper level adds 2 * |orbit| such arrays.
 MAX_DEGREE = 4096
 
 
@@ -280,8 +284,10 @@ class StabilizerChain:
     """A base and strong generating set, by incremental deterministic
     Schreier-Sims (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 
-    The base is the given prefix, extended by the least point moved by a
-    generator that fixes every base point so far.  Level j holds the strong
+    The base starts at point 0 (orbitals() reads the suborbits of 0 off
+    level 1) and is extended by the least point moved by a generator that
+    fixes every base point so far; if every generator fixes 0, level 0 just
+    has orbit {0}, a factor of 1 in the order.  Level j holds the strong
     generators S_j fixing b_0..b_{j-1}; H_j = <S_j>.  Levels are completed
     deepest first: for x in the orbit of b_j and s in S_j the Schreier
     generator t_x s t_{x^s}^-1 fixes b_j and is sifted through the deeper
@@ -297,21 +303,21 @@ class StabilizerChain:
     the stabilizer of b_j in H_j at every level and order() is exact.
     ``sifted`` counts the Schreier generators sifted.
 
-    Internally permutations are numpy index arrays ("p, then q" is q[p]);
-    the public methods take and return tuples.
+    Internally permutations are numpy index arrays of the smallest unsigned
+    type that holds a point ("p, then q" is q[p]); the public methods take
+    and return tuples.
     """
 
-    def __init__(self, action: GroupAction, base: Sequence[int] = ()):
+    def __init__(self, action: GroupAction):
         self.degree = action.degree
         self.sifted = 0
-        self._ident = np.arange(self.degree)
+        self._dtype = np.min_scalar_type(max(self.degree - 1, 0))
+        self._ident = np.arange(self.degree, dtype=self._dtype)
         self.levels: list[_ChainLevel] = []
-        for b in base:
-            if not 0 <= b < self.degree or b in self.base():
-                raise ValueError(f"base point {b} is out of range or repeated")
-            self.levels.append(_ChainLevel(b, self._ident))
+        if self.degree:
+            self.levels.append(_ChainLevel(0, self._ident))
         for g in action.generators:
-            s = np.array(g, dtype=np.intp)
+            s = np.array(g, dtype=self._dtype)
             if np.array_equal(s, self._ident):
                 continue
             depth = next(
@@ -371,7 +377,7 @@ class StabilizerChain:
     def contains(self, g: Permutation) -> bool:
         if len(g) != self.degree:
             raise ValueError(f"degree mismatch: {len(g)} vs {self.degree}")
-        residue, _ = self._sift(np.array(g, dtype=np.intp), 0)
+        residue, _ = self._sift(np.array(g, dtype=self._dtype), 0)
         return residue is None
 
     def base(self) -> tuple[int, ...]:
@@ -436,12 +442,12 @@ class OrbitalDecomposition:
 
 def orbitals(action: GroupAction) -> OrbitalDecomposition:
     """Pair-orbit decomposition of a transitive action, read off the
-    stabilizer chain with base (0, ...): the orbits of the level-1 strong
+    stabilizer chain, whose base starts at 0: the orbits of the level-1 strong
     generators, which generate the stabilizer of 0, are the suborbits, and
     as the level-0 transversal element t_x maps (0, z) to (x, t_x[z]), row
     x is pair_ids[x, t_x[z]] = suborbit of z.
     """
-    chain = StabilizerChain(action, base=(0,))
+    chain = StabilizerChain(action)
     top = chain.levels[0]
     n = action.degree
     if len(top.orbit) != n:

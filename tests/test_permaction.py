@@ -200,19 +200,25 @@ def test_group_order_alternating_and_symmetric(n):
     assert group_order(symmetric_action(n)) == math.factorial(n)
 
 
-def test_prescribed_base_is_used_when_first_generator_fixes_it():
-    # the first generator fixes point 0, so a chain without the prefix
-    # would start its base elsewhere
+def test_chain_starts_at_point_0_when_first_generator_fixes_it():
+    # the first generator fixes point 0, so its least moved point is 1
     action = GroupAction(
         6, (parse_cycles("(2,3,4,5,6)", 6), parse_cycles("(1,2)", 6))
     )
-    assert StabilizerChain(action).base()[0] != 0
-    chain = StabilizerChain(action, base=(0,))
+    chain = StabilizerChain(action)
     assert chain.base()[0] == 0
     assert chain.order() == 720
     assert orbitals(action) == orbitals_by_pair_bfs(action)
-    with pytest.raises(ValueError):
-        StabilizerChain(action, base=(0, 0))
+
+
+def test_chain_on_group_fixing_point_0():
+    # level 0 has orbit {0}, a factor of 1 in the order
+    action = GroupAction(5, (parse_cycles("(2,3,4)", 5), parse_cycles("(4,5)", 5)))
+    chain = StabilizerChain(action)
+    assert chain.base()[0] == 0
+    assert chain.order() == 24
+    assert chain.contains(parse_cycles("(2,5)", 5))
+    assert not chain.contains(parse_cycles("(1,2)", 5))
 
 
 @st.composite
