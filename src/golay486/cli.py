@@ -1,5 +1,9 @@
 """Command-line front end: build, verify, export, and diagram emission.
 
+Every `verify` claim is declared once, in `CLAIMS`, and evaluated over the
+artifacts of one `Run`, so the bundled action and a --gens action take the
+same path.
+
 Exit codes follow a CI-friendly contract: 0 when every evaluated claim
 passes, 1 when a claim fails, 2 when the environment is unusable (missing
 or corrupt generator data, unwritable output).
@@ -12,13 +16,15 @@ import json
 import re
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 from . import codes, constructions, gf3, permaction
-from .constructions import LabeledModel
+from .constructions import BlocksReport, LabeledModel
 from .graph import (
     Graph,
     GraphStructureError,
+    IntersectionArray,
     antipodal_fold,
     are_isomorphic,
     complement,
@@ -27,23 +33,13 @@ from .graph import (
     srg_parameters,
     verify_bijection,
 )
-from .permaction import CycleParseError, GroupAction
+from .permaction import CycleParseError, GroupAction, OrbitalDecomposition
 
 SCHEMA_VERSION = 1
 
 # Every --gens file, for verify and group alike, is read as an action of the
 # bundled degree; a point above it is a parse error (exit 2).
 GENS_DEGREE = 486
-
-EXPECTED_SUBORBIT_SIZES = (1, 2, 20, 36, 40, 45, 72, 90, 180)
-EXPECTED_SCAN_ARRAYS = {
-    "{485; 1}",
-    "{243,242; 1,243}",
-    "{483,2; 1,483}",
-    "{45,44,36,5; 1,9,40,45}",
-    "{56,45,16,1; 1,8,45,56}",
-    "{81,80,54,1; 1,27,80,81}",
-}
 
 GRAPH_SELECTORS = ("gamma", "delta", "upsilon", "sigma", "lambda")
 
@@ -69,488 +65,435 @@ class VerificationReport:
         return json.dumps(asdict(self), indent=2)
 
 
-def _entry(claim_id, description, expected, observed, passed) -> ReportEntry:
-    return ReportEntry(
-        claim_id=claim_id,
-        description=description,
-        expected=str(expected),
-        observed=str(observed),
-        verdict="PASS" if passed else "FAIL",
-    )
+class Run:
+    """The artifacts shared by the claims of one verify run.
+
+    Each is built on first use and at most once, the same way for the
+    bundled action and a --gens action.  A build that raises
+    GraphStructureError is not retried: every claim that needs it gets the
+    same error.
+    """
+
+    def __init__(self, action: GroupAction):
+        self.action = action
+        self._built: dict[object, object] = {}
+
+    def _once(self, key, build):
+        if key not in self._built:
+            try:
+                self._built[key] = build()
+            except GraphStructureError as exc:
+                self._built[key] = exc
+        value = self._built[key]
+        if isinstance(value, GraphStructureError):
+            raise value
+        return value
+
+    @property
+    def decomp(self) -> OrbitalDecomposition:
+        return self._once("decomp", lambda: permaction.orbitals(self.action))
+
+    @property
+    def scan(self) -> list[permaction.ScanResult]:
+        return self._once("scan", lambda: permaction.scan_orbital_unions(self.decomp))
+
+    @property
+    def half(self) -> tuple[int, ...]:
+        return self._once("half", lambda: constructions.compute_coset_half(self.decomp))
+
+    def model(self, which: str) -> LabeledModel | Graph:
+        return self._once(
+            ("model", which),
+            lambda: constructions.orbital_model(self.decomp, which, half=self.half),
+        )
+
+    def graph(self, which: str) -> Graph:
+        model = self.model(which)
+        return model.graph if isinstance(model, LabeledModel) else model
+
+    def array(self, which: str) -> IntersectionArray | None:
+        return self._once(
+            ("array", which), lambda: is_distance_regular(self.graph(which))
+        )
+
+    @property
+    def blocks(self) -> BlocksReport:
+        return self._once(
+            "blocks",
+            lambda: constructions.blocks_report(
+                self.model("delta"), self.model("gamma_half")
+            ),
+        )
 
 
-def _skipped(claim_id, description, expected) -> ReportEntry:
-    return ReportEntry(
-        claim_id=claim_id,
-        description=description,
-        expected=str(expected),
-        observed="not evaluated",
-        verdict="SKIPPED",
-    )
+@dataclass(frozen=True)
+class Claim:
+    """One verify claim.  evaluate(run) returns (observed, passed); its time
+    is charged to `stage`."""
+
+    claim_id: str
+    stage: str
+    description: str
+    expected: str
+    evaluate: Callable[[Run], tuple[str, bool]]
+
+
+def _reads(claim_id, stage, description, expected, observe) -> Claim:
+    """A claim that holds when its observation, as text, reads `expected`."""
+
+    def evaluate(run):
+        observed = str(observe(run))
+        return observed, observed == expected
+
+    return Claim(claim_id, stage, description, expected, evaluate)
 
 
 def _srg_str(params) -> str:
     return str(params.as_tuple()) if params is not None else "not strongly regular"
 
 
-def _code_claims() -> list[ReportEntry]:
-    golay = codes.golay_code()
-    dist = codes.minimum_distance(golay)
-    out = [
-        _entry(
-            "code.parameters",
-            "ternary Golay code parameters",
-            "[11,6] with minimum distance 5",
-            f"[{golay.length},{golay.dimension}] with minimum distance {dist}",
-            (golay.length, golay.dimension, dist) == (11, 6, 5),
-        )
-    ]
-    spheres = 1 + 22 + 220
-    out.append(
-        _entry(
-            "code.perfect",
-            "radius-2 spheres tile the ambient space",
-            "sphere size 243 = 3^5, perfect",
-            f"sphere size {spheres}, perfect={codes.is_perfect(golay, 2)}",
-            codes.is_perfect(golay, 2),
-        )
-    )
-    gamma = constructions.build_gamma()
-    out.append(
-        _entry(
-            "gamma.srg",
-            "coset graph of the Golay code",
-            "(243, 22, 1, 2)",
-            _srg_str(srg_parameters(gamma)),
-            srg_parameters(gamma) is not None
-            and srg_parameters(gamma).as_tuple() == (243, 22, 1, 2),
-        )
-    )
-    comp_params = srg_parameters(complement(gamma))
-    out.append(
-        _entry(
-            "gamma.complement_srg",
-            "complement of the coset graph",
-            "(243, 220, 199, 200)",
-            _srg_str(comp_params),
-            comp_params is not None and comp_params.as_tuple() == (243, 220, 199, 200),
-        )
-    )
-    return out
+def _array(which: str, description: str, expected: str) -> Claim:
+    def observe(run):
+        arr = run.array(which)
+        return str(arr) if arr is not None else "not distance-regular"
+
+    return _reads(f"{which}.array", "models", description, expected, observe)
 
 
-def _flat_claims() -> list[ReportEntry]:
-    golay = codes.golay_code()
-    e0 = gf3.unit_vector(11, 0)
-    duals = gf3.null_space(golay.generator, width=11)
-    all_classes = gf3.projective_points(duals, length=11)
-    kept = gf3.hyperplane_functionals(golay.generator, e0)
-    out = [
-        _entry(
-            "flats.functional_counts",
-            "hyperplane classes over the quotient, before/after excluding e0",
-            "121 classes, 40 excluded, 81 kept",
-            f"{len(all_classes)} classes, {len(all_classes) - len(kept)} excluded, "
-            f"{len(kept)} kept",
-            (len(all_classes), len(kept)) == (121, 81),
-        )
-    ]
-    family = constructions.classify_types()
-    counts = (len(family.type_indices("I")), len(family.type_indices("II")))
-    out.append(
-        _entry(
-            "flats.count",
-            "ten-spaces between the Golay code and the ambient space, and their flats",
-            "81 subspaces, 243 flats",
-            f"{family.subspace_count} subspaces, {family.flat_count} flats",
-            (family.subspace_count, family.flat_count) == (81, 243),
-        )
-    )
-    out.append(
-        _entry(
-            "flats.types",
-            "weight-distribution classes of the 81 ten-spaces",
-            "45 Type I and 36 Type II, no third class",
-            f"{counts[0]} Type I and {counts[1]} Type II",
-            counts == (45, 36),
-        )
-    )
-    shapes = codes.classify_cosets(golay)
-    observed = tuple(shapes[s] for s in ("0", "+-e0", "+-ei", "+-e0+-ei", "+-ei+-ej"))
-    out.append(
-        _entry(
-            "cosets.shapes",
-            "canonical coset representatives by support shape",
-            "(1, 2, 20, 40, 180)",
-            str(observed),
-            observed == (1, 2, 20, 40, 180),
-        )
-    )
-    return out
+def _imprimitivity(which: str, antipodal: bool):
+    def evaluate(run):
+        arr = run.array(which)
+        if arr is None:
+            return "no array", False
+        observed = f"bipartite={arr.is_bipartite()}, antipodal={arr.is_antipodal()}"
+        return observed, arr.is_bipartite() and arr.is_antipodal() == antipodal
+
+    return evaluate
 
 
-def _group_claims(action: GroupAction) -> list[ReportEntry]:
-    out = [
-        _entry(
-            "group.generators",
-            "bundled generator count and degree",
-            "3 generators of degree 486",
-            f"{len(action.generators)} generators of degree {action.degree}",
-            len(action.generators) == 3 and action.degree == 486,
-        ),
-        _entry(
-            "group.transitive",
-            "the action is transitive",
-            "orbit of point 1 covers all 486 points",
-            f"orbit size {len(permaction.orbit(action, 0))}",
-            permaction.is_transitive(action),
-        ),
-    ]
-    order = permaction.group_order(action)
-    out.append(
-        _entry(
-            "group.order",
-            "group order by stabilizer chain",
-            "349920",
-            str(order),
-            order == 349920,
-        )
-    )
-    try:
-        decomp = permaction.orbitals(action)
-        rank, sizes = str(decomp.rank), str(tuple(sorted(decomp.suborbit_sizes)))
-        rank_ok = decomp.rank == 9
-        sizes_ok = tuple(sorted(decomp.suborbit_sizes)) == EXPECTED_SUBORBIT_SIZES
-    except GraphStructureError as exc:
-        rank = sizes = f"unavailable: {exc}"
-        rank_ok = sizes_ok = False
-    out.append(_entry("group.rank", "orbital count of the action", "9", rank, rank_ok))
-    out.append(
-        _entry(
-            "group.suborbits",
-            "suborbit sizes",
-            str(EXPECTED_SUBORBIT_SIZES),
-            sizes,
-            sizes_ok,
-        )
-    )
-    return out
-
-
-def _scan_claims(decomp) -> list[ReportEntry]:
-    results = permaction.scan_orbital_unions(decomp)
-    arrays = {str(r.array) for r in results}
-    return [
-        _entry(
-            "scan.count",
-            "orbital unions that are connected distance-regular graphs",
-            "6",
-            str(len(results)),
-            len(results) == 6,
-        ),
-        _entry(
-            "scan.arrays",
-            "their intersection arrays (set equality)",
-            str(sorted(EXPECTED_SCAN_ARRAYS)),
-            str(sorted(arrays)),
-            arrays == EXPECTED_SCAN_ARRAYS,
-        ),
-    ]
-
-
-def _array_claim(claim_id, description, graph, expected) -> tuple[ReportEntry, object]:
-    arr = is_distance_regular(graph)
-    return (
-        _entry(
-            claim_id,
-            description,
-            expected,
-            str(arr) if arr else "not distance-regular",
-            arr is not None and str(arr) == expected,
-        ),
-        arr,
-    )
-
-
-def _model_claims(models: dict[str, LabeledModel | Graph]) -> list[ReportEntry]:
-    out = []
-    delta = models["delta"].graph
-    entry, arr = _array_claim(
-        "delta.array", "45-orbital graph", delta, "{45,44,36,5; 1,9,40,45}"
-    )
-    out.append(entry)
-    out.append(
-        _entry(
-            "delta.imprimitivity",
-            "45-orbital graph is bipartite but not antipodal (array level)",
-            "bipartite, not antipodal",
-            f"bipartite={arr.is_bipartite()}, antipodal={arr.is_antipodal()}"
-            if arr
-            else "no array",
-            arr is not None and arr.is_bipartite() and not arr.is_antipodal(),
-        )
-    )
-
-    upsilon = models["upsilon"].graph
-    entry, arr = _array_claim(
-        "upsilon.array", "20+36 orbital graph", upsilon, "{56,45,16,1; 1,8,45,56}"
-    )
-    out.append(entry)
-    folded, classes = antipodal_fold(upsilon)
-    params = srg_parameters(folded)
-    out.append(
-        _entry(
-            "upsilon.fold",
-            "antipodal quotient of the 20+36 graph",
-            "classes of size 3, folded SRG (162, 56, 10, 24)",
+def _fold(which: str, description: str, folded_srg: tuple[int, int, int, int]) -> Claim:
+    def evaluate(run):
+        folded, classes = antipodal_fold(run.graph(which))
+        params = srg_parameters(folded)
+        return (
             f"classes of size {len(classes[0])}, folded {_srg_str(params)}",
             len(classes[0]) == 3
             and params is not None
-            and params.as_tuple() == (162, 56, 10, 24),
+            and params.as_tuple() == folded_srg,
         )
-    )
 
-    sigma = models["sigma"].graph
-    entry, arr = _array_claim(
-        "sigma.array", "45+36 orbital graph", sigma, "{81,80,54,1; 1,27,80,81}"
-    )
-    out.append(entry)
-    out.append(
-        _entry(
-            "sigma.imprimitivity",
-            "45+36 orbital graph is bipartite and antipodal (array level)",
-            "bipartite and antipodal",
-            f"bipartite={arr.is_bipartite()}, antipodal={arr.is_antipodal()}"
-            if arr
-            else "no array",
-            arr is not None and arr.is_bipartite() and arr.is_antipodal(),
-        )
-    )
-
-    lam = models["lambda"]
-    entry, arr = _array_claim(
-        "lambda.array",
-        "20-orbital graph induced on the coset half",
-        lam,
-        "{20,18,4,1; 1,2,18,20}",
-    )
-    out.append(entry)
-    lam_folded, lam_classes = antipodal_fold(lam)
-    lam_params = srg_parameters(lam_folded)
-    out.append(
-        _entry(
-            "lambda.fold",
-            "antipodal quotient of the induced graph",
-            "classes of size 3, folded SRG (81, 20, 1, 6)",
-            f"classes of size {len(lam_classes[0])}, folded {_srg_str(lam_params)}",
-            len(lam_classes[0]) == 3
-            and lam_params is not None
-            and lam_params.as_tuple() == (81, 20, 1, 6),
-        )
-    )
-
-    gamma_half = models["gamma_half"]
-    params = srg_parameters(gamma_half)
-    out.append(
-        _entry(
-            "gamma_half.srg",
-            "2+20 union on the coset half",
-            "(243, 22, 1, 2)",
-            _srg_str(params),
-            params is not None and params.as_tuple() == (243, 22, 1, 2),
-        )
-    )
-
-    report = constructions.blocks_report(models["delta"], gamma_half)
-    out.append(
-        _entry(
-            "blocks.cocliques",
-            "flat-side neighborhoods are cocliques in the coset-half graph",
-            "243 blocks, all of size 45, all cocliques",
-            f"{report.blocks_checked} blocks of size {report.block_size}, "
-            f"cocliques={report.all_cocliques}",
-            report.blocks_checked == 243
-            and report.block_size == 45
-            and report.all_cocliques,
-        )
-    )
-    out.append(
-        _entry(
-            "halved_delta.complement",
-            "halved 45-orbital graph equals the complement of the coset-half graph",
-            "edge sets equal on shared labels",
-            "equal" if report.halved_equals_complement else "different",
-            report.halved_equals_complement,
-        )
-    )
-    return out
+    expected = f"classes of size 3, folded SRG {folded_srg}"
+    return Claim(f"{which}.fold", "models", description, expected, evaluate)
 
 
-def _iso_claims(models: dict[str, LabeledModel | Graph]) -> list[ReportEntry]:
-    targets = [
-        (
-            "iso.sigma_orbital_coordinate",
-            "orbital 45+36 graph vs coset/flat incidence model",
-            models["sigma"].graph,
-            constructions.build_sigma_coordinate().graph,
-        ),
-        (
-            "iso.sigma_coordinate_affine",
-            "coset/flat incidence model vs AG(5,3) design graph",
-            constructions.build_sigma_coordinate().graph,
-            constructions.build_std_ag(5),
-        ),
-        (
-            "iso.lambda_orbital_coordinate",
-            "induced orbital graph vs weight-1 coset graph",
-            models["lambda"],
-            constructions.build_lambda_coordinate(),
-        ),
-        (
-            "iso.lambda_coordinate_shortened",
-            "weight-1 coset graph vs coset graph of the shortened Golay code",
-            constructions.build_lambda_coordinate(),
-            codes.coset_graph(codes.shorten(codes.golay_code(), 0)),
-        ),
-    ]
-    out = []
-    for claim_id, description, g1, g2 in targets:
+def _isomorphic(claim_id: str, description: str, first, second) -> Claim:
+    def evaluate(run):
+        g1, g2 = first(run), second(run)
         mapping = are_isomorphic(g1, g2)
         ok = mapping is not None and verify_bijection(g1, g2, mapping)
-        out.append(
-            _entry(
-                claim_id,
-                description,
-                "isomorphic (certificate re-verified edge by edge)",
-                "isomorphic" if ok else "no isomorphism found",
-                ok,
-            )
-        )
-    return out
+        return ("isomorphic" if ok else "no isomorphism found"), ok
+
+    expected = "isomorphic (certificate re-verified edge by edge)"
+    return Claim(claim_id, "iso", description, expected, evaluate)
 
 
-def _experiment_claims() -> list[ReportEntry]:
+def _transitive(run) -> tuple[str, bool]:
+    orbit_size = len(permaction.orbit(run.action, 0))
+    return f"orbit size {orbit_size}", permaction.is_transitive(run.action)
+
+
+def _code_parameters(run) -> str:
+    golay = codes.golay_code()
+    dist = codes.minimum_distance(golay)
+    return f"[{golay.length},{golay.dimension}] with minimum distance {dist}"
+
+
+def _code_perfect(run) -> tuple[str, bool]:
+    perfect = codes.is_perfect(codes.golay_code(), 2)
+    return f"sphere size {1 + 22 + 220}, perfect={perfect}", perfect
+
+
+def _functional_counts(run) -> str:
+    golay = codes.golay_code()
+    duals = gf3.null_space(golay.generator, width=11)
+    classes = len(gf3.projective_points(duals, length=11))
+    kept = len(gf3.hyperplane_functionals(golay.generator, gf3.unit_vector(11, 0)))
+    return f"{classes} classes, {classes - kept} excluded, {kept} kept"
+
+
+def _flat_count(run) -> str:
+    family = constructions.classify_types()
+    return f"{family.subspace_count} subspaces, {family.flat_count} flats"
+
+
+def _flat_types(run) -> tuple[str, bool]:
+    family = constructions.classify_types()
+    counts = (len(family.type_indices("I")), len(family.type_indices("II")))
+    return f"{counts[0]} Type I and {counts[1]} Type II", counts == (45, 36)
+
+
+def _coset_shapes(run) -> tuple[int, ...]:
+    shapes = codes.classify_cosets(codes.golay_code())
+    return tuple(shapes[s] for s in ("0", "+-e0", "+-ei", "+-e0+-ei", "+-ei+-ej"))
+
+
+def _blocks_cocliques(run) -> tuple[str, bool]:
+    report = run.blocks
+    return (
+        f"{report.blocks_checked} blocks of size {report.block_size}, "
+        f"cocliques={report.all_cocliques}",
+        report.blocks_checked == 243
+        and report.block_size == 45
+        and report.all_cocliques,
+    )
+
+
+def _halved_delta(run) -> tuple[str, bool]:
+    equal = run.blocks.halved_equals_complement
+    return ("equal" if equal else "different"), equal
+
+
+def _incidence_degrees(run) -> tuple[str, bool]:
     report = constructions.experiment_flat_incidence("type1")
-    expected_flats = ((0, 108), (81, 135))
-    return [
-        _entry(
-            "experiment.incidence_degrees",
-            "literal translate-incidence graph degree split "
-            "(documented negative result, no identification claimed)",
-            "cosets all 45; flats 81 on 135 vertices and 0 on 108; not regular",
-            f"cosets {dict(report.coset_degree_counts)}; "
-            f"flats {dict(report.flat_degree_counts)}; regular={report.regular}",
-            report.coset_degree_counts == ((45, 243),)
-            and report.flat_degree_counts == expected_flats
-            and not report.regular,
-        )
-    ]
+    return (
+        f"cosets {dict(report.coset_degree_counts)}; "
+        f"flats {dict(report.flat_degree_counts)}; regular={report.regular}",
+        report.coset_degree_counts == ((45, 243),)
+        and report.flat_degree_counts == ((0, 108), (81, 135))
+        and not report.regular,
+    )
+
+
+SCAN_ARRAYS = (
+    "{485; 1}",
+    "{243,242; 1,243}",
+    "{483,2; 1,483}",
+    "{45,44,36,5; 1,9,40,45}",
+    "{56,45,16,1; 1,8,45,56}",
+    "{81,80,54,1; 1,27,80,81}",
+)
+
+# In report order; the stages, in order of first appearance, are the
+# report's timings.
+CLAIMS = (
+    _reads(
+        "code.parameters",
+        "code",
+        "ternary Golay code parameters",
+        "[11,6] with minimum distance 5",
+        _code_parameters,
+    ),
+    Claim(
+        "code.perfect",
+        "code",
+        "radius-2 spheres tile the ambient space",
+        "sphere size 243 = 3^5, perfect",
+        _code_perfect,
+    ),
+    _reads(
+        "gamma.srg",
+        "code",
+        "coset graph of the Golay code",
+        "(243, 22, 1, 2)",
+        lambda run: _srg_str(srg_parameters(constructions.build_gamma())),
+    ),
+    _reads(
+        "gamma.complement_srg",
+        "code",
+        "complement of the coset graph",
+        "(243, 220, 199, 200)",
+        lambda run: _srg_str(srg_parameters(complement(constructions.build_gamma()))),
+    ),
+    _reads(
+        "flats.functional_counts",
+        "flats",
+        "hyperplane classes over the quotient, before/after excluding e0",
+        "121 classes, 40 excluded, 81 kept",
+        _functional_counts,
+    ),
+    _reads(
+        "flats.count",
+        "flats",
+        "ten-spaces between the Golay code and the ambient space, and their flats",
+        "81 subspaces, 243 flats",
+        _flat_count,
+    ),
+    Claim(
+        "flats.types",
+        "flats",
+        "weight-distribution classes of the 81 ten-spaces",
+        "45 Type I and 36 Type II, no third class",
+        _flat_types,
+    ),
+    _reads(
+        "cosets.shapes",
+        "flats",
+        "canonical coset representatives by support shape",
+        "(1, 2, 20, 40, 180)",
+        _coset_shapes,
+    ),
+    _reads(
+        "group.generators",
+        "group",
+        "bundled generator count and degree",
+        "3 generators of degree 486",
+        lambda run: (
+            f"{len(run.action.generators)} generators of degree {run.action.degree}"
+        ),
+    ),
+    Claim(
+        "group.transitive",
+        "group",
+        "the action is transitive",
+        "orbit of point 1 covers all 486 points",
+        _transitive,
+    ),
+    _reads(
+        "group.order",
+        "group",
+        "group order by stabilizer chain",
+        "349920",
+        lambda run: permaction.group_order(run.action),
+    ),
+    _reads(
+        "group.rank",
+        "group",
+        "orbital count of the action",
+        "9",
+        lambda run: run.decomp.rank,
+    ),
+    _reads(
+        "group.suborbits",
+        "group",
+        "suborbit sizes",
+        "(1, 2, 20, 36, 40, 45, 72, 90, 180)",
+        lambda run: tuple(sorted(run.decomp.suborbit_sizes)),
+    ),
+    _reads(
+        "scan.count",
+        "scan",
+        "orbital unions that are connected distance-regular graphs",
+        "6",
+        lambda run: len(run.scan),
+    ),
+    _reads(
+        "scan.arrays",
+        "scan",
+        "their intersection arrays (set equality)",
+        str(sorted(SCAN_ARRAYS)),
+        lambda run: sorted({str(r.array) for r in run.scan}),
+    ),
+    _array("delta", "45-orbital graph", "{45,44,36,5; 1,9,40,45}"),
+    Claim(
+        "delta.imprimitivity",
+        "models",
+        "45-orbital graph is bipartite but not antipodal (array level)",
+        "bipartite, not antipodal",
+        _imprimitivity("delta", antipodal=False),
+    ),
+    _array("upsilon", "20+36 orbital graph", "{56,45,16,1; 1,8,45,56}"),
+    _fold("upsilon", "antipodal quotient of the 20+36 graph", (162, 56, 10, 24)),
+    _array("sigma", "45+36 orbital graph", "{81,80,54,1; 1,27,80,81}"),
+    Claim(
+        "sigma.imprimitivity",
+        "models",
+        "45+36 orbital graph is bipartite and antipodal (array level)",
+        "bipartite and antipodal",
+        _imprimitivity("sigma", antipodal=True),
+    ),
+    _array(
+        "lambda", "20-orbital graph induced on the coset half", "{20,18,4,1; 1,2,18,20}"
+    ),
+    _fold("lambda", "antipodal quotient of the induced graph", (81, 20, 1, 6)),
+    _reads(
+        "gamma_half.srg",
+        "models",
+        "2+20 union on the coset half",
+        "(243, 22, 1, 2)",
+        lambda run: _srg_str(srg_parameters(run.graph("gamma_half"))),
+    ),
+    Claim(
+        "blocks.cocliques",
+        "models",
+        "flat-side neighborhoods are cocliques in the coset-half graph",
+        "243 blocks, all of size 45, all cocliques",
+        _blocks_cocliques,
+    ),
+    Claim(
+        "halved_delta.complement",
+        "models",
+        "halved 45-orbital graph equals the complement of the coset-half graph",
+        "edge sets equal on shared labels",
+        _halved_delta,
+    ),
+    _isomorphic(
+        "iso.sigma_orbital_coordinate",
+        "orbital 45+36 graph vs coset/flat incidence model",
+        lambda run: run.graph("sigma"),
+        lambda run: constructions.build_sigma_coordinate().graph,
+    ),
+    _isomorphic(
+        "iso.sigma_coordinate_affine",
+        "coset/flat incidence model vs AG(5,3) design graph",
+        lambda run: constructions.build_sigma_coordinate().graph,
+        lambda run: constructions.build_std_ag(5),
+    ),
+    _isomorphic(
+        "iso.lambda_orbital_coordinate",
+        "induced orbital graph vs weight-1 coset graph",
+        lambda run: run.graph("lambda"),
+        lambda run: constructions.build_lambda_coordinate(),
+    ),
+    _isomorphic(
+        "iso.lambda_coordinate_shortened",
+        "weight-1 coset graph vs coset graph of the shortened Golay code",
+        lambda run: constructions.build_lambda_coordinate(),
+        lambda run: codes.coset_graph(codes.shorten(codes.golay_code(), 0)),
+    ),
+    Claim(
+        "experiment.incidence_degrees",
+        "experiment",
+        "literal translate-incidence graph degree split "
+        "(documented negative result, no identification claimed)",
+        "cosets all 45; flats 81 on 135 vertices and 0 on 108; not regular",
+        _incidence_degrees,
+    ),
+)
 
 
 def run_verification(
-    gens_path: str | None = None,
-    skip: tuple[str, ...] = (),
-    seed: int | None = None,
+    gens_path: str | None = None, skip: tuple[str, ...] = ()
 ) -> VerificationReport:
-    """Evaluate every claim, honoring --skip prefixes, and time the stages."""
+    """Evaluate every claim not selected by a --skip prefix, timing the stages.
 
-    def skipped(claim_id: str) -> bool:
-        return any(claim_id == s or claim_id.startswith(s + ".") for s in skip)
-
-    entries: list[ReportEntry] = []
-    timings: list[tuple[str, float]] = []
-
-    def run_stage(name, fn):
-        start = time.perf_counter()
-        produced = fn()
-        timings.append((name, round(time.perf_counter() - start, 3)))
-        entries.extend(produced)
-
-    action = _load_action(gens_path)
-
-    run_stage("code", _code_claims)
-    run_stage("flats", _flat_claims)
-    run_stage("group", lambda: _group_claims(action))
-
-    try:
-        decomp = permaction.orbitals(action)
-    except GraphStructureError as exc:
-        decomp = None
-        entries.append(
-            _entry(
-                "scan.arrays",
-                "orbital-union scan over the action",
-                "six intersection arrays",
-                f"unavailable: {exc}",
-                False,
-            )
-        )
-    if decomp is not None:
-        run_stage("scan", lambda: _scan_claims(decomp))
-
-    model_entries: list[ReportEntry] = []
-    models: dict[str, LabeledModel | Graph] = {}
-    start = time.perf_counter()
-    try:
-        if decomp is None:
-            raise GraphStructureError("no orbital decomposition")
-        if gens_path is None:
-            models = {w: constructions.build_from_orbitals(w)
-                      for w in constructions.ORBITAL_MODELS}
+    A skipped claim is not evaluated.  A claim whose artifacts cannot be
+    built (GraphStructureError) fails with the reason as its observation.
+    """
+    run = Run(_load_action(gens_path))
+    entries = []
+    seconds = dict.fromkeys((claim.stage for claim in CLAIMS), 0.0)
+    for claim in CLAIMS:
+        if any(claim.claim_id == s or claim.claim_id.startswith(s + ".") for s in skip):
+            observed, verdict = "not evaluated", "SKIPPED"
         else:
-            half = constructions.compute_coset_half(decomp)
-            models = {w: constructions.orbital_model(decomp, w, half=half)
-                      for w in constructions.ORBITAL_MODELS}
-        model_entries = _model_claims(models)
-    except GraphStructureError as exc:
-        model_entries = [
-            _entry(
-                "models.buildable",
-                "orbital models can be built from the action",
-                "five models",
-                f"failed: {exc}",
-                False,
+            start = time.perf_counter()
+            try:
+                observed, passed = claim.evaluate(run)
+            except GraphStructureError as exc:
+                observed, passed = f"unavailable: {exc}", False
+            seconds[claim.stage] += time.perf_counter() - start
+            verdict = "PASS" if passed else "FAIL"
+        entries.append(
+            ReportEntry(
+                claim.claim_id, claim.description, claim.expected, observed, verdict
             )
-        ]
-    timings.append(("models", round(time.perf_counter() - start, 3)))
-    entries.extend(model_entries)
-
-    iso_placeholders = [
-        ("iso.sigma_orbital_coordinate", "orbital 45+36 graph vs incidence model"),
-        ("iso.sigma_coordinate_affine", "incidence model vs AG(5,3) design graph"),
-        ("iso.lambda_orbital_coordinate", "induced orbital graph vs weight-1 coset graph"),
-        ("iso.lambda_coordinate_shortened", "weight-1 coset graph vs shortened-code graph"),
-    ]
-    if all(skipped(cid) for cid, _ in iso_placeholders):
-        entries.extend(
-            _skipped(cid, desc, "isomorphic") for cid, desc in iso_placeholders
         )
-    elif models:
-        run_stage("iso", lambda: _iso_claims(models))
-    else:
-        entries.extend(
-            _entry(cid, desc, "isomorphic", "models unavailable", False)
-            for cid, desc in iso_placeholders
-        )
-
-    run_stage("experiment", _experiment_claims)
-
-    final_entries = tuple(
-        _skipped(e.claim_id, e.description, e.expected)
-        if e.verdict != "SKIPPED" and skipped(e.claim_id)
-        else e
-        for e in entries
-    )
-    overall = all(e.verdict != "FAIL" for e in final_entries)
-    metadata = [("generators", gens_path or "bundled")]
-    if seed is not None:
-        metadata.append(("seed", str(seed)))
     return VerificationReport(
         schema_version=SCHEMA_VERSION,
-        entries=final_entries,
-        overall=overall,
-        timings=tuple(timings),
-        metadata=tuple(metadata),
+        entries=tuple(entries),
+        overall=all(e.verdict != "FAIL" for e in entries),
+        timings=tuple((stage, round(s, 3)) for stage, s in seconds.items()),
+        metadata=(("generators", gens_path or "bundled"),),
     )
 
 
@@ -632,7 +575,7 @@ def _selected_graph(selector: str) -> Graph:
 
 def _cmd_verify(args) -> int:
     skip = tuple(s.strip() for s in args.skip.split(",") if s.strip()) if args.skip else ()
-    report = run_verification(gens_path=args.gens, skip=skip, seed=args.seed)
+    report = run_verification(gens_path=args.gens, skip=skip)
     width = max(len(e.claim_id) for e in report.entries)
     for e in report.entries:
         print(f"{e.claim_id:<{width}}  {e.verdict:<7} expected {e.expected}; "
@@ -738,8 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run every verification claim")
     p_verify.add_argument("--gens", help="alternate generator file")
-    p_verify.add_argument("--seed", type=int, help="recorded in the report metadata")
-    p_verify.add_argument("--skip", help="comma-separated claim-id prefixes to skip")
+    p_verify.add_argument(
+        "--skip", help="comma-separated claim-id prefixes not to evaluate"
+    )
     p_verify.add_argument("--json", help="also write the report as JSON to this path")
     p_verify.set_defaults(func=_cmd_verify)
 

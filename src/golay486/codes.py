@@ -271,13 +271,18 @@ def classify_cosets(code: LinearCode) -> dict[str, int]:
     return counts
 
 
-def coset_graph(code: LinearCode, bound: int = DEFAULT_COSET_BOUND) -> Graph:
+def coset_graph(
+    code: LinearCode,
+    bound: int = DEFAULT_COSET_BOUND,
+    positions: Iterable[int] | None = None,
+) -> Graph:
     """Graph on the cosets, adjacent when representatives differ in one place.
 
     Vertices are the 3^(n-k) syndromes in lexicographic order.  Adjacency is
     translation-invariant: cosets of u and v are adjacent iff u-v's coset
     contains a weight-1 vector, so the edge set is generated by the distinct
-    nonzero syndromes of the 2n weight-1 vectors.
+    nonzero syndromes of the 2n weight-1 vectors.  `positions` restricts
+    those vectors to the given coordinates (default: all of them).
     """
     n, k = code.length, code.dimension
     if n - k > bound:
@@ -286,7 +291,7 @@ def coset_graph(code: LinearCode, bound: int = DEFAULT_COSET_BOUND) -> Graph:
         )
     width = n - k
     offsets = set()
-    for i in range(n):
+    for i in range(n) if positions is None else positions:
         for a in (1, 2):
             s = syndrome(code, gf3.unit_vector(n, i, a))
             if any(s):

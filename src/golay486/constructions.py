@@ -5,8 +5,9 @@ Lint-Seidel graph), the 81 intermediate ten-spaces with their two weight
 classes, the symmetric-transversal-design incidence graphs, the three
 486-vertex distance-regular graphs carried by the bundled rank-9 action
 (the Koolen-Riebeek graph, the second Soicher graph and the AG(5,3) design
-graph), the induced 243-vertex subgraph, and the cross-verifications
-between the orbital and coordinate models.
+graph) and the induced 243-vertex subgraph: each as an orbital model over
+the action and, where one exists, as a coordinate model.  The claims that
+tie the models together are declared once, in `golay486.cli.CLAIMS`.
 
 Everything here is deterministic and cached; graphs are immutable, so the
 cached values are safe to share.
@@ -25,16 +26,12 @@ from .gf3 import Matrix, Vector
 from .graph import (
     Graph,
     GraphStructureError,
-    antipodal_fold,
-    are_isomorphic,
     bipartition,
     bipartite_halves,
     complement,
     induced_subgraph,
     is_connected,
     is_distance_regular,
-    srg_parameters,
-    verify_bijection,
 )
 from .permaction import GroupAction, OrbitalDecomposition
 
@@ -100,15 +97,6 @@ class LabeledModel:
             raise ValueError("halves must partition the vertex set")
         if len(self.half_a) != len(self.half_b):
             raise ValueError("halves must have equal sizes")
-
-
-@dataclass(frozen=True)
-class ClaimCheck:
-    claim_id: str
-    description: str
-    expected: str
-    observed: str
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -374,88 +362,10 @@ def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:
 
 
 @cache
-def verify_koolen_riebeek_blocks() -> BlocksReport:
-    """Block structure report for the bundled orbital models."""
-    return blocks_report(
-        build_from_orbitals("delta"), build_from_orbitals("gamma_half")
-    )
-
-
-@cache
 def build_lambda_coordinate() -> Graph:
     """Graph on the 243 cosets joining those differing by a weight-1 coset
     away from coordinate 0; distance-regular {20,18,4,1; 1,2,18,20}."""
-    golay = codes.golay_code()
-    offsets = set()
-    for i in range(1, 11):
-        for a in (1, 2):
-            s = codes.syndrome(golay, gf3.unit_vector(11, i, a))
-            if any(s):
-                offsets.add(s)
-    edges = []
-    for s in product((0, 1, 2), repeat=5):
-        i = codes.syndrome_index(s)
-        for t in offsets:
-            j = codes.syndrome_index(gf3.vec_add(s, t))
-            if i < j:
-                edges.append((i, j))
-    return Graph(243, edges)
-
-
-def _iso_claim(claim_id: str, description: str, g1: Graph, g2: Graph) -> ClaimCheck:
-    mapping = are_isomorphic(g1, g2)
-    ok = mapping is not None and verify_bijection(g1, g2, mapping)
-    return ClaimCheck(
-        claim_id=claim_id,
-        description=description,
-        expected="isomorphic (certificate re-verified)",
-        observed="isomorphic" if ok else "no isomorphism found",
-        passed=ok,
-    )
-
-
-@cache
-def cross_verify() -> tuple[ClaimCheck, ...]:
-    """Isomorphism and parameter claims linking the models, as a verdict list."""
-    claims = [
-        _iso_claim(
-            "sigma.orbital_vs_coordinate",
-            "orbital 486-vertex design graph matches the coset/flat incidence model",
-            build_from_orbitals("sigma").graph,
-            build_sigma_coordinate().graph,
-        ),
-        _iso_claim(
-            "sigma.coordinate_vs_affine",
-            "coset/flat incidence model matches the AG(5,3) design graph",
-            build_sigma_coordinate().graph,
-            build_std_ag(5),
-        ),
-        _iso_claim(
-            "lambda.orbital_vs_coordinate",
-            "induced orbital graph on cosets matches the weight-1 coset graph",
-            build_from_orbitals("lambda"),
-            build_lambda_coordinate(),
-        ),
-        _iso_claim(
-            "lambda.coordinate_vs_shortened",
-            "weight-1 coset graph matches the coset graph of the shortened Golay code",
-            build_lambda_coordinate(),
-            codes.coset_graph(codes.shorten(codes.golay_code(), 0)),
-        ),
-    ]
-    folded, classes = antipodal_fold(build_from_orbitals("upsilon").graph)
-    params = srg_parameters(folded)
-    observed = params.as_tuple() if params else None
-    claims.append(
-        ClaimCheck(
-            claim_id="upsilon.folded_srg",
-            description="folded antipodal quotient of the valency-56 graph",
-            expected="(162, 56, 10, 24) with classes of size 3",
-            observed=f"{observed} with classes of size {len(classes[0])}",
-            passed=observed == (162, 56, 10, 24) and len(classes[0]) == 3,
-        )
-    )
-    return tuple(claims)
+    return codes.coset_graph(codes.golay_code(), positions=range(1, 11))
 
 
 def experiment_flat_incidence(rule: str = "type1") -> IncidenceExperimentReport:

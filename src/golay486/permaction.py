@@ -412,13 +412,6 @@ class OrbitalDecomposition:
     pairing: tuple[int, ...]
     diagonal_id: int
 
-    def orbital_id(self, i: int, j: int) -> int:
-        return self.pair_ids[i * self.action.degree + j]
-
-    def suborbit_id(self, v: int) -> int:
-        """Orbital id of (base, v); suborbits are the point-stabilizer orbits."""
-        return self.pair_ids[self.base * self.action.degree + v]
-
     @cached_property
     def suborbit_of_vertex(self) -> tuple[int, ...]:
         n = self.action.degree

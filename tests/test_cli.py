@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
-from golay486 import cli
+import pytest
+
+from golay486 import cli, constructions
 from golay486.graph import graph6_decode
 
 
@@ -73,9 +77,7 @@ def test_group_with_missing_gens_file(capsys):
 
 def test_verify_skip_iso_and_json(tmp_path, capsys):
     out_path = tmp_path / "report.json"
-    code, out, _ = run(
-        capsys, "verify", "--skip", "iso", "--json", str(out_path), "--seed", "7"
-    )
+    code, out, _ = run(capsys, "verify", "--skip", "iso", "--json", str(out_path))
     assert code == 0
     assert "SKIPPED" in out
     report = json.loads(out_path.read_text())
@@ -84,9 +86,110 @@ def test_verify_skip_iso_and_json(tmp_path, capsys):
     verdicts = {e["claim_id"]: e["verdict"] for e in report["entries"]}
     assert verdicts["iso.sigma_orbital_coordinate"] == "SKIPPED"
     assert verdicts["delta.array"] == "PASS"
-    assert ["seed", "7"] in report["metadata"]
     # round-trip: the JSON carries everything the text table showed
     assert len(report["entries"]) == out.count("expected")
+
+
+VERIFY_IDS = (
+    "code.parameters", "code.perfect", "gamma.srg", "gamma.complement_srg",
+    "flats.functional_counts", "flats.count", "flats.types", "cosets.shapes",
+    "group.generators", "group.transitive", "group.order", "group.rank",
+    "group.suborbits", "scan.count", "scan.arrays", "delta.array",
+    "delta.imprimitivity", "upsilon.array", "upsilon.fold", "sigma.array",
+    "sigma.imprimitivity", "lambda.array", "lambda.fold", "gamma_half.srg",
+    "blocks.cocliques", "halved_delta.complement",
+    "iso.sigma_orbital_coordinate", "iso.sigma_coordinate_affine",
+    "iso.lambda_orbital_coordinate", "iso.lambda_coordinate_shortened",
+    "experiment.incidence_degrees",
+)
+STAGES = ["code", "flats", "group", "scan", "models", "iso", "experiment"]
+
+
+def claim_lines(out: str) -> list[str]:
+    return out.splitlines()[:-1]  # the last line is the overall verdict
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """A default verify: exit code, stdout and the --json report."""
+    path = tmp_path_factory.mktemp("verify") / "report.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--json", str(path)])
+    return code, out.getvalue(), json.loads(path.read_text())
+
+
+def test_verify_reports_every_claim_in_order(full_run):
+    code, out, report = full_run
+    assert code == 0 and report["overall"] is True
+    entries = report["entries"]
+    assert tuple(e["claim_id"] for e in entries) == VERIFY_IDS
+    assert all(e["verdict"] == "PASS" for e in entries)
+    assert [stage for stage, _ in report["timings"]] == STAGES
+    width = max(map(len, VERIFY_IDS))
+    assert claim_lines(out) == [
+        f"{e['claim_id']:<{width}}  {e['verdict']:<7} expected {e['expected']}; "
+        f"observed {e['observed']}"
+        for e in entries
+    ]
+    assert out.splitlines()[-1].startswith("overall: PASS (31 claims, ")
+
+
+def test_verify_skip_does_not_evaluate(full_run, tmp_path, capsys, monkeypatch):
+    def unavailable():
+        raise AssertionError("a skipped claim was evaluated")
+
+    monkeypatch.setattr(constructions, "classify_types", unavailable)
+    out_path = tmp_path / "report.json"
+    code, out, _ = run(
+        capsys, "verify", "--skip", "flats,cosets,iso,experiment",
+        "--json", str(out_path),
+    )
+    assert code == 0
+    full = {e["claim_id"]: e for e in full_run[2]["entries"]}
+    skipped = [e for e in json.loads(out_path.read_text())["entries"]
+               if e["verdict"] == "SKIPPED"]
+    assert [e["claim_id"] for e in skipped] == [
+        c for c in VERIFY_IDS
+        if c.split(".")[0] in ("flats", "cosets", "iso", "experiment")
+    ]
+    for e in skipped:
+        assert e["observed"] == "not evaluated"
+        assert e["description"] == full[e["claim_id"]]["description"]
+        assert e["expected"] == full[e["claim_id"]]["expected"]
+        line = next(ln for ln in claim_lines(out) if ln.split()[0] == e["claim_id"])
+        assert line.split()[1] == "SKIPPED"
+        assert f"expected {full[e['claim_id']]['expected']}; " in line
+
+
+def test_verify_without_orbitals_lists_every_claim(tmp_path, capsys):
+    wrong = tmp_path / "gens.txt"
+    wrong.write_text("a := (1,2)\nb := (3,4)\n")  # not transitive: no orbitals
+    out_path = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--gens", str(wrong), "--json", str(out_path)
+    )
+    assert code == 1
+    assert "first failing claim: group.generators" in err
+    entries = json.loads(out_path.read_text())["entries"]
+    assert tuple(e["claim_id"] for e in entries) == VERIFY_IDS
+    assert len(claim_lines(out)) == len(VERIFY_IDS)
+    models = VERIFY_IDS[
+        VERIFY_IDS.index("delta.array") : VERIFY_IDS.index("halved_delta.complement") + 1
+    ]
+    needs_orbitals = {
+        "group.rank", "group.suborbits", "scan.count", "scan.arrays", *models,
+        "iso.sigma_orbital_coordinate", "iso.lambda_orbital_coordinate",
+    }
+    assert len(needs_orbitals) == 17
+    for e in entries:
+        if e["claim_id"] in needs_orbitals:
+            assert e["verdict"] == "FAIL"
+            assert e["observed"] == "unavailable: action is not transitive"
+        elif e["claim_id"].startswith("group."):
+            assert e["verdict"] == "FAIL"  # wrong generators, degree-486 action
+        else:
+            assert e["verdict"] == "PASS", e["claim_id"]
 
 
 def test_verify_with_corrupt_gens_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import combinations, product
@@ -244,6 +245,41 @@ def test_coset_graph_of_truncated_golay(golay):
     g = codes.coset_graph(codes.truncate(golay, 0))
     params = srg_parameters(g)
     assert params is not None and params.as_tuple() == (81, 20, 1, 6)
+
+
+def _adjacency_digest(g) -> str:
+    return hashlib.sha256(repr(g._adj).encode()).hexdigest()
+
+
+# Adjacency digests of the coset graphs of the four Golay-family codes of the
+# benchmark's size ladder, recorded before `positions` was added.
+LADDER_DIGESTS = {
+    "golay": "3ccde74aba6f09bdc73f444923809e9cdad6b298ae056d96f7170f5222ea8c1e",
+    "shortened": "0c0484590d1a3cce1e6944a5742a1d6b844ecb2fa9300faa6467485cb14db701",
+    "truncated": "c4a3891da989fae6de33d85e689033a8e8c535ba3c966b7f801a5cb54fd4a385",
+    "extended": "999540d0daf7b415997e7998796e9b1c4fc3f2799407a82f699de6f4b570164c",
+}
+
+
+def test_coset_graph_ladder_digests(golay):
+    family = {
+        "golay": golay,
+        "shortened": codes.shorten(golay, 0),
+        "truncated": codes.truncate(golay, 0),
+        "extended": codes.linear_code(
+            [row + ((-sum(row)) % 3,) for row in golay.generator]
+        ),
+    }
+    for name, code in family.items():
+        assert _adjacency_digest(codes.coset_graph(code)) == LADDER_DIGESTS[name], name
+
+
+def test_coset_graph_positions(golay, gamma):
+    assert codes.coset_graph(golay, positions=range(11)) == gamma
+    # without coordinate 0 the +-e0 offsets are gone: valency 22 - 2
+    g = codes.coset_graph(golay, positions=range(1, 11))
+    assert all(g.degree(v) == 20 for v in range(g.n))
+    assert codes.coset_graph(golay, positions=()).edge_count == 0
 
 
 def test_coset_graph_bound():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import product
@@ -16,11 +17,9 @@ from golay486.constructions import (
     classify_types,
     compute_coset_half,
     coset_half,
-    cross_verify,
     experiment_flat_incidence,
     golay_coset_reps,
     orbital_model,
-    verify_koolen_riebeek_blocks,
 )
 from golay486.permaction import orbitals
 from golay486.graph import (
@@ -195,14 +194,12 @@ def test_upsilon_restricted_to_half_is_lambda(orbital_models):
 
 
 def test_blocks_report(orbital_models):
-    report = verify_koolen_riebeek_blocks()
+    report = blocks_report(orbital_models["delta"], orbital_models["gamma_half"])
     assert report.blocks_checked == 243
     assert report.block_size == 45
     assert report.all_cocliques
     assert report.halved_equals_complement
     assert report.counterexample is None
-    same = blocks_report(orbital_models["delta"], orbital_models["gamma_half"])
-    assert same == report
 
 
 def test_blocks_report_on_relabelled_action(relabelled_action):
@@ -244,20 +241,18 @@ def test_lambda_coordinate():
     assert srg_parameters(folded).as_tuple() == (81, 20, 1, 6)
 
 
+def test_lambda_coordinate_adjacency_is_unchanged():
+    # digest of the adjacency built by the offset loop that
+    # build_lambda_coordinate had before it called codes.coset_graph
+    digest = hashlib.sha256(repr(build_lambda_coordinate()._adj).encode()).hexdigest()
+    assert digest == "e68ff94cbbc912ac97f8d102adfc7ec6cf86f20467ba10f76b3dc2b5fe688fd3"
+
+
 def test_lambda_coordinate_isomorphic_to_shortened_coset_graph(golay):
     lam = build_lambda_coordinate()
     shortened = codes.coset_graph(codes.shorten(golay, 0))
     mapping = are_isomorphic(lam, shortened)
     assert mapping is not None and verify_bijection(lam, shortened, mapping)
-
-
-def test_cross_verify_all_pass():
-    claims = cross_verify()
-    assert len(claims) == 5
-    assert all(c.passed for c in claims)
-    ids = {c.claim_id for c in claims}
-    assert "sigma.orbital_vs_coordinate" in ids
-    assert "upsilon.folded_srg" in ids
 
 
 def test_experiment_flat_incidence():
