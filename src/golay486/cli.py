@@ -1,6 +1,7 @@
 """Command-line front end: build, verify, export, and diagram emission.
 
-Every `verify` claim is declared once, in `CLAIMS`, and evaluated over the
+Every subcommand that needs a graph builds it through one `Run`.  Every
+`verify` claim is declared once, in `CLAIMS`, and evaluated over the
 artifacts of one `Run`, so the bundled action and a --gens action take the
 same path.
 
@@ -20,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 from . import codes, constructions, gf3, permaction
-from .constructions import BlocksReport, LabeledModel
+from .constructions import BlocksReport, FlatFamily, LabeledModel
 from .graph import (
     Graph,
     GraphStructureError,
@@ -66,11 +67,12 @@ class VerificationReport:
 
 
 class Run:
-    """The artifacts shared by the claims of one verify run.
+    """The artifacts of one action, for any command: the claims of a verify
+    run, or the graph that export and diagram write.
 
     Each is built on first use and at most once, the same way for the
     bundled action and a --gens action.  A build that raises
-    GraphStructureError is not retried: every claim that needs it gets the
+    GraphStructureError is not retried: every caller that needs it gets the
     same error.
     """
 
@@ -88,6 +90,25 @@ class Run:
         if isinstance(value, GraphStructureError):
             raise value
         return value
+
+    @property
+    def gamma(self) -> Graph:
+        return self._once("gamma", lambda: codes.coset_graph(codes.golay_code()))
+
+    @property
+    def family(self) -> FlatFamily:
+        return self._once("family", constructions.classify_types)
+
+    @property
+    def sigma_coordinate(self) -> Graph:
+        return self._once(
+            "sigma_coordinate",
+            lambda: constructions.build_sigma_coordinate(self.family),
+        )
+
+    @property
+    def lambda_coordinate(self) -> Graph:
+        return self._once("lambda_coordinate", constructions.build_lambda_coordinate)
 
     @property
     def decomp(self) -> OrbitalDecomposition:
@@ -108,6 +129,9 @@ class Run:
         )
 
     def graph(self, which: str) -> Graph:
+        """One of GRAPH_SELECTORS, or the gamma_half orbital model."""
+        if which == "gamma":
+            return self.gamma
         model = self.model(which)
         return model.graph if isinstance(model, LabeledModel) else model
 
@@ -222,13 +246,11 @@ def _functional_counts(run) -> str:
 
 
 def _flat_count(run) -> str:
-    family = constructions.classify_types()
-    return f"{family.subspace_count} subspaces, {family.flat_count} flats"
+    return f"{run.family.subspace_count} subspaces, {run.family.flat_count} flats"
 
 
 def _flat_types(run) -> tuple[str, bool]:
-    family = constructions.classify_types()
-    counts = (len(family.type_indices("I")), len(family.type_indices("II")))
+    counts = (len(run.family.type_indices("I")), len(run.family.type_indices("II")))
     return f"{counts[0]} Type I and {counts[1]} Type II", counts == (45, 36)
 
 
@@ -254,7 +276,7 @@ def _halved_delta(run) -> tuple[str, bool]:
 
 
 def _incidence_degrees(run) -> tuple[str, bool]:
-    report = constructions.experiment_flat_incidence("type1")
+    report = constructions.experiment_flat_incidence(run.family, "type1")
     return (
         f"cosets {dict(report.coset_degree_counts)}; "
         f"flats {dict(report.flat_degree_counts)}; regular={report.regular}",
@@ -295,14 +317,14 @@ CLAIMS = (
         "code",
         "coset graph of the Golay code",
         "(243, 22, 1, 2)",
-        lambda run: _srg_str(srg_parameters(constructions.build_gamma())),
+        lambda run: _srg_str(srg_parameters(run.gamma)),
     ),
     _reads(
         "gamma.complement_srg",
         "code",
         "complement of the coset graph",
         "(243, 220, 199, 200)",
-        lambda run: _srg_str(srg_parameters(complement(constructions.build_gamma()))),
+        lambda run: _srg_str(srg_parameters(complement(run.gamma))),
     ),
     _reads(
         "flats.functional_counts",
@@ -430,24 +452,24 @@ CLAIMS = (
         "iso.sigma_orbital_coordinate",
         "orbital 45+36 graph vs coset/flat incidence model",
         lambda run: run.graph("sigma"),
-        lambda run: constructions.build_sigma_coordinate().graph,
+        lambda run: run.sigma_coordinate,
     ),
     _isomorphic(
         "iso.sigma_coordinate_affine",
         "coset/flat incidence model vs AG(5,3) design graph",
-        lambda run: constructions.build_sigma_coordinate().graph,
+        lambda run: run.sigma_coordinate,
         lambda run: constructions.build_std_ag(5),
     ),
     _isomorphic(
         "iso.lambda_orbital_coordinate",
         "induced orbital graph vs weight-1 coset graph",
         lambda run: run.graph("lambda"),
-        lambda run: constructions.build_lambda_coordinate(),
+        lambda run: run.lambda_coordinate,
     ),
     _isomorphic(
         "iso.lambda_coordinate_shortened",
         "weight-1 coset graph vs coset graph of the shortened Golay code",
-        lambda run: constructions.build_lambda_coordinate(),
+        lambda run: run.lambda_coordinate,
         lambda run: codes.coset_graph(codes.shorten(codes.golay_code(), 0)),
     ),
     Claim(
@@ -558,16 +580,6 @@ def check_dot(text: str) -> bool:
     return all(_DOT_STATEMENT.fullmatch(ln) for ln in lines[1:-1])
 
 
-def _selected_graph(selector: str) -> Graph:
-    if selector == "gamma":
-        return constructions.build_gamma()
-    if selector in ("delta", "upsilon", "sigma"):
-        return constructions.build_from_orbitals(selector).graph
-    if selector == "lambda":
-        return constructions.build_from_orbitals("lambda")
-    raise ValueError(f"unknown graph selector {selector!r}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -641,18 +653,18 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    if args.kind == "orbit" and args.graph not in ("delta", "upsilon", "sigma"):
+        print(
+            f"orbit diagrams need the degree-486 action; {args.graph} "
+            "is not one of delta, upsilon, sigma",
+            file=sys.stderr,
+        )
+        return 2
+    run = Run(constructions.bundled_action())
     if args.kind == "distance":
-        text = distance_diagram_dot(args.graph, _selected_graph(args.graph))
+        text = distance_diagram_dot(args.graph, run.graph(args.graph))
     else:
-        if args.graph not in ("delta", "upsilon", "sigma"):
-            print(
-                f"orbit diagrams need the degree-486 action; {args.graph} "
-                "is not one of delta, upsilon, sigma",
-                file=sys.stderr,
-            )
-            return 2
-        model = constructions.build_from_orbitals(args.graph)
-        text = orbit_diagram_dot(args.graph, model.graph, constructions.bundled_orbitals())
+        text = orbit_diagram_dot(args.graph, run.graph(args.graph), run.decomp)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)
@@ -662,7 +674,7 @@ def _cmd_diagram(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    graph = _selected_graph(args.graph)
+    graph = Run(constructions.bundled_action()).graph(args.graph)
     if args.format == "graph6":
         text = graph6_encode(graph) + "\n"
     else:

@@ -9,15 +9,15 @@ graph) and the induced 243-vertex subgraph: each as an orbital model over
 the action and, where one exists, as a coordinate model.  The claims that
 tie the models together are declared once, in `golay486.cli.CLAIMS`.
 
-Everything here is deterministic and cached; graphs are immutable, so the
-cached values are safe to share.
+Everything here is a pure function of its arguments: nothing is cached, so
+a caller that needs an artifact twice builds it once and passes it on
+(`golay486.cli.Run` does this for every subcommand).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from importlib import resources
 from itertools import combinations, product
 
@@ -90,7 +90,6 @@ class LabeledModel:
     graph: Graph
     half_a: tuple[int, ...]
     half_b: tuple[int, ...]
-    provenance: str
 
     def __post_init__(self):
         if sorted(self.half_a + self.half_b) != list(range(self.graph.n)):
@@ -126,20 +125,12 @@ class IncidenceExperimentReport:
     note: str
 
 
-@cache
-def build_gamma() -> Graph:
-    """Coset graph of the ternary Golay code: SRG(243,22,1,2)."""
-    return codes.coset_graph(codes.golay_code())
-
-
-@cache
 def golay_coset_reps() -> tuple[Vector, ...]:
     """Canonical coset representatives in syndrome (vertex) order."""
     table = codes.syndrome_table(codes.golay_code())
     return tuple(table[s] for s in product((0, 1, 2), repeat=5))
 
 
-@cache
 def classify_types() -> FlatFamily:
     """Classify the 81 ten-spaces by weight distribution.
 
@@ -183,21 +174,15 @@ def _incidence_graph(family: FlatFamily, subspace_indices) -> Graph:
     return Graph(243 + family.flat_count, edges)
 
 
-@cache
-def build_sigma_coordinate() -> LabeledModel:
+def build_sigma_coordinate(family: FlatFamily) -> Graph:
     """Incidence graph of all 243 cosets versus all 243 flats.
 
-    Distance-regular with array {81,80,54,1; 1,27,80,81}, bipartite and
-    antipodal: the flat-side antipodal classes are the translate triples.
+    The cosets are vertices 0..242, in syndrome order, and the flats are
+    243..485, in `FlatFamily.flat_index` order.  Distance-regular with array
+    {81,80,54,1; 1,27,80,81}, bipartite and antipodal: the flat-side
+    antipodal classes are the translate triples.
     """
-    family = classify_types()
-    graph = _incidence_graph(family, range(family.subspace_count))
-    return LabeledModel(
-        graph=graph,
-        half_a=tuple(range(243)),
-        half_b=tuple(range(243, 486)),
-        provenance="coordinate",
-    )
+    return _incidence_graph(family, range(family.subspace_count))
 
 
 def build_std_ag(n: int) -> Graph:
@@ -231,18 +216,12 @@ def _bundled_generators_text() -> str:
     )
 
 
-@cache
 def bundled_action() -> GroupAction:
     """The rank-9 degree-486 action shipped with the package."""
     action = permaction.parse_generator_file(_bundled_generators_text(), degree=486)
     if not permaction.is_transitive(action):
         raise GraphStructureError("bundled action is not transitive")
     return action
-
-
-@cache
-def bundled_orbitals() -> OrbitalDecomposition:
-    return permaction.orbitals(bundled_action())
 
 
 def orbital_graph(decomp: OrbitalDecomposition, sizes: set[int]) -> Graph:
@@ -285,15 +264,6 @@ def compute_coset_half(decomp: OrbitalDecomposition) -> tuple[int, ...]:
     return half
 
 
-@cache
-def coset_half() -> tuple[int, ...]:
-    """Coset half of the bundled action, which labels the cosets 0..242."""
-    half = compute_coset_half(bundled_orbitals())
-    if half != tuple(range(243)):
-        raise GraphStructureError("bundled labelling does not put cosets at 0..242")
-    return half
-
-
 def orbital_model(
     decomp: OrbitalDecomposition, which: str, half: tuple[int, ...] | None = None
 ) -> LabeledModel | Graph:
@@ -311,19 +281,11 @@ def orbital_model(
         sizes = {"delta": {45}, "upsilon": {20, 36}, "sigma": {45, 36}}[which]
         graph = orbital_graph(decomp, sizes)
         other = tuple(v for v in range(graph.n) if v not in set(half))
-        return LabeledModel(
-            graph=graph, half_a=half, half_b=other, provenance="orbital"
-        )
+        return LabeledModel(graph=graph, half_a=half, half_b=other)
     sizes = {"lambda": {20}, "gamma_half": {2, 20}}[which]
     graph, labels = induced_subgraph(orbital_graph(decomp, sizes), half)
     assert labels == half
     return graph
-
-
-@cache
-def build_from_orbitals(which: str) -> LabeledModel | Graph:
-    """Orbital model of one of the five graphs over the bundled action."""
-    return orbital_model(bundled_orbitals(), which, half=coset_half())
 
 
 def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:
@@ -361,14 +323,15 @@ def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:
     )
 
 
-@cache
 def build_lambda_coordinate() -> Graph:
     """Graph on the 243 cosets joining those differing by a weight-1 coset
     away from coordinate 0; distance-regular {20,18,4,1; 1,2,18,20}."""
     return codes.coset_graph(codes.golay_code(), positions=range(1, 11))
 
 
-def experiment_flat_incidence(rule: str = "type1") -> IncidenceExperimentReport:
+def experiment_flat_incidence(
+    family: FlatFamily, rule: str = "type1"
+) -> IncidenceExperimentReport:
     """Build the literal translate-incidence graph and report its degrees.
 
     Under the literal reading, every coset meets one translate of each
@@ -379,7 +342,6 @@ def experiment_flat_incidence(rule: str = "type1") -> IncidenceExperimentReport:
     label = {"type1": "I", "type2": "II"}.get(rule)
     if label is None:
         raise ValueError(f"unknown rule {rule!r}; expected 'type1' or 'type2'")
-    family = classify_types()
     graph = _incidence_graph(family, family.type_indices(label))
     coset_degrees = Counter(graph.degree(v) for v in range(243))
     flat_degrees = Counter(graph.degree(v) for v in range(243, graph.n))

@@ -2,11 +2,11 @@
 
 The Graph type stores sorted neighbor tuples (for deterministic iteration
 and BFS) alongside per-vertex sets (for O(1) adjacency tests) and a lazily
-built numpy adjacency matrix.  Distance-regularity is checked in two
-passes: a candidate intersection array is read off one base vertex, then
-every ordered pair is verified with exact integer matrix products; counts
-never exceed the vertex count, so float32 matmuls are exact and fast at
-the 486-vertex scale this library works at.
+built numpy adjacency matrix.  Distance-regularity is checked in one
+pass: the intersection numbers of every ordered pair are read off exact
+matrix products with the distance layers; counts never exceed the vertex
+count, so float32 matmuls are exact and fast at the 486-vertex scale this
+library works at.
 
 Isomorphism testing is color refinement with individualization and
 deterministic branching; returned bijections are re-verified edge by edge
@@ -254,64 +254,30 @@ class SrgParameters:
 def is_distance_regular(g: Graph) -> IntersectionArray | None:
     """Return the intersection array if g is distance-regular, else None.
 
-    Two passes: read a candidate array from vertex 0, then verify the counts
-    c_i, a_i, b_i over every ordered pair with exact matrix products.
-    Raises GraphStructureError if g is disconnected.
+    One pass over the distance matrix: with D_j the distance-j layer and A
+    the adjacency matrix, (D_j A)[x, y] counts the neighbors of y at
+    distance j from x.  So b_i is read off D_{i+1} A and c_i off D_{i-1} A
+    on the pairs at distance i, and each must be one value there; then a_i
+    = k - b_i - c_i is constant too.  Raises GraphStructureError if g is
+    disconnected.
     """
-    dist0 = bfs_distances(g, 0)
-    if any(d is math.inf for d in dist0):
-        raise GraphStructureError("graph is disconnected")
-    n = g.n
-    if n == 1:
-        return IntersectionArray(b=(), c=())
-    degree0 = g.degree(0)
-    if any(g.degree(v) != degree0 for v in range(1, n)):
-        return None
-
-    # Candidate from vertex 0 (cheap rejection before the matrix pass).
-    d = int(max(dist0))
-    cand_c: list[int | None] = [None] * (d + 1)
-    cand_a: list[int | None] = [None] * (d + 1)
-    cand_b: list[int | None] = [None] * (d + 1)
-    for w in range(n):
-        i = dist0[w]
-        counts = Counter(dist0[x] - i for x in g.neighbors(w))
-        triple = (counts[-1], counts[0], counts[1])
-        if sum(triple) != degree0:
-            return None  # a neighbor two levels away: impossible, defensive
-        for slot, val in zip((cand_c, cand_a, cand_b), triple):
-            if slot[i] is None:
-                slot[i] = val
-            elif slot[i] != val:
-                return None
-
     dist = distance_matrix(g)
-    if int(dist.max()) != d:
-        return None  # cannot happen for a connected graph, defensive
+    if (dist < 0).any():
+        raise GraphStructureError("graph is disconnected")
+    d = int(dist.max())
     a = g.adjacency_matrix
-    layers = [(dist == i) for i in range(d + 1)]
-    prods = [layer.astype(np.float32) @ a for layer in layers]
-    zeros = np.zeros((n, n), dtype=np.float32)
-    for i in range(d + 1):
-        mask = layers[i]
-        for offset, cand in ((-1, cand_c), (0, cand_a), (1, cand_b)):
-            j = i + offset
-            prod = prods[j] if 0 <= j <= d else zeros
-            vals = np.unique(prod[mask])
-            if len(vals) != 1:
-                return None
-            if i == 0 and offset == -1:
-                continue  # c_0 undefined
-            if i == d and offset == 1:
-                if vals[0] != 0:
-                    return None  # defensive: nothing lives past distance d
-                continue  # b_d undefined
-            if int(vals[0]) != cand[i]:
-                return None
-    return IntersectionArray(
-        b=tuple(cand_b[i] for i in range(d)),
-        c=tuple(cand_c[i] for i in range(1, d + 1)),
-    )
+    b: list[int] = []
+    c: list[int] = []
+    for j in range(d + 1):
+        counts = (dist == j).astype(np.float32) @ a
+        # on the pairs at distance j - 1 this is b_{j-1}; at j + 1, c_{j+1}
+        for i, out in ((j - 1, b), (j + 1, c)):
+            if 0 <= i <= d:
+                values = np.unique(counts[dist == i])
+                if len(values) != 1:
+                    return None
+                out.append(int(values[0]))
+    return IntersectionArray(b=tuple(b), c=tuple(c))
 
 
 def srg_parameters(g: Graph) -> SrgParameters | None:

@@ -516,14 +516,11 @@ def orbital_union_graph(
                 f"{decomp.pairing[k]}"
             )
     n = decomp.action.degree
-    ids = decomp.pair_ids
-    edges = []
-    for u in range(n):
-        row = u * n
-        for v in range(u + 1, n):
-            if ids[row + v] in chosen:
-                edges.append((u, v))
-    return Graph(n, edges)
+    selected = np.zeros(decomp.rank, dtype=bool)
+    selected[list(chosen)] = True
+    rows = np.frombuffer(decomp.pair_ids, dtype=np.intc).reshape(n, n)
+    us, vs = np.nonzero(np.triu(selected[rows], 1))
+    return Graph(n, zip(us.tolist(), vs.tolist()))
 
 
 def verify_invariance(action: GroupAction, graph: Graph) -> bool:

@@ -11,8 +11,13 @@ def golay():
 
 
 @pytest.fixture(scope="session")
-def gamma():
-    return constructions.build_gamma()
+def gamma(golay):
+    return codes.coset_graph(golay)
+
+
+@pytest.fixture(scope="session")
+def family():
+    return constructions.classify_types()
 
 
 @pytest.fixture(scope="session")
@@ -37,10 +42,14 @@ def relabelled_action(bundled_action):
 
 
 @pytest.fixture(scope="session")
-def decomp():
-    return constructions.bundled_orbitals()
+def decomp(bundled_action):
+    return permaction.orbitals(bundled_action)
 
 
 @pytest.fixture(scope="session")
-def orbital_models():
-    return {w: constructions.build_from_orbitals(w) for w in constructions.ORBITAL_MODELS}
+def orbital_models(decomp):
+    half = constructions.compute_coset_half(decomp)
+    return {
+        w: constructions.orbital_model(decomp, w, half=half)
+        for w in constructions.ORBITAL_MODELS
+    }

@@ -48,7 +48,7 @@ def test_criterion_02_gamma_and_complement(gamma):
     report(2, "coset graph is SRG(243,22,1,2); complement SRG(243,220,199,200)")
 
 
-def test_criterion_03_flat_enumeration(golay):
+def test_criterion_03_flat_enumeration(golay, family):
     e0 = gf3.unit_vector(11, 0)
     duals = gf3.null_space(golay.generator, width=11)
     all_classes = gf3.projective_points(duals, length=11)
@@ -56,14 +56,12 @@ def test_criterion_03_flat_enumeration(golay):
     assert len(all_classes) == 121
     assert len(all_classes) - len(kept) == 40
     assert len(kept) == 81
-    family = constructions.classify_types()
     assert family.subspace_count == 81
     assert family.flat_count == 243
     report(3, "81 ten-spaces (121 - 40) and 243 flats")
 
 
-def test_criterion_04_type_classification():
-    family = constructions.classify_types()
+def test_criterion_04_type_classification(family):
     tallies = [gf3.subspace_weight_counts(basis) for basis in family.bases]
     by_tally = Counter(tallies)
     assert set(by_tally) == {TYPE_I_WEIGHTS, TYPE_II_WEIGHTS}  # no third class
@@ -159,26 +157,16 @@ def test_criterion_09_internal_structure(orbital_models):
     report(9, "coset-half SRG, halved-graph complement equality, 243 blocks are 45-cocliques")
 
 
-def test_criterion_10_isomorphism_claims(orbital_models):
+def test_criterion_10_isomorphism_claims(orbital_models, family):
+    sigma = constructions.build_sigma_coordinate(family)
+    lam = constructions.build_lambda_coordinate()
     pairs = [
-        (
-            "orbital sigma vs coordinate sigma",
-            orbital_models["sigma"].graph,
-            constructions.build_sigma_coordinate().graph,
-        ),
-        (
-            "coordinate sigma vs AG(5,3) STD graph",
-            constructions.build_sigma_coordinate().graph,
-            constructions.build_std_ag(5),
-        ),
-        (
-            "orbital lambda vs coordinate lambda",
-            orbital_models["lambda"],
-            constructions.build_lambda_coordinate(),
-        ),
+        ("orbital sigma vs coordinate sigma", orbital_models["sigma"].graph, sigma),
+        ("coordinate sigma vs AG(5,3) STD graph", sigma, constructions.build_std_ag(5)),
+        ("orbital lambda vs coordinate lambda", orbital_models["lambda"], lam),
         (
             "coordinate lambda vs shortened-code coset graph",
-            constructions.build_lambda_coordinate(),
+            lam,
             codes.coset_graph(codes.shorten(codes.golay_code(), 0)),
         ),
     ]
@@ -287,8 +275,8 @@ def test_criterion_11_property_suites(decomp, orbital_models):
     report(11, "oracle agreement on small graphs; orbital and collapsed-matrix identities")
 
 
-def test_criterion_12_documented_negative_result():
-    result = constructions.experiment_flat_incidence("type1")
+def test_criterion_12_documented_negative_result(family):
+    result = constructions.experiment_flat_incidence(family, "type1")
     assert result.flat_degree_counts == ((0, 108), (81, 135))
     assert result.coset_degree_counts == ((45, 243),)
     assert not result.regular

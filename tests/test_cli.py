@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
+from collections import Counter
 
 import pytest
 
-from golay486 import cli, constructions
+from golay486 import cli, constructions, permaction
 from golay486.graph import graph6_decode
 
 
@@ -192,6 +194,29 @@ def test_verify_without_orbitals_lists_every_claim(tmp_path, capsys):
             assert e["verdict"] == "PASS", e["claim_id"]
 
 
+def test_each_run_builds_its_artifacts_once(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(constructions, "classify_types")
+    counted(permaction, "orbitals")
+    # nothing is kept between runs, and nothing is built twice within one
+    for _ in range(2):
+        assert run(capsys, "verify")[0] == 0
+    assert calls == {"classify_types": 2, "orbitals": 2}
+    calls.clear()
+    assert run(capsys, "export", "gamma", "-o", str(tmp_path / "gamma.g6"))[0] == 0
+    assert calls["orbitals"] == 0
+
+
 def test_verify_with_corrupt_gens_file(tmp_path, capsys):
     bad = tmp_path / "gens.txt"
     bad.write_text("a := (1,487)\n")
@@ -211,8 +236,6 @@ def test_verify_with_wrong_group_fails_claims(tmp_path, capsys):
 
 def test_verify_with_relabelled_generators_passes(tmp_path, capsys):
     # conjugating the bundled action by any relabelling must not change verdicts
-    from golay486 import constructions, permaction
-
     bundled = constructions.bundled_action()
     relabel = tuple(reversed(range(486)))
     lines = []
@@ -229,8 +252,6 @@ def test_verify_with_relabelled_generators_passes(tmp_path, capsys):
 def test_verify_with_seeded_relabelling_passes_block_claims(
     tmp_path, capsys, relabelled_action
 ):
-    from golay486 import permaction
-
     gens = tmp_path / "gens.txt"
     gens.write_text(
         "".join(
@@ -317,6 +338,38 @@ def test_export_edgelist_counts(tmp_path, capsys):
     lam_path = tmp_path / "lambda.txt"
     run(capsys, "export", "lambda", "--format", "edgelist", "-o", str(lam_path))
     assert len(lam_path.read_text().splitlines()) == 2430  # 243*20/2
+
+
+# sha256 of the files written before export and diagram built their graphs
+# through Run; the bytes must not move with the code path.
+EXPORT_GRAPH6_SHA256 = {
+    "gamma": "b64d53aab2dd3d0a0b89c9558b0dd1276112b1bca459bbe5cc9843fed4333e96",
+    "delta": "2407ed59334d257379141937defe7924edbd52f0649eb1bdb441e036b6baed38",
+    "upsilon": "3096514a0cd2fbdbf292b55875eee28a9172702a7e96ec620211555ac6c940f8",
+    "sigma": "0dab4c16b9610f558ab32c8753b38c43f3a83f9316bf310d7d6bd5782c28c93c",
+    "lambda": "d15ee49ec31eaddaba6bfb5c516c818724e8d5944590ffe739e1ce7468234a2f",
+}
+ORBIT_DIAGRAM_SHA256 = {
+    "delta": "766ad437c5e567bb9793bd71c289ef63bf0720c78b915df6ef92716a2f0093ae",
+    "upsilon": "857e6a59a9e415541627bbf5c918ecc0573422d4ab774baf6e91a95d498fe36f",
+    "sigma": "52cd717e03ed9822224599598614132d104810f4d7be022c11ddbb0750d65dc4",
+}
+
+
+@pytest.mark.parametrize("which", cli.GRAPH_SELECTORS)
+def test_export_graph6_bytes(which, tmp_path, capsys):
+    path = tmp_path / f"{which}.g6"
+    code, _, _ = run(capsys, "export", which, "--format", "graph6", "-o", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_GRAPH6_SHA256[which]
+
+
+@pytest.mark.parametrize("which", sorted(ORBIT_DIAGRAM_SHA256))
+def test_orbit_diagram_bytes(which, tmp_path, capsys):
+    path = tmp_path / f"{which}.dot"
+    code, _, _ = run(capsys, "diagram", which, "--kind", "orbit", "-o", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ORBIT_DIAGRAM_SHA256[which]
 
 
 def test_check_dot_rejects_garbage():

@@ -10,13 +10,10 @@ from golay486.constructions import (
     TYPE_I_WEIGHTS,
     TYPE_II_WEIGHTS,
     blocks_report,
-    build_from_orbitals,
     build_lambda_coordinate,
     build_sigma_coordinate,
     build_std_ag,
-    classify_types,
     compute_coset_half,
-    coset_half,
     experiment_flat_incidence,
     golay_coset_reps,
     orbital_model,
@@ -55,8 +52,7 @@ def test_gamma_eccentricities_are_two(gamma):
         assert max(bfs_distances(gamma, v)) == 2
 
 
-def test_classify_types_counts_and_tallies():
-    family = classify_types()
+def test_classify_types_counts_and_tallies(family):
     assert family.subspace_count == 81
     assert family.flat_count == 243
     counts = Counter(family.types)
@@ -71,8 +67,7 @@ def test_classify_types_counts_and_tallies():
     assert TYPE_I_WEIGHTS[1] == 4 and TYPE_II_WEIGHTS[1] == 10
 
 
-def test_type_tally_is_basis_independent():
-    family = classify_types()
+def test_type_tally_is_basis_independent(family):
     rng = random.Random(55)
     for index in (0, 40, 80):
         basis = list(family.bases[index])
@@ -84,15 +79,13 @@ def test_type_tally_is_basis_independent():
         assert tally == gf3.subspace_weight_counts(family.bases[index])
 
 
-def test_sigma_coordinate_structure():
-    model = build_sigma_coordinate()
-    g = model.graph
+def test_sigma_coordinate_structure(family):
+    g = build_sigma_coordinate(family)
     assert g.n == 486
     arr = is_distance_regular(g)
     assert str(arr) == "{81,80,54,1; 1,27,80,81}"
     assert arr.is_bipartite() and arr.is_antipodal()
     # one neighbor-flat per subspace for every coset vertex
-    family = classify_types()
     for ci in range(0, 243, 13):
         flats = g.neighbors(ci)
         assert len(flats) == 81
@@ -123,8 +116,8 @@ def test_std_ag_small_arrays():
         build_std_ag(8)
 
 
-def test_coset_half_is_standard_labelling():
-    assert coset_half() == tuple(range(243))
+def test_coset_half_is_standard_labelling(decomp):
+    assert compute_coset_half(decomp) == tuple(range(243))
 
 
 def test_orbital_models_arrays(orbital_models):
@@ -139,12 +132,11 @@ def test_orbital_model_halves(orbital_models):
     delta = orbital_models["delta"]
     assert delta.half_a == tuple(range(243))
     assert delta.half_b == tuple(range(243, 486))
-    assert delta.provenance == "orbital"
 
 
-def test_build_from_orbitals_rejects_unknown():
+def test_build_from_orbitals_rejects_unknown(decomp):
     with pytest.raises(ValueError):
-        build_from_orbitals("theta")
+        orbital_model(decomp, "theta")
 
 
 def test_vertex_counts_from_arrays(orbital_models, gamma):
@@ -255,17 +247,17 @@ def test_lambda_coordinate_isomorphic_to_shortened_coset_graph(golay):
     assert mapping is not None and verify_bijection(lam, shortened, mapping)
 
 
-def test_experiment_flat_incidence():
-    report = experiment_flat_incidence("type1")
+def test_experiment_flat_incidence(family):
+    report = experiment_flat_incidence(family, "type1")
     assert report.coset_degree_counts == ((45, 243),)
     assert report.flat_degree_counts == ((0, 108), (81, 135))
     assert not report.regular
     assert not report.distance_regular
     assert "no identification" in report.note
 
-    flipped = experiment_flat_incidence("type2")
+    flipped = experiment_flat_incidence(family, "type2")
     assert flipped.coset_degree_counts == ((36, 243),)
     assert flipped.flat_degree_counts == ((0, 135), (81, 108))
 
     with pytest.raises(ValueError):
-        experiment_flat_incidence("type3")
+        experiment_flat_incidence(family, "type3")

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -260,6 +261,38 @@ def test_checker_matches_oracle_on_random_circulants():
         except GraphStructureError:
             got = "disconnected"
         assert got == expected
+
+
+def test_checker_matches_networkx_on_random_connected_graphs():
+    # random graphs are mostly not regular, or regular but not
+    # distance-regular; the named graphs supply the positive verdicts
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(61)
+    graphs = [
+        nx.petersen_graph(), nx.heawood_graph(), nx.dodecahedral_graph(),
+        nx.hypercube_graph(4), nx.complete_bipartite_graph(5, 5),
+    ]
+    while len(graphs) < 45:
+        seed = rng.randrange(2**32)
+        if len(graphs) % 2:
+            h = nx.gnp_random_graph(rng.randrange(5, 30), 0.3, seed=seed)
+        else:
+            degree, n = rng.choice((3, 4)), 2 * rng.randrange(4, 15)
+            h = nx.random_regular_graph(degree, n, seed=seed)
+        if nx.is_connected(h):
+            graphs.append(h)
+    kinds = Counter()
+    for h in graphs:
+        h = nx.convert_node_labels_to_integers(h)
+        arr = is_distance_regular(Graph(h.number_of_nodes(), h.edges()))
+        if nx.is_distance_regular(h):
+            assert arr is not None
+            assert (list(arr.b), list(arr.c)) == nx.intersection_array(h)
+            kinds["distance-regular"] += 1
+        else:
+            assert arr is None
+            kinds["regular" if nx.is_regular(h) else "not regular"] += 1
+    assert min(kinds[k] for k in ("distance-regular", "regular", "not regular")) >= 5
 
 
 def test_are_isomorphic_budget_is_a_distinct_failure():

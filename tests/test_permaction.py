@@ -389,6 +389,16 @@ def test_edge_orbit_graph_from_2_suborbit_is_triangles(decomp, bundled_action):
     assert g.edge_count == 486
 
 
+@pytest.mark.parametrize("fixture", ["bundled_action", "relabelled_action"])
+def test_orbital_union_graph_matches_edge_orbit_graph(fixture, request):
+    action = request.getfixturevalue(fixture)
+    decomp = orbitals(action)
+    for k in decomp.nontrivial_ids():
+        y = decomp.suborbit_members(k)[0]
+        union = orbital_union_graph(decomp, {k, decomp.pairing[k]})
+        assert union == edge_orbit_graph(action, [(0, y)])
+
+
 def test_orbital_union_graph_validation(decomp):
     with pytest.raises(ValueError):
         orbital_union_graph(decomp, set())
