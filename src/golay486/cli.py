@@ -223,7 +223,7 @@ def _isomorphic(claim_id: str, description: str, first, second) -> Claim:
 
 def _transitive(run) -> tuple[str, bool]:
     orbit_size = len(permaction.orbit(run.action, 0))
-    return f"orbit size {orbit_size}", permaction.is_transitive(run.action)
+    return f"orbit size {orbit_size}", orbit_size == run.action.degree
 
 
 def _code_parameters(run) -> str:

@@ -111,8 +111,8 @@ def golay_code() -> LinearCode:
     return code
 
 
-def golay_sign_row(signs: str = GOLAY_SIGNS) -> Vector:
-    return tuple(1 if ch == "+" else 2 for ch in signs)
+def golay_sign_row() -> Vector:
+    return tuple(1 if ch == "+" else 2 for ch in GOLAY_SIGNS)
 
 
 @lru_cache(maxsize=None)
@@ -271,11 +271,7 @@ def classify_cosets(code: LinearCode) -> dict[str, int]:
     return counts
 
 
-def coset_graph(
-    code: LinearCode,
-    bound: int = DEFAULT_COSET_BOUND,
-    positions: Iterable[int] | None = None,
-) -> Graph:
+def coset_graph(code: LinearCode, positions: Iterable[int] | None = None) -> Graph:
     """Graph on the cosets, adjacent when representatives differ in one place.
 
     Vertices are the 3^(n-k) syndromes in lexicographic order.  Adjacency is
@@ -285,9 +281,9 @@ def coset_graph(
     those vectors to the given coordinates (default: all of them).
     """
     n, k = code.length, code.dimension
-    if n - k > bound:
+    if n - k > DEFAULT_COSET_BOUND:
         raise ResourceLimitError(
-            f"3^{n - k} coset vertices exceed the bound 3^{bound}"
+            f"3^{n - k} coset vertices exceed the bound 3^{DEFAULT_COSET_BOUND}"
         )
     width = n - k
     offsets = set()

@@ -17,6 +17,7 @@ a caller that needs an artifact twice builds it once and passes it on
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations, product
@@ -77,10 +78,6 @@ class FlatFamily:
 
     def type_indices(self, label: str) -> tuple[int, ...]:
         return tuple(i for i, t in enumerate(self.types) if t == label)
-
-    def flat_index(self, subspace: int, value: int) -> int:
-        """Dense index of the flat {x : functional_subspace(x) = value}."""
-        return 3 * subspace + value
 
 
 @dataclass(frozen=True)
@@ -162,27 +159,33 @@ def classify_types() -> FlatFamily:
     return family
 
 
-def _incidence_graph(family: FlatFamily, subspace_indices) -> Graph:
-    """Bipartite graph: 243 cosets, then the 243 flats of the family;
-    coset x is joined to the translate of each chosen subspace containing x."""
-    reps = golay_coset_reps()
-    edges = []
-    for ci, rep in enumerate(reps):
-        for fi in subspace_indices:
-            value = gf3.dot(family.functionals[fi], rep)
-            edges.append((ci, 243 + family.flat_index(fi, value)))
-    return Graph(243 + family.flat_count, edges)
+def _flat_incidence(
+    points: Sequence[Vector], functionals: Sequence[Vector], chosen: Iterable[int]
+) -> Graph:
+    """Bipartite graph on the points, then the flats of the functionals.
+
+    Flat 3f + c is {x : functionals[f](x) = c}, numbered after the points;
+    each point is joined to its translate for each chosen f.
+    """
+    size = len(points)
+    edges = [
+        (xi, size + 3 * f + gf3.dot(functionals[f], x))
+        for xi, x in enumerate(points)
+        for f in chosen
+    ]
+    return Graph(size + 3 * len(functionals), edges)
 
 
 def build_sigma_coordinate(family: FlatFamily) -> Graph:
     """Incidence graph of all 243 cosets versus all 243 flats.
 
-    The cosets are vertices 0..242, in syndrome order, and the flats are
-    243..485, in `FlatFamily.flat_index` order.  Distance-regular with array
-    {81,80,54,1; 1,27,80,81}, bipartite and antipodal: the flat-side
-    antipodal classes are the translate triples.
+    The cosets are vertices 0..242, in syndrome order, and flat
+    {x : family.functionals[f](x) = c} is vertex 243 + 3f + c.
+    Distance-regular with array {81,80,54,1; 1,27,80,81}, bipartite and
+    antipodal: the flat-side antipodal classes are the translate triples.
     """
-    return _incidence_graph(family, range(family.subspace_count))
+    functionals = family.functionals
+    return _flat_incidence(golay_coset_reps(), functionals, range(len(functionals)))
 
 
 def build_std_ag(n: int) -> Graph:
@@ -201,13 +204,7 @@ def build_std_ag(n: int) -> Graph:
         phi for phi in gf3.projective_points(full, length=n) if gf3.dot(phi, e0)
     )
     points = list(product((0, 1, 2), repeat=n))
-    size = 3**n
-    edges = []
-    for xi, x in enumerate(points):
-        for fi, phi in enumerate(functionals):
-            value = gf3.dot(phi, x)
-            edges.append((xi, size + 3 * fi + value))
-    return Graph(2 * size, edges)
+    return _flat_incidence(points, functionals, range(len(functionals)))
 
 
 def _bundled_generators_text() -> str:
@@ -280,7 +277,8 @@ def orbital_model(
     if which in ("delta", "upsilon", "sigma"):
         sizes = {"delta": {45}, "upsilon": {20, 36}, "sigma": {45, 36}}[which]
         graph = orbital_graph(decomp, sizes)
-        other = tuple(v for v in range(graph.n) if v not in set(half))
+        in_half = set(half)
+        other = tuple(v for v in range(graph.n) if v not in in_half)
         return LabeledModel(graph=graph, half_a=half, half_b=other)
     sizes = {"lambda": {20}, "gamma_half": {2, 20}}[which]
     graph, labels = induced_subgraph(orbital_graph(decomp, sizes), half)
@@ -342,7 +340,8 @@ def experiment_flat_incidence(
     label = {"type1": "I", "type2": "II"}.get(rule)
     if label is None:
         raise ValueError(f"unknown rule {rule!r}; expected 'type1' or 'type2'")
-    graph = _incidence_graph(family, family.type_indices(label))
+    chosen = family.type_indices(label)
+    graph = _flat_incidence(golay_coset_reps(), family.functionals, chosen)
     coset_degrees = Counter(graph.degree(v) for v in range(243))
     flat_degrees = Counter(graph.degree(v) for v in range(243, graph.n))
     regular = len(set(graph.degree(v) for v in range(graph.n))) == 1

@@ -3,14 +3,14 @@
 Vectors are tuples of ints in {0,1,2}; matrices are tuples of equal-length
 row vectors.  Tuples keep everything hashable (cosets, functionals and
 subspaces are used as dict keys throughout), and all arithmetic is exact.
-The one bulk operation that matters for performance, tallying Hamming
-weights over all 3^k elements of a subspace, is vectorized with numpy
-(one byte per field element); everything else is plain Python.
+The one bulk operation that matters for performance, listing all 3^k
+elements of a subspace, is one numpy routine (one byte per field element)
+that serves both the weight tally and `enumerate_subspace`; everything
+else is plain Python.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -145,31 +145,39 @@ def null_space(m: Matrix, width: int | None = None) -> Matrix:
     return row_space_basis(tuple(basis))
 
 
+def _span(
+    basis: Matrix, length: int | None = None, shift: Vector | None = None
+) -> np.ndarray:
+    """All 3^rank elements of span(basis)+shift, one uint8 row each.
+
+    Rows are lexicographic in the coefficient vectors (the first basis row
+    varies slowest), so the shift itself comes first.  The array grows by
+    one basis row at a time: each word w becomes w, w+row, w+2*row.
+    `length` is required for an empty basis.
+    """
+    k = len(basis)
+    n = len(basis[0]) if basis else length
+    if n is None:
+        raise ValueError("length required for an empty basis")
+    _, rank, _ = rref(basis)
+    if rank != k:
+        raise ValueError(f"basis rows are dependent (rank {rank} < {k})")
+    if k > MAX_ENUM_DIM:
+        raise ValueError(f"refusing to enumerate 3^{k} vectors")
+    words = np.array([shift if shift is not None else (0,) * n], dtype=np.uint8)
+    for row in basis:
+        multiples = np.outer((0, 1, 2), row).astype(np.uint8) % 3
+        words = ((words[:, None, :] + multiples) % 3).reshape(-1, n)
+    return words
+
+
 def enumerate_subspace(basis: Matrix, length: int | None = None) -> Iterator[Vector]:
     """Yield all 3^rank combinations of independent basis rows.
 
     Order is lexicographic in the coefficient vectors, so the zero vector
     comes first.  `length` is required for an empty basis.
     """
-    k = len(basis)
-    if k == 0:
-        if length is None:
-            raise ValueError("length required for an empty basis")
-        yield (0,) * length
-        return
-    n = len(basis[0])
-    _, rank, _ = rref(basis)
-    if rank != k:
-        raise ValueError(f"basis rows are dependent (rank {rank} < {k})")
-    if k > MAX_ENUM_DIM:
-        raise ValueError(f"refusing to enumerate 3^{k} vectors")
-    for coeffs in itertools.product((0, 1, 2), repeat=k):
-        w = [0] * n
-        for c, row in zip(coeffs, basis):
-            if c:
-                for i, x in enumerate(row):
-                    w[i] = (w[i] + c * x) % 3
-        yield tuple(w)
+    yield from map(tuple, _span(basis, length).tolist())
 
 
 def subspace_weight_counts(
@@ -178,32 +186,11 @@ def subspace_weight_counts(
     """Tally Hamming weights over all 3^rank elements of span(basis)+shift.
 
     Returns counts indexed by weight 0..n.  This is the hot loop (the flat
-    classification tallies 81 subspaces of 3^10 vectors each), so the
-    enumeration runs as a single numpy pass over uint8 words.
+    classification tallies 81 subspaces of 3^10 vectors each).
     """
-    k = len(basis)
-    n = len(basis[0]) if basis else length
-    if n is None:
-        raise ValueError("length required for an empty basis")
-    if k == 0:
-        w = hamming_weight(shift) if shift is not None else 0
-        counts = [0] * (n + 1)
-        counts[w] = 1
-        return tuple(counts)
-    _, rank, _ = rref(basis)
-    if rank != k:
-        raise ValueError(f"basis rows are dependent (rank {rank} < {k})")
-    if k > MAX_ENUM_DIM:
-        raise ValueError(f"refusing to enumerate 3^{k} vectors")
-    b = np.array(basis, dtype=np.int64)
-    powers = 3 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    coeffs = (np.arange(3**k, dtype=np.int64)[:, None] // powers) % 3
-    words = coeffs @ b
-    if shift is not None:
-        words = words + np.array(shift, dtype=np.int64)
-    words %= 3
+    words = _span(basis, length, shift)
     weights = np.count_nonzero(words, axis=1)
-    return tuple(np.bincount(weights, minlength=n + 1).tolist())
+    return tuple(np.bincount(weights, minlength=words.shape[1] + 1).tolist())
 
 
 def canonical_functional(phi: Vector) -> Vector:

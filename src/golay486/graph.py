@@ -297,24 +297,21 @@ def complement(g: Graph) -> Graph:
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """2-coloring classes of a connected bipartite graph, vertex 0 in the first."""
-    color = [-1] * g.n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if color[v] == -1:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                raise GraphStructureError(
-                    f"graph is not bipartite: odd closed walk through {u},{v}"
-                )
-    if -1 in color:
+    """2-coloring classes of a connected bipartite graph, vertex 0 in the first.
+
+    The classes are the vertices at even and at odd distance from vertex 0;
+    an edge whose ends are at equal distance closes an odd walk.
+    """
+    dist = bfs_distances(g, 0)
+    if math.inf in dist:
         raise GraphStructureError("graph is disconnected")
-    side0 = tuple(v for v in range(g.n) if color[v] == 0)
-    side1 = tuple(v for v in range(g.n) if color[v] == 1)
+    for u, v in g.edges():
+        if dist[u] == dist[v]:
+            raise GraphStructureError(
+                f"graph is not bipartite: odd closed walk through {u},{v}"
+            )
+    side0 = tuple(v for v in range(g.n) if dist[v] % 2 == 0)
+    side1 = tuple(v for v in range(g.n) if dist[v] % 2 == 1)
     return side0, side1
 
 
@@ -448,19 +445,6 @@ def _refine(adj1, adj2, col1, col2, steps, budget):
         col1, col2 = new
 
 
-def _bfs_levels(adj, source):
-    dist = [-1] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] == -1:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def verify_bijection(g1: Graph, g2: Graph, mapping: Sequence[int]) -> bool:
     """Certify a candidate isomorphism edge by edge, both directions."""
     n = g1.n
@@ -522,10 +506,10 @@ def are_isomorphic(
             return mapping if verify_bijection(g1, g2, mapping) else None
         color = min(branch, key=lambda c: (len(cells[c]), c))
         u = min(cells[color])
-        du = _bfs_levels(adj1, u)
+        du = bfs_distances(g1, u)
         tag = max(max(col1), max(col2)) + 1
         for v in sorted(w for w in range(n) if col2[w] == color):
-            dv = _bfs_levels(adj2, v)
+            dv = bfs_distances(g2, v)
             sig_ids: dict = {}
             nc1 = [
                 tag + 1 + sig_ids.setdefault((col1[x], du[x]), len(sig_ids))

@@ -65,8 +65,9 @@ def inverse(p: Permutation) -> Permutation:
     return tuple(inv)
 
 
-def cycles(p: Permutation, include_fixed: bool = False) -> list[tuple[int, ...]]:
-    """Disjoint cycle decomposition (0-based), cycles led by their minimum."""
+def cycles(p: Permutation) -> list[tuple[int, ...]]:
+    """Disjoint cycle decomposition (0-based), cycles led by their minimum;
+    fixed points are left out."""
     seen = [False] * len(p)
     out = []
     for start in range(len(p)):
@@ -79,7 +80,7 @@ def cycles(p: Permutation, include_fixed: bool = False) -> list[tuple[int, ...]]
             cycle.append(x)
             seen[x] = True
             x = p[x]
-        if len(cycle) > 1 or include_fixed:
+        if len(cycle) > 1:
             out.append(tuple(cycle))
     return out
 

@@ -116,6 +116,31 @@ def test_std_ag_small_arrays():
         build_std_ag(8)
 
 
+# sha256 of repr(g._adj), recorded when build_std_ag had its own double
+# loop and the sigma model its own incidence builder; AG(5,3) and the
+# coset/flat model are the same labelled graph.
+STD_AG_DIGESTS = {
+    2: "7fc4f1a2245cfcabb694e73d1a6affbba5e542bdd3f6a3a212f035ceebaa8ecc",
+    3: "b97898bb94992293b10a78c7896299537d26a8b06191af59ef0d26bb73f89883",
+    4: "fd906aa5fcffa28dce094589460fee7f4903393fa9da983f694002094637543a",
+    5: "7dbfef8dd64f3ac179142b15afbddab84fa4b80067a5660e9c03aaaf304ac299",
+    6: "5c748a8f400eef9c952d86ddece79a5f40f67fd8fc4937532e2433e93acd8852",
+}
+
+
+def _adjacency_digest(g) -> str:
+    return hashlib.sha256(repr(g._adj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(STD_AG_DIGESTS))
+def test_std_ag_adjacency_is_unchanged(n):
+    assert _adjacency_digest(build_std_ag(n)) == STD_AG_DIGESTS[n]
+
+
+def test_sigma_coordinate_adjacency_is_unchanged(family):
+    assert _adjacency_digest(build_sigma_coordinate(family)) == STD_AG_DIGESTS[5]
+
+
 def test_coset_half_is_standard_labelling(decomp):
     assert compute_coset_half(decomp) == tuple(range(243))
 

@@ -12,6 +12,20 @@ def random_vector(rng, n):
     return tuple(rng.randrange(3) for _ in range(n))
 
 
+def brute_force_span(basis, length=None, shift=None):
+    """span(basis)+shift in plain Python, one element per coefficient
+    vector, coefficient vectors in lexicographic order."""
+    n = len(basis[0]) if basis else length
+    out = []
+    for coeffs in product((0, 1, 2), repeat=len(basis)):
+        w = list(shift) if shift is not None else [0] * n
+        for c, row in zip(coeffs, basis):
+            for i, x in enumerate(row):
+                w[i] = (w[i] + c * x) % 3
+        out.append(tuple(w))
+    return out
+
+
 def test_vec_arithmetic_examples():
     assert gf3.vec_add((1, 2, 0), (2, 2, 1)) == (0, 1, 1)
     assert gf3.vec_neg((0, 0, 0, 0)) == (0, 0, 0, 0)
@@ -125,8 +139,8 @@ def test_subspace_weight_counts_against_enumeration():
         shift = random_vector(rng, ncols)
         counts = gf3.subspace_weight_counts(basis, length=ncols, shift=shift)
         expected = [0] * (ncols + 1)
-        for v in gf3.enumerate_subspace(basis, length=ncols):
-            expected[gf3.hamming_weight(gf3.vec_add(v, shift))] += 1
+        for v in brute_force_span(basis, ncols, shift):
+            expected[gf3.hamming_weight(v)] += 1
         assert counts == tuple(expected)
 
 
@@ -173,10 +187,10 @@ def test_matrix_text_round_trip():
 
 
 def test_enumeration_order_is_lexicographic_in_coefficients():
-    basis = gf3.matrix([[1, 0], [0, 1]])
-    got = list(gf3.enumerate_subspace(basis))
-    expected = [
-        tuple((a * basis[0][i] + b * basis[1][i]) % 3 for i in range(2))
-        for a, b in product(range(3), repeat=2)
-    ]
-    assert got == expected
+    for basis, length in (
+        (gf3.matrix([[1, 0], [0, 1]]), None),
+        (gf3.matrix([[2, 1, 1, 0], [1, 1, 0, 2], [0, 2, 1, 1]]), None),
+        ((), 3),
+    ):
+        got = list(gf3.enumerate_subspace(basis, length))
+        assert got == brute_force_span(basis, length)

@@ -14,6 +14,7 @@ from golay486.graph import (
     are_isomorphic,
     bfs_distances,
     bipartite_halves,
+    bipartition,
     complement,
     complete_bipartite_graph,
     complete_graph,
@@ -143,6 +144,58 @@ def test_bipartite_halves_small():
 
     with pytest.raises(GraphStructureError):
         bipartite_halves(complete_graph(3))
+
+
+def test_bipartition_matches_networkx():
+    # a random tree, relabelled, is connected and bipartite; edges joining
+    # its two parity classes keep it bipartite, one edge within a class
+    # closes an odd cycle, and an extra component disconnects it
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(71)
+    kinds = Counter()
+    for trial in range(40):
+        n = rng.randrange(3, 30)
+        parity = [0] * n
+        edges = set()
+        for v in range(1, n):
+            u = rng.randrange(v)
+            parity[v] = 1 - parity[u]
+            edges.add((u, v))
+        for _ in range(n):
+            u, v = rng.sample(range(n), 2)
+            if parity[u] != parity[v]:
+                edges.add((min(u, v), max(u, v)))
+        same = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if parity[u] == parity[v]
+        ]
+        if trial % 3 == 1 and same:
+            edges.add(rng.choice(same))
+        if trial % 3 == 2:
+            edges.add((n, n + 1))
+            n += 2
+        mapping = list(range(n))
+        rng.shuffle(mapping)
+        edges = [(mapping[u], mapping[v]) for u, v in edges]
+        h = nx.Graph(edges)
+        h.add_nodes_from(range(n))
+        g = Graph(n, edges)
+        if not nx.is_connected(h):
+            with pytest.raises(GraphStructureError, match="disconnected"):
+                bipartition(g)
+            kinds["disconnected"] += 1
+        elif not nx.is_bipartite(h):
+            with pytest.raises(GraphStructureError, match="not bipartite") as info:
+                bipartition(g)
+            u, v = map(int, info.value.args[0].rsplit(" ", 1)[1].split(","))
+            assert g.has_edge(u, v)
+            kinds["odd cycle"] += 1
+        else:
+            color = nx.bipartite.color(h)
+            side0, side1 = bipartition(g)
+            assert side0 == tuple(v for v in range(n) if color[v] == color[0])
+            assert side1 == tuple(v for v in range(n) if color[v] != color[0])
+            kinds["bipartite"] += 1
+    assert min(kinds[k] for k in ("bipartite", "odd cycle", "disconnected")) >= 10
 
 
 def test_antipodal_fold_cycle():
