@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from collections.abc import Callable
@@ -276,7 +275,7 @@ def _halved_delta(run) -> tuple[str, bool]:
 
 
 def _incidence_degrees(run) -> tuple[str, bool]:
-    report = constructions.experiment_flat_incidence(run.family, "type1")
+    report = constructions.experiment_flat_incidence(run.family)
     return (
         f"cosets {dict(report.coset_degree_counts)}; "
         f"flats {dict(report.flat_degree_counts)}; regular={report.regular}",
@@ -562,24 +561,6 @@ def orbit_diagram_dot(name: str, graph: Graph, decomp) -> str:
     return "\n".join(lines) + "\n"
 
 
-_DOT_STATEMENT = re.compile(
-    r"^(\w+ \[label=\"[^\"]*\"\];|\w+ -- \w+ \[label=\"[^\"]*\"\];"
-    r"|rankdir=\w+;|node \[shape=\w+\];)$"
-)
-
-
-def check_dot(text: str) -> bool:
-    """Minimal validity check for the DOT we emit (header, statements, brace)."""
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if len(lines) < 2:
-        return False
-    if not re.fullmatch(r"graph \w+ \{", lines[0]):
-        return False
-    if lines[-1] != "}":
-        return False
-    return all(_DOT_STATEMENT.fullmatch(ln) for ln in lines[1:-1])
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -613,8 +594,7 @@ def _cmd_code(args) -> int:
         print(f"perfect at radius 2: {codes.is_perfect(golay, 2)}")
         print(f"cosets: {3 ** (golay.length - golay.dimension)}")
     elif args.action == "wd":
-        wd = codes.weight_distribution(golay)
-        for w, count in enumerate(wd.counts):
+        for w, count in enumerate(codes.weight_distribution(golay)):
             if count:
                 print(f"{w} {count}")
     else:  # cosets
@@ -627,7 +607,7 @@ def _load_action(gens_path: str | None) -> GroupAction:
     """The bundled action, or a --gens file read at the bundled degree."""
     if gens_path is None:
         return constructions.bundled_action()
-    with open(gens_path) as handle:
+    with open(gens_path, encoding="utf-8") as handle:
         return permaction.parse_generator_file(handle.read(), degree=GENS_DEGREE)
 
 
@@ -731,7 +711,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CycleParseError as exc:
+    except (CycleParseError, UnicodeDecodeError) as exc:
         print(f"generator data is corrupt: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

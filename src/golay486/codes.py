@@ -49,37 +49,6 @@ class LinearCode:
         if any(len(row) != self.length for row in self.generator):
             raise ValueError("generator rows must have the code length")
 
-    @property
-    def codeword_count(self) -> int:
-        return 3**self.dimension
-
-    def __str__(self) -> str:
-        return f"[{self.length},{self.dimension}] ternary code"
-
-
-@dataclass(frozen=True)
-class WeightDistribution:
-    """counts[w] = number of enumerated vectors of Hamming weight w."""
-
-    counts: tuple[int, ...]
-
-    def __getitem__(self, w: int) -> int:
-        return self.counts[w]
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(w for w, c in enumerate(self.counts) if c)
-
-
-@dataclass(frozen=True)
-class Coset:
-    """A coset of a code, held by its canonical minimum-weight representative."""
-
-    code: LinearCode
-    representative: Vector
-
 
 def linear_code(rows: Iterable[Iterable[int]], length: int | None = None) -> LinearCode:
     """Build a code from spanning rows (reduced; dependent rows dropped)."""
@@ -90,14 +59,6 @@ def linear_code(rows: Iterable[Iterable[int]], length: int | None = None) -> Lin
         return LinearCode(length=length, dimension=0, generator=())
     basis = gf3.row_space_basis(m)
     return LinearCode(length=len(m[0]), dimension=len(basis), generator=basis)
-
-
-def zero_code(length: int) -> LinearCode:
-    return LinearCode(length=length, dimension=0, generator=())
-
-
-def full_space_code(length: int) -> LinearCode:
-    return linear_code([gf3.unit_vector(length, i) for i in range(length)])
 
 
 @lru_cache(maxsize=1)
@@ -133,26 +94,9 @@ def syndrome_index(s: Vector) -> int:
     return x
 
 
-def codewords(code: LinearCode) -> Iterable[Vector]:
-    return gf3.enumerate_subspace(code.generator, length=code.length)
-
-
-def weight_distribution(
-    code_or_basis: LinearCode | Matrix,
-    shift: Vector | None = None,
-    length: int | None = None,
-) -> WeightDistribution:
-    """Exact weight tally over a subspace (or its coset by `shift`)."""
-    if isinstance(code_or_basis, LinearCode):
-        basis = code_or_basis.generator
-        length = code_or_basis.length
-    else:
-        basis = gf3.matrix(code_or_basis)
-        if basis:
-            length = len(basis[0])
-    return WeightDistribution(
-        counts=gf3.subspace_weight_counts(basis, length=length, shift=shift)
-    )
+def weight_distribution(code: LinearCode) -> tuple[int, ...]:
+    """counts[w] = number of codewords of Hamming weight w, for w = 0..n."""
+    return gf3.subspace_weight_counts(code.generator, length=code.length)
 
 
 def minimum_distance(code: LinearCode) -> int:
@@ -231,17 +175,6 @@ def syndrome_table(code: LinearCode) -> dict[Vector, Vector]:
     return table
 
 
-def canonical_representative(code: LinearCode, v: Vector) -> Vector:
-    """The minimum-weight vector in v + code (ties broken lexicographically)."""
-    if len(v) != code.length:
-        raise gf3.DimensionError("vector length differs from code length")
-    return syndrome_table(code)[syndrome(code, v)]
-
-
-def coset(code: LinearCode, v: Vector) -> Coset:
-    return Coset(code=code, representative=canonical_representative(code, v))
-
-
 _COSET_SHAPES = ("0", "+-e0", "+-ei", "+-e0+-ei", "+-ei+-ej")
 
 
@@ -301,25 +234,3 @@ def coset_graph(code: LinearCode, positions: Iterable[int] | None = None) -> Gra
             if i < j:
                 edges.append((i, j))
     return Graph(3**width, edges)
-
-
-def code_to_text(code: LinearCode) -> str:
-    """Header line "n k" followed by the generator in gf3 matrix text."""
-    return f"{code.length} {code.dimension}\n" + gf3.matrix_to_text(code.generator)
-
-
-def code_from_text(text: str) -> LinearCode:
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty code text")
-    try:
-        n, k = (int(tok) for tok in lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"bad header line {lines[0]!r}") from exc
-    generator = gf3.matrix_from_text("\n".join(lines[1:]))
-    code = linear_code(generator, length=n) if generator else zero_code(n)
-    if code.length != n or code.dimension != k:
-        raise ValueError(
-            f"header says [{n},{k}] but rows give [{code.length},{code.dimension}]"
-        )
-    return code

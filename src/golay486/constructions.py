@@ -31,8 +31,6 @@ from .graph import (
     bipartite_halves,
     complement,
     induced_subgraph,
-    is_connected,
-    is_distance_regular,
 )
 from .permaction import GroupAction, OrbitalDecomposition
 
@@ -108,18 +106,15 @@ class BlocksReport:
 class IncidenceExperimentReport:
     """Outcome of the literal translate-incidence construction.
 
-    The graph built from "coset x meets the translates U+x over the chosen
-    type class" is biregular (all cosets at the class size, flats at 81 or
-    0), so it is not regular and in particular no identification with the
+    The graph built from "coset x meets the translates U+x over the Type I
+    class" is biregular (all cosets at degree 45, flats at 81 or 0), so it
+    is not regular and in particular no identification with the
     Koolen-Riebeek graph is asserted.
     """
 
-    rule: str
     coset_degree_counts: tuple[tuple[int, int], ...]
     flat_degree_counts: tuple[tuple[int, int], ...]
     regular: bool
-    distance_regular: bool
-    note: str
 
 
 def golay_coset_reps() -> tuple[Vector, ...]:
@@ -262,18 +257,17 @@ def compute_coset_half(decomp: OrbitalDecomposition) -> tuple[int, ...]:
 
 
 def orbital_model(
-    decomp: OrbitalDecomposition, which: str, half: tuple[int, ...] | None = None
+    decomp: OrbitalDecomposition, which: str, half: tuple[int, ...]
 ) -> LabeledModel | Graph:
     """Orbital model of one of the five graphs, for any rank-9 action.
 
     delta = the 45-orbital; upsilon = 20+36; sigma = 45+36; lambda = the
     20-orbital induced on the coset half; gamma_half = the (2+20)-union
-    induced on the coset half.  Suborbit-to-size matching is computed.
+    induced on the coset half.  Suborbit-to-size matching is computed;
+    `half` is the coset half, from compute_coset_half(decomp).
     """
     if which not in ORBITAL_MODELS:
         raise ValueError(f"unknown model {which!r}; expected one of {ORBITAL_MODELS}")
-    if half is None:
-        half = compute_coset_half(decomp)
     if which in ("delta", "upsilon", "sigma"):
         sizes = {"delta": {45}, "upsilon": {20, 36}, "sigma": {45, 36}}[which]
         graph = orbital_graph(decomp, sizes)
@@ -327,36 +321,20 @@ def build_lambda_coordinate() -> Graph:
     return codes.coset_graph(codes.golay_code(), positions=range(1, 11))
 
 
-def experiment_flat_incidence(
-    family: FlatFamily, rule: str = "type1"
-) -> IncidenceExperimentReport:
+def experiment_flat_incidence(family: FlatFamily) -> IncidenceExperimentReport:
     """Build the literal translate-incidence graph and report its degrees.
 
     Under the literal reading, every coset meets one translate of each
-    chosen subspace (degree 45 for the Type I class) while flats from the
-    chosen class meet all 81 of their cosets and the others meet none.
-    The report records that split and deliberately asserts nothing more.
+    Type I subspace (degree 45) while the flats of Type I subspaces meet
+    all 81 of their cosets and the others meet none.  The report records
+    that split and deliberately asserts nothing more.
     """
-    label = {"type1": "I", "type2": "II"}.get(rule)
-    if label is None:
-        raise ValueError(f"unknown rule {rule!r}; expected 'type1' or 'type2'")
-    chosen = family.type_indices(label)
+    chosen = family.type_indices("I")
     graph = _flat_incidence(golay_coset_reps(), family.functionals, chosen)
     coset_degrees = Counter(graph.degree(v) for v in range(243))
     flat_degrees = Counter(graph.degree(v) for v in range(243, graph.n))
-    regular = len(set(graph.degree(v) for v in range(graph.n))) == 1
-    distance_regular = False
-    if regular and is_connected(graph):
-        distance_regular = is_distance_regular(graph) is not None
     return IncidenceExperimentReport(
-        rule=rule,
         coset_degree_counts=tuple(sorted(coset_degrees.items())),
         flat_degree_counts=tuple(sorted(flat_degrees.items())),
-        regular=regular,
-        distance_regular=distance_regular,
-        note=(
-            "biregular incidence of cosets against translate classes; "
-            "degrees alone rule out regularity, and no identification with "
-            "the 45-regular bipartite graph is claimed"
-        ),
+        regular=len(set(graph.degree(v) for v in range(graph.n))) == 1,
     )

@@ -48,16 +48,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple((a + b) % 3 for a, b in zip(u, v))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionError(f"length mismatch: {len(u)} vs {len(v)}")
-    return tuple((a - b) % 3 for a, b in zip(u, v))
-
-
-def vec_neg(v: Vector) -> Vector:
-    return tuple((-a) % 3 for a in v)
-
-
 def vec_scale(c: int, v: Vector) -> Vector:
     return tuple((c * a) % 3 for a in v)
 
@@ -66,11 +56,6 @@ def dot(u: Vector, v: Vector) -> int:
     if len(u) != len(v):
         raise DimensionError(f"length mismatch: {len(u)} vs {len(v)}")
     return sum(a * b for a, b in zip(u, v)) % 3
-
-
-def hamming_weight(v: Vector) -> int:
-    """Number of nonzero entries."""
-    return sum(1 for a in v if a)
 
 
 def unit_vector(length: int, position: int, value: int = 1) -> Vector:
@@ -246,19 +231,3 @@ def intermediate_hyperplanes(sub_basis: Matrix, excluded: Vector) -> tuple[Matri
         for phi in hyperplane_functionals(sub_basis, excluded)
     )
 
-
-def matrix_to_text(m: Matrix) -> str:
-    """One row per line, digits 0/1/2, no separators."""
-    return "".join("".join(str(x) for x in row) + "\n" for row in m)
-
-
-def matrix_from_text(text: str) -> Matrix:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if not all(ch in "012" for ch in line):
-            raise ValueError(f"invalid matrix line: {line!r}")
-        rows.append(tuple(int(ch) for ch in line))
-    return matrix(rows)

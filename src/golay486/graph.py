@@ -108,31 +108,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    edges = list(g.edges()) + [(u + g.n, v + g.n) for u, v in h.edges()]
-    return Graph(g.n + h.n, edges)
-
-
 def bfs_distances(g: Graph, source: int) -> list[int | float]:
     """Shortest-path distances from source; unreachable vertices get inf."""
     dist: list[int | float] = [math.inf] * g.n
@@ -164,10 +139,6 @@ def distance_matrix(g: Graph) -> np.ndarray:
         dist[nxt] = t
         reached |= nxt
         frontier = nxt
-
-
-def is_connected(g: Graph) -> bool:
-    return all(d is not math.inf for d in bfs_distances(g, 0))
 
 
 @dataclass(frozen=True)
@@ -213,9 +184,6 @@ class IntersectionArray:
             sizes.append(num // self.c[i])
         return tuple(sizes)
 
-    def vertex_count(self) -> int:
-        return sum(self.distance_class_sizes())
-
     def is_bipartite(self) -> bool:
         """Bipartite at the array level: all a_i vanish."""
         return all(x == 0 for x in self.a)
@@ -242,10 +210,6 @@ class SrgParameters:
     k: int
     lam: int
     mu: int
-
-    def feasibility_identity_holds(self) -> bool:
-        """k(k - lam - 1) = (n - k - 1) mu, the standard counting identity."""
-        return self.k * (self.k - self.lam - 1) == (self.n - self.k - 1) * self.mu
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.n, self.k, self.lam, self.mu)
@@ -281,10 +245,12 @@ def is_distance_regular(g: Graph) -> IntersectionArray | None:
 
 
 def srg_parameters(g: Graph) -> SrgParameters | None:
-    """(n,k,lambda,mu) if g is strongly regular (diameter-2 DRG), else None."""
-    if not is_connected(g):
+    """(n,k,lambda,mu) if g is strongly regular (a connected diameter-2
+    DRG), else None."""
+    try:
+        arr = is_distance_regular(g)
+    except GraphStructureError:  # disconnected
         return None
-    arr = is_distance_regular(g)
     if arr is None or arr.diameter != 2:
         return None
     return SrgParameters(n=g.n, k=arr.valency, lam=arr.a[0], mu=arr.c[1])
@@ -389,27 +355,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         if u < v and v in pos
     ]
     return Graph(len(labels), edges), labels
-
-
-def intersection_spectrum(arr: IntersectionArray) -> tuple[float, ...]:
-    """Eigenvalues of the tridiagonal intersection matrix, sorted descending.
-
-    The (d+1)x(d+1) matrix has c_i below, a_i on, and b_i above the
-    diagonal; its d+1 real eigenvalues are the distinct eigenvalues of any
-    graph realizing the array.
-    """
-    d = arr.diameter
-    m = np.zeros((d + 1, d + 1))
-    a = (0,) + arr.a
-    for i in range(d + 1):
-        m[i, i] = a[i]
-        if i < d:
-            m[i, i + 1] = arr.b[i]
-            m[i + 1, i] = arr.c[i]
-    eig = np.linalg.eigvals(m)
-    if np.abs(eig.imag).max(initial=0.0) > 1e-9:
-        raise ValueError(f"intersection matrix of {arr} has non-real spectrum")
-    return tuple(sorted(eig.real.tolist(), reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Permutations are image tuples on 0..n-1 (1-based only in the external
 cycle notation).  The module covers cycle-notation parsing (bounded by
 MAX_DEGREE), orbits, exact group order, the orbital (pair-orbit)
-decomposition of a transitive action, edge-orbit closures, collapsed
-adjacency matrices, and the scan that finds every union of orbitals
-forming a distance-regular graph.
+decomposition of a transitive action, collapsed adjacency matrices, and
+the scan that finds every union of orbitals forming a distance-regular
+graph.
 
 Group order and orbitals both come from a stabilizer chain built by
 incremental deterministic Schreier-Sims (see StabilizerChain for why it is
@@ -21,7 +21,6 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -47,24 +46,6 @@ class CycleParseError(ValueError):
         self.position = position
 
 
-def identity(degree: int) -> Permutation:
-    return tuple(range(degree))
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply p, then q."""
-    if len(p) != len(q):
-        raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(q[i] for i in p)
-
-
-def inverse(p: Permutation) -> Permutation:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
 def cycles(p: Permutation) -> list[tuple[int, ...]]:
     """Disjoint cycle decomposition (0-based), cycles led by their minimum;
     fixed points are left out."""
@@ -83,11 +64,6 @@ def cycles(p: Permutation) -> list[tuple[int, ...]]:
         if len(cycle) > 1:
             out.append(tuple(cycle))
     return out
-
-
-def order_of(p: Permutation) -> int:
-    """lcm of the cycle lengths."""
-    return lcm(*(len(c) for c in cycles(p)), 1)
 
 
 def format_cycles(p: Permutation) -> str:
@@ -469,34 +445,6 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
         pairing=tuple(int(rows[y, 0]) for y in firsts),
         diagonal_id=suborbit[0],
     )
-
-
-def edge_orbit_graph(
-    action: GroupAction, seed_pairs: Iterable[tuple[int, int]]
-) -> Graph:
-    """Undirected graph on the edge-closure of the seed pairs under the action."""
-    n = action.degree
-    seen: set[tuple[int, int]] = set()
-    queue: deque[tuple[int, int]] = deque()
-    for u, v in seed_pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"seed pair ({u},{v}) out of range")
-        if u == v:
-            raise ValueError("seed pairs must be off-diagonal")
-        for pair in ((u, v), (v, u)):
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    while queue:
-        i, j = queue.popleft()
-        for g in action.generators:
-            pair = (g[i], g[j])
-            if pair not in seen:
-                seen.add(pair)
-                seen.add(pair[::-1])
-                queue.append(pair)
-                queue.append(pair[::-1])
-    return Graph(n, [(u, v) for (u, v) in seen if u < v])
 
 
 def orbital_union_graph(

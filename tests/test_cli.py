@@ -8,6 +8,7 @@ import pytest
 
 from golay486 import cli, constructions, permaction
 from golay486.graph import graph6_decode
+from oracles import check_dot, compose, inverse
 
 
 def run(capsys, *argv):
@@ -64,12 +65,16 @@ def test_top_level_scan_alias(capsys):
     assert out.count("{") == 6
 
 
+NOT_UTF8 = b"\xff\xfe\x00bad"
+
+
 def test_group_with_corrupt_gens_file(tmp_path, capsys):
     bad = tmp_path / "gens.txt"
-    bad.write_text("a := (1,2,2)\n")
-    code, _, err = run(capsys, "group", "order", "--gens", str(bad))
-    assert code == 2
-    assert "position" in err
+    for data in (b"a := (1,2,2)\n", NOT_UTF8):
+        bad.write_bytes(data)
+        code, _, err = run(capsys, "group", "order", "--gens", str(bad))
+        assert code == 2
+        assert "position" in err
 
 
 def test_group_with_missing_gens_file(capsys):
@@ -219,10 +224,11 @@ def test_each_run_builds_its_artifacts_once(tmp_path, capsys, monkeypatch):
 
 def test_verify_with_corrupt_gens_file(tmp_path, capsys):
     bad = tmp_path / "gens.txt"
-    bad.write_text("a := (1,487)\n")
-    code, _, err = run(capsys, "verify", "--gens", str(bad))
-    assert code == 2
-    assert "corrupt" in err and "position" in err
+    for data in (b"a := (1,487)\n", NOT_UTF8):
+        bad.write_bytes(data)
+        code, _, err = run(capsys, "verify", "--gens", str(bad))
+        assert code == 2
+        assert "corrupt" in err and "position" in err
 
 
 def test_verify_with_wrong_group_fails_claims(tmp_path, capsys):
@@ -240,7 +246,7 @@ def test_verify_with_relabelled_generators_passes(tmp_path, capsys):
     relabel = tuple(reversed(range(486)))
     lines = []
     for name, g in zip("abc", bundled.generators):
-        conj = permaction.compose(permaction.compose(permaction.inverse(relabel), g), relabel)
+        conj = compose(compose(inverse(relabel), g), relabel)
         lines.append(f"{name} := {permaction.format_cycles(conj)}")
     gens = tmp_path / "gens.txt"
     gens.write_text("\n".join(lines) + "\n")
@@ -287,7 +293,7 @@ def test_gens_files_are_read_at_the_bundled_degree(tmp_path, capsys):
 def test_diagram_distance_delta(capsys):
     code, out, _ = run(capsys, "diagram", "delta", "--kind", "distance")
     assert code == 0
-    assert cli.check_dot(out)
+    assert check_dot(out)
     for i, size in enumerate((1, 45, 220, 198, 22)):
         assert f'k{i} [label="{size}"]' in out  # bipartite: no a-values
 
@@ -295,7 +301,7 @@ def test_diagram_distance_delta(capsys):
 def test_diagram_distance_lambda(capsys):
     code, out, _ = run(capsys, "diagram", "lambda", "--kind", "distance")
     assert code == 0
-    assert cli.check_dot(out)
+    assert check_dot(out)
     for i, size in enumerate((1, 20, 180, 40, 2)):
         assert f'k{i} [label="{size}' in out  # classes with a_i > 0 append it
 
@@ -305,7 +311,7 @@ def test_diagram_orbit_upsilon(tmp_path, capsys):
     code, _, _ = run(capsys, "diagram", "upsilon", "--kind", "orbit", "-o", str(out_path))
     assert code == 0
     text = out_path.read_text()
-    assert cli.check_dot(text)
+    assert check_dot(text)
     for size in (1, 2, 20, 36, 40, 45, 72, 90, 180):
         assert f'[label="{size}"]' in text
 
@@ -373,6 +379,6 @@ def test_orbit_diagram_bytes(which, tmp_path, capsys):
 
 
 def test_check_dot_rejects_garbage():
-    assert not cli.check_dot("digraph g { a -> b; }")
-    assert not cli.check_dot("graph g {\n  unterminated\n}")
-    assert not cli.check_dot("")
+    assert not check_dot("digraph g { a -> b; }")
+    assert not check_dot("graph g {\n  unterminated\n}")
+    assert not check_dot("")

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golay486.graph import (
     Graph,
@@ -16,27 +18,22 @@ from golay486.graph import (
     bipartite_halves,
     bipartition,
     complement,
+    graph6_decode,
+    graph6_encode,
+    induced_subgraph,
+    is_distance_regular,
+    srg_parameters,
+    verify_bijection,
+)
+from oracles import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
-    empty_graph,
-    graph6_decode,
-    graph6_encode,
-    induced_subgraph,
-    intersection_spectrum,
-    is_distance_regular,
+    oracle_intersection_array,
     path_graph,
-    srg_parameters,
-    verify_bijection,
+    petersen_graph,
 )
-
-
-def petersen_graph():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return Graph(10, outer + inner + spokes)
 
 
 def relabel(g, mapping):
@@ -72,7 +69,7 @@ def test_intersection_array_derived_quantities():
     delta = IntersectionArray(b=(45, 44, 36, 5), c=(1, 9, 40, 45))
     assert delta.a == (0, 0, 0, 0)
     assert delta.distance_class_sizes() == (1, 45, 220, 198, 22)
-    assert delta.vertex_count() == 486
+    assert sum(delta.distance_class_sizes()) == 486
     assert delta.is_bipartite() and not delta.is_antipodal()
 
     upsilon = IntersectionArray(b=(56, 45, 16, 1), c=(1, 8, 45, 56))
@@ -86,7 +83,7 @@ def test_intersection_array_derived_quantities():
 
     lam = IntersectionArray(b=(20, 18, 4, 1), c=(1, 2, 18, 20))
     assert lam.distance_class_sizes() == (1, 20, 180, 40, 2)
-    assert lam.vertex_count() == 243
+    assert sum(lam.distance_class_sizes()) == 243
 
 
 def test_intersection_array_validation():
@@ -112,8 +109,9 @@ def test_parameter_identity_on_arrays():
 
 
 def test_srg_parameters():
-    assert srg_parameters(cycle_graph(5)).as_tuple() == (5, 2, 0, 1)
-    assert srg_parameters(cycle_graph(5)).feasibility_identity_holds()
+    n, k, lam, mu = srg_parameters(cycle_graph(5)).as_tuple()
+    assert (n, k, lam, mu) == (5, 2, 0, 1)
+    assert k * (k - lam - 1) == (n - k - 1) * mu
     assert srg_parameters(complete_graph(5)) is None  # diameter 1
     assert srg_parameters(path_graph(4)) is None
     assert srg_parameters(disjoint_union(complete_graph(3), complete_graph(3))) is None
@@ -219,25 +217,6 @@ def test_induced_subgraph():
         induced_subgraph(g, [0, 5])
 
 
-def test_intersection_spectrum():
-    eig = intersection_spectrum(IntersectionArray(b=(485,), c=(1,)))
-    assert eig == pytest.approx((485, -1), abs=1e-9)
-    eig = intersection_spectrum(IntersectionArray(b=(2, 1, 1), c=(1, 1, 2)))
-    assert eig == pytest.approx((2, 1, -1, -2), abs=1e-9)
-    eig = intersection_spectrum(IntersectionArray(b=(22, 20), c=(1, 2)))
-    assert eig == pytest.approx((22, 4, -5), abs=1e-9)
-
-
-def test_bipartite_array_spectra_are_symmetric():
-    for b, c in (
-        ((45, 44, 36, 5), (1, 9, 40, 45)),
-        ((81, 80, 54, 1), (1, 27, 80, 81)),
-    ):
-        eig = intersection_spectrum(IntersectionArray(b=b, c=c))
-        for value in eig:
-            assert any(abs(value + other) < 1e-6 for other in eig)
-
-
 def test_are_isomorphic_positive():
     g = cycle_graph(5)
     mapping = are_isomorphic(g, relabel(g, [2, 0, 4, 1, 3]))
@@ -295,8 +274,6 @@ def test_shrikhande_vs_rook():
 
 def test_checker_matches_oracle_on_random_circulants():
     # circulants are vertex-transitive, so they stress both verdicts
-    from test_acceptance import oracle_intersection_array
-
     rng = random.Random(60)
     for _ in range(15):
         n = rng.randrange(5, 24)
@@ -356,9 +333,9 @@ def test_are_isomorphic_budget_is_a_distinct_failure():
 
 def test_graph6_known_values():
     assert graph6_encode(complete_graph(3)) == "Bw"
-    assert graph6_encode(empty_graph(1)) == "@"
+    assert graph6_encode(Graph(1)) == "@"
     assert graph6_decode("Bw") == complete_graph(3)
-    assert graph6_decode("@") == empty_graph(1)
+    assert graph6_decode("@") == Graph(1)
 
 
 def test_graph6_round_trip_random():
@@ -425,7 +402,7 @@ def test_isomorphism_agrees_with_vf2():
 
 
 def test_graph6_long_form_vertex_count():
-    g = empty_graph(100)
+    g = Graph(100)
     text = graph6_encode(g)
     assert text.startswith("~")
     assert graph6_decode(text) == g
@@ -441,3 +418,29 @@ def test_graph6_parse_errors_carry_offsets():
         graph6_decode("Bww")  # extra body byte
     with pytest.raises(Graph6ParseError):
         graph6_decode("B")  # missing body
+
+
+G6_BYTES = [chr(c) for c in range(63, 127)]
+
+
+@st.composite
+def graph6_texts(draw):
+    """A vertex count of 0..70 in graph6 form and random body bytes within
+    one byte of the length it needs, then a few characters replaced,
+    dropped or inserted at one place."""
+    n = draw(st.integers(0, 70))
+    head = chr(63 + n) if n < 63 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    need = (n * (n - 1) // 2 + 5) // 6
+    text = head + draw(st.text(G6_BYTES, min_size=max(0, need - 1), max_size=need + 1))
+    i = draw(st.integers(0, len(text)))
+    return text[:i] + draw(st.text(max_size=2)) + text[i + draw(st.integers(0, 2)) :]
+
+
+@settings(deadline=None)
+@given(graph6_texts() | st.text(G6_BYTES + ["\n"]) | st.text())
+def test_graph6_decode_raises_only_parse_errors(text):
+    try:
+        g = graph6_decode(text)
+    except Graph6ParseError:
+        return
+    assert graph6_decode(graph6_encode(g)) == g

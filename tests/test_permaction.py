@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golay486.constructions import _bundled_generators_text
-from golay486.graph import (
-    Graph,
-    GraphStructureError,
-    complete_graph,
-    cycle_graph,
-    is_distance_regular,
-)
+from golay486.graph import Graph, GraphStructureError, is_distance_regular
 from golay486.permaction import (
     MAX_DEGREE,
     CycleParseError,
@@ -23,20 +17,23 @@ from golay486.permaction import (
     OrbitalDecomposition,
     StabilizerChain,
     collapsed_matrix,
-    compose,
-    edge_orbit_graph,
     format_cycles,
     group_order,
-    identity,
-    inverse,
     orbit,
     orbitals,
     orbital_union_graph,
-    order_of,
     parse_cycles,
     parse_generator_file,
     scan_orbital_unions,
     verify_invariance,
+)
+from oracles import (
+    complete_graph,
+    compose,
+    cycle_graph,
+    edge_orbit_graph,
+    identity,
+    inverse,
 )
 
 
@@ -107,6 +104,14 @@ def orbitals_by_pair_bfs(action):
     )
 
 
+def order_of(p):
+    """Order of p by repeated composition."""
+    power, k = p, 1
+    while power != identity(len(p)):
+        power, k = compose(power, p), k + 1
+    return k
+
+
 def closure_size(degree, gens):
     """Order of <gens> by listing every element."""
     ident = identity(degree)
@@ -156,6 +161,45 @@ def test_degree_bound_rejects_huge_points_before_allocating():
     with pytest.raises(CycleParseError):
         parse_cycles("(1," + "9" * 5000 + ")", 5)
     assert parse_generator_file(f"a := (1,{MAX_DEGREE})\n").degree == MAX_DEGREE
+
+
+# Well-formed cycles of small or long points, text near the cycle grammar,
+# and arbitrary text.
+POINT = st.integers(0, 50).map(str) | st.text("0123456789", min_size=1, max_size=6)
+CYCLE_TEXT = (
+    st.lists(st.lists(POINT, max_size=5).map(",".join).map("({})".format), max_size=4)
+    .map("".join)
+    | st.text(alphabet="(),;.0123456789 \n", max_size=60)
+    | st.text(max_size=30)
+)
+
+
+# Lines that are mostly "name := cycles" assignments.
+GENERATOR_FILES = st.lists(
+    st.builds("{} := {}".format, st.sampled_from(["a", "b2", "", "x y", "é"]), CYCLE_TEXT)
+    | CYCLE_TEXT,
+    max_size=4,
+).map("\n".join)
+
+
+@settings(deadline=None)
+@given(CYCLE_TEXT, st.integers(0, 40))
+def test_parse_cycles_raises_only_cycle_parse_errors(text, degree):
+    try:
+        p = parse_cycles(text, degree)
+    except CycleParseError:
+        return
+    assert sorted(p) == list(range(degree))
+
+
+@settings(deadline=None)
+@given(GENERATOR_FILES, st.none() | st.integers(0, 40))
+def test_parse_generator_file_raises_only_cycle_parse_errors(text, degree):
+    try:
+        action = parse_generator_file(text, degree)
+    except CycleParseError:
+        return
+    assert action.generators and degree in (None, action.degree)
 
 
 def test_compose_inverse_order():

@@ -1,0 +1,46 @@
+"""Guards on the public surface of golay486: every public function and class
+is used by the program or its benchmark, and the README example runs."""
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "golay486").glob("*.py"))
+PROGRAM = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def test_every_public_name_is_used_by_the_program():
+    # A use is an ast.Name or ast.Attribute in src/golay486 or perfbench
+    # outside the name's own definition; tests, imports and docstrings do
+    # not count.
+    defined = []
+    used_in: dict[str, set] = {}
+    for path in PROGRAM:
+        for top in ast.parse(path.read_text()).body:
+            is_def = isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            owner = (path, top.name) if is_def else None
+            if is_def and path in SOURCES and not top.name.startswith("_"):
+                defined.append(owner)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    used_in.setdefault(node.id, set()).add(owner)
+                elif isinstance(node, ast.Attribute):
+                    used_in.setdefault(node.attr, set()).add(owner)
+    unused = [
+        f"{path.stem}.{name}"
+        for path, name in defined
+        if not used_in.get(name, set()) - {(path, name)}
+    ]
+    assert unused == []
+
+
+def test_readme_example_runs():
+    (example,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example, "README.md", "exec"), {})
+    for array in ("{45,44,36,5; 1,9,40,45}", "{81,80,54,1; 1,27,80,81}"):
+        assert array in out.getvalue()
