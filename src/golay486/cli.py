@@ -25,6 +25,7 @@ from .graph import (
     Graph,
     GraphStructureError,
     IntersectionArray,
+    IsomorphismBudgetError,
     antipodal_fold,
     are_isomorphic,
     complement,
@@ -488,7 +489,9 @@ def run_verification(
     """Evaluate every claim not selected by a --skip prefix, timing the stages.
 
     A skipped claim is not evaluated.  A claim whose artifacts cannot be
-    built (GraphStructureError) fails with the reason as its observation.
+    built (GraphStructureError), or whose isomorphism search runs out of
+    budget (IsomorphismBudgetError), fails with the reason as its
+    observation.
     """
     run = Run(_load_action(gens_path))
     entries = []
@@ -500,7 +503,7 @@ def run_verification(
             start = time.perf_counter()
             try:
                 observed, passed = claim.evaluate(run)
-            except GraphStructureError as exc:
+            except (GraphStructureError, IsomorphismBudgetError) as exc:
                 observed, passed = f"unavailable: {exc}", False
             seconds[claim.stage] += time.perf_counter() - start
             verdict = "PASS" if passed else "FAIL"

@@ -8,18 +8,21 @@ matrix products with the distance layers; counts never exceed the vertex
 count, so float32 matmuls are exact and fast at the 486-vertex scale this
 library works at.
 
-Isomorphism testing is color refinement with individualization and
-deterministic branching; returned bijections are re-verified edge by edge
-before being trusted.
+Isomorphism testing is colour refinement with individualization and
+deterministic branching, run as numpy passes over one CSR adjacency of both
+graphs.  Each round hashes a vertex's neighbour colours into a 64-bit sum of
+fixed weights; a hash collision can only leave a partition coarser, never
+prune an isomorphism, and every returned bijection is re-verified edge by
+edge before being trusted.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -108,18 +111,54 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
+def _csr(*graphs: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacency of the disjoint union of graphs, as (dst, starts, degree).
+
+    The vertices of each graph are numbered after those of the graphs
+    before it; the neighbours of vertex x are dst[starts[x]:starts[x] +
+    degree[x]], in increasing order.
+    """
+    dsts, degrees, shift = [], [], 0
+    for g in graphs:
+        degree = np.fromiter(map(len, g._adj), dtype=np.int32, count=g.n)
+        dst = np.fromiter(
+            chain.from_iterable(g._adj), dtype=np.int32, count=int(degree.sum())
+        )
+        dsts.append(dst + shift)
+        degrees.append(degree)
+        shift += g.n
+    degree = np.concatenate(degrees)
+    starts = np.cumsum(degree, dtype=np.int64) - degree
+    return np.concatenate(dsts), starts, degree
+
+
+def _bfs(dst, starts, degree, sources) -> np.ndarray:
+    """Distance to the nearest source (int64, -1 if unreachable) over a CSR
+    adjacency from _csr; each level gathers its frontier's neighbour slices
+    in one numpy pass, so each vertex's slice is read once."""
+    dist = np.full(len(degree), -1, dtype=np.int64)
+    frontier = np.asarray(sources, dtype=np.int64)
+    dist[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        d = degree[frontier]
+        offsets = np.cumsum(d, dtype=np.int64) - d
+        slots = np.arange(int(offsets[-1] + d[-1])) + np.repeat(
+            starts[frontier] - offsets, d
+        )
+        fresh = np.zeros(len(degree), dtype=bool)
+        fresh[dst[slots]] = True
+        fresh &= dist < 0
+        frontier = np.flatnonzero(fresh)
+        dist[frontier] = level
+    return dist
+
+
 def bfs_distances(g: Graph, source: int) -> list[int | float]:
     """Shortest-path distances from source; unreachable vertices get inf."""
-    dist: list[int | float] = [math.inf] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if dist[v] is math.inf:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    dist = _bfs(*_csr(g), [source])
+    return [d if d >= 0 else math.inf for d in dist.tolist()]
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
@@ -362,32 +401,26 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 # ---------------------------------------------------------------------------
 
 
-def _refine(adj1, adj2, col1, col2, steps, budget):
-    """Synchronized 1-dim color refinement on both graphs.
+def _weights(colors: np.ndarray) -> np.ndarray:
+    """A fixed 64-bit weight per colour id: splitmix64 in wrapping uint64
+    arithmetic, so every run hashes alike."""
+    z = colors.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
-    Signatures (own color, sorted neighbor color multiset) get shared ids so
-    the partitions stay comparable.  Each per-vertex signature counts as one
-    refinement step against the budget.
-    """
-    n = len(adj1)
-    while True:
-        sig_ids: dict = {}
-        new = []
-        for adj, col in ((adj1, col1), (adj2, col2)):
-            steps[0] += n
-            if steps[0] > budget:
-                raise IsomorphismBudgetError(
-                    f"refinement budget exhausted after {steps[0]} steps"
-                )
-            out = [0] * n
-            for u in range(n):
-                counts = Counter(col[v] for v in adj[u])
-                sig = (col[u], tuple(sorted(counts.items())))
-                out[u] = sig_ids.setdefault(sig, len(sig_ids))
-            new.append(out)
-        if new[0] == col1 and new[1] == col2:
-            return col1, col2
-        col1, col2 = new
+
+def _classes(primary: np.ndarray, secondary: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense colour ids of the (primary, secondary) pairs in lexicographic
+    order, and how many there are; equal pairs share an id."""
+    order = np.lexsort((secondary, primary))
+    p, s = primary[order], secondary[order]
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    new[1:] = (p[1:] != p[:-1]) | (s[1:] != s[:-1])
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids, int(np.count_nonzero(new))
 
 
 def verify_bijection(g1: Graph, g2: Graph, mapping: Sequence[int]) -> bool:
@@ -420,59 +453,78 @@ def are_isomorphic(
 ) -> list[int] | None:
     """A certified vertex bijection g1 -> g2, or None if none exists.
 
-    Color refinement with individualization-refinement backtracking;
-    branching is deterministic (lowest color class, lowest vertex) and each
-    individualization folds in distances to the individualized vertex.
+    Colour refinement with individualization-refinement backtracking over
+    the disjoint union of the two graphs: vertices 0..n-1 are g1 and
+    n..2n-1 are g2.  Branching is deterministic (the smallest cell of
+    size > 1, lowest colour id, its lowest vertex of g1 against each
+    vertex of g2 in that cell) and each individualization folds in the BFS
+    distances to the individualized pair.
+
+    The verdict is exact whatever the hash does.  Every colour is a
+    deterministic function of isomorphism-invariant data (the colours of
+    the previous round over both graphs, the multiset of each vertex's
+    neighbour colours through its hash, the distances to the
+    individualized pair), so any isomorphism that respects the colours
+    before a round respects them after it: no isomorphism is ever pruned,
+    and the branching tries every image of the individualized vertex.  A
+    collision of two neighbour multisets can only leave a partition
+    coarser, which makes the search longer, and a discrete leaf is
+    accepted only after verify_bijection re-checks it edge by edge.
+
     Raises IsomorphismBudgetError when the step budget runs out, which is a
     resource failure distinct from a non-isomorphism verdict.
     """
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return None
     n = g1.n
-    adj1 = [g1.neighbors(v) for v in range(n)]
-    adj2 = [g2.neighbors(v) for v in range(n)]
-    steps = [0]
+    dst, starts, degree = _csr(g1, g2)
+    touched = degree > 0
+    steps = 0
 
-    deg_ids: dict = {}
-    col1 = [deg_ids.setdefault(len(adj1[v]), len(deg_ids)) for v in range(n)]
-    col2 = [deg_ids.setdefault(len(adj2[v]), len(deg_ids)) for v in range(n)]
-    col1, col2 = _refine(adj1, adj2, col1, col2, steps, budget)
+    def refine(col, classes):
+        """Colour refinement of both graphs at once.
 
-    def search(col1, col2):
-        if Counter(col1) != Counter(col2):
+        A round gives each vertex the id of the pair (its colour, h), where
+        h is the wrapping uint64 sum of _weights over its neighbours'
+        colours (0 for an isolated vertex).  The old colour is the primary
+        sort key, so each round refines the last, and the partition is
+        stable once the number of classes no longer grows.  Colour ids are
+        shared by the two graphs so their partitions stay comparable.  Each
+        round charges one step per vertex of both graphs against the budget.
+        """
+        nonlocal steps
+        while True:
+            steps += 2 * n
+            if steps > budget:
+                raise IsomorphismBudgetError(
+                    f"refinement budget exhausted after {steps} steps"
+                )
+            h = np.zeros(2 * n, dtype=np.uint64)
+            h[touched] = np.add.reduceat(_weights(col)[dst], starts[touched])
+            col, grown = _classes(col, h)
+            if grown == classes:
+                return col, classes
+            classes = grown
+
+    def search(col, classes):
+        sizes = np.bincount(col[:n], minlength=classes)
+        if not np.array_equal(sizes, np.bincount(col[n:], minlength=classes)):
             return None
-        cells: dict[int, list[int]] = {}
-        for v in range(n):
-            cells.setdefault(col1[v], []).append(v)
-        branch = [c for c, vs in cells.items() if len(vs) > 1]
-        if not branch:
-            position = {c: v for v, c in enumerate(col2)}
-            mapping = [position[c] for c in col1]
+        if sizes.max() == 1:
+            position = np.empty(classes, dtype=np.int64)
+            position[col[n:]] = np.arange(n)
+            mapping = position[col[:n]].tolist()
             return mapping if verify_bijection(g1, g2, mapping) else None
-        color = min(branch, key=lambda c: (len(cells[c]), c))
-        u = min(cells[color])
-        du = bfs_distances(g1, u)
-        tag = max(max(col1), max(col2)) + 1
-        for v in sorted(w for w in range(n) if col2[w] == color):
-            dv = bfs_distances(g2, v)
-            sig_ids: dict = {}
-            nc1 = [
-                tag + 1 + sig_ids.setdefault((col1[x], du[x]), len(sig_ids))
-                for x in range(n)
-            ]
-            nc2 = [
-                tag + 1 + sig_ids.setdefault((col2[x], dv[x]), len(sig_ids))
-                for x in range(n)
-            ]
-            nc1[u] = tag
-            nc2[v] = tag
-            r1, r2 = _refine(adj1, adj2, nc1, nc2, steps, budget)
-            result = search(r1, r2)
+        color = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
+        u = int(np.flatnonzero(col[:n] == color)[0])
+        for v in np.flatnonzero(col[n:] == color) + n:
+            dist = _bfs(dst, starts, degree, [u, v])
+            result = search(*refine(*_classes(col, dist)))
             if result is not None:
                 return result
         return None
 
-    return search(col1, col2)
+    return search(*refine(*_classes(np.zeros(2 * n, dtype=np.int64), degree)))
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,34 @@ def test_verify_without_orbitals_lists_every_claim(tmp_path, capsys):
             assert e["verdict"] == "PASS", e["claim_id"]
 
 
+def test_verify_reports_an_exhausted_isomorphism_budget(tmp_path, capsys, monkeypatch):
+    real = cli.are_isomorphic
+    monkeypatch.setattr(cli, "are_isomorphic", lambda g1, g2: real(g1, g2, budget=10))
+    others = sorted({c.split(".")[0] for c in VERIFY_IDS} - {"iso"})
+    out_path = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--skip", ",".join(others), "--json", str(out_path)
+    )
+    assert code == 1
+    assert "Traceback" not in err
+    assert "first failing claim: iso.sigma_orbital_coordinate" in err
+    observed = {
+        e["claim_id"]: (e["verdict"], e["observed"])
+        for e in json.loads(out_path.read_text())["entries"]
+        if e["verdict"] != "SKIPPED"
+    }
+    # the first round of refinement charges one step per vertex of both graphs
+    assert observed == {
+        claim_id: ("FAIL", f"unavailable: refinement budget exhausted after {steps} steps")
+        for claim_id, steps in (
+            ("iso.sigma_orbital_coordinate", 2 * 486),
+            ("iso.sigma_coordinate_affine", 2 * 486),
+            ("iso.lambda_orbital_coordinate", 2 * 243),
+            ("iso.lambda_coordinate_shortened", 2 * 243),
+        )
+    }
+
+
 def test_each_run_builds_its_artifacts_once(tmp_path, capsys, monkeypatch):
     calls = Counter()
 

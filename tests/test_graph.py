@@ -2,10 +2,13 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golay486 import graph
+from golay486.constructions import build_std_ag
 from golay486.graph import (
     Graph,
     Graph6ParseError,
@@ -399,6 +402,50 @@ def test_isomorphism_agrees_with_vf2():
         assert (mine is not None) == theirs
         if mine is not None:
             assert verify_bijection(g, h, mine)
+
+
+def test_verdicts_do_not_depend_on_hash_quality(monkeypatch):
+    # with one weight for every colour, all neighbour multisets of one size
+    # collide, so refinement separates vertices by degree only and the
+    # individualization search must carry every verdict
+    hashed = []
+
+    def constant(colors):
+        hashed.append(len(colors))
+        return np.ones(len(colors), dtype=np.uint64)
+
+    monkeypatch.setattr(graph, "_weights", constant)
+    test_are_isomorphic_positive()
+    test_are_isomorphic_negative()
+    test_shrikhande_vs_rook()
+    test_isomorphism_agrees_with_vf2()
+    assert hashed
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_relabelled_ag_certificates_are_deterministic(n):
+    g = build_std_ag(n)
+    h = relabel(g, random.Random(700 + n).sample(range(g.n), g.n))
+    mapping = are_isomorphic(g, h)
+    assert mapping is not None and verify_bijection(g, h, mapping)
+    assert are_isomorphic(g, h) == mapping
+
+
+def test_two_switched_ag_is_not_isomorphic():
+    # replace edges ab, cd by ad, cb: every degree stays, the design breaks
+    g = build_std_ag(4)
+    edges = sorted(g.edges())
+    a, b = edges[0]
+    c, d = next(
+        (c, d) for c, d in edges
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b)
+    )
+    switched = Graph(g.n, [e for e in edges if e not in ((a, b), (c, d))] + [(a, d), (c, b)])
+    assert [switched.degree(v) for v in range(g.n)] == [g.degree(v) for v in range(g.n)]
+    assert is_distance_regular(g) is not None
+    assert is_distance_regular(switched) is None
+    assert are_isomorphic(switched, g) is None
+    assert are_isomorphic(g, switched) is None
 
 
 def test_graph6_long_form_vertex_count():
