@@ -20,7 +20,9 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations, product
+from itertools import product
+
+import numpy as np
 
 from . import codes, gf3, permaction
 from .gf3 import Matrix, Vector
@@ -163,12 +165,13 @@ def _flat_incidence(
     each point is joined to its translate for each chosen f.
     """
     size = len(points)
-    edges = [
-        (xi, size + 3 * f + gf3.dot(functionals[f], x))
-        for xi, x in enumerate(points)
-        for f in chosen
-    ]
-    return Graph(size + 3 * len(functionals), edges)
+    chosen = np.array(chosen, dtype=np.int64)
+    phi = np.array(functionals, dtype=np.int64)[chosen]
+    flats = size + 3 * chosen + (np.array(points, dtype=np.int64) @ phi.T) % 3
+    a = np.zeros((size + 3 * len(functionals),) * 2, dtype=bool)
+    a[np.arange(size)[:, None], flats] = True
+    a[size:, :size] = a[:size, size:].T
+    return Graph.from_adjacency(a)
 
 
 def build_sigma_coordinate(family: FlatFamily) -> Graph:
@@ -288,27 +291,29 @@ def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:
     equal the complement of that graph edge-for-edge on shared labels.
     gamma_half labels the coset half 0..242 in the order of delta.half_a.
     """
-    position = {v: i for i, v in enumerate(delta.half_a)}
+    a = delta.graph.adjacency_matrix
+    flats = np.array(delta.half_b, dtype=np.int64)
+    position = np.zeros(delta.graph.n, dtype=np.int64)
+    position[list(delta.half_a)] = np.arange(len(delta.half_a))
+    # members[b, i]: coset-half vertex i (gamma_half's label) is in block b;
+    # a block holds an edge of gamma_half iff it meets its own neighbourhood
+    members = a[np.ix_(flats, delta.half_a)].astype(np.float32)
+    meets = members @ gamma_half.adjacency_matrix.astype(np.float32)
+    inside = (meets * members).any(axis=1)
+    blocks = int(np.argmax(inside)) if inside.any() else len(flats)
     counterexample = None
-    blocks = 0
-    sizes = set()
-    for f in delta.half_b:
-        block = delta.graph.neighbors(f)
-        sizes.add(len(block))
-        for u, v in combinations(block, 2):
-            if gamma_half.has_edge(position[u], position[v]):
-                counterexample = (f, u, v)
-                break
-        if counterexample:
-            break
-        blocks += 1
+    if blocks < len(flats):
+        f = int(flats[blocks])
+        block = np.flatnonzero(a[f])
+        pos = position[block]
+        u, v = np.argwhere(np.triu(gamma_half.adjacency_matrix[np.ix_(pos, pos)], 1))[0]
+        counterexample = (f, int(block[u]), int(block[v]))
+    sizes = np.unique(a[flats[: blocks + 1]].sum(axis=1))
     half0, _, (side0, _) = bipartite_halves(delta.graph)
-    halved_ok = side0 == delta.half_a and half0.edge_set() == complement(
-        gamma_half
-    ).edge_set()
+    halved_ok = side0 == delta.half_a and half0 == complement(gamma_half)
     return BlocksReport(
         blocks_checked=blocks,
-        block_size=sizes.pop() if len(sizes) == 1 else -1,
+        block_size=int(sizes[0]) if len(sizes) == 1 else -1,
         all_cocliques=counterexample is None,
         halved_equals_complement=halved_ok,
         counterexample=counterexample,
@@ -331,10 +336,14 @@ def experiment_flat_incidence(family: FlatFamily) -> IncidenceExperimentReport:
     """
     chosen = family.type_indices("I")
     graph = _flat_incidence(golay_coset_reps(), family.functionals, chosen)
-    coset_degrees = Counter(graph.degree(v) for v in range(243))
-    flat_degrees = Counter(graph.degree(v) for v in range(243, graph.n))
+    degrees = graph.adjacency_matrix.sum(axis=1)
+
+    def counts(part):
+        values, times = np.unique(part, return_counts=True)
+        return tuple(zip(values.tolist(), times.tolist()))
+
     return IncidenceExperimentReport(
-        coset_degree_counts=tuple(sorted(coset_degrees.items())),
-        flat_degree_counts=tuple(sorted(flat_degrees.items())),
-        regular=len(set(graph.degree(v) for v in range(graph.n))) == 1,
+        coset_degree_counts=counts(degrees[:243]),
+        flat_degree_counts=counts(degrees[243:]),
+        regular=len(np.unique(degrees)) == 1,
     )

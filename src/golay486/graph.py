@@ -1,28 +1,25 @@
 """Undirected simple graphs and distance-regularity machinery.
 
-The Graph type stores sorted neighbor tuples (for deterministic iteration
-and BFS) alongside per-vertex sets (for O(1) adjacency tests) and a lazily
-built numpy adjacency matrix.  Distance-regularity is checked in one
-pass: the intersection numbers of every ordered pair are read off exact
-matrix products with the distance layers; counts never exceed the vertex
-count, so float32 matmuls are exact and fast at the 486-vertex scale this
-library works at.
+A Graph is one read-only numpy bool adjacency matrix: n x n, symmetric,
+with a False diagonal.  Every operation here is array code over that
+matrix.  Distance-regularity is checked in one pass: the intersection
+numbers of every ordered pair are read off exact matrix products with the
+distance layers; counts never exceed the vertex count, so float32 matmuls
+(each function converts the matrix locally) are exact and fast at the
+486-vertex scale this library works at.
 
 Isomorphism testing is colour refinement with individualization and
 deterministic branching, run as numpy passes over one CSR adjacency of both
 graphs.  Each round hashes a vertex's neighbour colours into a 64-bit sum of
 fixed weights; a hash collision can only leave a partition coarser, never
-prune an isomorphism, and every returned bijection is re-verified edge by
-edge before being trusted.
+prune an isomorphism, and every returned bijection is re-verified against
+both adjacency matrices before being trusted.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 from collections.abc import Iterable, Sequence
-from itertools import chain
 
 import numpy as np
 
@@ -42,70 +39,78 @@ class Graph6ParseError(ValueError):
 
 
 class Graph:
-    """Undirected simple graph on vertices 0..n-1."""
+    """Undirected simple graph on vertices 0..n-1.
+
+    Its one field, `adjacency_matrix`, is a read-only n x n bool array,
+    symmetric and with a False diagonal; neighbours, degrees and edges are
+    read off it.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        self.n = n
-        sets: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
+        edges = list(edges)
+        pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+        loops = pairs[:, 0] == pairs[:, 1]
+        bad = ((pairs < 0) | (pairs >= n)).any(axis=1) | loops
+        if bad.any():
+            u, v = pairs[np.argmax(bad)].tolist()
+            if u == v and 0 <= u < n:
                 raise ValueError(f"loop at vertex {u}")
-            sets[u].add(v)
-            sets[v].add(u)
-        self._sets = sets
-        self._adj = tuple(tuple(sorted(s)) for s in sets)
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        a = np.zeros((n, n), dtype=bool)
+        a[pairs[:, 0], pairs[:, 1]] = True
+        a[pairs[:, 1], pairs[:, 0]] = True
+        a.flags.writeable = False
+        self.adjacency_matrix = a
 
     @classmethod
-    def from_neighbor_sets(cls, sets: Sequence[set[int]]) -> "Graph":
+    def from_adjacency(cls, a) -> "Graph":
+        """The graph of a copy of `a`, which must be square, symmetric and
+        loop-free."""
+        a = np.array(a, dtype=bool)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency matrix of shape {a.shape} is not square")
+        if len(a) < 1:
+            raise ValueError("graph needs at least one vertex")
+        if a.diagonal().any():
+            raise ValueError(f"loop at vertex {int(np.argmax(a.diagonal()))}")
+        if not np.array_equal(a, a.T):
+            raise ValueError("adjacency matrix is not symmetric")
+        a.flags.writeable = False
         g = cls.__new__(cls)
-        g.n = len(sets)
-        g._sets = [set(s) for s in sets]
-        g._adj = tuple(tuple(sorted(s)) for s in sets)
+        g.adjacency_matrix = a
         return g
 
+    @property
+    def n(self) -> int:
+        return len(self.adjacency_matrix)
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(np.flatnonzero(self.adjacency_matrix[v]).tolist())
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(np.count_nonzero(self.adjacency_matrix[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._sets[u]
+        return bool(self.adjacency_matrix[u, v])
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self._adj) // 2
+        return int(np.count_nonzero(self.adjacency_matrix)) // 2
 
     def edges(self):
         """Edges as (u,v) with u < v, lexicographic order."""
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
-
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges())
-
-    @cached_property
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float32)
-        for u in range(self.n):
-            a[u, self._adj[u]] = 1.0
-        return a
+        us, vs = np.nonzero(np.triu(self.adjacency_matrix, 1))
+        return zip(us.tolist(), vs.tolist())
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._adj == other._adj
+        return isinstance(other, Graph) and np.array_equal(
+            self.adjacency_matrix, other.adjacency_matrix
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash(self.adjacency_matrix.tobytes())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -120,15 +125,11 @@ def _csr(*graphs: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     dsts, degrees, shift = [], [], 0
     for g in graphs:
-        degree = np.fromiter(map(len, g._adj), dtype=np.int32, count=g.n)
-        dst = np.fromiter(
-            chain.from_iterable(g._adj), dtype=np.int32, count=int(degree.sum())
-        )
-        dsts.append(dst + shift)
-        degrees.append(degree)
+        dsts.append(np.nonzero(g.adjacency_matrix)[1] + shift)
+        degrees.append(np.count_nonzero(g.adjacency_matrix, axis=1))
         shift += g.n
     degree = np.concatenate(degrees)
-    starts = np.cumsum(degree, dtype=np.int64) - degree
+    starts = np.cumsum(degree) - degree
     return np.concatenate(dsts), starts, degree
 
 
@@ -155,16 +156,10 @@ def _bfs(dst, starts, degree, sources) -> np.ndarray:
     return dist
 
 
-def bfs_distances(g: Graph, source: int) -> list[int | float]:
-    """Shortest-path distances from source; unreachable vertices get inf."""
-    dist = _bfs(*_csr(g), [source])
-    return [d if d >= 0 else math.inf for d in dist.tolist()]
-
-
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs distances (int32, -1 for unreachable) via layered matmuls."""
     n = g.n
-    a = g.adjacency_matrix
+    a = g.adjacency_matrix.astype(np.float32)
     dist = np.full((n, n), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
     reached = np.eye(n, dtype=bool)
@@ -268,7 +263,7 @@ def is_distance_regular(g: Graph) -> IntersectionArray | None:
     if (dist < 0).any():
         raise GraphStructureError("graph is disconnected")
     d = int(dist.max())
-    a = g.adjacency_matrix
+    a = g.adjacency_matrix.astype(np.float32)
     b: list[int] = []
     c: list[int] = []
     for j in range(d + 1):
@@ -296,38 +291,38 @@ def srg_parameters(g: Graph) -> SrgParameters | None:
 
 
 def complement(g: Graph) -> Graph:
-    full = set(range(g.n))
-    sets = [full - set(g.neighbors(v)) - {v} for v in range(g.n)]
-    return Graph.from_neighbor_sets(sets)
+    c = ~g.adjacency_matrix
+    np.fill_diagonal(c, False)
+    return Graph.from_adjacency(c)
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """2-coloring classes of a connected bipartite graph, vertex 0 in the first.
 
     The classes are the vertices at even and at odd distance from vertex 0;
-    an edge whose ends are at equal distance closes an odd walk.
+    an edge whose ends are at equal distance closes an odd walk, and the
+    lexicographically first such edge is reported.
     """
-    dist = bfs_distances(g, 0)
-    if math.inf in dist:
+    dist = _bfs(*_csr(g), [0])
+    if (dist < 0).any():
         raise GraphStructureError("graph is disconnected")
-    for u, v in g.edges():
-        if dist[u] == dist[v]:
-            raise GraphStructureError(
-                f"graph is not bipartite: odd closed walk through {u},{v}"
-            )
-    side0 = tuple(v for v in range(g.n) if dist[v] % 2 == 0)
-    side1 = tuple(v for v in range(g.n) if dist[v] % 2 == 1)
+    clash = np.argwhere(np.triu(g.adjacency_matrix, 1) & (dist[:, None] == dist))
+    if len(clash):
+        u, v = clash[0].tolist()
+        raise GraphStructureError(
+            f"graph is not bipartite: odd closed walk through {u},{v}"
+        )
+    side0 = tuple(np.flatnonzero(dist % 2 == 0).tolist())
+    side1 = tuple(np.flatnonzero(dist % 2 == 1).tolist())
     return side0, side1
 
 
 def distance_two_graph(g: Graph) -> Graph:
     """Graph on the same vertices joining pairs at distance exactly 2."""
-    a = g.adjacency_matrix
-    two = (a @ a) > 0
+    a = g.adjacency_matrix.astype(np.float32)
+    two = ((a @ a) > 0) & ~g.adjacency_matrix
     np.fill_diagonal(two, False)
-    two &= a == 0
-    sets = [set(np.nonzero(two[v])[0].tolist()) for v in range(g.n)]
-    return Graph.from_neighbor_sets(sets)
+    return Graph.from_adjacency(two)
 
 
 def bipartite_halves(g: Graph) -> tuple[Graph, Graph, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -347,34 +342,36 @@ def antipodal_fold(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
     """Quotient on antipodal classes {v} + (vertices at maximal distance from v).
 
     The distance-d relation (plus identity) must be an equivalence with
-    classes of uniform size; the first violating triple is reported otherwise.
+    classes of uniform size.  Otherwise the lexicographically first triple
+    (v, w, x) is reported where w is related to v and x to exactly one of
+    them.  Classes are numbered by their least vertex.
     """
     dist = distance_matrix(g)
     if (dist == -1).any():
         raise GraphStructureError("graph is disconnected")
     d = int(dist.max())
-    cls = [frozenset([v] + np.nonzero(dist[v] == d)[0].tolist()) for v in range(g.n)]
-    for v in range(g.n):
-        for w in cls[v]:
-            if cls[w] != cls[v]:
-                x = next(iter(cls[w] ^ cls[v]))
-                raise GraphStructureError(
-                    f"distance-{d} relation is not an equivalence: "
-                    f"witness triple ({v},{w},{x})"
-                )
-    classes = sorted(set(cls), key=min)
-    if len({len(c) for c in classes}) != 1:
+    related = (dist == d) | np.eye(g.n, dtype=bool)
+    # rows v and w are equal iff both hold as many vertices as they share
+    shared = related.astype(np.float32) @ related.astype(np.float32)
+    size = related.sum(axis=1)
+    bad = np.argwhere(related & ((shared != size[:, None]) | (shared != size)))
+    if len(bad):
+        v, w = bad[0].tolist()
+        x = int(np.argmax(related[v] ^ related[w]))
+        raise GraphStructureError(
+            f"distance-{d} relation is not an equivalence: "
+            f"witness triple ({v},{w},{x})"
+        )
+    _, index = np.unique(related.argmax(axis=1), return_inverse=True)
+    sizes = np.bincount(index)
+    if (sizes != sizes[0]).any():
         raise GraphStructureError("antipodal classes have non-uniform sizes")
-    index = {c: i for i, c in enumerate(classes)}
-    sets: list[set[int]] = [set() for _ in classes]
-    for u in range(g.n):
-        iu = index[cls[u]]
-        for v in g.neighbors(u):
-            iv = index[cls[v]]
-            if iu != iv:
-                sets[iu].add(iv)
-    folded = Graph.from_neighbor_sets(sets)
-    return folded, tuple(tuple(sorted(c)) for c in classes)
+    folded = np.zeros((len(sizes), len(sizes)), dtype=bool)
+    us, vs = np.nonzero(g.adjacency_matrix)
+    folded[index[us], index[vs]] = True
+    np.fill_diagonal(folded, False)
+    members = np.argsort(index, kind="stable").reshape(len(sizes), -1)
+    return Graph.from_adjacency(folded), tuple(map(tuple, members.tolist()))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -386,14 +383,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     labels = tuple(sorted(set(vertices)))
     if labels and not (0 <= labels[0] and labels[-1] < g.n):
         raise ValueError("vertex out of range")
-    pos = {v: i for i, v in enumerate(labels)}
-    edges = [
-        (pos[u], pos[v])
-        for u in labels
-        for v in g.neighbors(u)
-        if u < v and v in pos
-    ]
-    return Graph(len(labels), edges), labels
+    keep = np.array(labels, dtype=np.int64)
+    return Graph.from_adjacency(g.adjacency_matrix[np.ix_(keep, keep)]), labels
 
 
 # ---------------------------------------------------------------------------
@@ -424,28 +415,17 @@ def _classes(primary: np.ndarray, secondary: np.ndarray) -> tuple[np.ndarray, in
 
 
 def verify_bijection(g1: Graph, g2: Graph, mapping: Sequence[int]) -> bool:
-    """Certify a candidate isomorphism edge by edge, both directions."""
+    """Certify a candidate isomorphism: mapping must be a permutation of
+    0..n-1 (checked before it indexes anything) carrying the adjacency
+    matrix of g1 onto that of g2, so edges go to edges and non-edges to
+    non-edges."""
     n = g1.n
-    if g2.n != n or len(mapping) != n or len(set(mapping)) != n:
+    m = np.asarray(mapping)
+    if g2.n != n or m.shape != (n,) or m.dtype.kind not in "iu":
         return False
-    if not all(0 <= m < n for m in mapping):
+    if m.min() < 0 or m.max() >= n or len(np.unique(m)) != n:
         return False
-    if g1.edge_count != g2.edge_count:
-        return False
-    for u in range(n):
-        mu = mapping[u]
-        for v in g1.neighbors(u):
-            if not g2.has_edge(mu, mapping[v]):
-                return False
-    inverse = [0] * n
-    for u, mu in enumerate(mapping):
-        inverse[mu] = u
-    for u in range(n):
-        iu = inverse[u]
-        for v in g2.neighbors(u):
-            if not g1.has_edge(iu, inverse[v]):
-                return False
-    return True
+    return np.array_equal(g2.adjacency_matrix[np.ix_(m, m)], g1.adjacency_matrix)
 
 
 def are_isomorphic(
@@ -469,7 +449,7 @@ def are_isomorphic(
     and the branching tries every image of the individualized vertex.  A
     collision of two neighbour multisets can only leave a partition
     coarser, which makes the search longer, and a discrete leaf is
-    accepted only after verify_bijection re-checks it edge by edge.
+    accepted only after verify_bijection re-checks it.
 
     Raises IsomorphismBudgetError when the step budget runs out, which is a
     resource failure distinct from a non-isomorphism verdict.
@@ -506,25 +486,34 @@ def are_isomorphic(
                 return col, classes
             classes = grown
 
-    def search(col, classes):
-        sizes = np.bincount(col[:n], minlength=classes)
-        if not np.array_equal(sizes, np.bincount(col[n:], minlength=classes)):
-            return None
-        if sizes.max() == 1:
-            position = np.empty(classes, dtype=np.int64)
-            position[col[n:]] = np.arange(n)
-            mapping = position[col[:n]].tolist()
-            return mapping if verify_bijection(g1, g2, mapping) else None
+    def children(col, sizes):
+        """The refined colourings below col, computed one at a time."""
         color = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
         u = int(np.flatnonzero(col[:n] == color)[0])
         for v in np.flatnonzero(col[n:] == color) + n:
-            dist = _bfs(dst, starts, degree, [u, v])
-            result = search(*refine(*_classes(col, dist)))
-            if result is not None:
-                return result
-        return None
+            yield refine(*_classes(col, _bfs(dst, starts, degree, [u, v])))
 
-    return search(*refine(*_classes(np.zeros(2 * n, dtype=np.int64), degree)))
+    # depth-first over an explicit stack, so the depth is not bounded by
+    # Python's recursion limit
+    stack = [iter([refine(*_classes(np.zeros(2 * n, dtype=np.int64), degree))])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        col, classes = node
+        sizes = np.bincount(col[:n], minlength=classes)
+        if not np.array_equal(sizes, np.bincount(col[n:], minlength=classes)):
+            continue
+        if sizes.max() > 1:
+            stack.append(children(col, sizes))
+            continue
+        position = np.empty(classes, dtype=np.int64)
+        position[col[n:]] = np.arange(n)
+        mapping = position[col[:n]].tolist()
+        if verify_bijection(g1, g2, mapping):
+            return mapping
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -545,19 +534,13 @@ def graph6_encode(g: Graph) -> str:
         head = [126] + [((n >> s) & 63) + 63 for s in (12, 6, 0)]
     else:
         head = [126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
-    bits = []
-    for k in range(1, n):
-        for j in range(k):
-            bits.append(1 if g.has_edge(j, k) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for i in range(0, len(bits), 6):
-        value = 0
-        for bit in bits[i : i + 6]:
-            value = (value << 1) | bit
-        body.append(value + 63)
-    return "".join(chr(x) for x in head + body)
+    # bit (j, k) for j < k, column by column: the strict lower triangle
+    # row by row, six bits to a byte
+    nbits = n * (n - 1) // 2
+    bits = np.zeros(6 * ((nbits + 5) // 6), dtype=bool)
+    bits[:nbits] = g.adjacency_matrix[np.tri(n, k=-1, dtype=bool)]
+    body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
+    return (bytes(head) + body.tobytes()).decode("ascii")
 
 
 def graph6_decode(text: str) -> Graph:
@@ -565,9 +548,11 @@ def graph6_decode(text: str) -> Graph:
     s = text.rstrip("\n")
     if not s:
         raise Graph6ParseError("empty graph6 text", 0)
-    for i, ch in enumerate(s):
-        if not (63 <= ord(ch) <= 126):
-            raise Graph6ParseError(f"invalid graph6 byte {ch!r}", i)
+    codes = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    invalid = np.flatnonzero((codes < 63) | (codes > 126))
+    if len(invalid):
+        i = int(invalid[0])
+        raise Graph6ParseError(f"invalid graph6 byte {s[i]!r}", i)
     pos = 0
     if ord(s[0]) != 126:
         n = ord(s[0]) - 63
@@ -594,18 +579,12 @@ def graph6_decode(text: str) -> Graph:
         raise Graph6ParseError(
             f"expected {need} body bytes for n={n}, got {len(s) - pos}", pos
         )
-    bits = []
-    for i in range(pos, len(s)):
-        value = ord(s[i]) - 63
-        bits.extend((value >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    for i in range(nbits, len(bits)):
-        if bits[i]:
-            raise Graph6ParseError("nonzero padding bits", pos + i // 6)
-    edges = []
-    idx = 0
-    for k in range(1, n):
-        for j in range(k):
-            if bits[idx]:
-                edges.append((j, k))
-            idx += 1
-    return Graph(n, edges)
+    values = (codes[pos:] - 63).astype(np.uint8)
+    bits = np.unpackbits(values[:, None], axis=1)[:, 2:].ravel()
+    padding = np.flatnonzero(bits[nbits:])
+    if len(padding):
+        offset = pos + (nbits + int(padding[0])) // 6
+        raise Graph6ParseError("nonzero padding bits", offset)
+    a = np.zeros((n, n), dtype=bool)
+    a[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
+    return Graph.from_adjacency(a | a.T)

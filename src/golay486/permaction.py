@@ -468,19 +468,15 @@ def orbital_union_graph(
     selected = np.zeros(decomp.rank, dtype=bool)
     selected[list(chosen)] = True
     rows = np.frombuffer(decomp.pair_ids, dtype=np.intc).reshape(n, n)
-    us, vs = np.nonzero(np.triu(selected[rows], 1))
-    return Graph(n, zip(us.tolist(), vs.tolist()))
+    return Graph.from_adjacency(selected[rows])
 
 
 def verify_invariance(action: GroupAction, graph: Graph) -> bool:
     """True iff every generator maps every edge to an edge."""
     if action.degree != graph.n:
         raise ValueError("degree and vertex count differ")
-    for g in action.generators:
-        for u, v in graph.edges():
-            if not graph.has_edge(g[u], g[v]):
-                return False
-    return True
+    a = graph.adjacency_matrix
+    return all(np.array_equal(a[np.ix_(g, g)], a) for g in action.generators)
 
 
 def collapsed_matrix(
@@ -494,24 +490,19 @@ def collapsed_matrix(
     """
     if not verify_invariance(decomp.action, graph):
         raise ValueError("edge set is not invariant under the action")
-    n = graph.n
-    sub = decomp.suborbit_of_vertex
-    rank = decomp.rank
-    rows: list[tuple[int, ...] | None] = [None] * rank
-    for v in range(n):
-        counts = [0] * rank
-        for w in graph.neighbors(v):
-            counts[sub[w]] += 1
-        counts = tuple(counts)
-        i = sub[v]
-        if rows[i] is None:
-            rows[i] = counts
-        elif rows[i] != counts:
-            witness = decomp.suborbit_members(i)[0]
-            raise ValueError(
-                f"counts differ within suborbit {i}: vertices {witness} and {v}"
-            )
-    return tuple(rows)  # type: ignore[arg-type]
+    sub = np.array(decomp.suborbit_of_vertex)
+    members = (sub[:, None] == np.arange(decomp.rank)).astype(np.float32)
+    counts = (graph.adjacency_matrix.astype(np.float32) @ members).astype(np.int64)
+    # the least vertex of each suborbit is its representative
+    first = np.unique(sub, return_index=True)[1]
+    differs = np.flatnonzero((counts != counts[first[sub]]).any(axis=1))
+    if len(differs):
+        v = int(differs[0])
+        i = int(sub[v])
+        raise ValueError(
+            f"counts differ within suborbit {i}: vertices {first[i]} and {v}"
+        )
+    return tuple(map(tuple, counts[first].tolist()))
 
 
 def _orbital_collapsed_rows(decomp: OrbitalDecomposition) -> list[list[list[int]]]:

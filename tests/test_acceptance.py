@@ -149,7 +149,7 @@ def test_criterion_09_internal_structure(orbital_models):
     delta = orbital_models["delta"]
     half0, _, (side0, _) = bipartite_halves(delta.graph)
     assert side0 == tuple(range(243))
-    assert half0.edge_set() == complement(gamma_half).edge_set()
+    assert half0 == complement(gamma_half)
 
     blocks = 0
     for f in delta.half_b:

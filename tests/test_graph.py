@@ -1,4 +1,3 @@
-import math
 import random
 from collections import Counter
 
@@ -17,7 +16,6 @@ from golay486.graph import (
     IsomorphismBudgetError,
     antipodal_fold,
     are_isomorphic,
-    bfs_distances,
     bipartite_halves,
     bipartition,
     complement,
@@ -43,6 +41,13 @@ def relabel(g, mapping):
     return Graph(g.n, [(mapping[u], mapping[v]) for u, v in g.edges()])
 
 
+def prism():
+    """3-regular on 10 vertices, like the Petersen graph, but not it."""
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+                 + [(i, 5 + i) for i in range(5)])
+
+
 def test_graph_rejects_loops_and_bad_edges():
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])
@@ -50,11 +55,31 @@ def test_graph_rejects_loops_and_bad_edges():
         Graph(3, [(0, 3)])
 
 
+def test_from_adjacency_checks_its_matrix():
+    assert Graph.from_adjacency(complete_graph(4).adjacency_matrix) == complete_graph(4)
+    asymmetric = np.zeros((3, 3), dtype=bool)
+    asymmetric[0, 1] = True
+    for bad in (asymmetric, np.eye(3, dtype=bool), np.zeros((2, 3), dtype=bool)):
+        with pytest.raises(ValueError):
+            Graph.from_adjacency(bad)
+    # the graph keeps a copy, and its matrix is read-only
+    source = ~np.eye(2, dtype=bool)
+    g = Graph.from_adjacency(source)
+    source[:] = False
+    assert g.edge_count == 1
+    with pytest.raises(ValueError):
+        g.adjacency_matrix[0, 1] = False
+    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+
+
 def test_bfs_distances():
-    assert bfs_distances(path_graph(3), 0) == [0, 1, 2]
-    assert bfs_distances(complete_graph(4), 2) == [1, 1, 0, 1]
+    def distances(g, source):
+        return graph._bfs(*graph._csr(g), [source]).tolist()
+
+    assert distances(path_graph(3), 0) == [0, 1, 2]
+    assert distances(complete_graph(4), 2) == [1, 1, 0, 1]
     two = disjoint_union(complete_graph(2), complete_graph(2))
-    assert bfs_distances(two, 0) == [0, 1, math.inf, math.inf]
+    assert distances(two, 0) == [0, 1, -1, -1]
 
 
 def test_is_distance_regular_examples():
@@ -237,11 +262,28 @@ def test_are_isomorphic_negative():
     two_triangles = disjoint_union(cycle_graph(3), cycle_graph(3))
     assert are_isomorphic(cycle_graph(6), two_triangles) is None
     assert are_isomorphic(cycle_graph(6), complete_graph(6)) is None
-    # 3-regular on 10 vertices but not the Petersen graph
-    prism = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
-                  + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
-                  + [(i, 5 + i) for i in range(5)])
-    assert are_isomorphic(petersen_graph(), prism) is None
+    assert are_isomorphic(petersen_graph(), prism()) is None
+
+
+def test_verify_bijection_rejects_what_is_not_an_isomorphism():
+    p = petersen_graph()
+    identity = list(range(p.n))
+    assert verify_bijection(p, p, identity)
+    # -1 would index vertex 9, and so pass, if it were not range-checked first
+    assert not verify_bijection(p, p, identity[:-1] + [-1])
+    assert not verify_bijection(p, p, identity[:-1] + [p.n])
+    assert not verify_bijection(p, p, identity[:-1] + [0])
+    assert not verify_bijection(p, p, identity[:-1])
+    assert not verify_bijection(p, Graph(p.n + 1, p.edges()), identity)
+    # a bijection, but not an isomorphism
+    assert not verify_bijection(p, prism(), identity)
+
+
+def test_deep_search_does_not_recurse():
+    # refinement cannot split an edgeless graph, so the search
+    # individualizes vertex after vertex, 1199 levels deep
+    mapping = are_isomorphic(Graph(1200), Graph(1200))
+    assert mapping is not None and verify_bijection(Graph(1200), Graph(1200), mapping)
 
 
 def rook_4x4():
@@ -465,6 +507,13 @@ def test_graph6_parse_errors_carry_offsets():
         graph6_decode("Bww")  # extra body byte
     with pytest.raises(Graph6ParseError):
         graph6_decode("B")  # missing body
+
+
+def test_graph6_decode_checks_the_body_length_before_allocating():
+    # 2^36 - 1 vertices and no body: the n x n matrix could not be allocated
+    # at all, so only a length check made first gives a parse error
+    with pytest.raises(Graph6ParseError, match="expected .* body bytes"):
+        graph6_decode("~~" + "~" * 6)
 
 
 G6_BYTES = [chr(c) for c in range(63, 127)]
