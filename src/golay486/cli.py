@@ -254,6 +254,20 @@ def _flat_types(run) -> tuple[str, bool]:
     return f"{counts[0]} Type I and {counts[1]} Type II", counts == (45, 36)
 
 
+def _macwilliams(run) -> str:
+    """How many ten-spaces' enumerated type tally equals the MacWilliams
+    transform of their dual {0, phi, 2 phi}."""
+    reference = {"I": constructions.TYPE_I_WEIGHTS, "II": constructions.TYPE_II_WEIGHTS}
+    family = run.family
+    equal = 0
+    for phi, label in zip(family.functionals, family.types):
+        dual = [0] * (len(phi) + 1)
+        dual[0] = 1
+        dual[sum(map(bool, phi))] += 2
+        equal += codes.macwilliams_transform(dual) == reference[label]
+    return f"{equal} of {family.subspace_count} equal"
+
+
 def _coset_shapes(run) -> tuple[int, ...]:
     shapes = codes.classify_cosets(codes.golay_code())
     return tuple(shapes[s] for s in ("0", "+-e0", "+-ei", "+-e0+-ei", "+-ei+-ej"))
@@ -346,6 +360,13 @@ CLAIMS = (
         "weight-distribution classes of the 81 ten-spaces",
         "45 Type I and 36 Type II, no third class",
         _flat_types,
+    ),
+    _reads(
+        "flats.macwilliams",
+        "flats",
+        "MacWilliams transform of each ten-space's dual vs its enumerated type's tally",
+        "81 of 81 equal",
+        _macwilliams,
     ),
     _reads(
         "cosets.shapes",

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from . import gf3
 from .gf3 import Matrix, Vector
@@ -97,6 +97,32 @@ def syndrome_index(s: Vector) -> int:
 def weight_distribution(code: LinearCode) -> tuple[int, ...]:
     """counts[w] = number of codewords of Hamming weight w, for w = 0..n."""
     return gf3.subspace_weight_counts(code.generator, length=code.length)
+
+
+def _krawtchouk(n: int, i: int, x: int) -> int:
+    """Ternary Krawtchouk polynomial K_i(x) for length n."""
+    return sum(
+        (-1) ** j * 2 ** (i - j) * math.comb(x, j) * math.comb(n - x, i - j)
+        for j in range(i + 1)
+    )
+
+
+def macwilliams_transform(dual_counts: Sequence[int]) -> tuple[int, ...]:
+    """Weight tally of a ternary code from the weight tally of its dual.
+
+    A_i = (1/|dual|) sum_w B_w K_i(w) (MacWilliams-Sloane 1977, ch. 5),
+    with dual_counts[w] = B_w for w = 0..n.  A tally that no code's dual
+    has can give a non-integral A_i, which raises ValueError.
+    """
+    n = len(dual_counts) - 1
+    size = sum(dual_counts)
+    sums = [
+        sum(b * _krawtchouk(n, i, w) for w, b in enumerate(dual_counts) if b)
+        for i in range(n + 1)
+    ]
+    if any(total % size for total in sums):
+        raise ValueError(f"{tuple(dual_counts)} is not the tally of a dual code")
+    return tuple(total // size for total in sums)
 
 
 def minimum_distance(code: LinearCode) -> int:

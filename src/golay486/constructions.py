@@ -128,6 +128,13 @@ def golay_coset_reps() -> tuple[Vector, ...]:
 def classify_types() -> FlatFamily:
     """Classify the 81 ten-spaces by weight distribution.
 
+    The kernel of each functional contains the Golay code, so it is the
+    disjoint union of the 81 cosets of the code on which the functional
+    vanishes, and its tally is the sum of theirs: the 243 cosets are
+    tallied once (3^5 x 3^6 vectors), not 81 kernels of 3^10.  Each
+    functional must keep 81 leaders with distinct syndromes, so a wrong
+    leader table fails here rather than mis-tallying.
+
     Both reference tallies must occur, with 45 Type I and 36 Type II
     subspaces and nothing else; an unmatched tally is a data error and is
     reported verbatim.
@@ -136,9 +143,21 @@ def classify_types() -> FlatFamily:
     e0 = gf3.unit_vector(11, 0)
     functionals = gf3.hyperplane_functionals(golay.generator, e0)
     bases = gf3.intermediate_hyperplanes(golay.generator, e0)
+    leaders = golay_coset_reps()
+    coset_tallies = np.array(
+        [gf3.subspace_weight_counts(golay.generator, shift=v) for v in leaders]
+    )
+    lead = np.array(leaders, dtype=np.int64)
+    check = np.array(codes.parity_check_matrix(golay), dtype=np.int64)
+    syndromes = (lead @ check.T) % 3 @ 3 ** np.arange(len(check))
+    vanishes = (lead @ np.array(functionals, dtype=np.int64).T) % 3 == 0
     types = []
-    for phi, basis in zip(functionals, bases):
-        tally = gf3.subspace_weight_counts(basis)
+    for phi, inside in zip(functionals, vanishes.T):
+        if np.count_nonzero(inside) != 81 or len(np.unique(syndromes[inside])) != 81:
+            raise ValueError(
+                f"functional {phi} does not vanish on 81 distinct Golay cosets"
+            )
+        tally = tuple(coset_tallies[inside].sum(axis=0).tolist())
         if tally == TYPE_I_WEIGHTS:
             types.append("I")
         elif tally == TYPE_II_WEIGHTS:

@@ -3,10 +3,10 @@
 Vectors are tuples of ints in {0,1,2}; matrices are tuples of equal-length
 row vectors.  Tuples keep everything hashable (cosets, functionals and
 subspaces are used as dict keys throughout), and all arithmetic is exact.
-The one bulk operation that matters for performance, listing all 3^k
-elements of a subspace, is one numpy routine (one byte per field element)
-that serves both the weight tally and `enumerate_subspace`; everything
-else is plain Python.
+The one bulk operation, listing all 3^k elements of a subspace or of one
+of its cosets, is one numpy routine (one byte per field element) that
+serves both the weight tally and `enumerate_subspace`; everything else is
+plain Python.
 """
 
 from __future__ import annotations
@@ -170,8 +170,9 @@ def subspace_weight_counts(
 ) -> tuple[int, ...]:
     """Tally Hamming weights over all 3^rank elements of span(basis)+shift.
 
-    Returns counts indexed by weight 0..n.  This is the hot loop (the flat
-    classification tallies 81 subspaces of 3^10 vectors each).
+    Returns counts indexed by weight 0..n.  The flat classification calls
+    it once per Golay coset, with the code's generator and the coset
+    leader as `shift`: 243 cosets of 3^6 vectors each.
     """
     words = _span(basis, length, shift)
     weights = np.count_nonzero(words, axis=1)

@@ -2,11 +2,12 @@
 
 A Graph is one read-only numpy bool adjacency matrix: n x n, symmetric,
 with a False diagonal.  Every operation here is array code over that
-matrix.  Distance-regularity is checked in one pass: the intersection
-numbers of every ordered pair are read off exact matrix products with the
-distance layers; counts never exceed the vertex count, so float32 matmuls
-(each function converts the matrix locally) are exact and fast at the
-486-vertex scale this library works at.
+matrix.  All-pairs distances and distance-regularity share one
+breadth-first search by layered matmuls: the intersection numbers of every
+ordered pair are read off the products of the distance layers with the
+adjacency matrix that the search forms anyway.  Counts never exceed the
+vertex count, so float32 matmuls (each function converts the matrix
+locally) are exact and fast at the 486-vertex scale this library works at.
 
 Isomorphism testing is colour refinement with individualization and
 deterministic branching, run as numpy passes over one CSR adjacency of both
@@ -156,23 +157,44 @@ def _bfs(dst, starts, degree, sources) -> np.ndarray:
     return dist
 
 
-def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs distances (int32, -1 for unreachable) via layered matmuls."""
+def _layers(g: Graph):
+    """Breadth-first search from every vertex at once, by layered matmuls.
+
+    With D_j the pairs at distance j and A the adjacency matrix, (D_j A)[x,
+    y] counts the neighbours of y at distance j from x.  So D_j A is zero
+    off D_{j-1}, D_j and D_{j+1} and positive on all of D_{j+1}, which is
+    its support without the first two.  Yields (D_{j-1}, D_j A, D_{j+1}) as bool,
+    float32 and bool arrays for each nonempty D_j, the last time with an
+    empty D_{j+1}.  The buffers are reused in place, so each is valid only
+    until the next step.  Counts never exceed n, so float32 is exact.
+    """
     n = g.n
     a = g.adjacency_matrix.astype(np.float32)
-    dist = np.full((n, n), -1, dtype=np.int32)
-    np.fill_diagonal(dist, 0)
-    reached = np.eye(n, dtype=bool)
-    frontier = reached.copy()
-    t = 0
+    product = a.copy()  # D_0 A
+    layer = np.empty((n, n), dtype=np.float32)
+    prev = np.zeros((n, n), dtype=bool)
+    cur = np.eye(n, dtype=bool)
+    nxt = np.empty((n, n), dtype=bool)
     while True:
-        nxt = ((frontier.astype(np.float32) @ a) > 0) & ~reached
+        np.greater(product, 0, out=nxt)
+        # nxt & ~prev & ~cur, in place
+        np.greater(nxt, prev, out=nxt)
+        np.greater(nxt, cur, out=nxt)
+        yield prev, product, nxt
         if not nxt.any():
-            return dist
-        t += 1
-        dist[nxt] = t
-        reached |= nxt
-        frontier = nxt
+            return
+        prev, cur, nxt = cur, nxt, prev
+        np.copyto(layer, cur)
+        np.matmul(layer, a, out=product)
+
+
+def distance_matrix(g: Graph) -> np.ndarray:
+    """All-pairs distances (int32, -1 for unreachable) via layered matmuls."""
+    dist = np.full((g.n, g.n), -1, dtype=np.int32)
+    np.fill_diagonal(dist, 0)
+    for j, (_, _, nxt) in enumerate(_layers(g), start=1):
+        np.copyto(dist, j, where=nxt)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -252,30 +274,28 @@ class SrgParameters:
 def is_distance_regular(g: Graph) -> IntersectionArray | None:
     """Return the intersection array if g is distance-regular, else None.
 
-    One pass over the distance matrix: with D_j the distance-j layer and A
-    the adjacency matrix, (D_j A)[x, y] counts the neighbors of y at
-    distance j from x.  So b_i is read off D_{i+1} A and c_i off D_{i-1} A
-    on the pairs at distance i, and each must be one value there; then a_i
-    = k - b_i - c_i is constant too.  Raises GraphStructureError if g is
-    disconnected.
+    One pass over the layers of the all-pairs BFS: with D_j the distance-j
+    layer and A the adjacency matrix, (D_j A)[x, y] counts the neighbors of
+    y at distance j from x.  So b_{j-1} is read off D_j A on the pairs at
+    distance j - 1 and c_{j+1} on those at distance j + 1, and each must be
+    one value there; then a_i = k - b_i - c_i is constant too.  The BFS
+    always runs to the end, and GraphStructureError is raised if g is
+    disconnected, whether or not a layer was irregular.
     """
-    dist = distance_matrix(g)
-    if (dist < 0).any():
-        raise GraphStructureError("graph is disconnected")
-    d = int(dist.max())
-    a = g.adjacency_matrix.astype(np.float32)
     b: list[int] = []
     c: list[int] = []
-    for j in range(d + 1):
-        counts = (dist == j).astype(np.float32) @ a
-        # on the pairs at distance j - 1 this is b_{j-1}; at j + 1, c_{j+1}
-        for i, out in ((j - 1, b), (j + 1, c)):
-            if 0 <= i <= d:
-                values = np.unique(counts[dist == i])
-                if len(values) != 1:
-                    return None
+    regular = True
+    reached = g.n  # pairs at finite distance
+    for prev, counts, nxt in _layers(g):
+        reached += np.count_nonzero(nxt)
+        for layer, out in ((prev, b), (nxt, c)):
+            values = counts[layer]
+            if values.size:  # empty: D_{-1}, or the layer past the diameter
+                regular &= bool(values.min() == values.max())
                 out.append(int(values[0]))
-    return IntersectionArray(b=tuple(b), c=tuple(c))
+    if reached != g.n * g.n:
+        raise GraphStructureError("graph is disconnected")
+    return IntersectionArray(b=tuple(b), c=tuple(c)) if regular else None
 
 
 def srg_parameters(g: Graph) -> SrgParameters | None:

@@ -1,8 +1,10 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -99,7 +101,8 @@ def test_verify_skip_iso_and_json(tmp_path, capsys):
 
 VERIFY_IDS = (
     "code.parameters", "code.perfect", "gamma.srg", "gamma.complement_srg",
-    "flats.functional_counts", "flats.count", "flats.types", "cosets.shapes",
+    "flats.functional_counts", "flats.count", "flats.types", "flats.macwilliams",
+    "cosets.shapes",
     "group.generators", "group.transitive", "group.order", "group.rank",
     "group.suborbits", "scan.count", "scan.arrays", "delta.array",
     "delta.imprimitivity", "upsilon.array", "upsilon.fold", "sigma.array",
@@ -139,7 +142,16 @@ def test_verify_reports_every_claim_in_order(full_run):
         f"observed {e['observed']}"
         for e in entries
     ]
-    assert out.splitlines()[-1].startswith("overall: PASS (31 claims, ")
+    assert out.splitlines()[-1].startswith("overall: PASS (32 claims, ")
+
+
+def test_macwilliams_claim_checks_the_enumerated_types(family):
+    (claim,) = [c for c in cli.CLAIMS if c.claim_id == "flats.macwilliams"]
+    assert claim.evaluate(SimpleNamespace(family=family)) == ("81 of 81 equal", True)
+    swapped = dataclasses.replace(
+        family, types=tuple("II" if t == "I" else "I" for t in family.types)
+    )
+    assert claim.evaluate(SimpleNamespace(family=swapped)) == ("0 of 81 equal", False)
 
 
 def test_verify_skip_does_not_evaluate(full_run, tmp_path, capsys, monkeypatch):

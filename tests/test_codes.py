@@ -81,6 +81,21 @@ def test_weight_distribution_of_coset_sums_to_codeword_count(golay):
         assert sum(gf3.subspace_weight_counts(golay.generator, shift=shift)) == 729
 
 
+def test_macwilliams_transform(golay):
+    dual = codes.linear_code(codes.parity_check_matrix(golay))
+    assert codes.weight_distribution(dual) == (1, 0, 0, 0, 0, 0, 132, 0, 0, 110, 0, 0)
+    assert codes.macwilliams_transform(codes.weight_distribution(dual)) == (
+        codes.weight_distribution(golay)
+    )
+    assert codes.macwilliams_transform(codes.weight_distribution(golay)) == (
+        codes.weight_distribution(dual)
+    )
+    # the full space of length 1 has the zero code as dual
+    assert codes.macwilliams_transform((1, 0)) == (1, 2)
+    with pytest.raises(ValueError):
+        codes.macwilliams_transform((1, 1))  # gives A_1 = 1/2
+
+
 def test_is_perfect(golay):
     assert codes.is_perfect(golay, 2)
     assert 1 + math.comb(11, 1) * 2 + math.comb(11, 2) * 4 == 243

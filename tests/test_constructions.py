@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from golay486 import codes, gf3
+from golay486 import codes, constructions, gf3
 from golay486.constructions import (
     TYPE_I_WEIGHTS,
     TYPE_II_WEIGHTS,
@@ -64,6 +64,38 @@ def test_classify_types_counts_and_tallies(family):
     assert sum(TYPE_I_WEIGHTS) == sum(TYPE_II_WEIGHTS) == 3**10
     # weight-1 content separates the classes: 4 vs 10 unit vectors
     assert TYPE_I_WEIGHTS[1] == 4 and TYPE_II_WEIGHTS[1] == 10
+
+
+def test_golay_coset_tallies_take_three_values(golay):
+    # a perfect code: a coset's tally depends only on its leader's weight
+    weights_by_tally = {}
+    for leader in golay_coset_reps():
+        tally = gf3.subspace_weight_counts(golay.generator, shift=leader)
+        weights_by_tally.setdefault(tally, []).append(sum(map(bool, leader)))
+    assert len(weights_by_tally) == 3
+    assert sorted((w[0], len(w)) for w in weights_by_tally.values()) == [
+        (0, 1), (1, 22), (2, 220),
+    ]
+    assert all(len(set(w)) == 1 for w in weights_by_tally.values())
+
+
+def test_classify_types_rejects_a_repeated_leader(monkeypatch):
+    leaders = list(golay_coset_reps())
+    leaders[7] = leaders[3]
+    monkeypatch.setattr(constructions, "golay_coset_reps", lambda: tuple(leaders))
+    with pytest.raises(ValueError, match="81 distinct Golay cosets"):
+        constructions.classify_types()
+
+
+def test_flat_types_follow_the_functional_weight(family):
+    # the dual of a ten-space is {0, phi, 2 phi}; MacWilliams gives its tally
+    for phi, label in zip(family.functionals, family.types):
+        weight = sum(map(bool, phi))
+        assert (weight, label) in ((9, "I"), (6, "II"))
+        dual = [0] * 12
+        dual[0], dual[weight] = 1, 2
+        reference = TYPE_I_WEIGHTS if label == "I" else TYPE_II_WEIGHTS
+        assert codes.macwilliams_transform(dual) == reference
 
 
 def test_type_tally_is_basis_independent(family):

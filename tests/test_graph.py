@@ -93,6 +93,26 @@ def test_is_distance_regular_examples():
         is_distance_regular(disjoint_union(complete_graph(3), complete_graph(3)))
 
 
+def test_fused_distance_regularity_check():
+    assert str(is_distance_regular(cycle_graph(5))) == "{2,1; 1,1}"
+    # connected but not distance-regular: the ends of P4 see different layers
+    assert is_distance_regular(path_graph(4)) is None
+    # disconnected, with irregular layers before the BFS ends: still an error
+    with pytest.raises(GraphStructureError):
+        is_distance_regular(disjoint_union(path_graph(3), complete_graph(1)))
+
+
+def test_distance_matrix_matches_single_source_bfs():
+    rng = random.Random(62)
+    for _ in range(40):
+        n = rng.randrange(1, 16)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+        dist = graph.distance_matrix(g)
+        for source in range(n):
+            assert dist[source].tolist() == graph._bfs(*graph._csr(g), [source]).tolist()
+
+
 def test_intersection_array_derived_quantities():
     delta = IntersectionArray(b=(45, 44, 36, 5), c=(1, 9, 40, 45))
     assert delta.a == (0, 0, 0, 0)
