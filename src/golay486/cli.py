@@ -71,9 +71,9 @@ class Run:
     run, or the graph that export and diagram write.
 
     Each is built on first use and at most once, the same way for the
-    bundled action and a --gens action.  A build that raises
-    GraphStructureError is not retried: every caller that needs it gets the
-    same error.
+    bundled action and a --gens action.  A build that raises ValueError
+    (GraphStructureError among them) is not retried: every caller that
+    needs it gets the same error.
     """
 
     def __init__(self, action: GroupAction):
@@ -84,10 +84,10 @@ class Run:
         if key not in self._built:
             try:
                 self._built[key] = build()
-            except GraphStructureError as exc:
+            except ValueError as exc:
                 self._built[key] = exc
         value = self._built[key]
-        if isinstance(value, GraphStructureError):
+        if isinstance(value, ValueError):
             raise value
         return value
 
@@ -510,7 +510,8 @@ def run_verification(
     """Evaluate every claim not selected by a --skip prefix, timing the stages.
 
     A skipped claim is not evaluated.  A claim whose artifacts cannot be
-    built (GraphStructureError), or whose isomorphism search runs out of
+    built or checked (any ValueError: GraphStructureError, a resource
+    bound, a failed data check), or whose isomorphism search runs out of
     budget (IsomorphismBudgetError), fails with the reason as its
     observation.
     """
@@ -524,7 +525,7 @@ def run_verification(
             start = time.perf_counter()
             try:
                 observed, passed = claim.evaluate(run)
-            except (GraphStructureError, IsomorphismBudgetError) as exc:
+            except (ValueError, IsomorphismBudgetError) as exc:
                 observed, passed = f"unavailable: {exc}", False
             seconds[claim.stage] += time.perf_counter() - start
             verdict = "PASS" if passed else "FAIL"

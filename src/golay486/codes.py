@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from . import gf3
 from .gf3 import Matrix, Vector
 from .graph import Graph
@@ -84,14 +86,6 @@ def parity_check_matrix(code: LinearCode) -> Matrix:
 
 def syndrome(code: LinearCode, v: Vector) -> Vector:
     return tuple(gf3.dot(h, v) for h in parity_check_matrix(code))
-
-
-def syndrome_index(s: Vector) -> int:
-    """Lexicographic rank of a syndrome among all of its length (base 3)."""
-    x = 0
-    for digit in s:
-        x = x * 3 + digit
-    return x
 
 
 def weight_distribution(code: LinearCode) -> tuple[int, ...]:
@@ -233,11 +227,14 @@ def classify_cosets(code: LinearCode) -> dict[str, int]:
 def coset_graph(code: LinearCode, positions: Iterable[int] | None = None) -> Graph:
     """Graph on the cosets, adjacent when representatives differ in one place.
 
-    Vertices are the 3^(n-k) syndromes in lexicographic order.  Adjacency is
+    Vertices are the 3^(n-k) syndromes in lexicographic order, so vertex i
+    has the base-3 digits of i as its syndrome.  Adjacency is
     translation-invariant: cosets of u and v are adjacent iff u-v's coset
     contains a weight-1 vector, so the edge set is generated by the distinct
-    nonzero syndromes of the 2n weight-1 vectors.  `positions` restricts
-    those vectors to the given coordinates (default: all of them).
+    nonzero syndromes of the 2n weight-1 vectors.  Each such offset joins
+    every vertex to the one whose digits are its own plus the offset's,
+    mod 3: one index vector per offset.  `positions` restricts those
+    vectors to the given coordinates (default: all of them).
     """
     n, k = code.length, code.dimension
     if n - k > DEFAULT_COSET_BOUND:
@@ -251,12 +248,10 @@ def coset_graph(code: LinearCode, positions: Iterable[int] | None = None) -> Gra
             s = syndrome(code, gf3.unit_vector(n, i, a))
             if any(s):
                 offsets.add(s)
-    vertices = list(itertools.product((0, 1, 2), repeat=width))
-    edges = []
-    for s in vertices:
-        i = syndrome_index(s)
-        for t in offsets:
-            j = syndrome_index(gf3.vec_add(s, t))
-            if i < j:
-                edges.append((i, j))
-    return Graph(3**width, edges)
+    places = 3 ** np.arange(width - 1, -1, -1)
+    vertices = np.arange(3**width)
+    digits = vertices[:, None] // places % 3
+    adjacency = np.zeros((3**width, 3**width), dtype=bool)
+    for t in offsets:
+        adjacency[vertices, (digits + t) % 3 @ places] = True
+    return Graph.from_adjacency(adjacency)

@@ -125,15 +125,29 @@ def golay_coset_reps() -> tuple[Vector, ...]:
     return tuple(table[s] for s in product((0, 1, 2), repeat=5))
 
 
+def _coset_tallies(code: codes.LinearCode, leaders: np.ndarray) -> np.ndarray:
+    """Row i tallies the Hamming weights (0..n) over the coset leaders[i] + code.
+
+    The code's words are listed once and added to every leader by
+    broadcasting, one byte per entry; one bincount over (coset, weight)
+    then tallies every coset.
+    """
+    words = (gf3._span(code.generator) + leaders.astype(np.uint8)[:, None]) % 3
+    width = code.length + 1
+    cells = np.arange(len(leaders))[:, None] * width + np.count_nonzero(words, axis=2)
+    tallies = np.bincount(cells.ravel(), minlength=len(leaders) * width)
+    return tallies.reshape(len(leaders), width)
+
+
 def classify_types() -> FlatFamily:
     """Classify the 81 ten-spaces by weight distribution.
 
     The kernel of each functional contains the Golay code, so it is the
     disjoint union of the 81 cosets of the code on which the functional
     vanishes, and its tally is the sum of theirs: the 243 cosets are
-    tallied once (3^5 x 3^6 vectors), not 81 kernels of 3^10.  Each
-    functional must keep 81 leaders with distinct syndromes, so a wrong
-    leader table fails here rather than mis-tallying.
+    tallied once (3^5 x 3^6 vectors, see _coset_tallies), not 81 kernels
+    of 3^10.  Each functional must keep 81 leaders with distinct
+    syndromes, so a wrong leader table fails here rather than mis-tallying.
 
     Both reference tallies must occur, with 45 Type I and 36 Type II
     subspaces and nothing else; an unmatched tally is a data error and is
@@ -143,11 +157,8 @@ def classify_types() -> FlatFamily:
     e0 = gf3.unit_vector(11, 0)
     functionals = gf3.hyperplane_functionals(golay.generator, e0)
     bases = gf3.intermediate_hyperplanes(golay.generator, e0)
-    leaders = golay_coset_reps()
-    coset_tallies = np.array(
-        [gf3.subspace_weight_counts(golay.generator, shift=v) for v in leaders]
-    )
-    lead = np.array(leaders, dtype=np.int64)
+    lead = np.array(golay_coset_reps(), dtype=np.int64)
+    coset_tallies = _coset_tallies(golay, lead)
     check = np.array(codes.parity_check_matrix(golay), dtype=np.int64)
     syndromes = (lead @ check.T) % 3 @ 3 ** np.arange(len(check))
     vanishes = (lead @ np.array(functionals, dtype=np.int64).T) % 3 == 0

@@ -4,9 +4,10 @@ Vectors are tuples of ints in {0,1,2}; matrices are tuples of equal-length
 row vectors.  Tuples keep everything hashable (cosets, functionals and
 subspaces are used as dict keys throughout), and all arithmetic is exact.
 The one bulk operation, listing all 3^k elements of a subspace or of one
-of its cosets, is one numpy routine (one byte per field element) that
-serves both the weight tally and `enumerate_subspace`; everything else is
-plain Python.
+of its cosets, is one numpy routine, `_span` (one byte per field
+element).  It serves the weight tally, `enumerate_subspace` and the flat
+classification, which lists the Golay code once and broadcasts it against
+all 243 coset leaders; everything else is plain Python.
 """
 
 from __future__ import annotations
@@ -40,12 +41,6 @@ def matrix(rows: Iterable[Iterable[int]]) -> Matrix:
     if m and len({len(r) for r in m}) != 1:
         raise DimensionError("rows have unequal lengths")
     return m
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionError(f"length mismatch: {len(u)} vs {len(v)}")
-    return tuple((a + b) % 3 for a, b in zip(u, v))
 
 
 def vec_scale(c: int, v: Vector) -> Vector:
@@ -170,9 +165,9 @@ def subspace_weight_counts(
 ) -> tuple[int, ...]:
     """Tally Hamming weights over all 3^rank elements of span(basis)+shift.
 
-    Returns counts indexed by weight 0..n.  The flat classification calls
-    it once per Golay coset, with the code's generator and the coset
-    leader as `shift`: 243 cosets of 3^6 vectors each.
+    Returns counts indexed by weight 0..n.  The program calls it for the
+    weight distribution of a code; `shift` tallies a single coset, which
+    the flat classification does for all 243 Golay cosets at once instead.
     """
     words = _span(basis, length, shift)
     weights = np.count_nonzero(words, axis=1)

@@ -7,11 +7,11 @@ decomposition of a transitive action, collapsed adjacency matrices, and
 the scan that finds every union of orbitals forming a distance-regular
 graph.
 
-Group order and orbitals both come from a stabilizer chain built by
-incremental deterministic Schreier-Sims (see StabilizerChain for why it is
-certified with no separate verification pass); orbitals() reads the
-suborbits and every row of the pair table off the chain, whose base
-starts at point 0.
+Group order and orbitals both read one stabilizer chain per action,
+built on first use by incremental deterministic Schreier-Sims and kept as
+GroupAction.chain (see StabilizerChain for why it is certified with no
+separate verification pass); orbitals() reads the suborbits and every row
+of the pair table off the chain, whose base starts at point 0.
 """
 
 from __future__ import annotations
@@ -192,6 +192,11 @@ class GroupAction:
             if sorted(g) != list(range(self.degree)):
                 raise ValueError("generator is not a permutation")
 
+    @cached_property
+    def chain(self) -> "StabilizerChain":
+        """The stabilizer chain of the generated group, built once."""
+        return StabilizerChain(self)
+
 
 def orbit(action: GroupAction, point: int) -> set[int]:
     """Closure of {point} under the generators (breadth-first)."""
@@ -363,7 +368,7 @@ class StabilizerChain:
 
 def group_order(action: GroupAction) -> int:
     """Exact order of the generated group."""
-    return StabilizerChain(action).order()
+    return action.chain.order()
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +422,7 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
     as the level-0 transversal element t_x maps (0, z) to (x, t_x[z]), row
     x is pair_ids[x, t_x[z]] = suborbit of z.
     """
-    chain = StabilizerChain(action)
+    chain = action.chain
     top = chain.levels[0]
     n = action.degree
     if len(top.orbit) != n:
@@ -505,26 +510,20 @@ def collapsed_matrix(
     return tuple(map(tuple, counts[first].tolist()))
 
 
-def _orbital_collapsed_rows(decomp: OrbitalDecomposition) -> list[list[list[int]]]:
-    """B_k[i][j] for every orbital k, from one representative per suborbit.
+def _orbital_collapsed_rows(decomp: OrbitalDecomposition) -> np.ndarray:
+    """B_k[i][j] for every orbital k, as one rank x rank x rank array, from
+    one representative per suborbit.
 
     Constancy over each suborbit is guaranteed by invariance of orbitals, so
     representatives suffice here (the public collapsed_matrix re-verifies).
     """
-    n = decomp.action.degree
-    ids = decomp.pair_ids
-    sub = decomp.suborbit_of_vertex
-    rank = decomp.rank
-    reps: list[int | None] = [None] * rank
-    for v in range(n):
-        if reps[sub[v]] is None:
-            reps[sub[v]] = v
-    b = [[[0] * rank for _ in range(rank)] for _ in range(rank)]
-    for i, v in enumerate(reps):
-        row = v * n
-        for w in range(n):
-            b[ids[row + w]][i][sub[w]] += 1
-    return b
+    n, rank = decomp.action.degree, decomp.rank
+    rows = np.frombuffer(decomp.pair_ids, dtype=np.intc).reshape(n, n)
+    sub = rows[decomp.base]
+    # the least vertex of each suborbit is its representative
+    reps = np.unique(sub, return_index=True)[1]
+    cells = (rows[reps] * rank + np.arange(rank)[:, None]) * rank + sub
+    return np.bincount(cells.ravel(), minlength=rank**3).reshape(rank, rank, rank)
 
 
 def _quotient_intersection_array(
@@ -605,25 +604,24 @@ def scan_orbital_unions(decomp: OrbitalDecomposition) -> list[ScanResult]:
         unit = frozenset({k, decomp.pairing[k]})
         seen |= unit
         units.append(unit)
-    b_orbit = _orbital_collapsed_rows(decomp)
-    rank = decomp.rank
+    # chosen[m, k]: orbital k is in the union of mask m + 1, whose bit i
+    # selects units[i]; one product then gives every union's quotient
+    bits = (np.arange(1, 2 ** len(units))[:, None] >> np.arange(len(units))) & 1
+    members = np.zeros((len(units), decomp.rank), dtype=np.int64)
+    for i, unit in enumerate(units):
+        members[i, list(unit)] = 1
+    chosen = bits @ members
+    b_unions = np.tensordot(chosen, _orbital_collapsed_rows(decomp), axes=1)
     results = []
-    for mask in range(1, 2 ** len(units)):
-        chosen: frozenset[int] = frozenset()
-        for i, unit in enumerate(units):
-            if mask >> i & 1:
-                chosen |= unit
-        b_union = [
-            [sum(b_orbit[k][i][j] for k in chosen) for j in range(rank)]
-            for i in range(rank)
-        ]
+    for orbitals_in, b_union in zip(chosen, b_unions.tolist()):
         arr = _quotient_intersection_array(b_union, decomp.diagonal_id)
         if isinstance(arr, IntersectionArray):
+            ids = np.flatnonzero(orbitals_in).tolist()
             results.append(
                 ScanResult(
-                    orbital_ids=chosen,
+                    orbital_ids=frozenset(ids),
                     suborbit_sizes=tuple(
-                        sorted(decomp.suborbit_sizes[k] for k in chosen)
+                        sorted(decomp.suborbit_sizes[k] for k in ids)
                     ),
                     array=arr,
                 )

@@ -6,7 +6,15 @@ or recompute by a second route what the library computes.
 import re
 from collections import deque
 
+from golay486.gf3 import DimensionError
 from golay486.graph import Graph
+
+
+def vec_add(u, v):
+    """Entrywise sum of two GF(3) vectors of equal length."""
+    if len(u) != len(v):
+        raise DimensionError(f"length mismatch: {len(u)} vs {len(v)}")
+    return tuple((a + b) % 3 for a, b in zip(u, v))
 
 
 def complete_graph(n):

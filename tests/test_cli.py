@@ -239,6 +239,42 @@ def test_verify_reports_an_exhausted_isomorphism_budget(tmp_path, capsys, monkey
     }
 
 
+def test_verify_reports_a_failed_data_check(tmp_path, capsys, monkeypatch):
+    # a leader table that repeats one leader fails classify_types' guard
+    leaders = list(constructions.golay_coset_reps())
+    leaders[7] = leaders[3]
+    monkeypatch.setattr(constructions, "golay_coset_reps", lambda: tuple(leaders))
+    calls = Counter()
+    real = constructions.classify_types
+
+    def counted():
+        calls["classify_types"] += 1
+        return real()
+
+    monkeypatch.setattr(constructions, "classify_types", counted)
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--json", str(out_path))
+    assert code == 1
+    assert "Traceback" not in err
+    assert "first failing claim: flats.count" in err
+    needs_family = {
+        "flats.count", "flats.types", "flats.macwilliams",
+        "iso.sigma_orbital_coordinate", "iso.sigma_coordinate_affine",
+        "experiment.incidence_degrees",
+    }
+    entries = json.loads(out_path.read_text())["entries"]
+    assert tuple(e["claim_id"] for e in entries) == VERIFY_IDS
+    for e in entries:
+        if e["claim_id"] in needs_family:
+            assert e["verdict"] == "FAIL"
+            assert e["observed"].startswith("unavailable: functional (")
+            assert e["observed"].endswith("does not vanish on 81 distinct Golay cosets")
+        else:
+            assert e["verdict"] == "PASS", e["claim_id"]
+    # the failed build is kept: every claim that needs it sees the same error
+    assert calls["classify_types"] == 1
+
+
 def test_each_run_builds_its_artifacts_once(tmp_path, capsys, monkeypatch):
     calls = Counter()
 

@@ -29,6 +29,7 @@ from golay486.graph import (
     srg_parameters,
     verify_bijection,
 )
+from oracles import vec_add
 
 
 def test_gamma_parameters(gamma):
@@ -79,6 +80,22 @@ def test_golay_coset_tallies_take_three_values(golay):
     assert all(len(set(w)) == 1 for w in weights_by_tally.values())
 
 
+def test_coset_tallies_broadcast_equals_one_shifted_span_each(golay):
+    leaders = golay_coset_reps()
+    table = constructions._coset_tallies(golay, np.array(leaders))
+    assert table.shape == (243, 12)
+    assert table.tolist() == [
+        list(gf3.subspace_weight_counts(golay.generator, shift=v)) for v in leaders
+    ]
+    # any code and any shifts, not only the Golay cosets
+    rng = random.Random(31)
+    shortened = codes.shorten(golay, 0)
+    shifts = [tuple(rng.randrange(3) for _ in range(10)) for _ in range(20)]
+    assert constructions._coset_tallies(shortened, np.array(shifts)).tolist() == [
+        list(gf3.subspace_weight_counts(shortened.generator, shift=v)) for v in shifts
+    ]
+
+
 def test_classify_types_rejects_a_repeated_leader(monkeypatch):
     leaders = list(golay_coset_reps())
     leaders[7] = leaders[3]
@@ -104,7 +121,7 @@ def test_type_tally_is_basis_independent(family):
         basis = list(family.bases[index])
         rng.shuffle(basis)
         mixed = [basis[0]] + [
-            gf3.vec_add(row, basis[i - 1]) for i, row in enumerate(basis) if i
+            vec_add(row, basis[i - 1]) for i, row in enumerate(basis) if i
         ]
         tally = gf3.subspace_weight_counts(gf3.row_space_basis(gf3.matrix(mixed)))
         assert tally == gf3.subspace_weight_counts(family.bases[index])

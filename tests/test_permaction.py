@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golay486 import permaction
 from golay486.constructions import _bundled_generators_text
 from golay486.graph import Graph, GraphStructureError, is_distance_regular
 from golay486.permaction import (
@@ -299,6 +300,31 @@ def test_sifted_count_repeats(bundled_action):
     again = StabilizerChain(bundled_action)
     assert first.sifted == again.sifted > 0
     assert first.base() == again.base()
+
+
+def test_group_order_and_orbitals_share_one_chain(relabelled_action, monkeypatch):
+    built = []
+    real = permaction.StabilizerChain
+
+    def counting(action):
+        built.append(action)
+        return real(action)
+
+    monkeypatch.setattr(permaction, "StabilizerChain", counting)
+    action = parse_generator_file(_bundled_generators_text(), degree=486)
+    assert group_order(action) == 349920
+    assert orbitals(action).rank == 9
+    assert len(built) == 1 and built[0] is action
+    # no cache keyed by value: an equal but distinct action builds its own
+    twin = GroupAction(action.degree, action.generators)
+    assert twin == action and twin is not action
+    assert orbitals(twin).rank == 9
+    assert group_order(twin) == 349920
+    assert len(built) == 2 and built[1] is twin
+    relabelled = GroupAction(relabelled_action.degree, relabelled_action.generators)
+    assert group_order(relabelled) == 349920
+    assert orbitals(relabelled).rank == 9
+    assert len(built) == 3 and built[2] is relabelled
 
 
 def test_format_parse_round_trip():
