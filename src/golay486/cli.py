@@ -7,7 +7,7 @@ same path.
 
 Exit codes follow a CI-friendly contract: 0 when every evaluated claim
 passes, 1 when a claim fails, 2 when the environment is unusable (missing
-or corrupt generator data, unwritable output).
+or corrupt generator data, unwritable output, memory exhausted).
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import codes, constructions, gf3, permaction
 from .constructions import BlocksReport, FlatFamily, LabeledModel
@@ -66,14 +68,21 @@ class VerificationReport:
         return json.dumps(asdict(self), indent=2)
 
 
+def _artifact(build):
+    """A `Run` property whose value is build(run), made once through `Run._once`."""
+    return property(lambda run: run._once(build.__name__, lambda: build(run)))
+
+
 class Run:
     """The artifacts of one action, for any command: the claims of a verify
     run, or the graph that export and diagram write.
 
     Each is built on first use and at most once, the same way for the
-    bundled action and a --gens action.  A build that raises ValueError
-    (GraphStructureError among them) is not retried: every caller that
-    needs it gets the same error.
+    bundled action and a --gens action.  The Golay code (`golay`) and its
+    coset leaders (`leaders`, one row per coset vertex) are artifacts too:
+    every builder and claim that needs them reads them here.  A build that
+    raises ValueError (GraphStructureError among them) is not retried:
+    every caller that needs it gets the same error.
     """
 
     def __init__(self, action: GroupAction):
@@ -91,36 +100,41 @@ class Run:
             raise value
         return value
 
-    @property
+    @_artifact
+    def golay(self) -> codes.LinearCode:
+        return codes.golay_code()
+
+    @_artifact
+    def leaders(self) -> np.ndarray:
+        return codes.syndrome_table(self.golay)
+
+    @_artifact
     def gamma(self) -> Graph:
-        return self._once("gamma", lambda: codes.coset_graph(codes.golay_code()))
+        return codes.coset_graph(self.golay)
 
-    @property
+    @_artifact
     def family(self) -> FlatFamily:
-        return self._once("family", constructions.classify_types)
+        return constructions.classify_types(self.golay, self.leaders)
 
-    @property
+    @_artifact
     def sigma_coordinate(self) -> Graph:
-        return self._once(
-            "sigma_coordinate",
-            lambda: constructions.build_sigma_coordinate(self.family),
-        )
+        return constructions.build_sigma_coordinate(self.family, self.leaders)
 
-    @property
+    @_artifact
     def lambda_coordinate(self) -> Graph:
-        return self._once("lambda_coordinate", constructions.build_lambda_coordinate)
+        return constructions.build_lambda_coordinate(self.golay)
 
-    @property
+    @_artifact
     def decomp(self) -> OrbitalDecomposition:
-        return self._once("decomp", lambda: permaction.orbitals(self.action))
+        return permaction.orbitals(self.action)
 
-    @property
+    @_artifact
     def scan(self) -> list[permaction.ScanResult]:
-        return self._once("scan", lambda: permaction.scan_orbital_unions(self.decomp))
+        return permaction.scan_orbital_unions(self.decomp)
 
-    @property
+    @_artifact
     def half(self) -> tuple[int, ...]:
-        return self._once("half", lambda: constructions.compute_coset_half(self.decomp))
+        return constructions.compute_coset_half(self.decomp)
 
     def model(self, which: str) -> LabeledModel | Graph:
         return self._once(
@@ -140,13 +154,10 @@ class Run:
             ("array", which), lambda: is_distance_regular(self.graph(which))
         )
 
-    @property
+    @_artifact
     def blocks(self) -> BlocksReport:
-        return self._once(
-            "blocks",
-            lambda: constructions.blocks_report(
-                self.model("delta"), self.model("gamma_half")
-            ),
+        return constructions.blocks_report(
+            self.model("delta"), self.model("gamma_half")
         )
 
 
@@ -227,21 +238,23 @@ def _transitive(run) -> tuple[str, bool]:
 
 
 def _code_parameters(run) -> str:
-    golay = codes.golay_code()
+    golay = run.golay
     dist = codes.minimum_distance(golay)
     return f"[{golay.length},{golay.dimension}] with minimum distance {dist}"
 
 
 def _code_perfect(run) -> tuple[str, bool]:
-    perfect = codes.is_perfect(codes.golay_code(), 2)
-    return f"sphere size {1 + 22 + 220}, perfect={perfect}", perfect
+    spheres = codes.sphere_size(run.golay.length, 2)
+    perfect = codes.is_perfect(run.golay, 2)
+    return f"sphere size {spheres}, perfect={perfect}", perfect
 
 
 def _functional_counts(run) -> str:
-    golay = codes.golay_code()
-    duals = gf3.null_space(golay.generator, width=11)
-    classes = len(gf3.projective_points(duals, length=11))
-    kept = len(gf3.hyperplane_functionals(golay.generator, gf3.unit_vector(11, 0)))
+    golay = run.golay
+    n = golay.length
+    duals = gf3.null_space(golay.generator, width=n)
+    classes = len(gf3.projective_points(duals, length=n))
+    kept = len(gf3.hyperplane_functionals(golay.generator, gf3.unit_vector(n, 0)))
     return f"{classes} classes, {classes - kept} excluded, {kept} kept"
 
 
@@ -269,7 +282,7 @@ def _macwilliams(run) -> str:
 
 
 def _coset_shapes(run) -> tuple[int, ...]:
-    shapes = codes.classify_cosets(codes.golay_code())
+    shapes = codes.classify_cosets(run.golay, run.leaders)
     return tuple(shapes[s] for s in ("0", "+-e0", "+-ei", "+-e0+-ei", "+-ei+-ej"))
 
 
@@ -290,7 +303,7 @@ def _halved_delta(run) -> tuple[str, bool]:
 
 
 def _incidence_degrees(run) -> tuple[str, bool]:
-    report = constructions.experiment_flat_incidence(run.family)
+    report = constructions.experiment_flat_incidence(run.family, run.leaders)
     return (
         f"cosets {dict(report.coset_degree_counts)}; "
         f"flats {dict(report.flat_degree_counts)}; regular={report.regular}",
@@ -491,7 +504,7 @@ CLAIMS = (
         "iso.lambda_coordinate_shortened",
         "weight-1 coset graph vs coset graph of the shortened Golay code",
         lambda run: run.lambda_coordinate,
-        lambda run: codes.coset_graph(codes.shorten(codes.golay_code(), 0)),
+        lambda run: codes.coset_graph(codes.shorten(run.golay, 0)),
     ),
     Claim(
         "experiment.incidence_degrees",
@@ -623,7 +636,8 @@ def _cmd_code(args) -> int:
             if count:
                 print(f"{w} {count}")
     else:  # cosets
-        for shape, count in codes.classify_cosets(golay).items():
+        shapes = codes.classify_cosets(golay, codes.syndrome_table(golay))
+        for shape, count in shapes.items():
             print(f"{shape} {count}")
     return 0
 
@@ -744,6 +758,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
         return 2
 
 

@@ -1,10 +1,12 @@
 """Ternary linear codes: the Golay code, weight tallies, derived codes,
-syndrome decoding with canonical coset representatives, and coset graphs.
+the table of coset leaders, and coset graphs.
 
 A code is stored by its canonical (RREF) generator matrix, so structurally
-equal codes compare equal.  Cosets are keyed by syndrome under a fixed
-parity-check matrix derived from that generator, which pins the vertex
-order of every coset graph across runs.
+equal codes compare equal.  Cosets are numbered by syndrome under a fixed
+parity-check matrix derived from that generator (`syndrome_index`), which
+pins the row order of the leader table and the vertex order of every coset
+graph across runs.  Nothing here is cached: `golay486.cli.Run` builds the
+Golay code and its leader table once per run and passes them on.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -63,7 +64,6 @@ def linear_code(rows: Iterable[Iterable[int]], length: int | None = None) -> Lin
     return LinearCode(length=len(m[0]), dimension=len(basis), generator=basis)
 
 
-@lru_cache(maxsize=1)
 def golay_code() -> LinearCode:
     """The [11,6,5] ternary Golay code, spanned by the 11 cyclic shifts of
     the sign pattern -+-+++---+- (with '-' mapped to 2)."""
@@ -78,14 +78,23 @@ def golay_sign_row() -> Vector:
     return tuple(1 if ch == "+" else 2 for ch in GOLAY_SIGNS)
 
 
-@lru_cache(maxsize=None)
 def parity_check_matrix(code: LinearCode) -> Matrix:
     """Canonical basis of the dual; syndromes are taken against this matrix."""
     return gf3.null_space(code.generator, width=code.length)
 
 
-def syndrome(code: LinearCode, v: Vector) -> Vector:
-    return tuple(gf3.dot(h, v) for h in parity_check_matrix(code))
+def syndrome_index(code: LinearCode, words) -> np.ndarray:
+    """The coset number of each word in `words`, a word being a row along
+    the last axis.
+
+    It is the base-3 number whose digits are the word's syndrome against
+    parity_check_matrix(code), the first parity-check row most significant.
+    This is the one encoding of cosets: the leader table's rows and the
+    coset graph's vertices are in its order.
+    """
+    check = np.array(parity_check_matrix(code), dtype=np.int64).reshape(-1, code.length)
+    places = 3 ** np.arange(len(check) - 1, -1, -1)
+    return (np.asarray(words, dtype=np.int64) @ check.T) % 3 @ places
 
 
 def weight_distribution(code: LinearCode) -> tuple[int, ...]:
@@ -127,11 +136,14 @@ def minimum_distance(code: LinearCode) -> int:
     return next(w for w in range(1, code.length + 1) if wd[w])
 
 
+def sphere_size(length: int, radius: int) -> int:
+    """Words within Hamming distance `radius` of a word: sum_{i<=e} C(n,i) 2^i."""
+    return sum(math.comb(length, i) * 2**i for i in range(radius + 1))
+
+
 def is_perfect(code: LinearCode, radius: int) -> bool:
-    """Sphere-packing equality: sum_{i<=e} C(n,i) 2^i == 3^(n-k)."""
-    n, k = code.length, code.dimension
-    spheres = sum(math.comb(n, i) * 2**i for i in range(radius + 1))
-    return spheres == 3 ** (n - k)
+    """Sphere-packing equality: the sphere size equals 3^(n-k)."""
+    return sphere_size(code.length, radius) == 3 ** (code.length - code.dimension)
 
 
 def shorten(code: LinearCode, position: int) -> LinearCode:
@@ -161,80 +173,65 @@ def truncate(code: LinearCode, position: int) -> LinearCode:
     return linear_code(punctured, length=n - 1)
 
 
-def _vectors_by_weight(n: int, w: int) -> Iterable[Vector]:
-    """All weight-w vectors of length n, lexicographic within the weight class."""
-    vectors = []
-    for support in itertools.combinations(range(n), w):
-        for values in itertools.product((1, 2), repeat=w):
-            v = [0] * n
-            for i, a in zip(support, values):
-                v[i] = a
-            vectors.append(tuple(v))
-    return sorted(vectors)
+def syndrome_table(code: LinearCode) -> np.ndarray:
+    """The coset leaders, one uint8 row per coset, in syndrome_index order.
 
-
-@lru_cache(maxsize=None)
-def syndrome_table(code: LinearCode) -> dict[Vector, Vector]:
-    """syndrome -> minimum-weight coset representative (lex tie-break).
-
-    Built by scanning vectors in increasing weight, so for a perfect code of
-    minimum distance 2e+1 it stops after the weight-e shell.
+    Row i is the minimum-weight word of coset i, lexicographically first
+    among those.  Words are scanned one weight shell at a time, so for a
+    perfect code of minimum distance 2e+1 the scan stops after shell e.
     """
     n, k = code.length, code.dimension
-    total = 3 ** (n - k)
     if n - k > DEFAULT_COSET_BOUND:
         raise ResourceLimitError(f"3^{n - k} cosets exceed the configured bound")
-    table: dict[Vector, Vector] = {}
+    table = np.zeros((3 ** (n - k), n), dtype=np.uint8)
+    filled = np.zeros(len(table), dtype=bool)
     for w in range(n + 1):
-        for v in _vectors_by_weight(n, w):
-            s = syndrome(code, v)
-            if s not in table:
-                table[s] = v
-                if len(table) == total:
-                    return table
+        # every weight-w word: each support with each pattern of nonzero values
+        supports = np.array(list(itertools.combinations(range(n), w)), dtype=np.intp)
+        values = np.array(list(itertools.product((1, 2), repeat=w)), dtype=np.uint8)
+        shell = np.zeros((len(supports) * len(values), n), dtype=np.uint8)
+        rows = np.arange(len(shell))[:, None]
+        shell[rows, np.repeat(supports, len(values), axis=0)] = np.tile(
+            values, (len(supports), 1)
+        )
+        shell = shell[np.lexsort(shell.T[::-1])]
+        index, first = np.unique(syndrome_index(code, shell), return_index=True)
+        new = ~filled[index]
+        table[index[new]] = shell[first[new]]
+        filled[index[new]] = True
+        if filled.all():
+            break
     return table
 
 
 _COSET_SHAPES = ("0", "+-e0", "+-ei", "+-e0+-ei", "+-ei+-ej")
 
 
-def coset_shape(rep: Vector) -> str:
-    """Shape of a weight<=2 canonical representative of a Golay coset."""
-    support = [i for i, x in enumerate(rep) if x]
-    if not support:
-        return "0"
-    if len(support) == 1:
-        return "+-e0" if support[0] == 0 else "+-ei"
-    if len(support) == 2:
-        return "+-e0+-ei" if support[0] == 0 else "+-ei+-ej"
-    raise ValueError(f"representative of weight {len(support)} has no shape")
-
-
-def classify_cosets(code: LinearCode) -> dict[str, int]:
-    """Partition the 243 Golay coset representatives into the five shapes.
+def classify_cosets(code: LinearCode, leaders: np.ndarray) -> dict[str, int]:
+    """Partition the 243 Golay coset leaders (syndrome_table) into five shapes.
 
     Counts come out as 1, 2, 20, 40, 180 for 0, +-e0, +-ei (i!=0),
     +-e0+-ei and +-ei+-ej (0<i<j) respectively.
     """
     if code != golay_code():
         raise UnsupportedCodeError("coset shapes are defined for the Golay code")
-    counts = {shape: 0 for shape in _COSET_SHAPES}
-    for rep in syndrome_table(code).values():
-        counts[coset_shape(rep)] += 1
-    return counts
+    weights = np.count_nonzero(leaders, axis=1)
+    if weights.max() > 2:
+        raise ValueError(f"a leader of weight {weights.max()} has no shape")
+    # weight 1 or 2 splits by whether coordinate 0 is in the support
+    shapes = 2 * weights - (leaders[:, 0] != 0)
+    return dict(zip(_COSET_SHAPES, np.bincount(shapes, minlength=5).tolist()))
 
 
 def coset_graph(code: LinearCode, positions: Iterable[int] | None = None) -> Graph:
     """Graph on the cosets, adjacent when representatives differ in one place.
 
-    Vertices are the 3^(n-k) syndromes in lexicographic order, so vertex i
-    has the base-3 digits of i as its syndrome.  Adjacency is
-    translation-invariant: cosets of u and v are adjacent iff u-v's coset
-    contains a weight-1 vector, so the edge set is generated by the distinct
-    nonzero syndromes of the 2n weight-1 vectors.  Each such offset joins
-    every vertex to the one whose digits are its own plus the offset's,
-    mod 3: one index vector per offset.  `positions` restricts those
-    vectors to the given coordinates (default: all of them).
+    Vertex i is the coset of syndrome_index i, so vertex i has the base-3
+    digits of i as its syndrome.  Adjacency is translation-invariant: cosets
+    of u and v are adjacent iff u-v's coset contains a weight-1 vector.  So
+    one word of each coset is shifted by each weight-1 vector, and
+    syndrome_index names both ends of every edge at once.  `positions`
+    restricts those vectors to the given coordinates (default: all of them).
     """
     n, k = code.length, code.dimension
     if n - k > DEFAULT_COSET_BOUND:
@@ -242,16 +239,17 @@ def coset_graph(code: LinearCode, positions: Iterable[int] | None = None) -> Gra
             f"3^{n - k} coset vertices exceed the bound 3^{DEFAULT_COSET_BOUND}"
         )
     width = n - k
-    offsets = set()
-    for i in range(n) if positions is None else positions:
-        for a in (1, 2):
-            s = syndrome(code, gf3.unit_vector(n, i, a))
-            if any(s):
-                offsets.add(s)
-    places = 3 ** np.arange(width - 1, -1, -1)
-    vertices = np.arange(3**width)
-    digits = vertices[:, None] // places % 3
+    # a word that is zero off the pivot columns of the reduced parity check
+    # has its pivot entries as its syndrome, so these words meet every coset
+    pivots = gf3.rref(parity_check_matrix(code))[2]
+    lifts = gf3._span(tuple(gf3.unit_vector(n, p) for p in pivots), length=n)
+    units = [(0,) * n] + [
+        gf3.unit_vector(n, i, a)
+        for i in (range(n) if positions is None else positions)
+        for a in (1, 2)
+    ]
+    index = syndrome_index(code, lifts + np.array(units, dtype=np.uint8)[:, None])
     adjacency = np.zeros((3**width, 3**width), dtype=bool)
-    for t in offsets:
-        adjacency[vertices, (digits + t) % 3 @ places] = True
+    adjacency[index[0], index[1:]] = True
+    np.fill_diagonal(adjacency, False)  # a weight-1 codeword joins nothing
     return Graph.from_adjacency(adjacency)

@@ -9,8 +9,10 @@ graph) and the induced 243-vertex subgraph: each as an orbital model over
 the action and, where one exists, as a coordinate model.  The claims that
 tie the models together are declared once, in `golay486.cli.CLAIMS`.
 
-Everything here is a pure function of its arguments: nothing is cached, so
-a caller that needs an artifact twice builds it once and passes it on
+Everything here is a pure function of its arguments: nothing is cached.
+The Golay code and its coset leaders (`codes.syndrome_table`, row i the
+leader of the coset with syndrome index i, which is coset vertex i) are
+arguments too, so a caller builds each artifact once and passes it on
 (`golay486.cli.Run` does this for every subcommand).
 """
 
@@ -20,7 +22,6 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from importlib import resources
-from itertools import product
 
 import numpy as np
 
@@ -119,12 +120,6 @@ class IncidenceExperimentReport:
     regular: bool
 
 
-def golay_coset_reps() -> tuple[Vector, ...]:
-    """Canonical coset representatives in syndrome (vertex) order."""
-    table = codes.syndrome_table(codes.golay_code())
-    return tuple(table[s] for s in product((0, 1, 2), repeat=5))
-
-
 def _coset_tallies(code: codes.LinearCode, leaders: np.ndarray) -> np.ndarray:
     """Row i tallies the Hamming weights (0..n) over the coset leaders[i] + code.
 
@@ -139,7 +134,7 @@ def _coset_tallies(code: codes.LinearCode, leaders: np.ndarray) -> np.ndarray:
     return tallies.reshape(len(leaders), width)
 
 
-def classify_types() -> FlatFamily:
+def classify_types(golay: codes.LinearCode, leaders: np.ndarray) -> FlatFamily:
     """Classify the 81 ten-spaces by weight distribution.
 
     The kernel of each functional contains the Golay code, so it is the
@@ -147,21 +142,19 @@ def classify_types() -> FlatFamily:
     vanishes, and its tally is the sum of theirs: the 243 cosets are
     tallied once (3^5 x 3^6 vectors, see _coset_tallies), not 81 kernels
     of 3^10.  Each functional must keep 81 leaders with distinct
-    syndromes, so a wrong leader table fails here rather than mis-tallying.
+    syndromes, so a wrong leader table (`leaders`, from
+    codes.syndrome_table(golay)) fails here rather than mis-tallying.
 
     Both reference tallies must occur, with 45 Type I and 36 Type II
     subspaces and nothing else; an unmatched tally is a data error and is
     reported verbatim.
     """
-    golay = codes.golay_code()
-    e0 = gf3.unit_vector(11, 0)
+    e0 = gf3.unit_vector(golay.length, 0)
     functionals = gf3.hyperplane_functionals(golay.generator, e0)
     bases = gf3.intermediate_hyperplanes(golay.generator, e0)
-    lead = np.array(golay_coset_reps(), dtype=np.int64)
-    coset_tallies = _coset_tallies(golay, lead)
-    check = np.array(codes.parity_check_matrix(golay), dtype=np.int64)
-    syndromes = (lead @ check.T) % 3 @ 3 ** np.arange(len(check))
-    vanishes = (lead @ np.array(functionals, dtype=np.int64).T) % 3 == 0
+    coset_tallies = _coset_tallies(golay, leaders)
+    syndromes = codes.syndrome_index(golay, leaders)
+    vanishes = (leaders @ np.array(functionals, dtype=np.int64).T) % 3 == 0
     types = []
     for phi, inside in zip(functionals, vanishes.T):
         if np.count_nonzero(inside) != 81 or len(np.unique(syndromes[inside])) != 81:
@@ -187,9 +180,9 @@ def classify_types() -> FlatFamily:
 
 
 def _flat_incidence(
-    points: Sequence[Vector], functionals: Sequence[Vector], chosen: Iterable[int]
+    points: np.ndarray, functionals: Sequence[Vector], chosen: Iterable[int]
 ) -> Graph:
-    """Bipartite graph on the points, then the flats of the functionals.
+    """Bipartite graph on the points (rows), then the flats of the functionals.
 
     Flat 3f + c is {x : functionals[f](x) = c}, numbered after the points;
     each point is joined to its translate for each chosen f.
@@ -197,23 +190,23 @@ def _flat_incidence(
     size = len(points)
     chosen = np.array(chosen, dtype=np.int64)
     phi = np.array(functionals, dtype=np.int64)[chosen]
-    flats = size + 3 * chosen + (np.array(points, dtype=np.int64) @ phi.T) % 3
+    flats = size + 3 * chosen + (points @ phi.T) % 3
     a = np.zeros((size + 3 * len(functionals),) * 2, dtype=bool)
     a[np.arange(size)[:, None], flats] = True
     a[size:, :size] = a[:size, size:].T
     return Graph.from_adjacency(a)
 
 
-def build_sigma_coordinate(family: FlatFamily) -> Graph:
+def build_sigma_coordinate(family: FlatFamily, leaders: np.ndarray) -> Graph:
     """Incidence graph of all 243 cosets versus all 243 flats.
 
-    The cosets are vertices 0..242, in syndrome order, and flat
+    The cosets are vertices 0..242, coset i holding leaders[i], and flat
     {x : family.functionals[f](x) = c} is vertex 243 + 3f + c.
     Distance-regular with array {81,80,54,1; 1,27,80,81}, bipartite and
     antipodal: the flat-side antipodal classes are the translate triples.
     """
     functionals = family.functionals
-    return _flat_incidence(golay_coset_reps(), functionals, range(len(functionals)))
+    return _flat_incidence(leaders, functionals, range(len(functionals)))
 
 
 def build_std_ag(n: int) -> Graph:
@@ -231,8 +224,7 @@ def build_std_ag(n: int) -> Graph:
     functionals = tuple(
         phi for phi in gf3.projective_points(full, length=n) if gf3.dot(phi, e0)
     )
-    points = list(product((0, 1, 2), repeat=n))
-    return _flat_incidence(points, functionals, range(len(functionals)))
+    return _flat_incidence(gf3._span(full), functionals, range(len(functionals)))
 
 
 def _bundled_generators_text() -> str:
@@ -350,13 +342,15 @@ def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:
     )
 
 
-def build_lambda_coordinate() -> Graph:
+def build_lambda_coordinate(golay: codes.LinearCode) -> Graph:
     """Graph on the 243 cosets joining those differing by a weight-1 coset
     away from coordinate 0; distance-regular {20,18,4,1; 1,2,18,20}."""
-    return codes.coset_graph(codes.golay_code(), positions=range(1, 11))
+    return codes.coset_graph(golay, positions=range(1, golay.length))
 
 
-def experiment_flat_incidence(family: FlatFamily) -> IncidenceExperimentReport:
+def experiment_flat_incidence(
+    family: FlatFamily, leaders: np.ndarray
+) -> IncidenceExperimentReport:
     """Build the literal translate-incidence graph and report its degrees.
 
     Under the literal reading, every coset meets one translate of each
@@ -365,7 +359,7 @@ def experiment_flat_incidence(family: FlatFamily) -> IncidenceExperimentReport:
     that split and deliberately asserts nothing more.
     """
     chosen = family.type_indices("I")
-    graph = _flat_incidence(golay_coset_reps(), family.functionals, chosen)
+    graph = _flat_incidence(leaders, family.functionals, chosen)
     degrees = graph.adjacency_matrix.sum(axis=1)
 
     def counts(part):

@@ -5,9 +5,10 @@ row vectors.  Tuples keep everything hashable (cosets, functionals and
 subspaces are used as dict keys throughout), and all arithmetic is exact.
 The one bulk operation, listing all 3^k elements of a subspace or of one
 of its cosets, is one numpy routine, `_span` (one byte per field
-element).  It serves the weight tally, `enumerate_subspace` and the flat
-classification, which lists the Golay code once and broadcasts it against
-all 243 coset leaders; everything else is plain Python.
+element).  It serves the weight tally, `enumerate_subspace`, the points
+of AG(n,3), the words a coset graph shifts, and the flat classification,
+which lists the Golay code once and broadcasts it against all 243 coset
+leaders; everything else is plain Python.
 """
 
 from __future__ import annotations

@@ -16,8 +16,13 @@ def gamma(golay):
 
 
 @pytest.fixture(scope="session")
-def family():
-    return constructions.classify_types()
+def leaders(golay):
+    return codes.syndrome_table(golay)
+
+
+@pytest.fixture(scope="session")
+def family(golay, leaders):
+    return constructions.classify_types(golay, leaders)
 
 
 @pytest.fixture(scope="session")

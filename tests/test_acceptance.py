@@ -79,8 +79,8 @@ def test_criterion_04_type_classification(family):
     report(4, "45 Type I + 36 Type II subspaces, tallies exact, no third class")
 
 
-def test_criterion_05_coset_shapes(golay):
-    shapes = codes.classify_cosets(golay)
+def test_criterion_05_coset_shapes(golay, leaders):
+    shapes = codes.classify_cosets(golay, leaders)
     assert tuple(shapes[s] for s in ("0", "+-e0", "+-ei", "+-e0+-ei", "+-ei+-ej")) == (
         1, 2, 20, 40, 180,
     )
@@ -161,9 +161,9 @@ def test_criterion_09_internal_structure(orbital_models):
     report(9, "coset-half SRG, halved-graph complement equality, 243 blocks are 45-cocliques")
 
 
-def test_criterion_10_isomorphism_claims(orbital_models, family):
-    sigma = constructions.build_sigma_coordinate(family)
-    lam = constructions.build_lambda_coordinate()
+def test_criterion_10_isomorphism_claims(orbital_models, golay, leaders, family):
+    sigma = constructions.build_sigma_coordinate(family, leaders)
+    lam = constructions.build_lambda_coordinate(golay)
     pairs = [
         ("orbital sigma vs coordinate sigma", orbital_models["sigma"].graph, sigma),
         ("coordinate sigma vs AG(5,3) STD graph", sigma, constructions.build_std_ag(5)),
@@ -171,7 +171,7 @@ def test_criterion_10_isomorphism_claims(orbital_models, family):
         (
             "coordinate lambda vs shortened-code coset graph",
             lam,
-            codes.coset_graph(codes.shorten(codes.golay_code(), 0)),
+            codes.coset_graph(codes.shorten(golay, 0)),
         ),
     ]
     for name, g1, g2 in pairs:
@@ -235,8 +235,8 @@ def test_criterion_11_property_suites(decomp, orbital_models):
     report(11, "oracle agreement on small graphs; orbital and collapsed-matrix identities")
 
 
-def test_criterion_12_documented_negative_result(family):
-    result = constructions.experiment_flat_incidence(family)
+def test_criterion_12_documented_negative_result(family, leaders):
+    result = constructions.experiment_flat_incidence(family, leaders)
     assert result.flat_degree_counts == ((0, 108), (81, 135))
     assert result.coset_degree_counts == ((45, 243),)
     assert not result.regular

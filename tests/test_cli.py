@@ -3,12 +3,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from golay486 import cli, constructions, permaction
+from golay486 import cli, codes, constructions, permaction
 from golay486.graph import graph6_decode
 from oracles import check_dot, compose, inverse
 
@@ -155,7 +156,7 @@ def test_macwilliams_claim_checks_the_enumerated_types(family):
 
 
 def test_verify_skip_does_not_evaluate(full_run, tmp_path, capsys, monkeypatch):
-    def unavailable():
+    def unavailable(*args):
         raise AssertionError("a skipped claim was evaluated")
 
     monkeypatch.setattr(constructions, "classify_types", unavailable)
@@ -240,16 +241,24 @@ def test_verify_reports_an_exhausted_isomorphism_budget(tmp_path, capsys, monkey
 
 
 def test_verify_reports_a_failed_data_check(tmp_path, capsys, monkeypatch):
-    # a leader table that repeats one leader fails classify_types' guard
-    leaders = list(constructions.golay_coset_reps())
-    leaders[7] = leaders[3]
-    monkeypatch.setattr(constructions, "golay_coset_reps", lambda: tuple(leaders))
+    # a leader table that repeats one leader fails classify_types' guard.
+    # Row 6 (2 e3) becomes row 3 (e3): the coset shape counts stay the same,
+    # so only the claims that need the flat family fail.
+    real_table = codes.syndrome_table
+
+    def repeated(code):
+        table = real_table(code).copy()
+        assert table[6].tolist() == [2 * x for x in table[3].tolist()]
+        table[6] = table[3]
+        return table
+
+    monkeypatch.setattr(codes, "syndrome_table", repeated)
     calls = Counter()
     real = constructions.classify_types
 
-    def counted():
+    def counted(golay, leaders):
         calls["classify_types"] += 1
-        return real()
+        return real(golay, leaders)
 
     monkeypatch.setattr(constructions, "classify_types", counted)
     out_path = tmp_path / "report.json"
@@ -273,6 +282,47 @@ def test_verify_reports_a_failed_data_check(tmp_path, capsys, monkeypatch):
             assert e["verdict"] == "PASS", e["claim_id"]
     # the failed build is kept: every claim that needs it sees the same error
     assert calls["classify_types"] == 1
+
+
+def test_code_perfect_reads_the_sphere_size_of_the_code():
+    (claim,) = [c for c in cli.CLAIMS if c.claim_id == "code.perfect"]
+    golay = codes.golay_code()
+    observed = claim.evaluate(SimpleNamespace(golay=golay))
+    assert observed == ("sphere size 243, perfect=True", True)
+    shortened = SimpleNamespace(golay=codes.shorten(golay, 0))
+    assert claim.evaluate(shortened) == ("sphere size 201, perfect=False", False)
+
+
+def test_verify_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(code):
+        raise MemoryError
+
+    monkeypatch.setattr(codes, "syndrome_table", exhausted)
+    code, out, err = run(capsys, "verify")
+    assert code == 2
+    assert "Traceback" not in err
+    assert err == "out of memory\n" and out == ""
+
+
+def test_verify_builds_the_golay_artifacts_once(monkeypatch):
+    tables = Counter()
+    callers = Counter()
+    real_table, real_code = codes.syndrome_table, codes.golay_code
+
+    def table(code):
+        tables[code] += 1
+        return real_table(code)
+
+    def golay():
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real_code()
+
+    monkeypatch.setattr(codes, "syndrome_table", table)
+    monkeypatch.setattr(codes, "golay_code", golay)
+    assert cli.run_verification().overall
+    assert tables == {real_code(): 1}
+    # Run.golay builds the code; classify_cosets compares its argument with it
+    assert callers == {"golay": 1, "classify_cosets": 1}
 
 
 def test_each_run_builds_its_artifacts_once(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from golay486 import codes, gf3
@@ -38,8 +39,20 @@ def codewords(code):
 
 
 def canonical_representative(code, v):
-    """The minimum-weight vector of v + code, read off the syndrome table."""
-    return codes.syndrome_table(code)[codes.syndrome(code, v)]
+    """The minimum-weight vector of v + code, read off the leader table."""
+    return tuple(codes.syndrome_table(code)[codes.syndrome_index(code, v)].tolist())
+
+
+def ladder_codes(golay):
+    """The Golay-family codes of the benchmark's size ladder."""
+    return {
+        "golay": golay,
+        "shortened": codes.shorten(golay, 0),
+        "truncated": codes.truncate(golay, 0),
+        "extended": codes.linear_code(
+            [row + ((-sum(row)) % 3,) for row in golay.generator]
+        ),
+    }
 
 
 def test_golay_first_row_and_shape(golay):
@@ -99,6 +112,7 @@ def test_macwilliams_transform(golay):
 def test_is_perfect(golay):
     assert codes.is_perfect(golay, 2)
     assert 1 + math.comb(11, 1) * 2 + math.comb(11, 2) * 4 == 243
+    assert codes.sphere_size(11, 2) == 243 and codes.sphere_size(10, 2) == 201
     assert codes.is_perfect(full_space_code(4), 0)
     assert not codes.is_perfect(codes.shorten(golay, 0), 2)
 
@@ -153,15 +167,17 @@ def test_canonical_representative_fixed_points(golay):
 
 
 def test_canonical_representative_against_brute_force(golay):
+    # the shortened code is not perfect, so its ties are broken lexicographically
     rng = random.Random(77)
-    words = list(codewords(golay))
-    for _ in range(10):
-        v = tuple(rng.randrange(3) for _ in range(11))
-        rep = canonical_representative(golay, v)
-        coset = [vec_add(v, w) for w in words]
-        best = min(coset, key=lambda u: (sum(1 for x in u if x), u))
-        assert rep == best
-        assert vec_add(rep, gf3.vec_scale(2, v)) in set(words)
+    for code in (golay, codes.shorten(golay, 0)):
+        words = list(codewords(code))
+        for _ in range(10):
+            v = tuple(rng.randrange(3) for _ in range(code.length))
+            rep = canonical_representative(code, v)
+            coset = [vec_add(v, w) for w in words]
+            best = min(coset, key=lambda u: (sum(1 for x in u if x), u))
+            assert rep == best
+            assert vec_add(rep, gf3.vec_scale(2, v)) in set(words)
 
 
 def test_canonical_representative_constant_on_cosets(golay):
@@ -175,8 +191,9 @@ def test_canonical_representative_constant_on_cosets(golay):
         ) == canonical_representative(golay, vec_add(v, w))
 
 
-def test_representatives_are_all_small_weight_vectors(golay):
-    reps = set(codes.syndrome_table(golay).values())
+def test_representatives_are_all_small_weight_vectors(leaders):
+    assert leaders.shape == (243, 11) and leaders.dtype == np.uint8
+    reps = set(map(tuple, leaders.tolist()))
     assert len(reps) == 243
     small = {(0,) * 11}
     for i in range(11):
@@ -191,8 +208,8 @@ def test_representatives_are_all_small_weight_vectors(golay):
     assert reps == small  # 1 + 22 + 220 vectors of weight <= 2
 
 
-def test_classify_cosets(golay):
-    shapes = codes.classify_cosets(golay)
+def test_classify_cosets(golay, leaders):
+    shapes = codes.classify_cosets(golay, leaders)
     assert shapes == {
         "0": 1,
         "+-e0": 2,
@@ -201,8 +218,50 @@ def test_classify_cosets(golay):
         "+-ei+-ej": 180,
     }
     assert sum(shapes.values()) == 243
+    full = full_space_code(3)
     with pytest.raises(codes.UnsupportedCodeError):
-        codes.classify_cosets(full_space_code(3))
+        codes.classify_cosets(full, codes.syndrome_table(full))
+
+
+def test_syndrome_index_reads_the_syndrome_as_base_3(golay):
+    check = codes.parity_check_matrix(golay)
+    rng = random.Random(5)
+    words = [tuple(rng.randrange(3) for _ in range(11)) for _ in range(30)]
+    # the syndrome's digits read in base 3, first parity-check row first
+    expected = [
+        int("".join(str(gf3.dot(h, w)) for h in check), 3) for w in words
+    ]
+    assert codes.syndrome_index(golay, words).tolist() == expected
+    assert codes.syndrome_index(golay, words[0]) == expected[0]
+    stacked = np.array(words, dtype=np.uint8).reshape(5, 6, 11)
+    assert codes.syndrome_index(golay, stacked).ravel().tolist() == expected
+
+
+# sha256 of the repr of each leader table as a tuple of tuples in syndrome
+# order, recorded from the syndrome -> leader dict that the table replaced.
+LEADER_DIGESTS = {
+    "golay": "a893ab297c059c4ed440861b36f565e39da4adeccc6e882f49ac6b24837d44ee",
+    "shortened": "dcafd74aa40af226c1fd507134ac9ba5d5aa2b2dc03b522991f00b494a5f22b9",
+    "truncated": "b2576754470d840cdcf7c91a204deb19259b6851e726a7b9ed6d365634e6078a",
+    "extended": "f93a2a9b13a207a31a4861104a58d259ebbd7f6edc3246538c8bf41f37231094",
+}
+
+
+def test_syndrome_table_rows_are_unchanged(golay):
+    for name, code in ladder_codes(golay).items():
+        table = codes.syndrome_table(code)
+        assert table.shape == (3 ** (code.length - code.dimension), code.length)
+        assert codes.syndrome_index(code, table).tolist() == list(range(len(table)))
+        digest = hashlib.sha256(repr(tuple(map(tuple, table.tolist()))).encode())
+        assert digest.hexdigest() == LEADER_DIGESTS[name], name
+
+
+def test_syndrome_table_of_degenerate_codes():
+    assert codes.syndrome_table(full_space_code(3)).tolist() == [[0, 0, 0]]
+    table = codes.syndrome_table(zero_code(2))  # every word is its own coset
+    assert sorted(map(tuple, table.tolist())) == sorted(product(range(3), repeat=2))
+    with pytest.raises(codes.ResourceLimitError):
+        codes.syndrome_table(zero_code(13))
 
 
 def test_coset_graph_of_zero_code_is_hamming_h23():
@@ -252,15 +311,7 @@ LADDER_DIGESTS = {
 
 
 def test_coset_graph_ladder_digests(golay):
-    family = {
-        "golay": golay,
-        "shortened": codes.shorten(golay, 0),
-        "truncated": codes.truncate(golay, 0),
-        "extended": codes.linear_code(
-            [row + ((-sum(row)) % 3,) for row in golay.generator]
-        ),
-    }
-    for name, code in family.items():
+    for name, code in ladder_codes(golay).items():
         assert _adjacency_digest(codes.coset_graph(code)) == LADDER_DIGESTS[name], name
 
 

@@ -16,7 +16,6 @@ from golay486.constructions import (
     build_std_ag,
     compute_coset_half,
     experiment_flat_incidence,
-    golay_coset_reps,
     orbital_model,
 )
 from golay486.permaction import orbitals
@@ -67,10 +66,10 @@ def test_classify_types_counts_and_tallies(family):
     assert TYPE_I_WEIGHTS[1] == 4 and TYPE_II_WEIGHTS[1] == 10
 
 
-def test_golay_coset_tallies_take_three_values(golay):
+def test_golay_coset_tallies_take_three_values(golay, leaders):
     # a perfect code: a coset's tally depends only on its leader's weight
     weights_by_tally = {}
-    for leader in golay_coset_reps():
+    for leader in map(tuple, leaders.tolist()):
         tally = gf3.subspace_weight_counts(golay.generator, shift=leader)
         weights_by_tally.setdefault(tally, []).append(sum(map(bool, leader)))
     assert len(weights_by_tally) == 3
@@ -80,12 +79,12 @@ def test_golay_coset_tallies_take_three_values(golay):
     assert all(len(set(w)) == 1 for w in weights_by_tally.values())
 
 
-def test_coset_tallies_broadcast_equals_one_shifted_span_each(golay):
-    leaders = golay_coset_reps()
-    table = constructions._coset_tallies(golay, np.array(leaders))
+def test_coset_tallies_broadcast_equals_one_shifted_span_each(golay, leaders):
+    table = constructions._coset_tallies(golay, leaders)
     assert table.shape == (243, 12)
     assert table.tolist() == [
-        list(gf3.subspace_weight_counts(golay.generator, shift=v)) for v in leaders
+        list(gf3.subspace_weight_counts(golay.generator, shift=tuple(v)))
+        for v in leaders.tolist()
     ]
     # any code and any shifts, not only the Golay cosets
     rng = random.Random(31)
@@ -96,12 +95,11 @@ def test_coset_tallies_broadcast_equals_one_shifted_span_each(golay):
     ]
 
 
-def test_classify_types_rejects_a_repeated_leader(monkeypatch):
-    leaders = list(golay_coset_reps())
-    leaders[7] = leaders[3]
-    monkeypatch.setattr(constructions, "golay_coset_reps", lambda: tuple(leaders))
+def test_classify_types_rejects_a_repeated_leader(golay, leaders):
+    repeated = leaders.copy()
+    repeated[7] = leaders[3]
     with pytest.raises(ValueError, match="81 distinct Golay cosets"):
-        constructions.classify_types()
+        constructions.classify_types(golay, repeated)
 
 
 def test_flat_types_follow_the_functional_weight(family):
@@ -127,8 +125,8 @@ def test_type_tally_is_basis_independent(family):
         assert tally == gf3.subspace_weight_counts(family.bases[index])
 
 
-def test_sigma_coordinate_structure(family):
-    g = build_sigma_coordinate(family)
+def test_sigma_coordinate_structure(golay, leaders, family):
+    g = build_sigma_coordinate(family, leaders)
     assert g.n == 486
     arr = is_distance_regular(g)
     assert str(arr) == "{81,80,54,1; 1,27,80,81}"
@@ -145,12 +143,12 @@ def test_sigma_coordinate_structure(family):
     for c in flat_classes:
         assert len(c) == 3
         assert len({(f - 243) // 3 for f in c}) == 1
-    # coset vertices pair with the canonical representatives in syndrome order
-    reps = golay_coset_reps()
-    golay = codes.golay_code()
+    # coset vertices pair with the canonical representatives in syndrome
+    # order, each syndrome taken vector by vector
+    check = codes.parity_check_matrix(golay)
     syndromes = list(product((0, 1, 2), repeat=5))
     for i in (0, 100, 242):
-        assert codes.syndrome(golay, reps[i]) == syndromes[i]
+        assert tuple(gf3.dot(h, tuple(leaders[i].tolist())) for h in check) == syndromes[i]
 
 
 def test_std_ag_small_arrays():
@@ -187,8 +185,8 @@ def test_std_ag_adjacency_is_unchanged(n):
     assert _adjacency_digest(build_std_ag(n)) == STD_AG_DIGESTS[n]
 
 
-def test_sigma_coordinate_adjacency_is_unchanged(family):
-    assert _adjacency_digest(build_sigma_coordinate(family)) == STD_AG_DIGESTS[5]
+def test_sigma_coordinate_adjacency_is_unchanged(family, leaders):
+    assert _adjacency_digest(build_sigma_coordinate(family, leaders)) == STD_AG_DIGESTS[5]
 
 
 def test_coset_half_is_standard_labelling(decomp):
@@ -292,15 +290,15 @@ def test_halved_delta_equals_complement_directly(orbital_models):
     assert srg_parameters(half1).as_tuple() == (243, 220, 199, 200)
 
 
-def test_coset_shapes_match_coset_half_suborbits(decomp, golay):
-    shapes = codes.classify_cosets(golay)
+def test_coset_shapes_match_coset_half_suborbits(decomp, golay, leaders):
+    shapes = codes.classify_cosets(golay, leaders)
     half_suborbit_ids = {decomp.suborbit_of_vertex[v] for v in range(243)}
     sizes = sorted(decomp.suborbit_sizes[k] for k in half_suborbit_ids)
     assert sorted(shapes.values()) == sizes == [1, 2, 20, 40, 180]
 
 
-def test_lambda_coordinate():
-    lam = build_lambda_coordinate()
+def test_lambda_coordinate(golay):
+    lam = build_lambda_coordinate(golay)
     arr = is_distance_regular(lam)
     assert str(arr) == "{20,18,4,1; 1,2,18,20}"
     folded, classes = antipodal_fold(lam)
@@ -308,22 +306,22 @@ def test_lambda_coordinate():
     assert srg_parameters(folded).as_tuple() == (81, 20, 1, 6)
 
 
-def test_lambda_coordinate_adjacency_is_unchanged():
+def test_lambda_coordinate_adjacency_is_unchanged(golay):
     # digest of the adjacency built by the offset loop that
     # build_lambda_coordinate had before it called codes.coset_graph
-    digest = _adjacency_digest(build_lambda_coordinate())
+    digest = _adjacency_digest(build_lambda_coordinate(golay))
     assert digest == "e68ff94cbbc912ac97f8d102adfc7ec6cf86f20467ba10f76b3dc2b5fe688fd3"
 
 
 def test_lambda_coordinate_isomorphic_to_shortened_coset_graph(golay):
-    lam = build_lambda_coordinate()
+    lam = build_lambda_coordinate(golay)
     shortened = codes.coset_graph(codes.shorten(golay, 0))
     mapping = are_isomorphic(lam, shortened)
     assert mapping is not None and verify_bijection(lam, shortened, mapping)
 
 
-def test_experiment_flat_incidence(family):
-    report = experiment_flat_incidence(family)
+def test_experiment_flat_incidence(family, leaders):
+    report = experiment_flat_incidence(family, leaders)
     assert report.coset_degree_counts == ((45, 243),)
     assert report.flat_degree_counts == ((0, 108), (81, 135))
     assert not report.regular

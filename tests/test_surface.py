@@ -1,5 +1,6 @@
 """Guards on the public surface of golay486: every public function and class
-is used by the program or its benchmark, and the README example runs."""
+is used by the program or its benchmark, no function is memoised across
+calls, and the README example runs."""
 
 import ast
 import contextlib
@@ -35,6 +36,23 @@ def test_every_public_name_is_used_by_the_program():
         if not used_in.get(name, set()) - {(path, name)}
     ]
     assert unused == []
+
+
+def test_no_function_is_memoised_across_calls():
+    # cli.Run builds each artifact once per run; a module-level cache would
+    # hide work repeated within a process.  cached_property, one value per
+    # object, is allowed.
+    memoised = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in ("cache", "lru_cache"):
+                    memoised.append(f"{path.stem}.{node.name}")
+    assert memoised == []
 
 
 def test_readme_example_runs():
