@@ -26,12 +26,26 @@ from .graph import Graph
 # '-' is the field element 2 (= -1 mod 3).
 GOLAY_SIGNS = "-+-+++---+-"
 
-# Coset graphs on more than 3^this many vertices are refused.
+# Leader tables of more than 3^this many cosets are refused.
 DEFAULT_COSET_BOUND = 12
+
+# An array of more bytes than this is refused before it is allocated.  The
+# largest one the program asks for here is the 729 x 729 adjacency of the
+# extended Golay code's coset graph (0.5 MB), and its largest graph of all,
+# AG(6,3) on 1458 vertices, has a 2.1 MB adjacency.  Coset graphs on 3^7
+# vertices (4.8 MB) pass, on 3^8 (43 MB) do not.
+MAX_ARRAY_BYTES = 1 << 24
 
 
 class ResourceLimitError(ValueError):
     """An enumeration would exceed the configured size bound."""
+
+
+def _check_bytes(what: str, nbytes: int) -> None:
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ResourceLimitError(
+            f"{what} would take {nbytes} bytes, over the bound of {MAX_ARRAY_BYTES}"
+        )
 
 
 class UnsupportedCodeError(ValueError):
@@ -179,6 +193,9 @@ def syndrome_table(code: LinearCode) -> np.ndarray:
     Row i is the minimum-weight word of coset i, lexicographically first
     among those.  Words are scanned one weight shell at a time, so for a
     perfect code of minimum distance 2e+1 the scan stops after shell e.
+    The shell of weight w holds C(n, w) 2^w words; one whose int64 syndrome
+    pass would exceed MAX_ARRAY_BYTES raises ResourceLimitError before it
+    is built.
     """
     n, k = code.length, code.dimension
     if n - k > DEFAULT_COSET_BOUND:
@@ -186,6 +203,7 @@ def syndrome_table(code: LinearCode) -> np.ndarray:
     table = np.zeros((3 ** (n - k), n), dtype=np.uint8)
     filled = np.zeros(len(table), dtype=bool)
     for w in range(n + 1):
+        _check_bytes(f"the weight-{w} shell", math.comb(n, w) * 2**w * n * 8)
         # every weight-w word: each support with each pattern of nonzero values
         supports = np.array(list(itertools.combinations(range(n), w)), dtype=np.intp)
         values = np.array(list(itertools.product((1, 2), repeat=w)), dtype=np.uint8)
@@ -232,20 +250,22 @@ def coset_graph(code: LinearCode, positions: Iterable[int] | None = None) -> Gra
     one word of each coset is shifted by each weight-1 vector, and
     syndrome_index names both ends of every edge at once.  `positions`
     restricts those vectors to the given coordinates (default: all of them).
+    The dense adjacency and the int64 words are bounded by MAX_ARRAY_BYTES
+    before either is allocated.
     """
     n, k = code.length, code.dimension
-    if n - k > DEFAULT_COSET_BOUND:
-        raise ResourceLimitError(
-            f"3^{n - k} coset vertices exceed the bound 3^{DEFAULT_COSET_BOUND}"
-        )
     width = n - k
+    positions = tuple(range(n) if positions is None else positions)
+    _check_bytes(f"the adjacency of 3^{width} cosets", 9**width)
+    shifts = 1 + 2 * len(positions)
+    _check_bytes(f"the {shifts} shifts of 3^{width} words", shifts * 3**width * n * 8)
     # a word that is zero off the pivot columns of the reduced parity check
     # has its pivot entries as its syndrome, so these words meet every coset
     pivots = gf3.rref(parity_check_matrix(code))[2]
     lifts = gf3._span(tuple(gf3.unit_vector(n, p) for p in pivots), length=n)
     units = [(0,) * n] + [
         gf3.unit_vector(n, i, a)
-        for i in (range(n) if positions is None else positions)
+        for i in positions
         for a in (1, 2)
     ]
     index = syndrome_index(code, lifts + np.array(units, dtype=np.uint8)[:, None])

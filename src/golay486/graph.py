@@ -3,11 +3,14 @@
 A Graph is one read-only numpy bool adjacency matrix: n x n, symmetric,
 with a False diagonal.  Every operation here is array code over that
 matrix.  All-pairs distances and distance-regularity share one
-breadth-first search by layered matmuls: the intersection numbers of every
-ordered pair are read off the products of the distance layers with the
-adjacency matrix that the search forms anyway.  Counts never exceed the
-vertex count, so float32 matmuls (each function converts the matrix
-locally) are exact and fast at the 486-vertex scale this library works at.
+breadth-first search by layered matmuls (`_layers`): the intersection
+numbers of every ordered pair are read off the products of the distance
+layers with the adjacency matrix that the search forms anyway, and a
+graph of diameter d needs d - 1 of them.  A connected bipartite graph is
+searched from each class in turn against its biadjacency block, so each
+product is a quarter of the n x n one.  Counts never exceed the vertex
+count, so float32 matmuls (each function converts the matrix locally) are
+exact and fast at the 486-vertex scale this library works at.
 
 Isomorphism testing is colour refinement with individualization and
 deterministic branching, run as numpy passes over one CSR adjacency of both
@@ -126,7 +129,12 @@ def _csr(*graphs: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     dsts, degrees, shift = [], [], 0
     for g in graphs:
-        dsts.append(np.nonzero(g.adjacency_matrix)[1] + shift)
+        # column indices, made in place: np.nonzero would also build the
+        # row indices, an int64 per edge that is not needed
+        dst = np.flatnonzero(g.adjacency_matrix)
+        dst %= g.n
+        dst += shift
+        dsts.append(dst)
         degrees.append(np.count_nonzero(g.adjacency_matrix, axis=1))
         shift += g.n
     degree = np.concatenate(degrees)
@@ -134,26 +142,19 @@ def _csr(*graphs: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate(dsts), starts, degree
 
 
-def _bfs(dst, starts, degree, sources) -> np.ndarray:
-    """Distance to the nearest source (int64, -1 if unreachable) over a CSR
-    adjacency from _csr; each level gathers its frontier's neighbour slices
-    in one numpy pass, so each vertex's slice is read once."""
-    dist = np.full(len(degree), -1, dtype=np.int64)
-    frontier = np.asarray(sources, dtype=np.int64)
-    dist[frontier] = 0
+def _bfs(g: Graph, source: int) -> np.ndarray:
+    """BFS distances from one vertex (int64, -1 if unreachable), each level
+    read off the adjacency rows of its frontier: no CSR is built, whose
+    int64 per edge would outweigh the bool matrix eight to one."""
+    dist = np.full(g.n, -1, dtype=np.int64)
+    frontier = np.zeros(g.n, dtype=bool)
+    frontier[source] = True
     level = 0
-    while frontier.size:
-        level += 1
-        d = degree[frontier]
-        offsets = np.cumsum(d, dtype=np.int64) - d
-        slots = np.arange(int(offsets[-1] + d[-1])) + np.repeat(
-            starts[frontier] - offsets, d
-        )
-        fresh = np.zeros(len(degree), dtype=bool)
-        fresh[dst[slots]] = True
-        fresh &= dist < 0
-        frontier = np.flatnonzero(fresh)
+    while frontier.any():
         dist[frontier] = level
+        level += 1
+        frontier = g.adjacency_matrix[frontier].any(axis=0)
+        frontier &= dist < 0
     return dist
 
 
@@ -163,37 +164,85 @@ def _layers(g: Graph):
     With D_j the pairs at distance j and A the adjacency matrix, (D_j A)[x,
     y] counts the neighbours of y at distance j from x.  So D_j A is zero
     off D_{j-1}, D_j and D_{j+1} and positive on all of D_{j+1}, which is
-    its support without the first two.  Yields (D_{j-1}, D_j A, D_{j+1}) as bool,
-    float32 and bool arrays for each nonempty D_j, the last time with an
-    empty D_{j+1}.  The buffers are reused in place, so each is valid only
-    until the next step.  Counts never exceed n, so float32 is exact.
+    its support without the first two.
+
+    The sources are searched in blocks.  If g is connected and bipartite,
+    its classes X and Y are the parities of the BFS distance from vertex 0,
+    and there are two blocks.  From X, the layers of even j lie in the
+    columns X and those of odd j in the columns Y, so each D_j A is an |X| x
+    |Y| or |X| x |X| product with the biadjacency block B = A[X, Y] or with
+    B^T; then the same from Y.  Any other graph is one block: every source,
+    every column, A both ways.
+
+    Yields (block, j, counts, same, nxt) for j = 0, 1, ... of each block in
+    turn.  counts is D_j A as float32 and nxt is D_{j+1} as bool, both on
+    the part of the n x n pair matrix that the index `block` selects; same
+    is D_j on those columns, or None if D_j lies in the other class.  A
+    block ends once every pair from its sources is reached, or when D_{j+1}
+    is empty.  So a connected graph of diameter d costs d - 1 products per
+    block: D_0 A is A itself, and D_d A is never formed.  The buffers are
+    reused in place, so each is valid only until the next step.  Counts
+    never exceed n, so float32 is exact.
     """
-    n = g.n
-    a = g.adjacency_matrix.astype(np.float32)
-    product = a.copy()  # D_0 A
-    layer = np.empty((n, n), dtype=np.float32)
-    prev = np.zeros((n, n), dtype=bool)
-    cur = np.eye(n, dtype=bool)
-    nxt = np.empty((n, n), dtype=bool)
-    while True:
-        np.greater(product, 0, out=nxt)
-        # nxt & ~prev & ~cur, in place
-        np.greater(nxt, prev, out=nxt)
-        np.greater(nxt, cur, out=nxt)
-        yield prev, product, nxt
-        if not nxt.any():
-            return
-        prev, cur, nxt = cur, nxt, prev
-        np.copyto(layer, cur)
-        np.matmul(layer, a, out=product)
+    n, a = g.n, g.adjacency_matrix
+    dist = _bfs(g, 0)
+    x, y = np.flatnonzero(dist % 2 == 0), np.flatnonzero(dist % 2 == 1)
+    b = a[np.ix_(x, y)]
+    # connected, with an edge, and every edge between the two classes
+    if len(y) and len(x) + len(y) == n and 2 * np.count_nonzero(b) == np.count_nonzero(a):
+        b = b.astype(np.float32)
+        blocks = [
+            (((x[:, None], x), (x[:, None], y)), (b, b.T)),
+            (((y[:, None], y), (y[:, None], x)), (b.T, b)),
+        ]
+    else:
+        whole = (slice(None), slice(None))
+        a = a.astype(np.float32)
+        blocks = [((whole, whole), (a, a))]
+    shared = len(blocks) == 1
+    del b  # in the one-block case, the bool block is not needed again
+    # index[p] and mult[p] serve the layers of parity p: the block they lie
+    # in, and the block of A that carries them into the next layer
+    for index, mult in blocks:
+        rows = len(mult[0])
+        layer = [np.eye(rows, mult[1].shape[1], dtype=bool), mult[0] > 0]
+        floats = [np.empty(m.shape, dtype=np.float32) for m in layer]
+        counts, reached, j = mult[0], rows, 0
+        while True:
+            p, q = j % 2, 1 - j % 2
+            fresh = np.count_nonzero(layer[q])
+            reached += fresh
+            yield index[q], j, counts, layer[p] if shared else None, layer[q]
+            if not fresh or reached == rows * n:
+                break
+            j += 1
+            p, q = q, p
+            np.copyto(floats[p], layer[p])
+            np.matmul(floats[p], mult[p], out=floats[q])
+            counts = floats[q]
+            # D_{j+1} in place of D_{j-1}: the support of counts without
+            # D_{j-1}, and without D_j when it shares the columns
+            np.greater(counts > 0, layer[q], out=layer[q])
+            if shared:
+                np.greater(layer[q], layer[p], out=layer[q])
+        # what the reader does not hold is freed before the next block allocates
+        del layer, floats, counts
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs distances (int32, -1 for unreachable) via layered matmuls."""
+    """All-pairs distances (int32, -1 for unreachable) via layered matmuls.
+
+    Each layer of _layers is written into its block of the matrix: in place
+    for the one block of a non-bipartite graph, through a copy of each
+    biadjacency block otherwise.
+    """
     dist = np.full((g.n, g.n), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
-    for j, (_, _, nxt) in enumerate(_layers(g), start=1):
-        np.copyto(dist, j, where=nxt)
+    for block, j, _, _, nxt in _layers(g):
+        part = dist[block]
+        np.copyto(part, j + 1, where=nxt)
+        if part.base is not dist:  # a copy, not a view
+            dist[block] = part
     return dist
 
 
@@ -271,31 +320,52 @@ class SrgParameters:
         return (self.n, self.k, self.lam, self.mu)
 
 
+def _constant_on(values: np.ndarray, mask: np.ndarray) -> int | None:
+    """The one value of `values` on the True cells of `mask` (at least
+    one), or None if there are several: every such cell must equal the
+    first.  Unlike values[mask], this gathers nothing."""
+    first = values.flat[np.argmax(mask)]
+    same = np.count_nonzero((values == first) & mask) == np.count_nonzero(mask)
+    return int(first) if same else None
+
+
 def is_distance_regular(g: Graph) -> IntersectionArray | None:
     """Return the intersection array if g is distance-regular, else None.
 
     One pass over the layers of the all-pairs BFS: with D_j the distance-j
     layer and A the adjacency matrix, (D_j A)[x, y] counts the neighbors of
-    y at distance j from x.  So b_{j-1} is read off D_j A on the pairs at
-    distance j - 1 and c_{j+1} on those at distance j + 1, and each must be
-    one value there; then a_i = k - b_i - c_i is constant too.  The BFS
+    y at distance j from x.  So a_j is read off D_j A on the pairs at
+    distance j (it is 0 when g is bipartite) and c_{j+1} on those at
+    distance j + 1, and each must be one value there, and the same from
+    every block of sources.  If every degree is k as well, the neighbours
+    of y at distance j + 1 number b_j = k - a_j - c_j for every pair, so
+    D_{d-1} A is the last product a diameter-d graph needs.  The BFS
     always runs to the end, and GraphStructureError is raised if g is
     disconnected, whether or not a layer was irregular.
     """
-    b: list[int] = []
-    c: list[int] = []
-    regular = True
+    degree = np.count_nonzero(g.adjacency_matrix, axis=1)
+    regular = bool((degree == degree[0]).all())
     reached = g.n  # pairs at finite distance
-    for prev, counts, nxt in _layers(g):
-        reached += np.count_nonzero(nxt)
-        for layer, out in ((prev, b), (nxt, c)):
-            values = counts[layer]
-            if values.size:  # empty: D_{-1}, or the layer past the diameter
-                regular &= bool(values.min() == values.max())
-                out.append(int(values[0]))
+    arrays: list[list[tuple[int, int]]] = []  # (a_j, c_{j+1}) from each block
+    for _, j, counts, same, nxt in _layers(g):
+        if j == 0:
+            arrays.append([])
+        size = np.count_nonzero(nxt)
+        if not size:  # the layer past the diameter
+            continue
+        reached += size
+        a = 0 if same is None else _constant_on(counts, same)
+        c = _constant_on(counts, nxt)
+        regular &= a is not None and c is not None
+        arrays[-1].append((a, c))
     if reached != g.n * g.n:
         raise GraphStructureError("graph is disconnected")
-    return IntersectionArray(b=tuple(b), c=tuple(c)) if regular else None
+    if not regular or any(numbers != arrays[0] for numbers in arrays):
+        return None
+    a, c = (tuple(x) for x in zip(*arrays[0])) if arrays[0] else ((), ())
+    k = int(degree[0])
+    b = tuple(k - a_j - c_j for a_j, c_j in zip(a, (0,) + c))
+    return IntersectionArray(b=b, c=c)
 
 
 def srg_parameters(g: Graph) -> SrgParameters | None:
@@ -323,7 +393,7 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     an edge whose ends are at equal distance closes an odd walk, and the
     lexicographically first such edge is reported.
     """
-    dist = _bfs(*_csr(g), [0])
+    dist = _bfs(g, 0)
     if (dist < 0).any():
         raise GraphStructureError("graph is disconnected")
     clash = np.argwhere(np.triu(g.adjacency_matrix, 1) & (dist[:, None] == dist))
@@ -337,25 +407,23 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return side0, side1
 
 
-def distance_two_graph(g: Graph) -> Graph:
-    """Graph on the same vertices joining pairs at distance exactly 2."""
-    a = g.adjacency_matrix.astype(np.float32)
-    two = ((a @ a) > 0) & ~g.adjacency_matrix
-    np.fill_diagonal(two, False)
-    return Graph.from_adjacency(two)
-
-
 def bipartite_halves(g: Graph) -> tuple[Graph, Graph, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Halved graphs of a connected bipartite graph.
 
-    Returns the distance-2 graph induced on each bipartition class (classes
+    Returns the distance-2 graph on each bipartition class (classes
     relabelled 0..size-1 in sorted label order) plus the class partition.
+    With B the biadjacency block between the classes, two vertices of a
+    class are at distance 2 when they share a neighbour: the halves are the
+    supports of B B^T and B^T B off the diagonal.
     """
     side0, side1 = bipartition(g)
-    dist2 = distance_two_graph(g)
-    half0, _ = induced_subgraph(dist2, side0)
-    half1, _ = induced_subgraph(dist2, side1)
-    return half0, half1, (side0, side1)
+    b = g.adjacency_matrix[np.ix_(side0, side1)].astype(np.float32)
+    halves = []
+    for shared in (b @ b.T, b.T @ b):
+        two = shared > 0
+        np.fill_diagonal(two, False)
+        halves.append(Graph.from_adjacency(two))
+    return halves[0], halves[1], (side0, side1)
 
 
 def antipodal_fold(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
@@ -511,7 +579,8 @@ def are_isomorphic(
         color = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
         u = int(np.flatnonzero(col[:n] == color)[0])
         for v in np.flatnonzero(col[n:] == color) + n:
-            yield refine(*_classes(col, _bfs(dst, starts, degree, [u, v])))
+            dist = np.concatenate((_bfs(g1, u), _bfs(g2, int(v) - n)))
+            yield refine(*_classes(col, dist))
 
     # depth-first over an explicit stack, so the depth is not bounded by
     # Python's recursion limit

@@ -6,6 +6,7 @@ or recompute by a second route what the library computes.
 import re
 from collections import deque
 
+from golay486 import codes
 from golay486.gf3 import DimensionError
 from golay486.graph import Graph
 
@@ -71,6 +72,18 @@ def oracle_intersection_array(g):
         tuple(table[i][2] for i in range(diameter)),
         tuple(table[i][0] for i in range(1, diameter + 1)),
     )
+
+
+def ladder_codes(golay):
+    """The Golay-family codes of the benchmark's size ladder."""
+    return {
+        "golay": golay,
+        "shortened": codes.shorten(golay, 0),
+        "truncated": codes.truncate(golay, 0),
+        "extended": codes.linear_code(
+            [row + ((-sum(row)) % 3,) for row in golay.generator]
+        ),
+    }
 
 
 def petersen_graph():

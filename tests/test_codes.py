@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from golay486 import codes, gf3
 from golay486.graph import is_distance_regular, srg_parameters
-from oracles import oracle_intersection_array, vec_add
+from oracles import ladder_codes, oracle_intersection_array, vec_add
 
 # Frozen by enumerating all 3^6 codewords (oracle below re-derives it).
 GOLAY_WEIGHT_COUNTS = {0: 1, 5: 132, 6: 132, 8: 330, 9: 110, 11: 24}
@@ -41,18 +42,6 @@ def codewords(code):
 def canonical_representative(code, v):
     """The minimum-weight vector of v + code, read off the leader table."""
     return tuple(codes.syndrome_table(code)[codes.syndrome_index(code, v)].tolist())
-
-
-def ladder_codes(golay):
-    """The Golay-family codes of the benchmark's size ladder."""
-    return {
-        "golay": golay,
-        "shortened": codes.shorten(golay, 0),
-        "truncated": codes.truncate(golay, 0),
-        "extended": codes.linear_code(
-            [row + ((-sum(row)) % 3,) for row in golay.generator]
-        ),
-    }
 
 
 def test_golay_first_row_and_shape(golay):
@@ -331,3 +320,43 @@ def test_coset_graph_bound():
 def test_minimum_distance_of_zero_code_is_undefined():
     with pytest.raises(ValueError):
         codes.minimum_distance(zero_code(5))
+
+
+def _peak_bytes(call):
+    """The peak of memory traced by tracemalloc (numpy reports its arrays
+    there) while `call` runs to its ResourceLimitError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(codes.ResourceLimitError):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coset_graph_bounds_its_adjacency_before_allocating():
+    # 3^12 cosets pass the leader-table bound, but a dense adjacency on them
+    # would take 3^24 bytes (282 GB); the refusal allocates nothing of it
+    assert 12 <= codes.DEFAULT_COSET_BOUND
+    assert 9**12 > codes.MAX_ARRAY_BYTES
+    assert _peak_bytes(lambda: codes.coset_graph(zero_code(12))) < 2**20
+    # the bound sits between 3^7 and 3^8 vertices: H(7,3) is built
+    assert 9**6 < 9**7 <= codes.MAX_ARRAY_BYTES < 9**8
+    assert codes.coset_graph(zero_code(7)).n == 3**7
+    with pytest.raises(codes.ResourceLimitError, match="adjacency"):
+        codes.coset_graph(zero_code(8))
+
+
+def test_syndrome_table_bounds_each_shell_before_building_it():
+    # a [40,34] code that is zero on its first 6 coordinates: its coset
+    # leaders are the words supported there, up to weight 6, so the scan
+    # would reach shells of C(40, w) 2^w words (about 2.5e8 at w = 6)
+    n, r = 40, 6
+    code = codes.linear_code([gf3.unit_vector(n, i) for i in range(r, n)])
+    assert n - code.dimension == r
+    shells = [math.comb(n, w) * 2**w * n * 8 for w in range(r + 1)]
+    first_refused = next(w for w, size in enumerate(shells) if size > codes.MAX_ARRAY_BYTES)
+    assert first_refused == 3
+    assert _peak_bytes(lambda: codes.syndrome_table(code)) < 2 * shells[2]
+    with pytest.raises(codes.ResourceLimitError, match="weight-3 shell"):
+        codes.syndrome_table(code)

@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golay486 import graph
-from golay486.constructions import build_std_ag
+from golay486.codes import coset_graph
+from golay486.constructions import build_lambda_coordinate, build_std_ag
 from golay486.graph import (
     Graph,
     Graph6ParseError,
@@ -31,6 +32,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    ladder_codes,
     oracle_intersection_array,
     path_graph,
     petersen_graph,
@@ -74,12 +76,29 @@ def test_from_adjacency_checks_its_matrix():
 
 def test_bfs_distances():
     def distances(g, source):
-        return graph._bfs(*graph._csr(g), [source]).tolist()
+        return graph._bfs(g, source).tolist()
 
     assert distances(path_graph(3), 0) == [0, 1, 2]
     assert distances(complete_graph(4), 2) == [1, 1, 0, 1]
     two = disjoint_union(complete_graph(2), complete_graph(2))
     assert distances(two, 0) == [0, 1, -1, -1]
+    # against a plain queue, on random graphs, connected or not
+    rng = random.Random(65)
+    for _ in range(40):
+        n = rng.randrange(1, 16)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, rng.sample(pairs, rng.randrange(len(pairs) // 2 + 1)))
+        source = rng.randrange(n)
+        want = [-1] * n
+        want[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for v in g.neighbors(u):
+                if want[v] < 0:
+                    want[v] = want[u] + 1
+                    queue.append(v)
+        assert distances(g, source) == want
 
 
 def test_is_distance_regular_examples():
@@ -110,7 +129,164 @@ def test_distance_matrix_matches_single_source_bfs():
         g = Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
         dist = graph.distance_matrix(g)
         for source in range(n):
-            assert dist[source].tolist() == graph._bfs(*graph._csr(g), [source]).tolist()
+            assert dist[source].tolist() == graph._bfs(g, source).tolist()
+
+
+def hypercube(dim):
+    n = 2**dim
+    return Graph(n, [(v, v | 1 << i) for v in range(n) for i in range(dim) if not v >> i & 1])
+
+
+def heawood():
+    """Incidence graph of the Fano plane: points 0..6, lines 7..13."""
+    return Graph(14, [(p, 7 + i) for i in range(7) for p in (i, (i + 1) % 7, (i + 3) % 7)])
+
+
+def eccentricities(g):
+    return [max(graph._bfs(g, v).tolist()) for v in range(g.n)]
+
+
+def count_products(monkeypatch):
+    """Record the operand shapes of every np.matmul call."""
+    shapes = []
+    matmul = np.matmul
+
+    def counted(x, y, *args, **kwargs):
+        shapes.append((x.shape, y.shape))
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    return shapes
+
+
+def test_checker_matches_oracle_on_small_families():
+    # bipartite (K2, K_{a,b}, even cycles, Q4, Heawood) and not (K1, K_n,
+    # the windmill)
+    graphs = {
+        "K1": complete_graph(1),
+        "K2": complete_graph(2),
+        "K5": complete_graph(5),
+        "K3,5": complete_bipartite_graph(3, 5),
+        "K4,4": complete_bipartite_graph(4, 4),
+        "C8": cycle_graph(8),
+        "C10": cycle_graph(10),
+        "Q4": hypercube(4),
+        "Heawood": heawood(),
+        # two triangles on one vertex: every edge lies in one triangle and
+        # every non-edge has one common neighbour, but degrees are 4 and 2
+        "windmill": Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+    }
+    for name, g in graphs.items():
+        arr = is_distance_regular(g)
+        got = None if arr is None else (arr.b, arr.c)
+        assert got == oracle_intersection_array(g), name
+    assert str(is_distance_regular(complete_graph(1))) == "{; }"
+    assert str(is_distance_regular(complete_graph(2))) == "{1; 1}"
+    assert is_distance_regular(complete_bipartite_graph(3, 5)) is None  # not regular
+    assert is_distance_regular(graphs["windmill"]) is None
+    assert str(is_distance_regular(hypercube(4))) == "{4,3,2,1; 1,2,3,4}"
+    assert str(is_distance_regular(heawood())) == "{3,2,2; 1,1,3}"
+
+
+def test_disconnected_bipartite_graph_is_an_error():
+    c4 = cycle_graph(4)
+    for g in (disjoint_union(c4, c4), disjoint_union(c4, complete_graph(1))):
+        with pytest.raises(GraphStructureError, match="disconnected"):
+            is_distance_regular(g)
+        assert (graph.distance_matrix(g) == -1).sum() == 2 * 4 * (g.n - 4)
+
+
+def test_distance_matrix_on_subgraphs_of_complete_bipartite_graphs():
+    # random spanning subgraphs of K_{a,b}: bipartite when connected, and
+    # searched as two biadjacency blocks; disconnected ones as one block
+    rng = random.Random(63)
+    kinds = Counter()
+    for _ in range(60):
+        a, b = rng.randrange(1, 8), rng.randrange(1, 8)
+        pairs = [(u, a + v) for u in range(a) for v in range(b)]
+        g = Graph(a + b, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+        dist = graph.distance_matrix(g)
+        assert dist.dtype == np.int32
+        for source in range(g.n):
+            assert dist[source].tolist() == graph._bfs(g, source).tolist()
+        kinds["connected" if (dist >= 0).all() else "disconnected"] += 1
+    assert min(kinds.values()) >= 10
+
+
+def test_distance_regularity_takes_d_minus_1_products_per_block(monkeypatch, orbital_models):
+    shapes = count_products(monkeypatch)
+    cases = [
+        # graph, diameter, blocks (2 when connected and bipartite)
+        (complete_graph(6), 1, 1),
+        (petersen_graph(), 2, 1),
+        (cycle_graph(7), 3, 1),
+        (cycle_graph(8), 4, 2),
+        (hypercube(4), 4, 2),
+        (heawood(), 3, 2),
+        (orbital_models["delta"].graph, 4, 2),
+        (orbital_models["upsilon"].graph, 4, 1),
+    ]
+    for g, d, blocks in cases:
+        for reader in (is_distance_regular, graph.distance_matrix):
+            shapes.clear()
+            reader(g)
+            assert len(shapes) == blocks * (d - 1), (g, reader)
+            if blocks == 2:  # every product is on a biadjacency block
+                assert all(max(x + y) < g.n for x, y in shapes)
+
+
+def test_product_count_follows_the_eccentricities(monkeypatch):
+    # one block: the largest eccentricity less one; two blocks (connected
+    # and bipartite): that of each class less one
+    shapes = count_products(monkeypatch)
+    rng = random.Random(64)
+    kinds = Counter()
+    for trial in range(40):
+        n = rng.randrange(2, 20)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}  # a tree
+        if trial % 2:
+            edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n // 3)}
+        g = Graph(n, edges)
+        ecc = eccentricities(g)
+        shapes.clear()
+        graph.distance_matrix(g)
+        parity = graph._bfs(g, 0) % 2
+        bipartite = all(parity[u] != parity[v] for u, v in g.edges())
+        if bipartite:
+            expected = sum(
+                max(max(e for e, p in zip(ecc, parity) if p == side) - 1, 0)
+                for side in (0, 1)
+            )
+        else:
+            expected = max(ecc) - 1
+        assert len(shapes) == expected
+        kinds["bipartite" if bipartite else "not bipartite"] += 1
+    assert min(kinds.values()) >= 10
+
+
+def test_checker_matches_networkx_on_the_named_graphs(golay, gamma):
+    # networkx takes seconds on graphs of 486 vertices and more, so those
+    # (the extended Golay code's coset graph, AG(5,3), AG(6,3)) are left out
+    nx = pytest.importorskip("networkx")
+    graphs = {
+        "lambda": build_lambda_coordinate(golay),
+        "gamma": gamma,
+        "AG(3,3)": build_std_ag(3),
+        "AG(4,3)": build_std_ag(4),
+    }
+    for name, code in ladder_codes(golay).items():
+        graphs[name] = coset_graph(code)
+    checked = 0
+    for name, g in graphs.items():
+        if g.n >= 486:
+            continue
+        h = nx.Graph(list(g.edges()))
+        h.add_nodes_from(range(g.n))
+        arr = is_distance_regular(g)
+        assert arr is not None, name
+        assert (list(arr.b), list(arr.c)) == nx.intersection_array(h), name
+        checked += 1
+    assert checked == 7
 
 
 def test_intersection_array_derived_quantities():
