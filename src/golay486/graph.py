@@ -14,16 +14,22 @@ exact and fast at the 486-vertex scale this library works at.
 
 Isomorphism testing is colour refinement with individualization and
 deterministic branching, run as numpy passes over one CSR adjacency of both
-graphs.  Each round hashes a vertex's neighbour colours into a 64-bit sum of
-fixed weights; a hash collision can only leave a partition coarser, never
-prune an isomorphism, and every returned bijection is re-verified against
-both adjacency matrices before being trusted.
+graphs.  A vertex's hash is the 64-bit sum of fixed weights of its
+neighbours' colours.  It is never gathered from scratch: it starts as the
+degree times one weight, for the colouring with one cell, and when a cell
+splits, its largest part keeps its colour id, and only the vertices that
+change colour add the change of their weight to their neighbours' sums
+(Hopcroft's "smaller half" rule).  A hash collision can only leave a
+partition coarser, never prune an isomorphism, and every returned
+bijection is re-verified against both adjacency matrices, by two takes,
+before being trusted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -51,10 +57,22 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        """The graph on 0..n-1 with the given edges, in any order, each
+        given once or more.  Every edge must be a pair of integer ends, and
+        loops and out-of-range ends are refused (ValueError).  The ends are
+        read in one flat pass, and every edge's length is checked as well:
+        a flat count alone would take (0, 1, 2), (3,) for two edges."""
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         edges = list(edges)
-        pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+        try:
+            ends = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
+            pairs_only = set(map(len, edges)) <= {2}
+        except (TypeError, ValueError):  # no sequence, too few ends, or not integers
+            pairs_only = False
+        if not pairs_only:
+            raise ValueError("every edge must be a pair of integer vertices")
+        pairs = ends.reshape(len(edges), 2)
         loops = pairs[:, 0] == pairs[:, 1]
         bad = ((pairs < 0) | (pairs >= n)).any(axis=1) | loops
         if bad.any():
@@ -125,21 +143,24 @@ def _csr(*graphs: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The vertices of each graph are numbered after those of the graphs
     before it; the neighbours of vertex x are dst[starts[x]:starts[x] +
-    degree[x]], in increasing order.
+    degree[x]], in increasing order.  dst is int32, half the bytes of an
+    index array, and is written one graph at a time.
     """
-    dsts, degrees, shift = [], [], 0
-    for g in graphs:
-        # column indices, made in place: np.nonzero would also build the
-        # row indices, an int64 per edge that is not needed
-        dst = np.flatnonzero(g.adjacency_matrix)
-        dst %= g.n
-        dst += shift
-        dsts.append(dst)
-        degrees.append(np.count_nonzero(g.adjacency_matrix, axis=1))
-        shift += g.n
-    degree = np.concatenate(degrees)
+    degree = np.concatenate([np.count_nonzero(g.adjacency_matrix, axis=1) for g in graphs])
     starts = np.cumsum(degree) - degree
-    return np.concatenate(dsts), starts, degree
+    dst = np.empty(int(degree.sum()), dtype=np.int32)
+    at = shift = 0
+    for g in graphs:
+        # column indices: np.nonzero would also build the row indices, an
+        # int64 per edge that is not needed
+        cols = np.flatnonzero(g.adjacency_matrix)
+        cols %= g.n
+        cols += shift
+        dst[at:at + len(cols)] = cols
+        at += len(cols)
+        shift += g.n
+        del cols  # before the next graph's are built
+    return dst, starts, degree
 
 
 def _bfs(g: Graph, source: int) -> np.ndarray:
@@ -181,8 +202,10 @@ def _layers(g: Graph):
     block ends once every pair from its sources is reached, or when D_{j+1}
     is empty.  So a connected graph of diameter d costs d - 1 products per
     block: D_0 A is A itself, and D_d A is never formed.  The buffers are
-    reused in place, so each is valid only until the next step.  Counts
-    never exceed n, so float32 is exact.
+    reused in place, so each is valid only until the next step, and the
+    second block reuses the first block's when their shapes match: the
+    reader still holds the last of them when the second block starts.
+    Counts never exceed n, so float32 is exact.
     """
     n, a = g.n, g.adjacency_matrix
     dist = _bfs(g, 0)
@@ -201,12 +224,21 @@ def _layers(g: Graph):
         blocks = [((whole, whole), (a, a))]
     shared = len(blocks) == 1
     del b  # in the one-block case, the bool block is not needed again
+    layer = floats = None
     # index[p] and mult[p] serve the layers of parity p: the block they lie
     # in, and the block of A that carries them into the next layer
     for index, mult in blocks:
         rows = len(mult[0])
-        layer = [np.eye(rows, mult[1].shape[1], dtype=bool), mult[0] > 0]
-        floats = [np.empty(m.shape, dtype=np.float32) for m in layer]
+        shapes = [(rows, rows), mult[0].shape]
+        # the second block writes into the first block's buffers when it
+        # can (|X| = |Y|, as in every regular bipartite graph), rather than
+        # allocate beside the ones the reader holds
+        if layer is None or [m.shape for m in layer] != shapes:
+            layer = [np.empty(s, dtype=bool) for s in shapes]
+            floats = [np.empty(s, dtype=np.float32) for s in shapes]
+        layer[0].fill(False)
+        np.fill_diagonal(layer[0], True)
+        np.greater(mult[0], 0, out=layer[1])
         counts, reached, j = mult[0], rows, 0
         while True:
             p, q = j % 2, 1 - j % 2
@@ -225,8 +257,6 @@ def _layers(g: Graph):
             np.greater(counts > 0, layer[q], out=layer[q])
             if shared:
                 np.greater(layer[q], layer[p], out=layer[q])
-        # what the reader does not hold is freed before the next block allocates
-        del layer, floats, counts
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
@@ -489,31 +519,54 @@ def _weights(colors: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _classes(primary: np.ndarray, secondary: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense colour ids of the (primary, secondary) pairs in lexicographic
-    order, and how many there are; equal pairs share an id."""
-    order = np.lexsort((secondary, primary))
-    p, s = primary[order], secondary[order]
-    new = np.empty(len(order), dtype=bool)
-    new[0] = True
-    new[1:] = (p[1:] != p[:-1]) | (s[1:] != s[:-1])
-    ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ids, int(np.count_nonzero(new))
+def _split(col: np.ndarray, key: np.ndarray, classes: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Split every cell of the colouring `col` (ids 0..classes-1, each in
+    use) into the parts of equal `key`, keeping colour ids stable.
+
+    The largest part of a cell keeps its id; of several largest, the first
+    in key order does.  The other parts take the fresh ids classes,
+    classes + 1, ... in (colour, key) order, so the ids stay dense.  Returns
+    the new colouring, its class count and the vertices whose id changed:
+    all but the largest part of each cell.  When nothing splits, that set is
+    empty and the colouring is `col` itself.
+    """
+    order = np.lexsort((key, col))
+    c, k = col[order], key[order]
+    # a part starts at each True in sorted order, and one is past the end
+    bounds = np.ones(len(order) + 1, dtype=bool)
+    bounds[1:-1] = (c[1:] != c[:-1]) | (k[1:] != k[:-1])
+    edges = np.flatnonzero(bounds)
+    if len(edges) == classes + 1:
+        return col, classes, order[:0]
+    sizes = edges[1:] - edges[:-1]
+    cells = c[edges[:-1]]
+    # within each cell, its parts by decreasing size, ties in key order (the
+    # sort is stable); cells is sorted, so the cells of `ranked` are too
+    ranked = np.lexsort((-sizes, cells))
+    leads = np.ones(len(cells), dtype=bool)
+    leads[1:] = cells[1:] != cells[:-1]
+    keep = np.zeros(len(cells), dtype=bool)
+    keep[ranked[leads]] = True
+    ids = np.where(keep, cells, classes + np.cumsum(~keep) - 1)
+    split = np.empty_like(col)
+    split[order] = np.repeat(ids, sizes)
+    return split, len(cells), order[np.repeat(~keep, sizes)]
 
 
 def verify_bijection(g1: Graph, g2: Graph, mapping: Sequence[int]) -> bool:
     """Certify a candidate isomorphism: mapping must be a permutation of
     0..n-1 (checked before it indexes anything) carrying the adjacency
     matrix of g1 onto that of g2, so edges go to edges and non-edges to
-    non-edges."""
+    non-edges.  The rows and then the columns of g2's matrix are gathered
+    in mapping order by two takes, each a contiguous copy, and compared
+    with g1's."""
     n = g1.n
     m = np.asarray(mapping)
     if g2.n != n or m.shape != (n,) or m.dtype.kind not in "iu":
         return False
     if m.min() < 0 or m.max() >= n or len(np.unique(m)) != n:
         return False
-    return np.array_equal(g2.adjacency_matrix[np.ix_(m, m)], g1.adjacency_matrix)
+    return np.array_equal(g2.adjacency_matrix.take(m, 0).take(m, 1), g1.adjacency_matrix)
 
 
 def are_isomorphic(
@@ -525,41 +578,71 @@ def are_isomorphic(
     the disjoint union of the two graphs: vertices 0..n-1 are g1 and
     n..2n-1 are g2.  Branching is deterministic (the smallest cell of
     size > 1, lowest colour id, its lowest vertex of g1 against each
-    vertex of g2 in that cell) and each individualization folds in the BFS
-    distances to the individualized pair.
+    vertex of g2 in that cell) and each individualization splits the
+    cells by the BFS distances to the individualized pair.
 
-    The verdict is exact whatever the hash does.  Every colour is a
-    deterministic function of isomorphism-invariant data (the colours of
-    the previous round over both graphs, the multiset of each vertex's
-    neighbour colours through its hash, the distances to the
-    individualized pair), so any isomorphism that respects the colours
-    before a round respects them after it: no isomorphism is ever pruned,
-    and the branching tries every image of the individualized vertex.  A
-    collision of two neighbour multisets can only leave a partition
-    coarser, which makes the search longer, and a discrete leaf is
-    accepted only after verify_bijection re-checks it.
+    The refinement is incremental.  h[x] is the wrapping uint64 sum of
+    _weights over the colours of x's neighbours: the degree times one
+    weight while every vertex has colour 0, and kept current through the
+    split by degree and every split after it.  Each round splits every
+    cell by h (_split); the largest part of a cell keeps its id, so only
+    the vertices of the other parts change colour, and each adds the
+    change of its weight to the h of its neighbours (Hopcroft's rule, as
+    in McKay and Piperno, "Practical graph isomorphism, II", 2014).  A
+    round in which nothing splits ends the refinement.
 
-    Raises IsomorphismBudgetError when the step budget runs out, which is a
-    resource failure distinct from a non-isomorphism verdict.
+    The verdict is exact whatever the hash does.  Every colour id is a
+    deterministic function of isomorphism-invariant data (the colours
+    before the split over both graphs, the part sizes, and a key that is
+    the degree, the hash of the neighbour colour multiset, or the distance
+    to the individualized pair), so any isomorphism that respects the
+    colours before a split respects them after it: no isomorphism is ever
+    pruned, and the branching tries every image of the individualized
+    vertex.  A collision of two neighbour multisets can only leave a
+    partition coarser, which makes the search longer, and a discrete leaf
+    is accepted only after verify_bijection re-checks it.
+
+    Each round charges one step per vertex of both graphs against the
+    budget; IsomorphismBudgetError when it runs out is a resource failure,
+    distinct from a non-isomorphism verdict.
     """
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return None
     n = g1.n
     dst, starts, degree = _csr(g1, g2)
-    touched = degree > 0
     steps = 0
 
-    def refine(col, classes):
-        """Colour refinement of both graphs at once.
+    def recolour(h, old, col, moved):
+        """Carry the colour changes old -> col of the vertices `moved`
+        into h, in place: each adds the change of its weight to its
+        neighbours' sums.  Per neighbour entry it carries, it holds 12
+        bytes at most (an int64 position and an int32 neighbour, then the
+        neighbour and a uint64 change), and it carries at most half the CSR
+        at once: all of `moved` when that fits, else one graph at a time.
+        So it never holds more than 6 bytes per CSR entry, less than the 8
+        of a uint64 gather over the whole CSR."""
+        moved = moved[degree[moved] > 0]
+        if not len(moved):
+            return
+        change = _weights(col[moved]) - _weights(old[moved])
+        fits = 2 * degree[moved].sum() <= len(dst)
+        for side in [slice(None)] if fits else [moved < n, moved >= n]:
+            part = moved[side]
+            d = degree[part]
+            ends = np.cumsum(d)
+            # the CSR positions of their neighbour lists, a run per vertex:
+            # ones, with the jump to the next run at its first position
+            positions = np.ones(ends[-1], dtype=np.int64)
+            positions[0] = starts[part[0]]
+            positions[ends[:-1]] = starts[part[1:]] - starts[part[:-1]] - d[:-1] + 1
+            np.cumsum(positions, out=positions)
+            neighbours = dst[positions]
+            del positions
+            np.add.at(h, neighbours, np.repeat(change[side], d))
 
-        A round gives each vertex the id of the pair (its colour, h), where
-        h is the wrapping uint64 sum of _weights over its neighbours'
-        colours (0 for an isolated vertex).  The old colour is the primary
-        sort key, so each round refines the last, and the partition is
-        stable once the number of classes no longer grows.  Colour ids are
-        shared by the two graphs so their partitions stay comparable.  Each
-        round charges one step per vertex of both graphs against the budget.
-        """
+    def refine(col, classes, h):
+        """Split by h until nothing splits, keeping h current; h is
+        updated in place."""
         nonlocal steps
         while True:
             steps += 2 * n
@@ -567,35 +650,45 @@ def are_isomorphic(
                 raise IsomorphismBudgetError(
                     f"refinement budget exhausted after {steps} steps"
                 )
-            h = np.zeros(2 * n, dtype=np.uint64)
-            h[touched] = np.add.reduceat(_weights(col)[dst], starts[touched])
-            col, grown = _classes(col, h)
-            if grown == classes:
-                return col, classes
-            classes = grown
+            split, classes, moved = _split(col, h, classes)
+            if not len(moved):
+                return col, classes, h
+            recolour(h, col, split, moved)
+            col = split
 
-    def children(col, sizes):
+    def children(col, classes, h, color):
         """The refined colourings below col, computed one at a time."""
-        color = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
         u = int(np.flatnonzero(col[:n] == color)[0])
         for v in np.flatnonzero(col[n:] == color) + n:
             dist = np.concatenate((_bfs(g1, u), _bfs(g2, int(v) - n)))
-            yield refine(*_classes(col, dist))
+            split, count, moved = _split(col, dist, classes)
+            child = h.copy()
+            recolour(child, col, split, moved)
+            node = refine(split, count, child)
+            # a suspended level of a deep search keeps only col and h
+            del dist, split, moved, child
+            yield node
 
+    # h of the one-cell colouring, then of the split by degree
+    one = np.zeros(2 * n, dtype=np.int64)
+    h = degree.astype(np.uint64) * _weights(one[:1])
+    col, classes, moved = _split(one, degree, 1)
+    recolour(h, one, col, moved)
     # depth-first over an explicit stack, so the depth is not bounded by
     # Python's recursion limit
-    stack = [iter([refine(*_classes(np.zeros(2 * n, dtype=np.int64), degree))])]
+    stack = [iter([refine(col, classes, h)])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
             continue
-        col, classes = node
+        col, classes, h = node
         sizes = np.bincount(col[:n], minlength=classes)
         if not np.array_equal(sizes, np.bincount(col[n:], minlength=classes)):
             continue
         if sizes.max() > 1:
-            stack.append(children(col, sizes))
+            color = int(np.argmin(np.where(sizes > 1, sizes, n + 1)))
+            stack.append(children(col, classes, h, color))
             continue
         position = np.empty(classes, dtype=np.int64)
         position[col[n:]] = np.arange(n)

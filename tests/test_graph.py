@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter, deque
 
 import numpy as np
@@ -55,6 +56,40 @@ def test_graph_rejects_loops_and_bad_edges():
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
+    with pytest.raises(ValueError, match=r"^loop at vertex 1$"):
+        Graph(3, [(0, 1), (1, 1)])
+    with pytest.raises(ValueError, match=r"^edge \(0,3\) out of range for n=3$"):
+        Graph(3, [(0, 1), (0, 3)])
+    with pytest.raises(ValueError, match=r"^edge \(-1,2\) out of range for n=3$"):
+        Graph(3, [(-1, 2)])
+    # (0, 1, 2), (3,) holds four ends, as two pairs would: only a check of
+    # each edge's length refuses it
+    malformed = (
+        [(0, 1, 2), (3,)], [(0, 1), (2,)], [(0,)], [(0, 1, 2)], [(0, 1), [1, 2, 0]],
+        [0, 1], [(0, 1), 2],  # ends where edges should be
+        [(0, [1])], [(0, 1), (2, None)], [(0, "x")],  # ragged, or no integer
+    )
+    for edges in malformed:
+        with pytest.raises(ValueError, match="^every edge must be a pair of integer vertices$"):
+            Graph(4, edges)
+
+
+def test_graph_takes_empty_and_generator_input():
+    assert Graph(3, []).edge_count == 0
+    assert Graph(3, iter(())) == Graph(3)
+    path = Graph(4, ((v, v + 1) for v in range(3)))
+    assert sorted(path.edges()) == [(0, 1), (1, 2), (2, 3)]
+    # rows of an array, lists, both orientations and repeats are all pairs
+    same = Graph(4, [np.array([1, 0]), [1, 2], (3, 2), (2, 3)])
+    assert same == path
+    rng = random.Random(41)
+    for _ in range(20):
+        n = rng.randrange(2, 30)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(0, 3 * n))]
+        a = np.zeros((n, n), dtype=bool)
+        for u, v in edges:
+            a[u, v] = a[v, u] = True
+        assert Graph(n, edges) == Graph.from_adjacency(a) == Graph(n, iter(edges))
 
 
 def test_from_adjacency_checks_its_matrix():
@@ -211,6 +246,20 @@ def test_distance_matrix_on_subgraphs_of_complete_bipartite_graphs():
             assert dist[source].tolist() == graph._bfs(g, source).tolist()
         kinds["connected" if (dist >= 0).all() else "disconnected"] += 1
     assert min(kinds.values()) >= 10
+
+
+def test_bipartite_check_reuses_the_first_blocks_buffers():
+    # the reader holds the first block's last float32 counts and bool layer
+    # when the second block starts; allocating the second block's buffers
+    # beside them peaked at about 4.8 n^2 bytes on AG(5,3)
+    g = build_std_ag(5)
+    tracemalloc.start()
+    try:
+        assert is_distance_regular(g) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.4 * g.n * g.n
 
 
 def test_distance_regularity_takes_d_minus_1_products_per_block(monkeypatch, orbital_models):
@@ -564,6 +613,123 @@ def test_checker_matches_networkx_on_random_connected_graphs():
             assert arr is None
             kinds["regular" if nx.is_regular(h) else "not regular"] += 1
     assert min(kinds[k] for k in ("distance-regular", "regular", "not regular")) >= 5
+
+
+def test_split_keeps_the_id_of_the_largest_part():
+    col = np.zeros(6, dtype=np.int64)
+    split, classes, moved = graph._split(col, np.array([5, 5, 1, 1, 1, 7]), 1)
+    # key 1 is the largest part and keeps 0; keys 5 and 7 take 1 and 2
+    assert split.tolist() == [1, 1, 0, 0, 0, 2] and classes == 3
+    assert sorted(moved.tolist()) == [0, 1, 5]
+    assert col.tolist() == [0] * 6  # the input is not written
+    # two cells: each keeps its id on its largest part, and the fresh ids
+    # follow (colour, key) order
+    col = np.array([1, 1, 1, 0, 0, 0])
+    split, classes, moved = graph._split(col, np.array([4, 8, 8, 9, 9, 3]), 2)
+    assert split.tolist() == [3, 1, 1, 0, 0, 2] and classes == 4
+    assert sorted(moved.tolist()) == [0, 5]
+
+
+def test_split_breaks_a_tie_by_key_order():
+    # two parts of two: the first in key order (key 1) keeps the id
+    split, classes, moved = graph._split(np.zeros(4, dtype=np.int64), np.array([2, 1, 2, 1]), 1)
+    assert split.tolist() == [1, 0, 1, 0] and classes == 2
+    assert sorted(moved.tolist()) == [0, 2]
+    # three parts of one each
+    split, _, _ = graph._split(np.zeros(3, dtype=np.int64), np.array([7, 3, 5]), 1)
+    assert split.tolist() == [2, 0, 1]
+
+
+def test_split_changes_nothing_when_no_cell_splits():
+    col = np.array([0, 2, 1, 0, 2, 1])
+    key = np.array([4, 4, 9, 4, 4, 9], dtype=np.uint64)
+    split, classes, moved = graph._split(col, key, 3)
+    assert split is col and classes == 3 and len(moved) == 0
+
+
+def test_split_keeps_ids_dense_on_random_colourings():
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        size = int(rng.integers(1, 40))
+        classes = int(rng.integers(1, size + 1))
+        col = np.concatenate((np.arange(classes), rng.integers(0, classes, size - classes)))
+        rng.shuffle(col)
+        key = rng.integers(0, 4, size).astype(np.uint64)
+        split, grown, moved = graph._split(col, key, classes)
+        # dense ids, one per (colour, key) pair, and each cell keeps its id
+        # on a largest part
+        assert sorted(set(split.tolist())) == list(range(grown))
+        pairs = {(c, k) for c, k in zip(col.tolist(), key.tolist())}
+        assert grown == len(pairs)
+        assert all(
+            len({s for s, c2, k2 in zip(split, col, key) if (c2, k2) == (c, k)}) == 1
+            for c, k in pairs
+        )
+        assert sorted(moved.tolist()) == np.flatnonzero(split != col).tolist()
+        for c in range(classes):
+            kept = np.count_nonzero((col == c) & (split == c))
+            parts = Counter(key[col == c].tolist())
+            assert kept == max(parts.values())
+
+
+def test_csr_is_int32_and_built_one_graph_at_a_time():
+    g, h = build_std_ag(5), petersen_graph()
+    dst, starts, degree = graph._csr(g, h)
+    assert dst.dtype == np.int32
+    rows, cols = np.nonzero(g.adjacency_matrix)
+    assert np.array_equal(dst[:len(cols)], cols)
+    assert np.array_equal(dst[len(cols):], np.nonzero(h.adjacency_matrix)[1] + g.n)
+    assert np.array_equal(starts[:g.n], np.searchsorted(rows, np.arange(g.n)))
+    # the int32 indices and one graph's int64 columns at a time: 8 bytes
+    # per entry of two equal graphs, against 16 when both graphs' int64
+    # columns are concatenated
+    tracemalloc.start()
+    try:
+        dst, _, _ = graph._csr(g, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * len(dst)
+
+
+def test_incremental_hash_matches_a_fresh_gather_at_every_node(monkeypatch):
+    # every split by h, at the root and below each individualization,
+    # must see the h that a gather over the current colouring gives
+    split = graph._split
+    seen = Counter()
+    pair = []
+
+    def checked(col, key, classes):
+        if key.dtype == np.uint64:
+            dst, starts, degree = graph._csr(*pair)
+            fresh = np.zeros(len(col), dtype=np.uint64)
+            for x in range(len(col)):
+                fresh[x] = graph._weights(col[dst[starts[x]:starts[x] + degree[x]]]).sum()
+            assert np.array_equal(key, fresh)
+            seen["hash"] += 1
+        else:
+            seen["other"] += 1
+        return split(col, key, classes)
+
+    monkeypatch.setattr(graph, "_split", checked)
+    p = petersen_graph()
+    ag = build_std_ag(3)
+    # a triangle of hubs with 2, 3 and 4 leaves: the split by degree moves
+    # the hubs, 30 of the 48 CSR entries, so h is carried one graph at a time
+    hubs = Graph(12, [(0, 1), (1, 2), (0, 2)] + [(i, 3 + j) for i, j in
+                     [(0, 0), (0, 1), (1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (2, 7), (2, 8)]])
+    cases = [
+        (p, relabel(p, random.Random(9).sample(range(10), 10)), True),
+        (shrikhande(), rook_4x4(), False),
+        (ag, relabel(ag, random.Random(703).sample(range(ag.n), ag.n)), True),
+        (hubs, relabel(hubs, random.Random(12).sample(range(12), 12)), True),
+    ]
+    for g1, g2, isomorphic in cases:
+        pair[:] = [g1, g2]
+        seen.clear()
+        assert (are_isomorphic(g1, g2) is not None) == isomorphic
+        # the root's degree split, and at least one individualization
+        assert seen["other"] >= 2 and seen["hash"] >= seen["other"]
 
 
 def test_are_isomorphic_budget_is_a_distinct_failure():
