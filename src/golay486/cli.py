@@ -7,7 +7,8 @@ same path.
 
 Exit codes follow a CI-friendly contract: 0 when every evaluated claim
 passes, 1 when a claim fails, 2 when the environment is unusable (missing
-or corrupt generator data, unwritable output, memory exhausted).
+or corrupt generator data, a generated group too large for the stabilizer
+chain's MAX_CHAIN_BYTES, unwritable output, memory exhausted).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .graph import (
     srg_parameters,
     verify_bijection,
 )
-from .permaction import CycleParseError, GroupAction, OrbitalDecomposition
+from .permaction import ChainBudgetError, CycleParseError, GroupAction, OrbitalDecomposition
 
 SCHEMA_VERSION = 1
 
@@ -761,6 +762,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print("out of memory", file=sys.stderr)
+        return 2
+    except ChainBudgetError as exc:
+        print(f"generated group is too large: {exc}", file=sys.stderr)
         return 2
 
 

@@ -10,8 +10,12 @@ graph.
 Group order and orbitals both read one stabilizer chain per action,
 built on first use by incremental deterministic Schreier-Sims and kept as
 GroupAction.chain (see StabilizerChain for why it is certified with no
-separate verification pass); orbitals() reads the suborbits and every row
-of the pair table off the chain, whose base starts at point 0.
+separate verification pass, and why sifting the Schreier generators in
+blocks of rows builds the same chain as sifting them one at a time).  Each
+level keeps its transversal and inverse rows as two tables in orbit order,
+and the chain stops with ChainBudgetError before its arrays would pass
+MAX_CHAIN_BYTES.  orbitals() reads the suborbits and the whole pair table
+off the chain, whose base starts at point 0.
 """
 
 from __future__ import annotations
@@ -34,10 +38,20 @@ MAX_SCAN_RANK = 24
 
 # Largest degree a generator file may have.  At this degree the two
 # degree^2 tables behind an orbital decomposition are 64 MiB each: the int32
-# pair_ids, and level 0 of the stabilizer chain (its transversal elements
-# and their inverses, 2 * degree arrays of degree uint16 points).  Each
-# deeper level adds 2 * |orbit| such arrays.
+# pair_ids, and level 0 of the stabilizer chain (its transversal and inverse
+# tables, 2 * degree rows of degree uint16 points).  Each deeper level adds
+# 2 * |orbit| such rows, 4 * degree * |orbit| bytes.
 MAX_DEGREE = 4096
+
+# Bytes a stabilizer chain may hold: the arrays of its levels (transversal
+# and inverse tables, strong generators, point index) and one sift block.
+# The bundled rank-9 action needs 1.7 MiB at most; a transitive action of
+# degree MAX_DEGREE needs 64 MiB for level 0 alone.
+MAX_CHAIN_BYTES = 128 << 20
+
+# Bytes of one block of Schreier generators, sifted together: 67 rows at
+# degree 486.
+_SIFT_BLOCK_BYTES = 1 << 16
 
 
 class CycleParseError(ValueError):
@@ -221,45 +235,43 @@ def is_transitive(action: GroupAction) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class ChainBudgetError(ValueError):
+    """The stabilizer chain would hold more than MAX_CHAIN_BYTES."""
+
+
+def _gather(table: np.ndarray, rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """out[i] = table[rows[i]][perms[i]], that is perms[i] then table row
+    rows[i], as one flat gather over the block."""
+    return table.ravel().take(rows[:, None] * table.shape[1] + perms)
+
+
 class _ChainLevel:
-    """One level of a stabilizer chain: strong generators gens, the orbit of
-    base under them in discovery order, and transversal[x] (with inverse[x])
-    mapping base to x.  tree holds the Schreier-tree edges (x, c), and
-    tested[c] counts the orbit points already paired with gens[c].
+    """One level of a stabilizer chain: strong generators gens (one row
+    each), the orbit of base under them in discovery order, index[x] (the
+    position of x in the orbit, -1 off it), and row i of transversal (and of
+    inverse) mapping base to orbit[i], so row 0 is the identity.  done[c, i]
+    marks the Schreier generator of (orbit[i], gens[c]) as known to sift to
+    the identity.  The transversal table is dropped once the chain is
+    complete.
     """
 
-    __slots__ = ("base", "gens", "orbit", "transversal", "inverse", "tree", "tested")
+    __slots__ = ("base", "gens", "orbit", "index", "transversal", "inverse", "done")
 
     def __init__(self, base: int, ident: np.ndarray):
+        n = len(ident)
         self.base = base
-        self.gens: list[np.ndarray] = []
-        self.orbit = [base]
-        self.transversal = {base: ident}
-        self.inverse = {base: ident}
-        self.tree: set[tuple[int, int]] = set()
-        self.tested: list[int] = []
+        self.gens = np.empty((0, n), dtype=ident.dtype)
+        self.orbit = np.array([base], dtype=np.intp)
+        self.index = np.full(n, -1, dtype=np.intp)
+        self.index[base] = 0
+        self.transversal = ident[None, :].copy()
+        self.inverse = ident[None, :].copy()
+        self.done = np.empty((0, n), dtype=bool)
 
-    def add_generator(self, s: np.ndarray, ident: np.ndarray):
-        """Append s and grow the orbit in place: the points already in the
-        orbit take only s, the points it reaches take every generator."""
-        c = len(self.gens)
-        self.gens.append(s)
-        self.tested.append(0)
-        old = len(self.orbit)
-        k = 0
-        while k < len(self.orbit):
-            x = self.orbit[k]
-            for d in range(c if k < old else 0, c + 1):
-                y = int(self.gens[d][x])
-                if y not in self.transversal:
-                    t = self.gens[d][self.transversal[x]]
-                    inv = np.empty_like(t)
-                    inv[t] = ident
-                    self.transversal[y] = t
-                    self.inverse[y] = inv
-                    self.orbit.append(y)
-                    self.tree.add((x, d))
-            k += 1
+    @property
+    def nbytes(self) -> int:
+        # every slot but base holds an array
+        return sum(getattr(self, name).nbytes for name in self.__slots__[1:])
 
 
 class StabilizerChain:
@@ -276,14 +288,37 @@ class StabilizerChain:
     levels.  A residue other than the identity fixes b_0..b_{k-1} for some
     k > j; it joins S_{j+1}..S_k, whose orbits grow in place (H_0..H_j do
     not change, as the residue lies in H_j), and work resumes at level k.
-    A pair is sifted once: transversal elements never change once set, and
-    a generator that sifted to the identity stays in H_{j+1}, which only
-    grows.  Only Schreier-tree edges (x, s) are skipped, because t_{x^s}
-    was defined as t_x s, so their Schreier generator is the identity by
-    construction.  When the constructor returns every other Schreier
-    generator has sifted to the identity, so by Schreier's lemma H_{j+1} is
-    the stabilizer of b_j in H_j at every level and order() is exact.
-    ``sifted`` counts the Schreier generators sifted.
+    When the constructor returns every Schreier generator has sifted to the
+    identity, so by Schreier's lemma H_{j+1} is the stabilizer of b_j in
+    H_j at every level and order() is exact.
+
+    The Schreier generators of a level are sifted in blocks of rows of a
+    matrix, taken in (generator, orbit position) order, each block through
+    the deeper levels with one gather per level.  The chain is the one that
+    sifting them one at a time, in that order, builds: the same base,
+    strong generators, orbit orders and transversal rows.  Transversal rows
+    never change once set and orbits only grow, so a row that sifts to the
+    identity does so again later, along the same path; such rows are marked
+    done and never sifted again, and so are the Schreier-tree edges (x, s),
+    whose Schreier generator is the identity because t_{x^s} was defined as
+    t_x s.  The rows ahead of a block's first residue sift to the identity
+    and leave the chain as it was, so that residue is the one the
+    one-at-a-time sift meets first, against the same chain.  A row that
+    drops out of a level (its image of that level's base point is off the
+    orbit) is a residue, so the block is cut there.  The residue's row is
+    done too: when the level is next completed the levels below are
+    complete, so they sift every element of the group they generate, which
+    contains it.  Rows after it that were not seen to reach the identity
+    are sifted again then; ``sifted`` counts every row sifted, these
+    re-sifts included.  Only the construction reads the transversal tables,
+    so they are dropped when it ends; sifting and orbitals() read the
+    inverse tables.
+
+    The chain is bounded before it allocates.  Before a table grows (the
+    old and the new one are both held while it is copied) and before a
+    level's pending rows are listed and cut into blocks, the levels' arrays,
+    the new ones and one sift block must fit in MAX_CHAIN_BYTES, else
+    ChainBudgetError (a ValueError) is raised.
 
     Internally permutations are numpy index arrays of the smallest unsigned
     type that holds a point ("p, then q" is q[p]); the public methods take
@@ -291,12 +326,15 @@ class StabilizerChain:
     """
 
     def __init__(self, action: GroupAction):
-        self.degree = action.degree
+        n = self.degree = action.degree
         self.sifted = 0
-        self._dtype = np.min_scalar_type(max(self.degree - 1, 0))
-        self._ident = np.arange(self.degree, dtype=self._dtype)
+        self._dtype = np.min_scalar_type(max(n - 1, 0))
+        self._ident = np.arange(n, dtype=self._dtype)
+        self._block = max(1, _SIFT_BLOCK_BYTES // max(n * self._dtype.itemsize, 1))
+        # a block, the block it is gathered into and their intp gather index
+        self._block_bytes = self._block * n * (2 * self._dtype.itemsize + 8)
         self.levels: list[_ChainLevel] = []
-        if self.degree:
+        if n:
             self.levels.append(_ChainLevel(0, self._ident))
         for g in action.generators:
             s = np.array(g, dtype=self._dtype)
@@ -310,6 +348,20 @@ class StabilizerChain:
         j = len(self.levels) - 1
         while j >= 0:
             j = self._complete_level(j)
+        # only the construction reads the transversal tables
+        for level in self.levels:
+            del level.transversal
+
+    def _reserve(self, table_bytes: int):
+        """Raise ChainBudgetError unless the arrays the levels hold,
+        table_bytes more and one sift block fit in MAX_CHAIN_BYTES."""
+        held = sum(level.nbytes for level in self.levels)
+        need = held + table_bytes + self._block_bytes
+        if need > MAX_CHAIN_BYTES:
+            raise ChainBudgetError(
+                f"stabilizer chain of degree {self.degree} needs {need} bytes, "
+                f"over MAX_CHAIN_BYTES={MAX_CHAIN_BYTES}"
+            )
 
     def _add_strong(self, s: np.ndarray, first: int, last: int):
         """Add s, which fixes the base points before level `last`, to levels
@@ -318,37 +370,104 @@ class StabilizerChain:
             moved = int(np.flatnonzero(s != self._ident)[0])
             self.levels.append(_ChainLevel(moved, self._ident))
         for level in self.levels[first : last + 1]:
-            level.add_generator(s, self._ident)
+            self._add_generator(level, s)
+
+    def _add_generator(self, level: _ChainLevel, s: np.ndarray):
+        """Append s to level.gens and grow the orbit one breadth-first layer
+        at a time, as a queue would: the points already in the orbit take
+        only s, each new layer takes every generator, in (point, generator)
+        order.  The tables are then reallocated once, at their exact size."""
+        n = len(s)
+        c = len(level.gens)
+        level.gens = np.vstack([level.gens, s])
+        level.done = np.vstack([level.done, np.zeros((1, n), dtype=bool)])
+        old = size = len(level.orbit)
+        layers = []
+        points, first = level.orbit, c
+        while len(points):
+            k = len(level.gens) - first
+            images = level.gens[first:, points].T.ravel()
+            fresh = np.flatnonzero(level.index[images] < 0)
+            _, at = np.unique(images[fresh], return_index=True)
+            at = fresh[np.sort(at)]
+            parents = level.index[points[at // k]]
+            via = first + at % k
+            level.done[via, parents] = True  # Schreier-tree edges
+            points = images[at].astype(np.intp)
+            level.index[points] = np.arange(size, size + len(points))
+            size += len(points)
+            layers.append((points, parents, via))
+            first = 0
+        if size == old:
+            return
+        self._reserve(2 * size * n * self._dtype.itemsize)
+        transversal = np.empty((size, n), dtype=self._dtype)
+        inverse = np.empty_like(transversal)
+        transversal[:old] = level.transversal
+        inverse[:old] = level.inverse
+        # t_y = t_x s, so t_y^-1 = s^-1 t_x^-1
+        gen_inverses = np.empty_like(level.gens)
+        np.put_along_axis(gen_inverses, level.gens, self._ident, axis=1)
+        row = old
+        for _, parents, via in layers:
+            for lo in range(0, len(parents), self._block):
+                p, v = parents[lo : lo + self._block], via[lo : lo + self._block]
+                transversal[row : row + len(p)] = _gather(level.gens, v, transversal[p])
+                inverse[row : row + len(p)] = _gather(inverse, p, gen_inverses[v])
+                row += len(p)
+        level.orbit = np.concatenate([level.orbit] + [p for p, _, _ in layers])
+        level.transversal, level.inverse = transversal, inverse
 
     def _complete_level(self, j: int) -> int:
-        """Sift the untested Schreier generators of level j.  Return j - 1
-        when all reduce to the identity; else add the first residue as a
-        strong generator and return the level it dropped out at."""
+        """Sift the Schreier generators of level j not yet done, one block
+        at a time.  Return j - 1 when all reduce to the identity; else add
+        the first residue as a strong generator and return the level it
+        dropped out at."""
         level = self.levels[j]
-        for c, s in enumerate(level.gens):
-            while level.tested[c] < len(level.orbit):
-                x = level.orbit[level.tested[c]]
-                level.tested[c] += 1
-                if (x, c) in level.tree:
-                    continue
-                schreier = level.inverse[int(s[x])][s[level.transversal[x]]]
-                self.sifted += 1
-                residue, k = self._sift(schreier, j + 1)
-                if residue is not None:
-                    self._add_strong(residue, j + 1, k)
-                    return k
+        done = level.done[:, : len(level.orbit)]
+        # two intp indices per pending row
+        self._reserve(16 * (done.size - np.count_nonzero(done)))
+        gen_ids, rows = np.nonzero(~done)
+        for lo in range(0, len(rows), self._block):
+            c, i = gen_ids[lo : lo + self._block], rows[lo : lo + self._block]
+            # t_x s t_{x^s}^-1 for x = orbit[i] and s = gens[c]
+            images = level.gens[c, level.orbit[i]]
+            block = _gather(level.gens, c, level.transversal[i])
+            block = _gather(level.inverse, level.index[images], block)
+            self.sifted += len(block)
+            block, residue, k = self._sift(block, j + 1)
+            moved = (block != self._ident).any(axis=1)
+            same = np.flatnonzero(~moved)
+            level.done[c[same], i[same]] = True
+            if moved.any():
+                r = int(np.argmax(moved))
+                residue, k = block[r], len(self.levels)
+            else:
+                r = len(block)  # the row that dropped out, if one did
+            if residue is not None:
+                level.done[c[r], i[r]] = True
+                self._add_strong(residue, j + 1, k)
+                return k
         return j - 1
 
-    def _sift(self, g: np.ndarray, start: int) -> tuple[np.ndarray | None, int]:
-        """Strip g through levels start..; (None, depth) when it reduces to
-        the identity, else the residue and the level where it dropped out."""
+    def _sift(
+        self, block: np.ndarray, start: int
+    ) -> tuple[np.ndarray, np.ndarray | None, int]:
+        """Strip the rows of block through levels start.. until a row drops
+        out of one (its image of the base point is off the orbit).  Return
+        the rows before the first row that dropped out, stripped through
+        every level, and that row's residue and level, or (None,
+        len(levels)) if none dropped out."""
+        residue, depth = None, len(self.levels)
         for k in range(start, len(self.levels)):
             level = self.levels[k]
-            inv = level.inverse.get(int(g[level.base]))
-            if inv is None:
-                return g, k
-            g = inv[g]
-        return (None if np.array_equal(g, self._ident) else g), len(self.levels)
+            rows = level.index[block[:, level.base]]
+            out = np.flatnonzero(rows < 0)
+            if len(out):
+                residue, depth = block[out[0]], k
+                block, rows = block[: out[0]], rows[: out[0]]
+            block = _gather(level.inverse, rows, block)
+        return block, residue, depth
 
     def order(self) -> int:
         n = 1
@@ -359,8 +478,8 @@ class StabilizerChain:
     def contains(self, g: Permutation) -> bool:
         if len(g) != self.degree:
             raise ValueError(f"degree mismatch: {len(g)} vs {self.degree}")
-        residue, _ = self._sift(np.array(g, dtype=self._dtype), 0)
-        return residue is None
+        block, _, _ = self._sift(np.array([g], dtype=self._dtype), 0)
+        return len(block) == 1 and np.array_equal(block[0], self._ident)
 
     def base(self) -> tuple[int, ...]:
         return tuple(level.base for level in self.levels)
@@ -420,7 +539,9 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
     stabilizer chain, whose base starts at 0: the orbits of the level-1 strong
     generators, which generate the stabilizer of 0, are the suborbits, and
     as the level-0 transversal element t_x maps (0, z) to (x, t_x[z]), row
-    x is pair_ids[x, t_x[z]] = suborbit of z.
+    x is pair_ids[x, t_x[z]] = suborbit of z, that is pair_ids[x] = suborbit
+    of t_x^-1.  The rows are gathered from the level-0 inverse table one sift
+    block of rows at a time.
     """
     chain = action.chain
     top = chain.levels[0]
@@ -439,8 +560,9 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
     ids = array("i", [0]) * (n * n)
     rows = np.frombuffer(ids, dtype=np.intc).reshape(n, n)
     labels = np.array(suborbit, dtype=np.intc)
-    for x, t in top.transversal.items():
-        rows[x, t] = labels
+    step = chain._block
+    for lo in range(0, n, step):
+        rows[top.orbit[lo : lo + step]] = labels[top.inverse[lo : lo + step]]
     return OrbitalDecomposition(
         action=action,
         base=0,
@@ -481,7 +603,7 @@ def verify_invariance(action: GroupAction, graph: Graph) -> bool:
     if action.degree != graph.n:
         raise ValueError("degree and vertex count differ")
     a = graph.adjacency_matrix
-    return all(np.array_equal(a[np.ix_(g, g)], a) for g in action.generators)
+    return all(np.array_equal(a.take(g, 0).take(g, 1), a) for g in action.generators)
 
 
 def collapsed_matrix(

@@ -6,6 +6,8 @@ or recompute by a second route what the library computes.
 import re
 from collections import deque
 
+import numpy as np
+
 from golay486 import codes
 from golay486.gf3 import DimensionError
 from golay486.graph import Graph
@@ -139,6 +141,110 @@ def edge_orbit_graph(action, seed_pairs):
                 queue.append(pair)
                 queue.append(pair[::-1])
     return Graph(n, [(u, v) for (u, v) in seen if u < v])
+
+
+class _SequentialLevel:
+    """One level of the sequential chain: strong generators gens, the orbit
+    of base under them in discovery order, and transversal[x] (with
+    inverse[x]) mapping base to x.  tree holds the Schreier-tree edges
+    (x, c), and tested[c] counts the orbit points already paired with
+    gens[c]."""
+
+    def __init__(self, base, ident):
+        self.base = base
+        self.gens = []
+        self.orbit = [base]
+        self.transversal = {base: ident}
+        self.inverse = {base: ident}
+        self.tree = set()
+        self.tested = []
+
+    def add_generator(self, s, ident):
+        """Append s and grow the orbit in place: the points already in the
+        orbit take only s, the points it reaches take every generator."""
+        c = len(self.gens)
+        self.gens.append(s)
+        self.tested.append(0)
+        old = len(self.orbit)
+        k = 0
+        while k < len(self.orbit):
+            x = self.orbit[k]
+            for d in range(c if k < old else 0, c + 1):
+                y = int(self.gens[d][x])
+                if y not in self.transversal:
+                    t = self.gens[d][self.transversal[x]]
+                    inv = np.empty_like(t)
+                    inv[t] = ident
+                    self.transversal[y] = t
+                    self.inverse[y] = inv
+                    self.orbit.append(y)
+                    self.tree.add((x, d))
+            k += 1
+
+
+class _SequentialChain:
+    """Incremental deterministic Schreier-Sims that sifts one Schreier
+    generator per call, in (generator, orbit position) order, skipping only
+    Schreier-tree edges; permaction.StabilizerChain must build the same
+    chain in blocks."""
+
+    def __init__(self, action):
+        self.degree = action.degree
+        self.sifted = 0
+        self._dtype = np.min_scalar_type(max(self.degree - 1, 0))
+        self._ident = np.arange(self.degree, dtype=self._dtype)
+        self.levels = []
+        if self.degree:
+            self.levels.append(_SequentialLevel(0, self._ident))
+        for g in action.generators:
+            s = np.array(g, dtype=self._dtype)
+            if np.array_equal(s, self._ident):
+                continue
+            depth = next(
+                (j for j, lv in enumerate(self.levels) if s[lv.base] != lv.base),
+                len(self.levels),
+            )
+            self._add_strong(s, 0, depth)
+        j = len(self.levels) - 1
+        while j >= 0:
+            j = self._complete_level(j)
+
+    def _add_strong(self, s, first, last):
+        if last == len(self.levels):
+            moved = int(np.flatnonzero(s != self._ident)[0])
+            self.levels.append(_SequentialLevel(moved, self._ident))
+        for level in self.levels[first : last + 1]:
+            level.add_generator(s, self._ident)
+
+    def _complete_level(self, j):
+        level = self.levels[j]
+        for c, s in enumerate(level.gens):
+            while level.tested[c] < len(level.orbit):
+                x = level.orbit[level.tested[c]]
+                level.tested[c] += 1
+                if (x, c) in level.tree:
+                    continue
+                schreier = level.inverse[int(s[x])][s[level.transversal[x]]]
+                self.sifted += 1
+                residue, k = self._sift(schreier, j + 1)
+                if residue is not None:
+                    self._add_strong(residue, j + 1, k)
+                    return k
+        return j - 1
+
+    def _sift(self, g, start):
+        for k in range(start, len(self.levels)):
+            level = self.levels[k]
+            inv = level.inverse.get(int(g[level.base]))
+            if inv is None:
+                return g, k
+            g = inv[g]
+        return (None if np.array_equal(g, self._ident) else g), len(self.levels)
+
+
+def sequential_chain(action):
+    """The stabilizer chain of action, one Schreier generator at a time."""
+    return _SequentialChain(action)
 
 
 _DOT_STATEMENT = re.compile(

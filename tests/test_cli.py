@@ -416,6 +416,28 @@ def test_gens_files_are_read_at_the_bundled_degree(tmp_path, capsys):
         assert "corrupt" in err and "position" in err
 
 
+def test_a_group_over_the_chain_budget_exits_2_or_reads_unavailable(
+    tmp_path, capsys, monkeypatch
+):
+    # S_20 on the first 20 of 486 points needs more than 1 MiB of chain
+    gens = tmp_path / "s20.txt"
+    gens.write_text("a := (1,2)\nb := (" + ",".join(map(str, range(1, 21))) + ")\n")
+    monkeypatch.setattr(permaction, "MAX_CHAIN_BYTES", 2**20)
+    message = "stabilizer chain of degree 486 needs"
+    for argv in (("group", "order"), ("group", "orbitals"), ("group", "scan"), ("scan",)):
+        code, out, err = run(capsys, *argv, "--gens", str(gens))
+        assert code == 2 and out == ""
+        assert err.startswith(f"generated group is too large: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    out_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--gens", str(gens), "--json", str(out_path))
+    assert code == 1 and "Traceback" not in err
+    entries = json.loads(out_path.read_text())["entries"]
+    observed = {e["claim_id"]: e["observed"] for e in entries}
+    assert observed["group.order"].startswith(f"unavailable: {message}")
+    assert observed["group.rank"].startswith(f"unavailable: {message}")
+
+
 def test_diagram_distance_delta(capsys):
     code, out, _ = run(capsys, "diagram", "delta", "--kind", "distance")
     assert code == 0

@@ -1,9 +1,11 @@
 import math
 import random
 import re
+import tracemalloc
 from array import array
 from collections import Counter, deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from golay486.constructions import _bundled_generators_text
 from golay486.graph import Graph, GraphStructureError, is_distance_regular
 from golay486.permaction import (
     MAX_DEGREE,
+    ChainBudgetError,
     CycleParseError,
     GroupAction,
     OrbitalDecomposition,
@@ -35,6 +38,7 @@ from oracles import (
     edge_orbit_graph,
     identity,
     inverse,
+    sequential_chain,
 )
 
 
@@ -300,6 +304,116 @@ def test_sifted_count_repeats(bundled_action):
     again = StabilizerChain(bundled_action)
     assert first.sifted == again.sifted > 0
     assert first.base() == again.base()
+
+
+def relabelled(action, seed):
+    """action conjugated by a seeded random permutation of its points."""
+    sigma = list(range(action.degree))
+    random.Random(seed).shuffle(sigma)
+    return GroupAction(
+        action.degree,
+        tuple(
+            compose(compose(inverse(tuple(sigma)), g), tuple(sigma))
+            for g in action.generators
+        ),
+    )
+
+
+def assert_same_chain(chain, oracle):
+    """Level by level: base, strong generators, orbit order, and every
+    transversal and inverse row.  The chain keeps only the inverse rows once
+    it is complete; the transversal rows are their inverses."""
+    assert chain.base() == tuple(level.base for level in oracle.levels)
+    for level, want in zip(chain.levels, oracle.levels, strict=True):
+        assert level.gens.tolist() == [s.tolist() for s in want.gens]
+        assert level.orbit.tolist() == want.orbit
+        assert not hasattr(level, "transversal")
+        transversal = np.argsort(level.inverse, axis=1)
+        assert transversal.tolist() == [want.transversal[x].tolist() for x in want.orbit]
+        assert level.inverse.tolist() == [want.inverse[x].tolist() for x in want.orbit]
+    assert chain.order() == math.prod(len(level.orbit) for level in oracle.levels)
+
+
+def test_batched_chain_matches_sequential_sifting(bundled_action):
+    actions = [bundled_action] + [relabelled(bundled_action, seed) for seed in range(10)]
+    for action in actions:
+        assert_same_chain(StabilizerChain(action), sequential_chain(action))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups())
+def test_batched_chain_matches_sequential_sifting_on_small_groups(action):
+    assert_same_chain(StabilizerChain(action), sequential_chain(action))
+
+
+@pytest.mark.parametrize("rows", [1, 5, 67, 486])
+def test_chain_does_not_depend_on_the_block_size(rows, bundled_action, monkeypatch):
+    monkeypatch.setattr(permaction, "_SIFT_BLOCK_BYTES", rows * 486 * 2)
+    action = relabelled(bundled_action, 7)
+    chain, oracle = StabilizerChain(action), sequential_chain(action)
+    assert chain._block == rows
+    assert_same_chain(chain, oracle)
+    if rows == 1:  # one row at a time is the sequential sift
+        assert chain.sifted == oracle.sifted
+
+
+def test_chain_memory_on_bundled_action(bundled_action):
+    tracemalloc.start()
+    try:
+        chain = StabilizerChain(bundled_action)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chain.order() == 349920
+    # the inverse tables: 486 + 180 + 4 rows of 486 uint16 points, 0.62 MiB
+    assert retained <= 0.7 * 2**20
+    assert peak <= 2 * 2**20
+
+
+def symmetric_on_first_points(n, degree):
+    """S_n on points 0..n-1 of degree points, the rest fixed."""
+    cycle = "(" + ",".join(map(str, range(1, n + 1))) + ")"
+    return GroupAction(
+        degree, (parse_cycles("(1,2)", degree), parse_cycles(cycle, degree))
+    )
+
+
+def rotations(k, degree):
+    """The first k powers of a degree-cycle: a regular cyclic group with k
+    generators."""
+    return GroupAction(
+        degree,
+        tuple(tuple((x + p) % degree for x in range(degree)) for p in range(1, k + 1)),
+    )
+
+
+@pytest.mark.parametrize(
+    "action, order, budget",
+    [
+        # the tables of many levels
+        (symmetric_on_first_points(20, 486), math.factorial(20), 2**20),
+        # the table of level 0
+        (rotations(1, 486), 486, 2**19),
+        # the list of 100 * 486 pending Schreier generators of level 0
+        (rotations(100, 486), 486, 2 * 2**20),
+    ],
+    ids=["S20", "C486", "C486_100_generators"],
+)
+def test_chain_budget_stops_before_it_allocates(action, order, budget, monkeypatch):
+    assert StabilizerChain(action).order() == order
+    monkeypatch.setattr(permaction, "MAX_CHAIN_BYTES", budget)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ChainBudgetError) as info:
+            StabilizerChain(action)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(info.value, ValueError)
+    assert str(info.value).endswith(f"over MAX_CHAIN_BYTES={budget}")
+    assert peak <= budget
+    # a smaller group under the same budget is built in full
+    assert StabilizerChain(symmetric_on_first_points(8, 486)).order() == math.factorial(8)
 
 
 def test_group_order_and_orbitals_share_one_chain(relabelled_action, monkeypatch):
