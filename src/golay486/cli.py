@@ -8,7 +8,8 @@ same path.
 Exit codes follow a CI-friendly contract: 0 when every evaluated claim
 passes, 1 when a claim fails, 2 when the environment is unusable (missing
 or corrupt generator data, a generated group too large for the stabilizer
-chain's MAX_CHAIN_BYTES, unwritable output, memory exhausted).
+chain's MAX_CHAIN_BYTES, an action that `group orbitals|scan` cannot
+decompose or scan, unwritable output, memory exhausted).
 """
 
 from __future__ import annotations
@@ -234,7 +235,8 @@ def _isomorphic(claim_id: str, description: str, first, second) -> Claim:
 
 
 def _transitive(run) -> tuple[str, bool]:
-    orbit_size = len(permaction.orbit(run.action, 0))
+    labels = permaction.orbit_labels(run.action.generators, run.action.degree)
+    orbit_size = int(np.count_nonzero(labels == 0))
     return f"orbit size {orbit_size}", orbit_size == run.action.degree
 
 
@@ -652,21 +654,22 @@ def _load_action(gens_path: str | None) -> GroupAction:
 
 
 def _cmd_group(args) -> int:
-    action = _load_action(args.gens)
+    run = Run(_load_action(args.gens))
     if args.action == "order":
-        print(permaction.group_order(action))
+        print(permaction.group_order(run.action))
         return 0
     try:
-        decomp = permaction.orbitals(action)
+        decomp = run.decomp
+        results = run.scan if args.action == "scan" else []
     except GraphStructureError as exc:
-        # only an intransitive generator file gets here
-        print(f"generator data has no orbital decomposition: {exc}", file=sys.stderr)
+        # an intransitive action, or a rank over permaction.MAX_SCAN_RANK
+        print(f"unusable generator data: {exc}", file=sys.stderr)
         return 2
     if args.action == "orbitals":
         print(f"rank {decomp.rank}")
         print("suborbit sizes " + " ".join(map(str, sorted(decomp.suborbit_sizes))))
     else:  # scan
-        for result in permaction.scan_orbital_unions(decomp):
+        for result in results:
             sizes = "+".join(map(str, result.suborbit_sizes))
             print(f"{sizes:<24} {result.array}")
     return 0

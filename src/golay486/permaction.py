@@ -16,13 +16,16 @@ level keeps its transversal and inverse rows as two tables in orbit order,
 and the chain stops with ChainBudgetError before its arrays would pass
 MAX_CHAIN_BYTES.  orbitals() reads the suborbits and the whole pair table
 off the chain, whose base starts at point 0.
+
+Orbits are labelled by their least point in array passes (orbit_labels), and
+the scan tests the suborbit quotients of a block of unions at once, by one
+layered breadth-first search over the block.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Iterable, Sequence
@@ -33,8 +36,14 @@ from .graph import Graph, GraphStructureError, IntersectionArray
 
 Permutation = tuple[int, ...]
 
-# With rank r there are up to 2^(r-1) orbital unions to scan.
-MAX_SCAN_RANK = 24
+# Largest rank the orbital-union scan takes.  The nontrivial orbitals of a
+# rank-r action form at most r - 1 transpose-closed units, so at most 2^15
+# unions are tested.
+MAX_SCAN_RANK = 16
+
+# Bytes of the suborbit quotients (rank x rank int64 each) of one block of
+# unions, tested together: 1618 unions at rank 9, the whole bundled scan.
+_SCAN_BLOCK_BYTES = 1 << 20
 
 # Largest degree a generator file may have.  At this degree the two
 # degree^2 tables behind an orbital decomposition are 64 MiB each: the int32
@@ -212,22 +221,34 @@ class GroupAction:
         return StabilizerChain(self)
 
 
-def orbit(action: GroupAction, point: int) -> set[int]:
-    """Closure of {point} under the generators (breadth-first)."""
-    seen = {point}
-    queue = deque([point])
-    while queue:
-        x = queue.popleft()
-        for g in action.generators:
-            y = g[x]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+def orbit_labels(generators: Sequence[Permutation] | np.ndarray, degree: int) -> np.ndarray:
+    """label[x] = the least point of the orbit of x under the generators.
+
+    Min-label propagation with pointer jumping.  Each round hooks the label
+    at either end of every edge (x, g[x]) onto the other end's label, if
+    that is less, then jumps each label to its root (label[r] = r).  A label
+    never rises and never leaves its point's orbit.  While an edge joins two
+    labels, the larger is a root and falls, so the rounds end; then both
+    ends of every edge agree, and each orbit carries its least point.
+    Hooking both ways keeps the rounds few: one way, a 486-cycle takes 485
+    rounds, against 1.
+    """
+    gens = np.asarray(generators, dtype=np.intp).reshape(len(generators), degree)
+    label = np.arange(degree)
+    heads, tails = np.tile(label, len(gens)), gens.ravel()
+    while True:
+        lx, ly = label[heads], label[tails]
+        if np.array_equal(lx, ly):
+            return label
+        np.minimum.at(label, lx, ly)
+        np.minimum.at(label, ly, lx)
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
 
 
 def is_transitive(action: GroupAction) -> bool:
-    return len(orbit(action, 0)) == action.degree
+    return not orbit_labels(action.generators, action.degree).any()
 
 
 # ---------------------------------------------------------------------------
@@ -518,11 +539,6 @@ class OrbitalDecomposition:
         n = self.action.degree
         return tuple(self.pair_ids[self.base * n + v] for v in range(n))
 
-    def suborbit_members(self, orbital: int) -> tuple[int, ...]:
-        return tuple(
-            v for v, s in enumerate(self.suborbit_of_vertex) if s == orbital
-        )
-
     def nontrivial_ids(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.rank) if k != self.diagonal_id)
 
@@ -537,8 +553,9 @@ class OrbitalDecomposition:
 def orbitals(action: GroupAction) -> OrbitalDecomposition:
     """Pair-orbit decomposition of a transitive action, read off the
     stabilizer chain, whose base starts at 0: the orbits of the level-1 strong
-    generators, which generate the stabilizer of 0, are the suborbits, and
-    as the level-0 transversal element t_x maps (0, z) to (x, t_x[z]), row
+    generators, which generate the stabilizer of 0, are the suborbits,
+    labelled in one orbit_labels pass and numbered by their least points.
+    As the level-0 transversal element t_x maps (0, z) to (x, t_x[z]), row
     x is pair_ids[x, t_x[z]] = suborbit of z, that is pair_ids[x] = suborbit
     of t_x^-1.  The rows are gathered from the level-0 inverse table one sift
     block of rows at a time.
@@ -548,18 +565,11 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
     n = action.degree
     if len(top.orbit) != n:
         raise GraphStructureError("action is not transitive")
-    stabilizer_gens = chain.levels[1].gens if len(chain.levels) > 1 else []
-    stabilizer = GroupAction(n, tuple(tuple(s.tolist()) for s in stabilizer_gens))
-    suborbit = [-1] * n
-    firsts = []
-    for y in range(n):
-        if suborbit[y] == -1:
-            for z in orbit(stabilizer, y):
-                suborbit[z] = len(firsts)
-            firsts.append(y)
+    stabilizer = chain.levels[1].gens if len(chain.levels) > 1 else ()
+    firsts, labels = np.unique(orbit_labels(stabilizer, n), return_inverse=True)
+    labels = labels.astype(np.intc)
     ids = array("i", [0]) * (n * n)
     rows = np.frombuffer(ids, dtype=np.intc).reshape(n, n)
-    labels = np.array(suborbit, dtype=np.intc)
     step = chain._block
     for lo in range(0, n, step):
         rows[top.orbit[lo : lo + step]] = labels[top.inverse[lo : lo + step]]
@@ -569,8 +579,8 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
         pair_ids=ids,
         rank=len(firsts),
         suborbit_sizes=tuple(np.bincount(labels).tolist()),
-        pairing=tuple(int(rows[y, 0]) for y in firsts),
-        diagonal_id=suborbit[0],
+        pairing=tuple(rows[firsts, 0].tolist()),
+        diagonal_id=int(labels[0]),
     )
 
 
@@ -648,56 +658,49 @@ def _orbital_collapsed_rows(decomp: OrbitalDecomposition) -> np.ndarray:
     return np.bincount(cells.ravel(), minlength=rank**3).reshape(rank, rank, rank)
 
 
-def _quotient_intersection_array(
-    b_union: Sequence[Sequence[int]], diagonal: int
-) -> IntersectionArray | None | str:
-    """DRG test on the suborbit quotient.
+def _distance_partitions(
+    quotients: np.ndarray, diagonal: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distance-partition test for distance-regularity (Brouwer, Cohen
+    and Neumaier 1989, section 4.1) on a block of suborbit quotients, where
+    quotients[u, s, t] counts the neighbours in suborbit t of a vertex in
+    suborbit s, in the graph of union u.
 
-    For a vertex-transitive graph whose edges are a union of orbitals, the
-    distance classes around the base vertex are unions of suborbits and the
-    neighbor counts are constant on each suborbit, so the graph is
-    distance-regular iff the counts agree across all suborbits at the same
-    distance.  Returns the array, None for a non-DRG, or "disconnected".
+    In a vertex-transitive graph whose edges are a union of orbitals, the
+    distance classes around the base vertex are unions of suborbits and
+    the neighbour counts are constant on each suborbit.  So one breadth-first
+    search on the quotient, by layered boolean products as in graph._layers,
+    gives every suborbit's distance, and the graph is distance-regular iff
+    it is connected, no neighbour skips a distance layer, and every
+    suborbit's c/a/b counts equal those of the least suborbit at the same
+    distance.  Returns dist[u, s] (-1 if unreached), counts[u, s] = (c, a,
+    b) and the verdict regular[u].
     """
-    rank = len(b_union)
-    dist = [-1] * rank
-    dist[diagonal] = 0
-    queue = deque([diagonal])
-    while queue:
-        s = queue.popleft()
-        for t in range(rank):
-            if b_union[s][t] and dist[t] == -1:
-                dist[t] = dist[s] + 1
-                queue.append(t)
-    if -1 in dist:
-        return "disconnected"
-    d = max(dist)
-    c_at = [set() for _ in range(d + 1)]
-    a_at = [set() for _ in range(d + 1)]
-    b_at = [set() for _ in range(d + 1)]
-    for s in range(rank):
-        i = dist[s]
-        c = a = b = 0
-        for t in range(rank):
-            gap = dist[t] - i
-            if gap == -1:
-                c += b_union[s][t]
-            elif gap == 0:
-                a += b_union[s][t]
-            elif gap == 1:
-                b += b_union[s][t]
-            elif b_union[s][t]:
-                return None  # neighbors may not skip a distance level
-        c_at[i].add(c)
-        a_at[i].add(a)
-        b_at[i].add(b)
-    for i in range(d + 1):
-        if len(c_at[i]) > 1 or len(a_at[i]) > 1 or len(b_at[i]) > 1:
-            return None
-    return IntersectionArray(
-        b=tuple(b_at[i].pop() for i in range(d)),
-        c=tuple(c_at[i].pop() for i in range(1, d + 1)),
+    m, rank, _ = quotients.shape
+    adjacent = quotients > 0
+    dist = np.full((m, rank), -1)
+    dist[:, diagonal] = 0
+    layer = dist == 0
+    for j in range(1, rank):
+        layer = np.matmul(layer[:, None, :], adjacent)[:, 0] & (dist < 0)
+        dist[layer] = j
+    gap = dist[:, None, :] - dist[:, :, None]  # dist of t less dist of s
+    counts = np.stack([(quotients * (gap == g)).sum(2) for g in (-1, 0, 1)], axis=2)
+    least = np.argmax(dist[:, None, :] == dist[:, :, None], axis=2)
+    regular = (
+        (dist >= 0).all(1)
+        & ~(adjacent & (np.abs(gap) > 1)).any((1, 2))
+        & (counts == np.take_along_axis(counts, least[:, :, None], axis=1)).all((1, 2))
     )
+    return dist, counts, regular
+
+
+def _intersection_array(dist: np.ndarray, counts: np.ndarray) -> IntersectionArray:
+    """The array of one union that passed _distance_partitions, read off
+    the least suborbit at each distance."""
+    d = int(dist.max())
+    c, _, b = counts[np.argmax(dist == np.arange(d + 1)[:, None], axis=1)].T.tolist()
+    return IntersectionArray(b=tuple(b[:d]), c=tuple(c[1:]))
 
 
 @dataclass(frozen=True)
@@ -711,41 +714,38 @@ def scan_orbital_unions(decomp: OrbitalDecomposition) -> list[ScanResult]:
     """Every transpose-closed union of nontrivial orbitals that is a
     connected distance-regular graph, with its intersection array.
 
-    Unions are enumerated in ascending-mask order over the transpose-pair
-    units, so the output order is deterministic.
+    The nontrivial orbitals form transpose-closed units, led by their least
+    orbital; bit i of a mask selects unit i.  The masks are taken in
+    ascending order, so the output order is deterministic, in blocks whose
+    quotients fill _SCAN_BLOCK_BYTES: one tensor product gives a block's
+    suborbit quotients and _distance_partitions tests them all at once.  A
+    rank over MAX_SCAN_RANK is refused before anything is built.
     """
-    if decomp.rank > MAX_SCAN_RANK:
-        raise GraphStructureError(
-            f"rank {decomp.rank} exceeds the scan bound {MAX_SCAN_RANK}"
-        )
-    units = []
-    seen: set[int] = set()
-    for k in decomp.nontrivial_ids():
-        if k in seen:
-            continue
-        unit = frozenset({k, decomp.pairing[k]})
-        seen |= unit
-        units.append(unit)
-    # chosen[m, k]: orbital k is in the union of mask m + 1, whose bit i
-    # selects units[i]; one product then gives every union's quotient
-    bits = (np.arange(1, 2 ** len(units))[:, None] >> np.arange(len(units))) & 1
-    members = np.zeros((len(units), decomp.rank), dtype=np.int64)
-    for i, unit in enumerate(units):
-        members[i, list(unit)] = 1
-    chosen = bits @ members
-    b_unions = np.tensordot(chosen, _orbital_collapsed_rows(decomp), axes=1)
+    rank = decomp.rank
+    if rank > MAX_SCAN_RANK:
+        raise GraphStructureError(f"rank {rank} exceeds the scan bound {MAX_SCAN_RANK}")
+    leaders = [k for k in decomp.nontrivial_ids() if decomp.pairing[k] >= k]
+    members = np.zeros((len(leaders), rank), dtype=np.int64)
+    members[np.arange(len(leaders)), leaders] = 1
+    members[np.arange(len(leaders)), [decomp.pairing[k] for k in leaders]] = 1
+    collapsed = _orbital_collapsed_rows(decomp)
+    step = max(1, _SCAN_BLOCK_BYTES // (8 * rank * rank))
+    end = 2 ** len(leaders)
     results = []
-    for orbitals_in, b_union in zip(chosen, b_unions.tolist()):
-        arr = _quotient_intersection_array(b_union, decomp.diagonal_id)
-        if isinstance(arr, IntersectionArray):
-            ids = np.flatnonzero(orbitals_in).tolist()
+    for lo in range(1, end, step):
+        masks = np.arange(lo, min(lo + step, end))
+        # chosen[u, k]: orbital k is in the union of masks[u]
+        chosen = ((masks[:, None] >> np.arange(len(leaders))) & 1) @ members
+        dist, counts, regular = _distance_partitions(
+            np.tensordot(chosen, collapsed, axes=1), decomp.diagonal_id
+        )
+        for u in np.flatnonzero(regular):
+            ids = np.flatnonzero(chosen[u]).tolist()
             results.append(
                 ScanResult(
                     orbital_ids=frozenset(ids),
-                    suborbit_sizes=tuple(
-                        sorted(decomp.suborbit_sizes[k] for k in ids)
-                    ),
-                    array=arr,
+                    suborbit_sizes=tuple(sorted(decomp.suborbit_sizes[k] for k in ids)),
+                    array=_intersection_array(dist[u], counts[u]),
                 )
             )
     return results

@@ -10,7 +10,7 @@ import numpy as np
 
 from golay486 import codes
 from golay486.gf3 import DimensionError
-from golay486.graph import Graph
+from golay486.graph import Graph, IntersectionArray
 
 
 def vec_add(u, v):
@@ -113,6 +113,70 @@ def inverse(p):
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
+
+
+def orbit(action, point):
+    """Closure of {point} under the generators (breadth-first)."""
+    seen = {point}
+    queue = deque([point])
+    while queue:
+        x = queue.popleft()
+        for g in action.generators:
+            y = g[x]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+def quotient_intersection_array(b_union, diagonal):
+    """DRG test on one union's suborbit quotient, one suborbit at a time.
+
+    For a vertex-transitive graph whose edges are a union of orbitals, the
+    distance classes around the base vertex are unions of suborbits and the
+    neighbor counts are constant on each suborbit, so the graph is
+    distance-regular iff the counts agree across all suborbits at the same
+    distance.  Returns the array, None for a non-DRG, or "disconnected".
+    """
+    rank = len(b_union)
+    dist = [-1] * rank
+    dist[diagonal] = 0
+    queue = deque([diagonal])
+    while queue:
+        s = queue.popleft()
+        for t in range(rank):
+            if b_union[s][t] and dist[t] == -1:
+                dist[t] = dist[s] + 1
+                queue.append(t)
+    if -1 in dist:
+        return "disconnected"
+    d = max(dist)
+    c_at = [set() for _ in range(d + 1)]
+    a_at = [set() for _ in range(d + 1)]
+    b_at = [set() for _ in range(d + 1)]
+    for s in range(rank):
+        i = dist[s]
+        c = a = b = 0
+        for t in range(rank):
+            gap = dist[t] - i
+            if gap == -1:
+                c += b_union[s][t]
+            elif gap == 0:
+                a += b_union[s][t]
+            elif gap == 1:
+                b += b_union[s][t]
+            elif b_union[s][t]:
+                return None  # neighbors may not skip a distance level
+        c_at[i].add(c)
+        a_at[i].add(a)
+        b_at[i].add(b)
+    for i in range(d + 1):
+        if len(c_at[i]) > 1 or len(a_at[i]) > 1 or len(b_at[i]) > 1:
+            return None
+    return IntersectionArray(
+        b=tuple(b_at[i].pop() for i in range(d)),
+        c=tuple(c_at[i].pop() for i in range(1, d + 1)),
+    )
 
 
 def edge_orbit_graph(action, seed_pairs):

@@ -438,6 +438,19 @@ def test_a_group_over_the_chain_budget_exits_2_or_reads_unavailable(
     assert observed["group.rank"].startswith(f"unavailable: {message}")
 
 
+def test_a_scan_over_the_rank_bound_exits_2(tmp_path, capsys):
+    # the regular cyclic action of degree 486 has rank 486
+    gens = tmp_path / "c486.txt"
+    gens.write_text("a := (" + ",".join(map(str, range(1, 487))) + ")\n")
+    bound = permaction.MAX_SCAN_RANK
+    for argv in (("group", "scan"), ("scan",)):
+        code, out, err = run(capsys, *argv, "--gens", str(gens))
+        assert code == 2 and out == ""
+        assert err == f"unusable generator data: rank 486 exceeds the scan bound {bound}\n"
+    code, out, _ = run(capsys, "group", "orbitals", "--gens", str(gens))
+    assert code == 0 and out.startswith("rank 486\n")
+
+
 def test_diagram_distance_delta(capsys):
     code, out, _ = run(capsys, "diagram", "delta", "--kind", "distance")
     assert code == 0

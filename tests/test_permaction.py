@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from golay486 import permaction
 from golay486.constructions import _bundled_generators_text
-from golay486.graph import Graph, GraphStructureError, is_distance_regular
+from golay486.graph import Graph, GraphStructureError, IntersectionArray, is_distance_regular
 from golay486.permaction import (
     MAX_DEGREE,
     ChainBudgetError,
@@ -23,7 +24,6 @@ from golay486.permaction import (
     collapsed_matrix,
     format_cycles,
     group_order,
-    orbit,
     orbitals,
     orbital_union_graph,
     parse_cycles,
@@ -38,6 +38,8 @@ from oracles import (
     edge_orbit_graph,
     identity,
     inverse,
+    orbit,
+    quotient_intersection_array,
     sequential_chain,
 )
 
@@ -65,6 +67,30 @@ def alternating_action(n):
         degree=n,
         generators=tuple(parse_cycles(f"(1,2,{k})", n) for k in range(3, n + 1)),
     )
+
+
+def dihedral_action(n):
+    rotation = tuple(range(1, n)) + (0,)
+    reflection = tuple(-x % n for x in range(n))
+    return GroupAction(degree=n, generators=(rotation, reflection))
+
+
+def petersen_action():
+    """S5 on the ten 2-subsets of five points; its rank-3 orbitals are the
+    Petersen graph and its complement."""
+    pairs = list(itertools.combinations(range(5), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    gens = ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))
+    return GroupAction(
+        10,
+        tuple(tuple(index[tuple(sorted((g[a], g[b])))] for a, b in pairs) for g in gens),
+    )
+
+
+def regular_elementary_abelian_action(k):
+    """The group 2^k acting on itself: x -> x xor 2^i for each i."""
+    n = 2**k
+    return GroupAction(n, tuple(tuple(x ^ (1 << i) for x in range(n)) for i in range(k)))
 
 
 def mathieu_11_action():
@@ -555,7 +581,7 @@ def test_edge_orbit_graph_invariance_random(bundled_action):
 
 def test_edge_orbit_graph_from_45_suborbit(decomp, bundled_action):
     by_size = decomp.id_by_suborbit_size()
-    seed = decomp.suborbit_members(by_size[45])[0]
+    seed = decomp.suborbit_of_vertex.index(by_size[45])
     g = edge_orbit_graph(bundled_action, [(0, seed)])
     arr = is_distance_regular(g)
     assert arr is not None and str(arr) == "{45,44,36,5; 1,9,40,45}"
@@ -563,7 +589,7 @@ def test_edge_orbit_graph_from_45_suborbit(decomp, bundled_action):
 
 def test_edge_orbit_graph_from_2_suborbit_is_triangles(decomp, bundled_action):
     by_size = decomp.id_by_suborbit_size()
-    seed = decomp.suborbit_members(by_size[2])[0]
+    seed = decomp.suborbit_of_vertex.index(by_size[2])
     g = edge_orbit_graph(bundled_action, [(0, seed)])
     assert all(g.degree(v) == 2 for v in range(g.n))
     # 162 disjoint triangles: every vertex's neighbors are adjacent
@@ -578,7 +604,7 @@ def test_orbital_union_graph_matches_edge_orbit_graph(fixture, request):
     action = request.getfixturevalue(fixture)
     decomp = orbitals(action)
     for k in decomp.nontrivial_ids():
-        y = decomp.suborbit_members(k)[0]
+        y = decomp.suborbit_of_vertex.index(k)
         union = orbital_union_graph(decomp, {k, decomp.pairing[k]})
         assert union == edge_orbit_graph(action, [(0, y)])
 
@@ -743,3 +769,131 @@ def test_scan_refuses_large_rank():
     assert decomp.rank == 25
     with pytest.raises(GraphStructureError):
         scan_orbital_unions(decomp)
+
+
+def random_generators(rng, n, k):
+    """k permutations of 0..n-1, each moving a random subset of the points,
+    so that the generated group has orbits of many sizes."""
+    gens = []
+    for _ in range(k):
+        moved = rng.sample(range(n), rng.randrange(n + 1))
+        images = moved[:]
+        rng.shuffle(images)
+        g = list(range(n))
+        for x, y in zip(moved, images):
+            g[x] = y
+        gens.append(tuple(g))
+    return tuple(gens)
+
+
+def test_orbit_labels_match_set_bfs():
+    rng = random.Random(15)
+    actions = [
+        GroupAction(1, ()),
+        GroupAction(1, ((0,),)),
+        GroupAction(9, ()),
+        cyclic_action(486),
+        dihedral_action(101),
+    ]
+    for _ in range(200):
+        n = rng.randrange(1, 40)
+        actions.append(GroupAction(n, random_generators(rng, n, rng.randrange(4))))
+    for action in actions:
+        labels = permaction.orbit_labels(action.generators, action.degree)
+        n = action.degree
+        assert labels.tolist() == [min(orbit(action, x)) for x in range(n)]
+        assert permaction.is_transitive(action) == (len(orbit(action, 0)) == n)
+
+
+def assert_scan_matches_per_union_oracle(decomp):
+    """For every transpose-closed union of nontrivial orbitals, in
+    ascending-mask order, the batched verdict (an array, not
+    distance-regular, or disconnected) equals quotient_intersection_array's,
+    and the scan reports exactly the unions with an array, in that order."""
+    units, seen = [], set()
+    for k in decomp.nontrivial_ids():
+        if k not in seen:
+            units.append({k, decomp.pairing[k]})
+            seen |= units[-1]
+    unions = [
+        sorted(set().union(*(u for i, u in enumerate(units) if mask >> i & 1)))
+        for mask in range(1, 2 ** len(units))
+    ]
+    collapsed = permaction._orbital_collapsed_rows(decomp)
+    rank = decomp.rank
+    quotients = np.array(
+        [collapsed[union].sum(0) for union in unions], dtype=np.int64
+    ).reshape(-1, rank, rank)
+    dist, counts, regular = permaction._distance_partitions(quotients, decomp.diagonal_id)
+    expected = []
+    for i, union in enumerate(unions):
+        want = quotient_intersection_array(quotients[i].tolist(), decomp.diagonal_id)
+        if (dist[i] < 0).any():
+            got = "disconnected"
+        elif regular[i]:
+            got = permaction._intersection_array(dist[i], counts[i])
+        else:
+            got = None
+        assert got == want, union
+        if isinstance(want, IntersectionArray):
+            expected.append((frozenset(union), want))
+    assert [(r.orbital_ids, r.array) for r in scan_orbital_unions(decomp)] == expected
+
+
+@pytest.mark.parametrize(
+    "action",
+    [cyclic_action(n) for n in (3, 8, 12)]
+    + [dihedral_action(n) for n in (5, 10, 17)]
+    + [petersen_action(), regular_elementary_abelian_action(3)],
+    ids=lambda a: f"degree{a.degree}x{len(a.generators)}",
+)
+def test_scan_matches_per_union_oracle(action):
+    assert_scan_matches_per_union_oracle(orbitals(action))
+
+
+def test_scan_matches_per_union_oracle_on_bundled_actions(decomp, bundled_action):
+    assert_scan_matches_per_union_oracle(decomp)
+    assert_scan_matches_per_union_oracle(orbitals(relabelled(bundled_action, 7)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups().filter(lambda a: len(orbit(a, 0)) == a.degree))
+def test_scan_matches_per_union_oracle_on_small_transitive_groups(action):
+    assert_scan_matches_per_union_oracle(orbitals(action))
+
+
+def test_distance_partitions_reject_a_neighbour_that_skips_a_layer():
+    # suborbit 2 lies at distance 2 but counts a neighbour at distance 0;
+    # its counts alone would match a path's
+    quotient = [[0, 1, 0], [1, 0, 1], [1, 1, 0]]
+    dist, _, regular = permaction._distance_partitions(np.array([quotient]), 0)
+    assert dist.tolist() == [[0, 1, 2]]
+    assert not regular[0]
+    assert quotient_intersection_array(quotient, 0) is None
+
+
+def test_scan_refuses_rank_17_before_allocating():
+    decomp = orbitals(cyclic_action(17))
+    assert decomp.rank == permaction.MAX_SCAN_RANK + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphStructureError):
+            scan_orbital_unions(decomp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
+def test_scan_of_regular_2_4_action_is_bounded_in_memory():
+    # rank 16 with 15 self-paired units: 32767 unions, scanned in blocks
+    decomp = orbitals(regular_elementary_abelian_action(4))
+    assert decomp.rank == 16
+    tracemalloc.start()
+    try:
+        results = scan_orbital_unions(decomp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 1922
+    assert peak <= 64 << 20
