@@ -658,18 +658,12 @@ def _cmd_group(args) -> int:
     if args.action == "order":
         print(permaction.group_order(run.action))
         return 0
-    try:
-        decomp = run.decomp
-        results = run.scan if args.action == "scan" else []
-    except GraphStructureError as exc:
-        # an intransitive action, or a rank over permaction.MAX_SCAN_RANK
-        print(f"unusable generator data: {exc}", file=sys.stderr)
-        return 2
     if args.action == "orbitals":
+        decomp = run.decomp
         print(f"rank {decomp.rank}")
         print("suborbit sizes " + " ".join(map(str, sorted(decomp.suborbit_sizes))))
     else:  # scan
-        for result in results:
+        for result in run.scan:
             sizes = "+".join(map(str, result.suborbit_sizes))
             print(f"{sizes:<24} {result.array}")
     return 0
@@ -768,6 +762,10 @@ def main(argv=None) -> int:
         return 2
     except ChainBudgetError as exc:
         print(f"generated group is too large: {exc}", file=sys.stderr)
+        return 2
+    except GraphStructureError as exc:
+        # an intransitive action, or a rank over permaction.MAX_SCAN_RANK
+        print(f"unusable generator data: {exc}", file=sys.stderr)
         return 2
 
 

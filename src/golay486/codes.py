@@ -161,21 +161,19 @@ def is_perfect(code: LinearCode, radius: int) -> bool:
 
 
 def shorten(code: LinearCode, position: int) -> LinearCode:
-    """Keep codewords that are zero at `position`, then delete that coordinate."""
+    """Keep codewords that are zero at `position`, then delete that coordinate.
+
+    With `position` moved to the front, the reduced generator has at most
+    one row that is nonzero there, the first pivot's; the other rows span
+    the kept codewords.
+    """
     n = code.length
     if not 0 <= position < n:
         raise IndexError(f"position {position} out of range for length {n}")
-    rows = [list(r) for r in code.generator]
-    nonzero = [r for r in rows if r[position]]
-    zero = [r for r in rows if not r[position]]
-    if nonzero:
-        head = nonzero[0]
-        inv = head[position]  # self-inverse mod 3
-        for r in nonzero[1:]:
-            f = (r[position] * inv) % 3
-            zero.append([(x - f * y) % 3 for x, y in zip(r, head)])
-    punctured = [tuple(r[:position] + r[position + 1 :]) for r in zero]
-    return linear_code(punctured, length=n - 1)
+    reduced, _, _ = gf3.rref(
+        [r[position : position + 1] + r[:position] + r[position + 1 :] for r in code.generator]
+    )
+    return linear_code([r[1:] for r in reduced if not r[0]], length=n - 1)
 
 
 def truncate(code: LinearCode, position: int) -> LinearCode:

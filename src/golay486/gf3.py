@@ -1,8 +1,8 @@
 """Exact linear algebra over the 3-element field.
 
 Vectors are tuples of ints in {0,1,2}; matrices are tuples of equal-length
-row vectors.  Tuples keep everything hashable (cosets, functionals and
-subspaces are used as dict keys throughout), and all arithmetic is exact.
+row vectors.  Tuples keep them hashable and immutable, and all arithmetic
+is exact.
 The one bulk operation, listing all 3^k elements of a subspace or of one
 of its cosets, is one numpy routine, `_span` (one byte per field
 element).  It serves the weight tally, `enumerate_subspace`, the points

@@ -66,7 +66,7 @@ _SIFT_BLOCK_BYTES = 1 << 16
 class CycleParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 def cycles(p: Permutation) -> list[tuple[int, ...]]:
@@ -97,7 +97,14 @@ def format_cycles(p: Permutation) -> str:
     return "".join("(" + ",".join(str(x + 1) for x in c) + ")" for c in cs)
 
 
-_TOKEN = re.compile(r"\s*([(),;.]|\d+)")
+# The longest text at which a cycle can begin: "(", then points separated
+# by commas, then ")".  A cycle is well formed exactly when its match ends
+# in ")"; otherwise the text breaks off where the match ends.
+_CYCLE = re.compile(r"\s*\(\s*(?:\d+\s*(?:,\s*\d+\s*)*(?:\)|,\s*)?|\))?")
+_POINT = re.compile(r"\d+")
+# What may follow the last cycle: an optional ';' or '.' terminator.
+_TAIL = re.compile(r"\s*(?:[;.]\s*)?")
+_ASSIGNMENT = re.compile(r"^\s*\w+\s*:=", re.MULTILINE)
 
 
 def _point(token: str, bound: int) -> int:
@@ -113,7 +120,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
     Whitespace and newlines may appear anywhere between tokens; points not
     mentioned are fixed; optional trailing punctuation (';' or '.') is
-    allowed.  Repeated points, out-of-range points and malformed tokens
+    allowed.  Repeated points, out-of-range points and malformed text
     raise CycleParseError with the offending position, and so does a
     degree above MAX_DEGREE, before anything is allocated.
     """
@@ -122,83 +129,58 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     images = list(range(degree))
     seen: set[int] = set()
     pos = 0
-    length = len(text)
-
-    def next_token():
-        nonlocal pos
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-                raise CycleParseError(f"unexpected character {text[bad]!r}", bad)
-            pos = length
-            return None, length
-        pos = m.end()
-        return m.group(1), m.start(1)
-
-    while True:
-        tok, at = next_token()
-        if tok is None:
-            return tuple(images)
-        if tok in ";.":
-            # trailing punctuation: nothing but whitespace may follow
-            tok, at = next_token()
-            if tok is not None:
-                raise CycleParseError(f"unexpected token {tok!r} after terminator", at)
-            return tuple(images)
-        if tok != "(":
-            raise CycleParseError(f"expected '(' but found {tok!r}", at)
-        cycle: list[int] = []
-        expect_point = True
-        while True:
-            tok, at = next_token()
-            if tok is None:
-                raise CycleParseError("unterminated cycle", length)
-            if tok == ")":
-                if expect_point and cycle:
-                    raise CycleParseError("trailing comma in cycle", at)
-                break
-            if tok == ",":
-                if expect_point:
-                    raise CycleParseError("misplaced comma", at)
-                expect_point = True
-                continue
-            if not tok.isdigit():
-                raise CycleParseError(f"expected a point but found {tok!r}", at)
-            if not expect_point:
-                raise CycleParseError("missing comma between points", at)
-            point = _point(tok, degree)
-            if not 1 <= point <= degree:
-                raise CycleParseError(f"point {tok} outside 1..{degree}", at)
-            if point - 1 in seen:
-                raise CycleParseError(f"point {point} repeated", at)
-            seen.add(point - 1)
-            cycle.append(point - 1)
-            expect_point = False
-        for i, x in enumerate(cycle):
-            images[x] = cycle[(i + 1) % len(cycle)]
+    while cycle := _CYCLE.match(text, pos):
+        points = []
+        for token in _POINT.finditer(text, cycle.start(), cycle.end()):
+            point = _point(token[0], degree) - 1
+            if not 0 <= point < degree:
+                raise CycleParseError(f"point {token[0]} outside 1..{degree}", token.start())
+            if point in seen:
+                raise CycleParseError(f"point {point + 1} repeated", token.start())
+            seen.add(point)
+            points.append(point)
+        pos = cycle.end()
+        if text[pos - 1] != ")":
+            found = repr(text[pos]) if pos < len(text) else "the end of the text"
+            raise CycleParseError(f"malformed cycle: found {found}", pos)
+        for x, y in zip(points, points[1:] + points[:1]):
+            images[x] = y
+    pos = _TAIL.match(text, pos).end()
+    if pos < len(text):
+        raise CycleParseError(f"unexpected {text[pos]!r} outside a cycle", pos)
+    return tuple(images)
 
 
 def parse_generator_file(text: str, degree: int | None = None) -> "GroupAction":
     """Parse "name := cycles" assignments (the bundled-asset layout).
 
     Assignments may span lines; the degree defaults to the largest point
-    mentioned.  Raises CycleParseError on malformed cycle text and, through
-    parse_cycles, on a degree (given or inferred) above MAX_DEGREE.
+    mentioned.  Text before the first assignment must be blank.  Raises
+    CycleParseError, with positions counted in the whole file, on malformed
+    cycle text and, through parse_cycles, on a degree (given or inferred)
+    above MAX_DEGREE.
     """
-    pieces = re.split(r"^\s*(\w+)\s*:=", text, flags=re.MULTILINE)
-    if len(pieces) < 3:
+    heads = list(_ASSIGNMENT.finditer(text))
+    if not heads:
         raise CycleParseError("no 'name := cycles' assignment found", 0)
-    bodies = [pieces[i + 1] for i in range(1, len(pieces) - 1, 2)]
+    first = re.match(r"\s*", text).end()
+    if first < heads[0].start():
+        raise CycleParseError(f"unexpected {text[first]!r} before the first assignment", first)
+    bodies = [(h.end(), n.start()) for h, n in zip(heads, heads[1:])]
+    bodies.append((heads[-1].end(), len(text)))
     if degree is None:
-        points = [_point(t, MAX_DEGREE) for b in bodies for t in re.findall(r"\d+", b)]
+        points = [_point(t, MAX_DEGREE) for b in bodies for t in _POINT.findall(text, *b)]
         if not points:
             raise CycleParseError("no points in generator file", 0)
         degree = max(points)
-    return GroupAction(
-        degree=degree,
-        generators=tuple(parse_cycles(body, degree) for body in bodies),
-    )
+
+    def generator(start: int, end: int) -> Permutation:
+        try:
+            return parse_cycles(text[start:end], degree)
+        except CycleParseError as exc:
+            raise CycleParseError(exc.message, start + exc.position) from None
+
+    return GroupAction(degree=degree, generators=tuple(generator(*b) for b in bodies))
 
 
 @dataclass(frozen=True)
@@ -245,10 +227,6 @@ def orbit_labels(generators: Sequence[Permutation] | np.ndarray, degree: int) ->
         up = label[label]
         while not np.array_equal(up, label):
             label, up = up, up[up]
-
-
-def is_transitive(action: GroupAction) -> bool:
-    return not orbit_labels(action.generators, action.degree).any()
 
 
 # ---------------------------------------------------------------------------

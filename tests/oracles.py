@@ -11,6 +11,7 @@ import numpy as np
 from golay486 import codes
 from golay486.gf3 import DimensionError
 from golay486.graph import Graph, IntersectionArray
+from golay486.permaction import MAX_DEGREE, CycleParseError, Permutation, _point
 
 
 def vec_add(u, v):
@@ -113,6 +114,104 @@ def inverse(p):
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
+
+
+# The token-at-a-time cycle parser that permaction.parse_cycles replaced.
+_TOKEN = re.compile(r"\s*([(),;.]|\d+)")
+
+
+def token_parse_cycles(text: str, degree: int) -> Permutation:
+    """Parse a product of disjoint cycles of 1-based points in 1..degree,
+    one token at a time: the reference for permaction.parse_cycles.
+
+    Whitespace and newlines may appear anywhere between tokens; points not
+    mentioned are fixed; optional trailing punctuation (';' or '.') is
+    allowed.  Repeated points, out-of-range points and malformed tokens
+    raise CycleParseError with the offending position, and so does a
+    degree above MAX_DEGREE, before anything is allocated.
+    """
+    if degree > MAX_DEGREE:
+        raise CycleParseError(f"degree above MAX_DEGREE={MAX_DEGREE}", 0)
+    images = list(range(degree))
+    seen: set[int] = set()
+    pos = 0
+    length = len(text)
+
+    def next_token():
+        nonlocal pos
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip():
+                bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
+                raise CycleParseError(f"unexpected character {text[bad]!r}", bad)
+            pos = length
+            return None, length
+        pos = m.end()
+        return m.group(1), m.start(1)
+
+    while True:
+        tok, at = next_token()
+        if tok is None:
+            return tuple(images)
+        if tok in ";.":
+            # trailing punctuation: nothing but whitespace may follow
+            tok, at = next_token()
+            if tok is not None:
+                raise CycleParseError(f"unexpected token {tok!r} after terminator", at)
+            return tuple(images)
+        if tok != "(":
+            raise CycleParseError(f"expected '(' but found {tok!r}", at)
+        cycle: list[int] = []
+        expect_point = True
+        while True:
+            tok, at = next_token()
+            if tok is None:
+                raise CycleParseError("unterminated cycle", length)
+            if tok == ")":
+                if expect_point and cycle:
+                    raise CycleParseError("trailing comma in cycle", at)
+                break
+            if tok == ",":
+                if expect_point:
+                    raise CycleParseError("misplaced comma", at)
+                expect_point = True
+                continue
+            if not tok.isdigit():
+                raise CycleParseError(f"expected a point but found {tok!r}", at)
+            if not expect_point:
+                raise CycleParseError("missing comma between points", at)
+            point = _point(tok, degree)
+            if not 1 <= point <= degree:
+                raise CycleParseError(f"point {tok} outside 1..{degree}", at)
+            if point - 1 in seen:
+                raise CycleParseError(f"point {point} repeated", at)
+            seen.add(point - 1)
+            cycle.append(point - 1)
+            expect_point = False
+        for i, x in enumerate(cycle):
+            images[x] = cycle[(i + 1) % len(cycle)]
+
+
+def parse_generator_file(text: str, degree: int | None = None) -> "GroupAction":
+    """Parse "name := cycles" assignments (the bundled-asset layout).
+
+    Assignments may span lines; the degree defaults to the largest point
+    mentioned.  Raises CycleParseError on malformed cycle text and, through
+    parse_cycles, on a degree (given or inferred) above MAX_DEGREE.
+    """
+    pieces = re.split(r"^\s*(\w+)\s*:=", text, flags=re.MULTILINE)
+    if len(pieces) < 3:
+        raise CycleParseError("no 'name := cycles' assignment found", 0)
+    bodies = [pieces[i + 1] for i in range(1, len(pieces) - 1, 2)]
+    if degree is None:
+        points = [_point(t, MAX_DEGREE) for b in bodies for t in re.findall(r"\d+", b)]
+        if not points:
+            raise CycleParseError("no points in generator file", 0)
+        degree = max(points)
+    return GroupAction(
+        degree=degree,
+        generators=tuple(parse_cycles(body, degree) for body in bodies),
+    )
 
 
 def orbit(action, point):

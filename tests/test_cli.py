@@ -80,6 +80,30 @@ def test_group_with_corrupt_gens_file(tmp_path, capsys):
         assert "position" in err
 
 
+def test_gens_file_errors_report_file_offsets(tmp_path, capsys):
+    bad = tmp_path / "gens.txt"
+    for text, position in [("a := (1,2)\nb = (3,4)\n", 11), ("a = (1,2)\nb := (3,4)\n", 0)]:
+        bad.write_text(text)
+        code, _, err = run(capsys, "group", "order", "--gens", str(bad))
+        assert code == 2
+        assert f"(at position {position})" in err
+
+
+def test_an_intransitive_bundled_asset_fails_claims_or_exits_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(constructions, "_bundled_generators_text", lambda: "a := (1,2)\n")
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    lines = {line.split()[0]: line.split()[1:] for line in out.splitlines()}
+    assert lines["group.transitive"][0] == "FAIL"
+    for claim in ("group.rank", "scan.count", "delta.array", "iso.sigma_orbital_coordinate"):
+        assert lines[claim][0] == "FAIL"
+        assert "unavailable:" in lines[claim]
+    for argv in (["diagram", "delta"], ["export", "sigma", "-o", str(tmp_path / "s.g6")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "not transitive" in err
+
+
 def test_group_with_missing_gens_file(capsys):
     code, _, err = run(capsys, "group", "order", "--gens", "/nonexistent/gens.txt")
     assert code == 2

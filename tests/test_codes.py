@@ -117,6 +117,24 @@ def test_shorten(golay):
     assert set(codewords(short)) == kept
 
 
+def shortened_words(code, position):
+    """The definition: codewords that are zero at `position`, punctured there."""
+    return {w[:position] + w[position + 1 :] for w in codewords(code) if not w[position]}
+
+
+def test_shorten_matches_definition_on_golay_and_random_codes(golay):
+    cases = [(golay, p) for p in range(11)]
+    rng = random.Random(16)
+    for _ in range(3000):
+        n = rng.randrange(1, 8)
+        rows = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(rng.randrange(n + 1))]
+        cases.append((codes.linear_code(rows, length=n), rng.randrange(n)))
+    for code, position in cases:
+        short = codes.shorten(code, position)
+        assert short.length == code.length - 1
+        assert set(codewords(short)) == shortened_words(code, position)
+
+
 def test_shorten_commutes_across_positions(golay):
     for i, j in ((0, 4), (2, 7)):
         one = codes.shorten(codes.shorten(golay, j), i)

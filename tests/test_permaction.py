@@ -41,6 +41,7 @@ from oracles import (
     orbit,
     quotient_intersection_array,
     sequential_chain,
+    token_parse_cycles,
 )
 
 
@@ -231,6 +232,72 @@ def test_parse_generator_file_raises_only_cycle_parse_errors(text, degree):
     except CycleParseError:
         return
     assert action.generators and degree in (None, action.degree)
+
+
+def parse_outcome(parse, text, degree):
+    """The permutation, or the position of the CycleParseError."""
+    try:
+        return parse(text, degree)
+    except CycleParseError as exc:
+        return exc.position
+
+
+@settings(deadline=None, max_examples=500)
+@given(CYCLE_TEXT, st.integers(0, 40))
+def test_parse_cycles_matches_token_parser(text, degree):
+    assert parse_outcome(parse_cycles, text, degree) == parse_outcome(
+        token_parse_cycles, text, degree
+    )
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("(1,2,,3)", 5),
+        ("(1,2", 4),
+        ("(1 2)", 3),
+        ("(1,)", 3),
+        ("((1,2)", 1),
+        ("(1,2);x", 6),
+        ("(1,2).3", 6),
+        # a bad point comes before a broken cycle's end
+        ("(9,2", 1),
+        ("(1,1 2)", 3),
+    ],
+)
+def test_parse_cycles_error_positions(text, position):
+    with pytest.raises(CycleParseError) as info:
+        parse_cycles(text, 5)
+    assert info.value.position == position
+
+
+def test_long_unterminated_cycle_is_rejected_at_its_end():
+    text = "(1" + " " * 300_000
+    with pytest.raises(CycleParseError) as info:
+        parse_cycles(text, 5)
+    assert info.value.position == len(text)
+
+
+def test_generator_file_rejects_text_before_the_first_assignment():
+    with pytest.raises(CycleParseError) as info:
+        parse_generator_file("a = (1,2)\nb := (3,4)\n")
+    assert info.value.position == 0
+    with pytest.raises(CycleParseError) as info:
+        parse_generator_file(" \n  ; \nb := (3,4)\n")
+    assert info.value.position == 4
+    assert parse_generator_file(" \n\nb := (3,4)\n").generators == ((0, 1, 3, 2),)
+
+
+def test_generator_file_errors_carry_file_offsets():
+    for text, position in [
+        ("a := (1,2)\nb = (3,4)\n", 11),
+        ("a := (1,2)\nb := (3,3)\n", 19),
+        ("a := (1,2)\nb := (3,4\n", 21),
+        ("a := (1,2\nb := (3,4)\n", 10),
+    ]:
+        with pytest.raises(CycleParseError) as info:
+            parse_generator_file(text, degree=5)
+        assert info.value.position == position
 
 
 def test_compose_inverse_order():
@@ -802,7 +869,7 @@ def test_orbit_labels_match_set_bfs():
         labels = permaction.orbit_labels(action.generators, action.degree)
         n = action.degree
         assert labels.tolist() == [min(orbit(action, x)) for x in range(n)]
-        assert permaction.is_transitive(action) == (len(orbit(action, 0)) == n)
+        assert (not labels.any()) == (len(orbit(action, 0)) == n)
 
 
 def assert_scan_matches_per_union_oracle(decomp):
