@@ -156,9 +156,9 @@ def parse_generator_file(text: str, degree: int | None = None) -> "GroupAction":
 
     Assignments may span lines; the degree defaults to the largest point
     mentioned.  Text before the first assignment must be blank.  Raises
-    CycleParseError, with positions counted in the whole file, on malformed
-    cycle text and, through parse_cycles, on a degree (given or inferred)
-    above MAX_DEGREE.
+    CycleParseError on malformed cycle text, at its position in the whole
+    file, and at position 0 on a degree (given or inferred) above
+    MAX_DEGREE, before any body is parsed.
     """
     heads = list(_ASSIGNMENT.finditer(text))
     if not heads:
@@ -173,6 +173,8 @@ def parse_generator_file(text: str, degree: int | None = None) -> "GroupAction":
         if not points:
             raise CycleParseError("no points in generator file", 0)
         degree = max(points)
+    if degree > MAX_DEGREE:
+        raise CycleParseError(f"degree above MAX_DEGREE={MAX_DEGREE}", 0)
 
     def generator(start: int, end: int) -> Permutation:
         try:

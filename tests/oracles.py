@@ -192,28 +192,6 @@ def token_parse_cycles(text: str, degree: int) -> Permutation:
             images[x] = cycle[(i + 1) % len(cycle)]
 
 
-def parse_generator_file(text: str, degree: int | None = None) -> "GroupAction":
-    """Parse "name := cycles" assignments (the bundled-asset layout).
-
-    Assignments may span lines; the degree defaults to the largest point
-    mentioned.  Raises CycleParseError on malformed cycle text and, through
-    parse_cycles, on a degree (given or inferred) above MAX_DEGREE.
-    """
-    pieces = re.split(r"^\s*(\w+)\s*:=", text, flags=re.MULTILINE)
-    if len(pieces) < 3:
-        raise CycleParseError("no 'name := cycles' assignment found", 0)
-    bodies = [pieces[i + 1] for i in range(1, len(pieces) - 1, 2)]
-    if degree is None:
-        points = [_point(t, MAX_DEGREE) for b in bodies for t in re.findall(r"\d+", b)]
-        if not points:
-            raise CycleParseError("no points in generator file", 0)
-        degree = max(points)
-    return GroupAction(
-        degree=degree,
-        generators=tuple(parse_cycles(body, degree) for body in bodies),
-    )
-
-
 def orbit(action, point):
     """Closure of {point} under the generators (breadth-first)."""
     seen = {point}

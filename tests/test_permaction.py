@@ -298,6 +298,11 @@ def test_generator_file_errors_carry_file_offsets():
         with pytest.raises(CycleParseError) as info:
             parse_generator_file(text, degree=5)
         assert info.value.position == position
+    # The degree bound belongs to no place in the text.
+    for text, degree in [("a := (1,2)\n", 10**9), (f"a := (1,{MAX_DEGREE + 1})\n", None)]:
+        with pytest.raises(CycleParseError, match="MAX_DEGREE") as info:
+            parse_generator_file(text, degree=degree)
+        assert info.value.position == 0
 
 
 def test_compose_inverse_order():
