@@ -15,6 +15,7 @@ decompose or scan, unwritable output, memory exhausted).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -45,6 +46,11 @@ SCHEMA_VERSION = 1
 # Every --gens file, for verify and group alike, is read as an action of the
 # bundled degree; a point above it is a parse error (exit 2).
 GENS_DEGREE = 486
+
+# Largest --gens file, in bytes; a longer one is refused after reading one
+# byte past this.  The bundled file is about 6 kB, and one generator of
+# degree permaction.MAX_DEGREE about 20 kB.
+MAX_GENERATOR_BYTES = 1 << 20
 
 GRAPH_SELECTORS = ("gamma", "delta", "upsilon", "sigma", "lambda")
 
@@ -272,15 +278,20 @@ def _flat_types(run) -> tuple[str, bool]:
 
 def _macwilliams(run) -> str:
     """How many ten-spaces' enumerated type tally equals the MacWilliams
-    transform of their dual {0, phi, 2 phi}."""
+    transform of their dual {0, phi, 2 phi}.  That dual's tally depends
+    only on the weight of phi, so each weight is transformed once."""
     reference = {"I": constructions.TYPE_I_WEIGHTS, "II": constructions.TYPE_II_WEIGHTS}
     family = run.family
+    transforms = {}
     equal = 0
     for phi, label in zip(family.functionals, family.types):
-        dual = [0] * (len(phi) + 1)
-        dual[0] = 1
-        dual[sum(map(bool, phi))] += 2
-        equal += codes.macwilliams_transform(dual) == reference[label]
+        weight = sum(map(bool, phi))
+        if weight not in transforms:
+            dual = [0] * (len(phi) + 1)
+            dual[0] = 1
+            dual[weight] += 2
+            transforms[weight] = codes.macwilliams_transform(dual)
+        equal += transforms[weight] == reference[label]
     return f"{equal} of {family.subspace_count} equal"
 
 
@@ -646,11 +657,19 @@ def _cmd_code(args) -> int:
 
 
 def _load_action(gens_path: str | None) -> GroupAction:
-    """The bundled action, or a --gens file read at the bundled degree."""
+    """The bundled action, or a --gens file of at most MAX_GENERATOR_BYTES
+    read at the bundled degree."""
     if gens_path is None:
         return constructions.bundled_action()
-    with open(gens_path, encoding="utf-8") as handle:
-        return permaction.parse_generator_file(handle.read(), degree=GENS_DEGREE)
+    with open(gens_path, "rb") as handle:
+        data = handle.read(MAX_GENERATOR_BYTES + 1)
+    if len(data) > MAX_GENERATOR_BYTES:
+        raise CycleParseError(
+            f"file longer than {MAX_GENERATOR_BYTES} bytes", MAX_GENERATOR_BYTES
+        )
+    # decoded as a text-mode open() would, newlines included
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    return permaction.parse_generator_file(text, degree=GENS_DEGREE)
 
 
 def _cmd_group(args) -> int:

@@ -123,13 +123,24 @@ class IncidenceExperimentReport:
 def _coset_tallies(code: codes.LinearCode, leaders: np.ndarray) -> np.ndarray:
     """Row i tallies the Hamming weights (0..n) over the coset leaders[i] + code.
 
-    The code's words are listed once and added to every leader by
-    broadcasting, one byte per entry; one bincount over (coset, weight)
-    then tallies every coset.
+    The code's words are listed once as 0/1 rows, has[j, 3p + v] = 1 when
+    word j has value v at position p.  For leader l_i, pick[i, 3p + (-l_i[p]
+    mod 3)] = 1 marks the value a word needs at p for l_i + word to vanish
+    there, so one product pick @ has.T counts the zeros of every leader +
+    word at once.  Each entry is at most n, so float32 is exact; the weight
+    is n minus it, and one bincount over (coset, weight) tallies every coset.
     """
-    words = (gf3._span(code.generator) + leaders.astype(np.uint8)[:, None]) % 3
-    width = code.length + 1
-    cells = np.arange(len(leaders))[:, None] * width + np.count_nonzero(words, axis=2)
+    n = code.length
+    words = gf3._span(code.generator)
+    columns = 3 * np.arange(n)
+    has = np.zeros((len(words), 3 * n), dtype=np.float32)
+    has[np.arange(len(words))[:, None], columns + words] = 1
+    needs = (-leaders.astype(np.int64)) % 3
+    pick = np.zeros((len(leaders), 3 * n), dtype=np.float32)
+    pick[np.arange(len(leaders))[:, None], columns + needs] = 1
+    weights = n - (pick @ has.T).astype(np.intp)
+    width = n + 1
+    cells = np.arange(len(leaders))[:, None] * width + weights
     tallies = np.bincount(cells.ravel(), minlength=len(leaders) * width)
     return tallies.reshape(len(leaders), width)
 
@@ -157,7 +168,8 @@ def classify_types(golay: codes.LinearCode, leaders: np.ndarray) -> FlatFamily:
     vanishes = (leaders @ np.array(functionals, dtype=np.int64).T) % 3 == 0
     types = []
     for phi, inside in zip(functionals, vanishes.T):
-        if np.count_nonzero(inside) != 81 or len(np.unique(syndromes[inside])) != 81:
+        distinct = np.count_nonzero(np.bincount(syndromes[inside]))
+        if np.count_nonzero(inside) != 81 or distinct != 81:
             raise ValueError(
                 f"functional {phi} does not vanish on 81 distinct Golay cosets"
             )
@@ -327,12 +339,12 @@ def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:
         pos = position[block]
         u, v = np.argwhere(np.triu(gamma_half.adjacency_matrix[np.ix_(pos, pos)], 1))[0]
         counterexample = (f, int(block[u]), int(block[v]))
-    sizes = np.unique(a[flats[: blocks + 1]].sum(axis=1))
+    sizes = a[flats[: blocks + 1]].sum(axis=1)
     half0, _, (side0, _) = bipartite_halves(delta.graph)
     halved_ok = side0 == delta.half_a and half0 == complement(gamma_half)
     return BlocksReport(
         blocks_checked=blocks,
-        block_size=int(sizes[0]) if len(sizes) == 1 else -1,
+        block_size=int(sizes[0]) if len(sizes) and (sizes == sizes[0]).all() else -1,
         all_cocliques=counterexample is None,
         halved_equals_complement=halved_ok,
         counterexample=counterexample,
@@ -366,5 +378,5 @@ def experiment_flat_incidence(
     return IncidenceExperimentReport(
         coset_degree_counts=counts(degrees[:243]),
         flat_degree_counts=counts(degrees[243:]),
-        regular=len(np.unique(degrees)) == 1,
+        regular=bool((degrees == degrees[0]).all()),
     )

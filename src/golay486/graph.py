@@ -564,7 +564,11 @@ def verify_bijection(g1: Graph, g2: Graph, mapping: Sequence[int]) -> bool:
     m = np.asarray(mapping)
     if g2.n != n or m.shape != (n,) or m.dtype.kind not in "iu":
         return False
-    if m.min() < 0 or m.max() >= n or len(np.unique(m)) != n:
+    if m.min() < 0 or m.max() >= n:
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[m] = True
+    if not seen.all():
         return False
     return np.array_equal(g2.adjacency_matrix.take(m, 0).take(m, 1), g1.adjacency_matrix)
 

@@ -99,9 +99,10 @@ def format_cycles(p: Permutation) -> str:
 
 # The longest text at which a cycle can begin: "(", then points separated
 # by commas, then ")".  A cycle is well formed exactly when its match ends
-# in ")"; otherwise the text breaks off where the match ends.
-_CYCLE = re.compile(r"\s*\(\s*(?:\d+\s*(?:,\s*\d+\s*)*(?:\)|,\s*)?|\))?")
-_POINT = re.compile(r"\d+")
+# in ")"; otherwise the text breaks off where the match ends.  A point is
+# ASCII digits only, as _point reads it.
+_CYCLE = re.compile(r"\s*\(\s*(?:[0-9]+\s*(?:,\s*[0-9]+\s*)*(?:\)|,\s*)?|\))?")
+_POINT = re.compile(r"[0-9]+")
 # What may follow the last cycle: an optional ';' or '.' terminator.
 _TAIL = re.compile(r"\s*(?:[;.]\s*)?")
 _ASSIGNMENT = re.compile(r"^\s*\w+\s*:=", re.MULTILINE)

@@ -117,7 +117,7 @@ def inverse(p):
 
 
 # The token-at-a-time cycle parser that permaction.parse_cycles replaced.
-_TOKEN = re.compile(r"\s*([(),;.]|\d+)")
+_TOKEN = re.compile(r"\s*([(),;.]|[0-9]+)")
 
 
 def token_parse_cycles(text: str, degree: int) -> Permutation:

@@ -104,6 +104,24 @@ def test_an_intransitive_bundled_asset_fails_claims_or_exits_2(monkeypatch, tmp_
         assert "not transitive" in err
 
 
+def test_a_gens_file_over_the_byte_cap_exits_2(tmp_path, capsys):
+    over = tmp_path / "over.txt"
+    over.write_bytes(b" " * (cli.MAX_GENERATOR_BYTES + 1))
+    for argv in (("group", "order"), ("verify",)):
+        code, out, err = run(capsys, *argv, "--gens", str(over))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"generator data is corrupt: file longer than {cli.MAX_GENERATOR_BYTES} "
+            f"bytes (at position {cli.MAX_GENERATOR_BYTES})"
+        ]
+    # a file of exactly the cap is read whole
+    at_cap = tmp_path / "at_cap.txt"
+    at_cap.write_bytes(b"a := (1,2)\n".ljust(cli.MAX_GENERATOR_BYTES))
+    code, out, _ = run(capsys, "group", "order", "--gens", str(at_cap))
+    assert code == 0 and out.strip() == "2"
+
+
 def test_group_with_missing_gens_file(capsys):
     code, _, err = run(capsys, "group", "order", "--gens", "/nonexistent/gens.txt")
     assert code == 2
@@ -170,9 +188,20 @@ def test_verify_reports_every_claim_in_order(full_run):
     assert out.splitlines()[-1].startswith("overall: PASS (32 claims, ")
 
 
-def test_macwilliams_claim_checks_the_enumerated_types(family):
+def test_macwilliams_claim_checks_the_enumerated_types(family, monkeypatch):
+    # the dual {0, phi, 2 phi} depends only on the weight of phi: 9 for
+    # Type I, 6 for Type II, so two transforms serve all 81 ten-spaces
+    transform = codes.macwilliams_transform
+    calls = []
+
+    def counted(dual):
+        calls.append(dual)
+        return transform(dual)
+
+    monkeypatch.setattr(codes, "macwilliams_transform", counted)
     (claim,) = [c for c in cli.CLAIMS if c.claim_id == "flats.macwilliams"]
     assert claim.evaluate(SimpleNamespace(family=family)) == ("81 of 81 equal", True)
+    assert len(calls) == 2
     swapped = dataclasses.replace(
         family, types=tuple("II" if t == "I" else "I" for t in family.types)
     )

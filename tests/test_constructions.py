@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -20,6 +21,7 @@ from golay486.constructions import (
 )
 from golay486.permaction import orbitals
 from golay486.graph import (
+    Graph,
     antipodal_fold,
     are_isomorphic,
     bipartite_halves,
@@ -28,7 +30,7 @@ from golay486.graph import (
     srg_parameters,
     verify_bijection,
 )
-from oracles import vec_add
+from oracles import ladder_codes, vec_add
 
 
 def test_gamma_parameters(gamma):
@@ -79,7 +81,7 @@ def test_golay_coset_tallies_take_three_values(golay, leaders):
     assert all(len(set(w)) == 1 for w in weights_by_tally.values())
 
 
-def test_coset_tallies_broadcast_equals_one_shifted_span_each(golay, leaders):
+def test_coset_tallies_product_equals_one_shifted_span_each(golay, leaders):
     table = constructions._coset_tallies(golay, leaders)
     assert table.shape == (243, 12)
     assert table.tolist() == [
@@ -93,6 +95,17 @@ def test_coset_tallies_broadcast_equals_one_shifted_span_each(golay, leaders):
     assert constructions._coset_tallies(shortened, np.array(shifts)).tolist() == [
         list(gf3.subspace_weight_counts(shortened.generator, shift=v)) for v in shifts
     ]
+    # the length-12 extended code's 729 cosets, leaders as uint8 and as int64
+    extended = ladder_codes(golay)["extended"]
+    coset_leaders = codes.syndrome_table(extended)
+    expected = [
+        list(gf3.subspace_weight_counts(extended.generator, shift=tuple(v)))
+        for v in coset_leaders.tolist()
+    ]
+    for dtype in (np.uint8, np.int64):
+        table = constructions._coset_tallies(extended, coset_leaders.astype(dtype))
+        assert table.shape == (729, 13)
+        assert table.tolist() == expected
 
 
 def test_classify_types_rejects_a_repeated_leader(golay, leaders):
@@ -265,6 +278,19 @@ def test_blocks_report(orbital_models):
     assert report.all_cocliques
     assert report.halved_equals_complement
     assert report.counterexample is None
+
+
+def test_blocks_report_reads_minus_one_for_unequal_blocks(orbital_models):
+    # one flat loses one edge: every block is still a coclique, of 45 or 44
+    delta = orbital_models["delta"]
+    a = delta.graph.adjacency_matrix.copy()
+    f = delta.half_b[0]
+    v = np.flatnonzero(a[f])[0]
+    a[f, v] = a[v, f] = False
+    pruned = dataclasses.replace(delta, graph=Graph.from_adjacency(a))
+    report = blocks_report(pruned, orbital_models["gamma_half"])
+    assert report.blocks_checked == 243 and report.all_cocliques
+    assert report.block_size == -1
 
 
 def test_blocks_report_on_relabelled_action(relabelled_action):

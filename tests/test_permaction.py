@@ -163,6 +163,7 @@ def test_parse_cycles_examples():
     assert parse_cycles("(1,2,3)(4,5)", 5) == (1, 2, 0, 4, 3)
     assert parse_cycles("", 4) == identity(4)
     assert parse_cycles("  (2, 3) \n (1, 4); ", 4) == (3, 2, 1, 0)
+    assert parse_cycles("(01,2)", 5) == (1, 0, 2, 3, 4)
 
 
 def test_parse_cycles_errors_carry_positions():
@@ -263,6 +264,10 @@ def test_parse_cycles_matches_token_parser(text, degree):
         # a bad point comes before a broken cycle's end
         ("(9,2", 1),
         ("(1,1 2)", 3),
+        # points are ASCII digits: not the Arabic-Indic digits a regular
+        # expression's \d accepts
+        ("(١,٢)", 1),
+        ("(٠١,2)", 1),
     ],
 )
 def test_parse_cycles_error_positions(text, position):

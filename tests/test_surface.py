@@ -1,11 +1,14 @@
 """Guards on the public surface of golay486: every public function and class
 is used by the program or its benchmark, no function is memoised across
-calls, and the README example runs."""
+calls, a cold verify does not import numpy.ma, and the README example runs."""
 
 import ast
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,6 +56,24 @@ def test_no_function_is_memoised_across_calls():
                 if name in ("cache", "lru_cache"):
                     memoised.append(f"{path.stem}.{node.name}")
     assert memoised == []
+
+
+def test_cold_verify_does_not_import_numpy_ma():
+    """A plain np.unique(x), with no return_* flag, calls np.ma.is_masked
+    and so imports numpy.ma, 15-20 ms of every cold run that no verdict
+    needs.  Only a fresh interpreter shows whether verify does that."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from golay486 import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.stdout.split() == ["0", "False"], done.stderr
 
 
 def test_readme_example_runs():
