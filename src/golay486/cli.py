@@ -531,6 +531,11 @@ CLAIMS = (
 )
 
 
+def _selects(prefix: str, claim_id: str) -> bool:
+    """Whether a --skip prefix selects a claim: the id itself or a dotted prefix."""
+    return claim_id == prefix or claim_id.startswith(prefix + ".")
+
+
 def run_verification(
     gens_path: str | None = None, skip: tuple[str, ...] = ()
 ) -> VerificationReport:
@@ -546,7 +551,7 @@ def run_verification(
     entries = []
     seconds = dict.fromkeys((claim.stage for claim in CLAIMS), 0.0)
     for claim in CLAIMS:
-        if any(claim.claim_id == s or claim.claim_id.startswith(s + ".") for s in skip):
+        if any(_selects(prefix, claim.claim_id) for prefix in skip):
             observed, verdict = "not evaluated", "SKIPPED"
         else:
             start = time.perf_counter()
@@ -620,6 +625,10 @@ def orbit_diagram_dot(name: str, graph: Graph, decomp) -> str:
 
 def _cmd_verify(args) -> int:
     skip = tuple(s.strip() for s in args.skip.split(",") if s.strip()) if args.skip else ()
+    unknown = [s for s in skip if not any(_selects(s, c.claim_id) for c in CLAIMS)]
+    if unknown:
+        print(f"--skip prefix matches no claim: {', '.join(unknown)}", file=sys.stderr)
+        return 2
     report = run_verification(gens_path=args.gens, skip=skip)
     width = max(len(e.claim_id) for e in report.entries)
     for e in report.entries:

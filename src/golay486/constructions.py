@@ -232,10 +232,7 @@ def build_std_ag(n: int) -> Graph:
     if not 2 <= n <= 7:
         raise ValueError(f"n={n} outside the supported range 2..7")
     full = tuple(gf3.unit_vector(n, i) for i in range(n))
-    e0 = gf3.unit_vector(n, 0)
-    functionals = tuple(
-        phi for phi in gf3.projective_points(full, length=n) if gf3.dot(phi, e0)
-    )
+    functionals = gf3.hyperplane_functionals((), full[0])
     return _flat_incidence(gf3._span(full), functionals, range(len(functionals)))
 
 

@@ -5,15 +5,16 @@ row vectors.  Tuples keep them hashable and immutable, and all arithmetic
 is exact.
 The one bulk operation, listing all 3^k elements of a subspace or of one
 of its cosets, is one numpy routine, `_span` (one byte per field
-element).  It serves the weight tally, `enumerate_subspace`, the points
-of AG(n,3), the words a coset graph shifts, and the flat classification,
-which lists the Golay code once and broadcasts it against all 243 coset
-leaders; everything else is plain Python.
+element).  It serves the weight tally, the points of AG(n,3), the words
+a coset graph shifts and the flat classification, which lists the
+Golay code once.  The projective points and the hyperplane functionals
+are one array pass over a `_span` as well.  Row reduction (`rref`,
+`row_space_basis`, `null_space`) is plain Python over tuples.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -42,16 +43,6 @@ def matrix(rows: Iterable[Iterable[int]]) -> Matrix:
     if m and len({len(r) for r in m}) != 1:
         raise DimensionError("rows have unequal lengths")
     return m
-
-
-def vec_scale(c: int, v: Vector) -> Vector:
-    return tuple((c * a) % 3 for a in v)
-
-
-def dot(u: Vector, v: Vector) -> int:
-    if len(u) != len(v):
-        raise DimensionError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v)) % 3
 
 
 def unit_vector(length: int, position: int, value: int = 1) -> Vector:
@@ -94,13 +85,6 @@ def row_space_basis(m: Matrix) -> Matrix:
     """Canonical (RREF, zero rows dropped) basis of the row space."""
     reduced, rank, _ = rref(m)
     return reduced[:rank]
-
-
-def in_row_space(m: Matrix, v: Vector) -> bool:
-    """Membership test by rank comparison."""
-    basis = row_space_basis(m)
-    _, rank_with, _ = rref(basis + (v,))
-    return rank_with == len(basis)
 
 
 def null_space(m: Matrix, width: int | None = None) -> Matrix:
@@ -152,15 +136,6 @@ def _span(
     return words
 
 
-def enumerate_subspace(basis: Matrix, length: int | None = None) -> Iterator[Vector]:
-    """Yield all 3^rank combinations of independent basis rows.
-
-    Order is lexicographic in the coefficient vectors, so the zero vector
-    comes first.  `length` is required for an empty basis.
-    """
-    yield from map(tuple, _span(basis, length).tolist())
-
-
 def subspace_weight_counts(
     basis: Matrix, length: int | None = None, shift: Vector | None = None
 ) -> tuple[int, ...]:
@@ -175,45 +150,48 @@ def subspace_weight_counts(
     return tuple(np.bincount(weights, minlength=words.shape[1] + 1).tolist())
 
 
-def canonical_functional(phi: Vector) -> Vector:
-    """Scale a nonzero functional so its first nonzero coefficient is 1."""
-    lead = next((x for x in phi if x), None)
-    if lead is None:
-        raise ValueError("zero functional has no canonical form")
-    return phi if lead == 1 else vec_scale(2, phi)
+def _points(basis: Matrix, length: int | None = None) -> np.ndarray:
+    """The rows of projective_points as a lex-sorted uint8 array."""
+    words = _span(basis, length)[1:]  # the zero vector comes first
+    if not len(words):  # a zero space, of any width, has no points
+        return words
+    lead = words[np.arange(len(words)), np.argmax(words != 0, axis=1)]
+    points = words[lead == 1]
+    return points[np.lexsort(points.T[::-1])]
 
 
 def projective_points(basis: Matrix, length: int | None = None) -> tuple[Vector, ...]:
     """Nonzero vectors of span(basis) up to scalar, canonical and lex-sorted.
 
-    There are (3^rank - 1)/2 of them.
+    A point is the one vector of its pair {v, 2v} whose first nonzero
+    entry is 1; there are (3^rank - 1)/2 of them.  They are read off one
+    `_span` of the basis.  `length` is required for an empty basis.
     """
-    points = set()
-    for v in enumerate_subspace(basis, length):
-        if any(v):
-            points.add(canonical_functional(v))
-    return tuple(sorted(points))
+    return tuple(map(tuple, _points(basis, length).tolist()))
 
 
 def hyperplane_functionals(sub_basis: Matrix, excluded: Vector) -> tuple[Vector, ...]:
     """Canonical functionals whose kernels contain span(sub_basis) but miss `excluded`.
 
-    These are the nonzero functionals vanishing on the subspace, taken up to
-    scalar and then filtered to those not vanishing on `excluded`.  Each one
-    cuts out a hyperplane of the ambient space containing the subspace.
+    These are the projective points of the null space of sub_basis that
+    do not vanish on `excluded`, kept by one product against it.  Each
+    one cuts out a hyperplane of the ambient space containing the
+    subspace.  A row whose length is not len(excluded) raises
+    DimensionError.  Dependent rows raise ValueError, and so does an
+    `excluded` inside their span, which leaves no functional.
     """
     n = len(excluded)
-    if sub_basis and len(sub_basis[0]) != n:
+    if any(len(row) != n for row in sub_basis):
         raise DimensionError("excluded vector length differs from basis width")
-    basis = row_space_basis(sub_basis)
-    if len(basis) != len(sub_basis):
+    duals = null_space(sub_basis, width=n)
+    if len(duals) + len(sub_basis) != n:
         raise ValueError("sub_basis rows are dependent")
-    if in_row_space(basis, excluded):
+    points = _points(duals, n)
+    values = points.astype(np.int64) @ np.array(excluded, dtype=np.int64) % 3
+    kept = points[values != 0]
+    if not len(kept):
         raise ValueError("excluded vector lies in the subspace")
-    duals = null_space(basis, width=n)
-    return tuple(
-        phi for phi in projective_points(duals, length=n) if dot(phi, excluded) != 0
-    )
+    return tuple(map(tuple, kept.tolist()))
 
 
 def intermediate_hyperplanes(sub_basis: Matrix, excluded: Vector) -> tuple[Matrix, ...]:

@@ -5,10 +5,11 @@ or recompute by a second route what the library computes.
 
 import re
 from collections import deque
+from itertools import product
 
 import numpy as np
 
-from golay486 import codes
+from golay486 import codes, gf3
 from golay486.gf3 import DimensionError
 from golay486.graph import Graph, IntersectionArray
 from golay486.permaction import MAX_DEGREE, CycleParseError, Permutation, _point
@@ -19,6 +20,39 @@ def vec_add(u, v):
     if len(u) != len(v):
         raise DimensionError(f"length mismatch: {len(u)} vs {len(v)}")
     return tuple((a + b) % 3 for a, b in zip(u, v))
+
+
+def vec_scale(c, v):
+    """c times a GF(3) vector."""
+    return tuple((c * a) % 3 for a in v)
+
+
+def dot(u, v):
+    """The GF(3) inner product of two vectors of equal length."""
+    if len(u) != len(v):
+        raise DimensionError(f"length mismatch: {len(u)} vs {len(v)}")
+    return sum(a * b for a, b in zip(u, v)) % 3
+
+
+def in_row_space(m, v):
+    """Whether v lies in the row space of m, by rank comparison."""
+    basis = gf3.row_space_basis(m)
+    _, rank_with, _ = gf3.rref(basis + (tuple(v),))
+    return rank_with == len(basis)
+
+
+def brute_force_functionals(sub_basis, excluded=None, length=None):
+    """Every phi in GF(3)^n, in lex order, whose first nonzero entry is 1,
+    with phi.s = 0 for each row s of sub_basis and, when `excluded` is
+    given, phi.excluded != 0.  n is len(excluded), else `length`."""
+    n = len(excluded) if excluded is not None else length
+    return [
+        phi
+        for phi in product((0, 1, 2), repeat=n)
+        if next((x for x in phi if x), 0) == 1
+        and all(dot(phi, s) == 0 for s in sub_basis)
+        and (excluded is None or dot(phi, excluded) != 0)
+    ]
 
 
 def complete_graph(n):

@@ -142,6 +142,23 @@ def test_verify_skip_iso_and_json(tmp_path, capsys):
     assert len(report["entries"]) == out.count("expected")
 
 
+def test_verify_rejects_a_skip_prefix_that_matches_no_claim(capsys, monkeypatch):
+    def unavailable(*args):
+        raise AssertionError("a claim ran before the prefixes were checked")
+
+    monkeypatch.setattr(cli, "Run", unavailable)
+    # "flat" is a prefix of "flats.count" only as a string, not as a dotted id
+    for skip, bad in (
+        ("nosuch", "nosuch"),
+        ("iso,nosuch", "nosuch"),
+        ("flat,code.perfect.x", "flat, code.perfect.x"),
+    ):
+        code, out, err = run(capsys, "verify", "--skip", skip)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"--skip prefix matches no claim: {bad}"]
+
+
 VERIFY_IDS = (
     "code.parameters", "code.perfect", "gamma.srg", "gamma.complement_srg",
     "flats.functional_counts", "flats.count", "flats.types", "flats.macwilliams",

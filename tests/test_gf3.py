@@ -6,7 +6,7 @@ import pytest
 
 from golay486 import gf3
 from golay486.codes import golay_code
-from oracles import vec_add
+from oracles import brute_force_functionals, dot, in_row_space, vec_add, vec_scale
 
 
 def random_vector(rng, n):
@@ -29,8 +29,8 @@ def brute_force_span(basis, length=None, shift=None):
 
 def test_vec_arithmetic_examples():
     assert vec_add((1, 2, 0), (2, 2, 1)) == (0, 1, 1)
-    assert gf3.vec_scale(2, (0, 0, 0, 0)) == (0, 0, 0, 0)
-    assert gf3.vec_scale(2, (1, 2)) == (2, 1)
+    assert vec_scale(2, (0, 0, 0, 0)) == (0, 0, 0, 0)
+    assert vec_scale(2, (1, 2)) == (2, 1)
 
 
 def test_vec_add_length_mismatch():
@@ -43,9 +43,9 @@ def test_vec_properties_random():
     for _ in range(200):
         n = rng.randrange(1, 12)
         u, v = random_vector(rng, n), random_vector(rng, n)
-        assert vec_add(u, gf3.vec_scale(2, u)) == (0,) * n
+        assert vec_add(u, vec_scale(2, u)) == (0,) * n
         assert vec_add(u, v) == vec_add(v, u)
-        assert vec_add(vec_add(u, v), gf3.vec_scale(2, v)) == u
+        assert vec_add(vec_add(u, v), vec_scale(2, v)) == u
 
 
 def hamming_weight(v):
@@ -87,9 +87,9 @@ def test_rref_idempotent_and_row_space_random():
         # row space is preserved both ways
         basis = gf3.row_space_basis(m)
         for row in m:
-            assert gf3.in_row_space(basis, row)
+            assert in_row_space(basis, row)
         for row in basis:
-            assert gf3.in_row_space(m, row)
+            assert in_row_space(m, row)
 
 
 def test_null_space_annihilates():
@@ -101,20 +101,25 @@ def test_null_space_annihilates():
         _, rank, _ = gf3.rref(m)
         assert len(kernel) == ncols - rank
         for v in kernel:
-            assert all(gf3.dot(row, v) == 0 for row in m)
+            assert all(dot(row, v) == 0 for row in m)
+
+
+def span_list(basis, length=None):
+    """The rows of gf3._span(basis) as tuples, in its order."""
+    return list(map(tuple, gf3._span(basis, length).tolist()))
 
 
 def test_enumerate_subspace_counts():
-    assert list(gf3.enumerate_subspace((), length=5)) == [(0, 0, 0, 0, 0)]
+    assert span_list((), length=5) == [(0, 0, 0, 0, 0)]
     basis = gf3.matrix([[1, 0, 0], [0, 1, 0]])
-    vectors = list(gf3.enumerate_subspace(basis))
+    vectors = span_list(basis)
     assert len(vectors) == 9
     assert len(set(vectors)) == 9
     ten = golay_code().generator + tuple(
         gf3.unit_vector(11, i) for i in (6, 7, 8, 9)
     )
     assert len(gf3.row_space_basis(ten)) == 10
-    count = sum(1 for _ in gf3.enumerate_subspace(gf3.row_space_basis(ten)))
+    count = len(span_list(gf3.row_space_basis(ten)))
     assert count == 59049
 
 
@@ -126,14 +131,14 @@ def test_enumerate_subspace_closed_under_negation():
         basis = gf3.row_space_basis(gf3.matrix(rows))
         if not basis:
             continue
-        vectors = set(gf3.enumerate_subspace(basis))
+        vectors = set(span_list(basis))
         assert len(vectors) == 3 ** len(basis)
-        assert all(gf3.vec_scale(2, v) in vectors for v in vectors)
+        assert all(vec_scale(2, v) in vectors for v in vectors)
 
 
 def test_enumerate_subspace_rejects_dependent_basis():
     with pytest.raises(ValueError):
-        list(gf3.enumerate_subspace(gf3.matrix([[1, 2], [2, 1]])))
+        span_list(gf3.matrix([[1, 2], [2, 1]]))
 
 
 def test_subspace_weight_counts_against_enumeration():
@@ -163,8 +168,8 @@ def test_intermediate_hyperplanes_of_golay(golay):
         assert len(basis) == 10
         _, rank, _ = gf3.rref(basis)
         assert rank == 10
-        assert all(gf3.in_row_space(basis, row) for row in golay.generator)
-        assert not gf3.in_row_space(basis, e0)
+        assert all(in_row_space(basis, row) for row in golay.generator)
+        assert not in_row_space(basis, e0)
 
 
 def test_intermediate_hyperplanes_precondition_errors(golay):
@@ -172,6 +177,44 @@ def test_intermediate_hyperplanes_precondition_errors(golay):
         gf3.hyperplane_functionals(golay.generator, golay.generator[0])
     with pytest.raises(ValueError):
         gf3.hyperplane_functionals(gf3.matrix([[1, 2], [2, 1]]), (1, 0))
+    # a ragged basis: only its second row is short
+    with pytest.raises(gf3.DimensionError):
+        gf3.hyperplane_functionals(((1, 0, 0), (1, 0)), (0, 0, 1))
+    with pytest.raises(ValueError, match="lies in the subspace"):
+        gf3.hyperplane_functionals(golay.generator, (0,) * 11)
+
+
+def random_independent_rows(rng, k, n):
+    """k random rows of length n that rref shows to be independent."""
+    while True:
+        rows = tuple(random_vector(rng, n) for _ in range(k))
+        if gf3.rref(rows)[1] == k:
+            return rows
+
+
+def test_hyperplane_functionals_match_brute_force():
+    rng = random.Random(606)
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        sub_basis = random_independent_rows(rng, rng.randrange(0, n + 1), n)
+        excluded = random_vector(rng, n)
+        expected = brute_force_functionals(sub_basis, excluded)
+        if expected:
+            assert list(gf3.hyperplane_functionals(sub_basis, excluded)) == expected
+        else:
+            with pytest.raises(ValueError, match="lies in the subspace"):
+                gf3.hyperplane_functionals(sub_basis, excluded)
+
+
+def test_projective_points_match_brute_force():
+    # span(basis) is the annihilator of its null space
+    rng = random.Random(707)
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        basis = random_independent_rows(rng, rng.randrange(0, n + 1), n)
+        expected = brute_force_functionals(gf3.null_space(basis, width=n), length=n)
+        assert list(gf3.projective_points(basis, length=n)) == expected
+        assert len(expected) == (3 ** len(basis) - 1) // 2
 
 
 def test_parallel_weight_counts_match_serial(golay):
@@ -189,5 +232,5 @@ def test_enumeration_order_is_lexicographic_in_coefficients():
         (gf3.matrix([[2, 1, 1, 0], [1, 1, 0, 2], [0, 2, 1, 1]]), None),
         ((), 3),
     ):
-        got = list(gf3.enumerate_subspace(basis, length))
+        got = span_list(basis, length)
         assert got == brute_force_span(basis, length)
