@@ -263,7 +263,7 @@ def _functional_counts(run) -> str:
     n = golay.length
     duals = gf3.null_space(golay.generator, width=n)
     classes = len(gf3.projective_points(duals, length=n))
-    kept = len(gf3.hyperplane_functionals(golay.generator, gf3.unit_vector(n, 0)))
+    kept = run.family.subspace_count
     return f"{classes} classes, {classes - kept} excluded, {kept} kept"
 
 

@@ -12,10 +12,11 @@ built on first use by incremental deterministic Schreier-Sims and kept as
 GroupAction.chain (see StabilizerChain for why it is certified with no
 separate verification pass, and why sifting the Schreier generators in
 blocks of rows builds the same chain as sifting them one at a time).  Each
-level keeps its transversal and inverse rows as two tables in orbit order,
-and the chain stops with ChainBudgetError before its arrays would pass
-MAX_CHAIN_BYTES.  orbitals() reads the suborbits and the whole pair table
-off the chain, whose base starts at point 0.
+level keeps one table, the inverses of its transversal elements in orbit
+order, and writes every Schreier generator from it.  The chain stops with
+ChainBudgetError before its arrays would pass MAX_CHAIN_BYTES.  orbitals()
+reads the suborbits and the whole pair table off the chain, whose base
+starts at point 0.
 
 Orbits are labelled by their least point in array passes (orbit_labels), and
 the scan tests the suborbit quotients of a block of unions at once, by one
@@ -46,16 +47,17 @@ MAX_SCAN_RANK = 16
 _SCAN_BLOCK_BYTES = 1 << 20
 
 # Largest degree a generator file may have.  At this degree the two
-# degree^2 tables behind an orbital decomposition are 64 MiB each: the int32
-# pair_ids, and level 0 of the stabilizer chain (its transversal and inverse
-# tables, 2 * degree rows of degree uint16 points).  Each deeper level adds
-# 2 * |orbit| such rows, 4 * degree * |orbit| bytes.
+# degree^2 tables behind an orbital decomposition are the int32 pair_ids,
+# 64 MiB, and level 0 of the stabilizer chain, 32 MiB (its inverse table,
+# degree rows of degree uint16 points).  Each deeper level adds |orbit| such
+# rows, 2 * degree * |orbit| bytes.
 MAX_DEGREE = 4096
 
-# Bytes a stabilizer chain may hold: the arrays of its levels (transversal
-# and inverse tables, strong generators, point index) and one sift block.
-# The bundled rank-9 action needs 1.7 MiB at most; a transitive action of
-# degree MAX_DEGREE needs 64 MiB for level 0 alone.
+# Bytes a stabilizer chain may hold: the arrays of its levels (inverse
+# tables, strong generators, point index, done marks) and one sift block.
+# The bundled rank-9 action peaks at 1.16 MiB (tracemalloc) while it is
+# built; a transitive action of degree MAX_DEGREE needs 32 MiB for level 0
+# alone.
 MAX_CHAIN_BYTES = 128 << 20
 
 # Bytes of one block of Schreier generators, sifted together: 67 rows at
@@ -247,17 +249,27 @@ def _gather(table: np.ndarray, rows: np.ndarray, perms: np.ndarray) -> np.ndarra
     return table.ravel().take(rows[:, None] * table.shape[1] + perms)
 
 
+def _scatter(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """out[i][table[rows[i]]] = values[i], as one flat scatter over the
+    block."""
+    # the index before the output, so the block never holds more than
+    # _block_bytes reserves: values, out and one intp index
+    at = np.arange(len(rows))[:, None] * table.shape[1] + table[rows]
+    out = np.empty_like(values)
+    out.ravel()[at] = values
+    return out
+
+
 class _ChainLevel:
     """One level of a stabilizer chain: strong generators gens (one row
     each), the orbit of base under them in discovery order, index[x] (the
-    position of x in the orbit, -1 off it), and row i of transversal (and of
-    inverse) mapping base to orbit[i], so row 0 is the identity.  done[c, i]
-    marks the Schreier generator of (orbit[i], gens[c]) as known to sift to
-    the identity.  The transversal table is dropped once the chain is
-    complete.
+    position of x in the orbit, -1 off it), and row i of inverse, the
+    inverse of the transversal element t_x that maps base to x = orbit[i],
+    so row 0 is the identity.  done[c, i] marks the Schreier generator of
+    (orbit[i], gens[c]) as known to sift to the identity.
     """
 
-    __slots__ = ("base", "gens", "orbit", "index", "transversal", "inverse", "done")
+    __slots__ = ("base", "gens", "orbit", "index", "inverse", "done")
 
     def __init__(self, base: int, ident: np.ndarray):
         n = len(ident)
@@ -266,7 +278,6 @@ class _ChainLevel:
         self.orbit = np.array([base], dtype=np.intp)
         self.index = np.full(n, -1, dtype=np.intp)
         self.index[base] = 0
-        self.transversal = ident[None, :].copy()
         self.inverse = ident[None, :].copy()
         self.done = np.empty((0, n), dtype=bool)
 
@@ -298,10 +309,10 @@ class StabilizerChain:
     matrix, taken in (generator, orbit position) order, each block through
     the deeper levels with one gather per level.  The chain is the one that
     sifting them one at a time, in that order, builds: the same base,
-    strong generators, orbit orders and transversal rows.  Transversal rows
-    never change once set and orbits only grow, so a row that sifts to the
-    identity does so again later, along the same path; such rows are marked
-    done and never sifted again, and so are the Schreier-tree edges (x, s),
+    strong generators, orbit orders and transversal elements.  Transversal
+    elements never change once set and orbits only grow, so a row that sifts
+    to the identity does so again later, along the same path; such rows are
+    marked done and never sifted again, and so are the Schreier-tree edges (x, s),
     whose Schreier generator is the identity because t_{x^s} was defined as
     t_x s.  The rows ahead of a block's first residue sift to the identity
     and leave the chain as it was, so that residue is the one the
@@ -312,9 +323,13 @@ class StabilizerChain:
     complete, so they sift every element of the group they generate, which
     contains it.  Rows after it that were not seen to reach the identity
     are sifted again then; ``sifted`` counts every row sifted, these
-    re-sifts included.  Only the construction reads the transversal tables,
-    so they are dropped when it ends; sifting and orbitals() read the
-    inverse tables.
+    re-sifts included.
+
+    Each level holds only the inverses t_x^-1.  In this module's convention
+    the Schreier generator g = t_x s t_{x^s}^-1 is g[t_x^-1[q]] =
+    t_{x^s}^-1[s[q]], so a block of them is one gather of inverse rows
+    through the strong generators and one scatter to the positions in the
+    rows t_x^-1.  Sifting and orbitals() read the same rows.
 
     The chain is bounded before it allocates.  Before a table grows (the
     old and the new one are both held while it is copied) and before a
@@ -350,9 +365,6 @@ class StabilizerChain:
         j = len(self.levels) - 1
         while j >= 0:
             j = self._complete_level(j)
-        # only the construction reads the transversal tables
-        for level in self.levels:
-            del level.transversal
 
     def _reserve(self, table_bytes: int):
         """Raise ChainBudgetError unless the arrays the levels hold,
@@ -378,7 +390,7 @@ class StabilizerChain:
         """Append s to level.gens and grow the orbit one breadth-first layer
         at a time, as a queue would: the points already in the orbit take
         only s, each new layer takes every generator, in (point, generator)
-        order.  The tables are then reallocated once, at their exact size."""
+        order.  The table is then reallocated once, at its exact size."""
         n = len(s)
         c = len(level.gens)
         level.gens = np.vstack([level.gens, s])
@@ -402,10 +414,8 @@ class StabilizerChain:
             first = 0
         if size == old:
             return
-        self._reserve(2 * size * n * self._dtype.itemsize)
-        transversal = np.empty((size, n), dtype=self._dtype)
-        inverse = np.empty_like(transversal)
-        transversal[:old] = level.transversal
+        self._reserve(size * n * self._dtype.itemsize)
+        inverse = np.empty((size, n), dtype=self._dtype)
         inverse[:old] = level.inverse
         # t_y = t_x s, so t_y^-1 = s^-1 t_x^-1
         gen_inverses = np.empty_like(level.gens)
@@ -414,11 +424,10 @@ class StabilizerChain:
         for _, parents, via in layers:
             for lo in range(0, len(parents), self._block):
                 p, v = parents[lo : lo + self._block], via[lo : lo + self._block]
-                transversal[row : row + len(p)] = _gather(level.gens, v, transversal[p])
                 inverse[row : row + len(p)] = _gather(inverse, p, gen_inverses[v])
                 row += len(p)
         level.orbit = np.concatenate([level.orbit] + [p for p, _, _ in layers])
-        level.transversal, level.inverse = transversal, inverse
+        level.inverse = inverse
 
     def _complete_level(self, j: int) -> int:
         """Sift the Schreier generators of level j not yet done, one block
@@ -432,10 +441,11 @@ class StabilizerChain:
         gen_ids, rows = np.nonzero(~done)
         for lo in range(0, len(rows), self._block):
             c, i = gen_ids[lo : lo + self._block], rows[lo : lo + self._block]
-            # t_x s t_{x^s}^-1 for x = orbit[i] and s = gens[c]
+            # g = t_x s t_{x^s}^-1 for x = orbit[i] and s = gens[c]:
+            # g[t_x^-1[q]] = t_{x^s}^-1[s[q]]
             images = level.gens[c, level.orbit[i]]
-            block = _gather(level.gens, c, level.transversal[i])
-            block = _gather(level.inverse, level.index[images], block)
+            block = _gather(level.inverse, level.index[images], level.gens[c])
+            block = _scatter(level.inverse, i, block)
             self.sifted += len(block)
             block, residue, k = self._sift(block, j + 1)
             moved = (block != self._ident).any(axis=1)
@@ -536,10 +546,10 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
     stabilizer chain, whose base starts at 0: the orbits of the level-1 strong
     generators, which generate the stabilizer of 0, are the suborbits,
     labelled in one orbit_labels pass and numbered by their least points.
-    As the level-0 transversal element t_x maps (0, z) to (x, t_x[z]), row
-    x is pair_ids[x, t_x[z]] = suborbit of z, that is pair_ids[x] = suborbit
-    of t_x^-1.  The rows are gathered from the level-0 inverse table one sift
-    block of rows at a time.
+    As the level-0 transversal element t_x, which maps 0 to x, maps (0, z)
+    to (x, t_x[z]), row x is pair_ids[x, t_x[z]] = suborbit of z, that is
+    pair_ids[x] = suborbit of t_x^-1, the level's row for x.  The rows are
+    gathered from the level-0 inverse table one sift block of rows at a time.
     """
     chain = action.chain
     top = chain.levels[0]

@@ -335,9 +335,9 @@ def test_verify_reports_a_failed_data_check(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--json", str(out_path))
     assert code == 1
     assert "Traceback" not in err
-    assert "first failing claim: flats.count" in err
+    assert "first failing claim: flats.functional_counts" in err
     needs_family = {
-        "flats.count", "flats.types", "flats.macwilliams",
+        "flats.functional_counts", "flats.count", "flats.types", "flats.macwilliams",
         "iso.sigma_orbital_coordinate", "iso.sigma_coordinate_affine",
         "experiment.incidence_degrees",
     }
@@ -489,10 +489,10 @@ def test_gens_files_are_read_at_the_bundled_degree(tmp_path, capsys):
 def test_a_group_over_the_chain_budget_exits_2_or_reads_unavailable(
     tmp_path, capsys, monkeypatch
 ):
-    # S_20 on the first 20 of 486 points needs more than 1 MiB of chain
+    # S_20 on the first 20 of 486 points needs 0.88 MiB of chain
     gens = tmp_path / "s20.txt"
     gens.write_text("a := (1,2)\nb := (" + ",".join(map(str, range(1, 21))) + ")\n")
-    monkeypatch.setattr(permaction, "MAX_CHAIN_BYTES", 2**20)
+    monkeypatch.setattr(permaction, "MAX_CHAIN_BYTES", 3 * 2**18)
     message = "stabilizer chain of degree 486 needs"
     for argv in (("group", "order"), ("group", "orbitals"), ("group", "scan"), ("scan",)):
         code, out, err = run(capsys, *argv, "--gens", str(gens))
