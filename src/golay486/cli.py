@@ -302,9 +302,10 @@ def _coset_shapes(run) -> tuple[int, ...]:
 
 def _blocks_cocliques(run) -> tuple[str, bool]:
     report = run.blocks
+    witness = "" if report.counterexample is None else f" {report.counterexample}"
     return (
         f"{report.blocks_checked} blocks of size {report.block_size}, "
-        f"cocliques={report.all_cocliques}",
+        f"cocliques={report.all_cocliques}{witness}",
         report.blocks_checked == 243
         and report.block_size == 45
         and report.all_cocliques,

@@ -152,13 +152,16 @@ def classify_types(golay: codes.LinearCode, leaders: np.ndarray) -> FlatFamily:
     disjoint union of the 81 cosets of the code on which the functional
     vanishes, and its tally is the sum of theirs: the 243 cosets are
     tallied once (3^5 x 3^6 vectors, see _coset_tallies), not 81 kernels
-    of 3^10.  Each functional must keep 81 leaders with distinct
-    syndromes, so a wrong leader table (`leaders`, from
-    codes.syndrome_table(golay)) fails here rather than mis-tallying.
+    of 3^10.  All 81 kernel tallies are one product, the 0/1 matrix of
+    (functional, vanishing coset) pairs times the coset tallies.  Each
+    functional must keep 81 leaders with distinct syndromes, counted by
+    one more product against the one-hot syndromes, so a wrong leader
+    table (`leaders`, from codes.syndrome_table(golay)) fails here rather
+    than mis-tallying.
 
     Both reference tallies must occur, with 45 Type I and 36 Type II
-    subspaces and nothing else; an unmatched tally is a data error and is
-    reported verbatim.
+    subspaces and nothing else.  The first functional that fails either
+    check raises, and an unmatched tally is reported verbatim.
     """
     e0 = gf3.unit_vector(golay.length, 0)
     functionals = gf3.hyperplane_functionals(golay.generator, e0)
@@ -166,25 +169,26 @@ def classify_types(golay: codes.LinearCode, leaders: np.ndarray) -> FlatFamily:
     coset_tallies = _coset_tallies(golay, leaders)
     syndromes = codes.syndrome_index(golay, leaders)
     vanishes = (leaders @ np.array(functionals, dtype=np.int64).T) % 3 == 0
-    types = []
-    for phi, inside in zip(functionals, vanishes.T):
-        distinct = np.count_nonzero(np.bincount(syndromes[inside]))
-        if np.count_nonzero(inside) != 81 or distinct != 81:
+    tallies = vanishes.T.astype(np.int64) @ coset_tallies
+    # hits[f, s]: how many leaders of functional f's cosets have syndrome s
+    onehot = syndromes[:, None] == np.arange(syndromes.max() + 1)
+    hits = vanishes.T.astype(np.float32) @ onehot.astype(np.float32)
+    guarded = (vanishes.sum(axis=0) == 81) & (np.count_nonzero(hits, axis=1) == 81)
+    type_i = (tallies == TYPE_I_WEIGHTS).all(axis=1)
+    type_ii = (tallies == TYPE_II_WEIGHTS).all(axis=1)
+    failed = ~guarded | ~(type_i | type_ii)
+    if failed.any():
+        f = int(np.argmax(failed))
+        if not guarded[f]:
             raise ValueError(
-                f"functional {phi} does not vanish on 81 distinct Golay cosets"
+                f"functional {functionals[f]} does not vanish on 81 distinct Golay cosets"
             )
-        tally = tuple(coset_tallies[inside].sum(axis=0).tolist())
-        if tally == TYPE_I_WEIGHTS:
-            types.append("I")
-        elif tally == TYPE_II_WEIGHTS:
-            types.append("II")
-        else:
-            raise ValueError(
-                f"subspace of functional {phi} has unmatched weight tally {tally}"
-            )
-    family = FlatFamily(
-        functionals=functionals, bases=bases, types=tuple(types)
-    )
+        raise ValueError(
+            f"subspace of functional {functionals[f]} has unmatched weight tally "
+            f"{tuple(tallies[f].tolist())}"
+        )
+    types = tuple("I" if t else "II" for t in type_i)
+    family = FlatFamily(functionals=functionals, bases=bases, types=types)
     counts = Counter(types)
     if counts["I"] != 45 or counts["II"] != 36:
         raise ValueError(f"unexpected type counts {dict(counts)}")

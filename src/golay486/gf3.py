@@ -198,11 +198,19 @@ def intermediate_hyperplanes(sub_basis: Matrix, excluded: Vector) -> tuple[Matri
     """Bases of all hyperplanes containing span(sub_basis) but not `excluded`.
 
     Each returned matrix is the canonical (RREF) basis of one kernel, in the
-    lex order of the defining functionals from hyperplane_functionals.
+    lex order of the defining functionals from hyperplane_functionals.  It
+    has a closed form, so no row reduction runs: with q the last nonzero
+    column of phi, the pivots are every column but q, and the row with
+    pivot c is e_c - phi[c] phi[q] e_q (phi[q] is its own inverse), which
+    phi annihilates.  All bases are written in one uint8 array pass.
     """
-    n = len(excluded)
-    return tuple(
-        null_space((phi,), width=n)
-        for phi in hyperplane_functionals(sub_basis, excluded)
-    )
+    phis = np.array(hyperplane_functionals(sub_basis, excluded), dtype=np.uint8)
+    m, n = phis.shape
+    rows = np.arange(m)[:, None]
+    q = n - 1 - np.argmax(phis[:, ::-1] != 0, axis=1)
+    bases = np.zeros((m, n, n), dtype=np.uint8)
+    bases[:, np.arange(n), np.arange(n)] = 1
+    bases[rows, np.arange(n), q[:, None]] = 2 * phis * phis[rows, q[:, None]] % 3
+    kept = bases[np.arange(n) != q[:, None]].reshape(m, n - 1, n)
+    return tuple(tuple(map(tuple, basis.tolist())) for basis in kept)
 

@@ -463,32 +463,39 @@ def antipodal_fold(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
     classes of uniform size.  Otherwise the lexicographically first triple
     (v, w, x) is reported where w is related to v and x to exactly one of
     them.  Classes are numbered by their least vertex.
+
+    The relation R is reflexive and symmetric, so one row comparison
+    settles it: R is an equivalence iff every row R[v] equals the row of
+    its least member m(v).  For if it does and u ~ v, then u ~ m(v), so
+    m(u) <= m(v), and likewise m(v) <= m(u); so R[u] = R[m(u)] = R[v].
+    The witness is searched for only once that check has failed.
     """
     dist = distance_matrix(g)
     if (dist == -1).any():
         raise GraphStructureError("graph is disconnected")
     d = int(dist.max())
-    related = (dist == d) | np.eye(g.n, dtype=bool)
-    # rows v and w are equal iff both hold as many vertices as they share
-    shared = related.astype(np.float32) @ related.astype(np.float32)
-    size = related.sum(axis=1)
-    bad = np.argwhere(related & ((shared != size[:, None]) | (shared != size)))
-    if len(bad):
-        v, w = bad[0].tolist()
-        x = int(np.argmax(related[v] ^ related[w]))
-        raise GraphStructureError(
-            f"distance-{d} relation is not an equivalence: "
-            f"witness triple ({v},{w},{x})"
-        )
-    _, index = np.unique(related.argmax(axis=1), return_inverse=True)
+    related = dist == d
+    np.fill_diagonal(related, True)
+    least = related.argmax(axis=1)
+    if not (related == related[least]).all():
+        for v in range(g.n):
+            partners = np.flatnonzero(related[v])
+            differs = (related[partners] != related[v]).any(axis=1)
+            if differs.any():
+                w = int(partners[np.argmax(differs)])
+                x = int(np.argmax(related[v] ^ related[w]))
+                raise GraphStructureError(
+                    f"distance-{d} relation is not an equivalence: "
+                    f"witness triple ({v},{w},{x})"
+                )
+    index = np.searchsorted(np.flatnonzero(least == np.arange(g.n)), least)
     sizes = np.bincount(index)
     if (sizes != sizes[0]).any():
         raise GraphStructureError("antipodal classes have non-uniform sizes")
-    folded = np.zeros((len(sizes), len(sizes)), dtype=bool)
-    us, vs = np.nonzero(g.adjacency_matrix)
-    folded[index[us], index[vs]] = True
-    np.fill_diagonal(folded, False)
     members = np.argsort(index, kind="stable").reshape(len(sizes), -1)
+    # classes i and j are joined when some member of i meets some member of j
+    folded = g.adjacency_matrix[members].any(axis=1)[:, members].any(axis=2)
+    np.fill_diagonal(folded, False)
     return Graph.from_adjacency(folded), tuple(map(tuple, members.tolist()))
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from golay486 import codes, gf3
 from golay486.gf3 import DimensionError
-from golay486.graph import Graph, IntersectionArray
+from golay486.graph import Graph, GraphStructureError, IntersectionArray, distance_matrix
 from golay486.permaction import MAX_DEGREE, CycleParseError, Permutation, _point
 
 
@@ -53,6 +53,48 @@ def brute_force_functionals(sub_basis, excluded=None, length=None):
         and all(dot(phi, s) == 0 for s in sub_basis)
         and (excluded is None or dot(phi, excluded) != 0)
     ]
+
+
+def kernel_bases(sub_basis, excluded):
+    """The RREF basis of each kernel of hyperplane_functionals, one
+    row-reduced null space per functional."""
+    n = len(excluded)
+    return tuple(
+        gf3.null_space((phi,), width=n)
+        for phi in gf3.hyperplane_functionals(sub_basis, excluded)
+    )
+
+
+def product_antipodal_fold(g):
+    """antipodal_fold by the n x n product criterion: rows v and w of the
+    distance-d relation (plus identity) are equal iff both hold as many
+    vertices as they share.  Raises as antipodal_fold does, with the same
+    witness triple."""
+    dist = distance_matrix(g)
+    if (dist == -1).any():
+        raise GraphStructureError("graph is disconnected")
+    d = int(dist.max())
+    related = (dist == d) | np.eye(g.n, dtype=bool)
+    shared = related.astype(np.float32) @ related.astype(np.float32)
+    size = related.sum(axis=1)
+    bad = np.argwhere(related & ((shared != size[:, None]) | (shared != size)))
+    if len(bad):
+        v, w = bad[0].tolist()
+        x = int(np.argmax(related[v] ^ related[w]))
+        raise GraphStructureError(
+            f"distance-{d} relation is not an equivalence: "
+            f"witness triple ({v},{w},{x})"
+        )
+    _, index = np.unique(related.argmax(axis=1), return_inverse=True)
+    sizes = np.bincount(index)
+    if (sizes != sizes[0]).any():
+        raise GraphStructureError("antipodal classes have non-uniform sizes")
+    folded = np.zeros((len(sizes), len(sizes)), dtype=bool)
+    us, vs = np.nonzero(g.adjacency_matrix)
+    folded[index[us], index[vs]] = True
+    np.fill_diagonal(folded, False)
+    members = np.argsort(index, kind="stable").reshape(len(sizes), -1)
+    return Graph.from_adjacency(folded), tuple(map(tuple, members.tolist()))
 
 
 def complete_graph(n):

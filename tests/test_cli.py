@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from golay486 import cli, codes, constructions, permaction
-from golay486.graph import graph6_decode
+from golay486.graph import Graph, graph6_decode
 from oracles import check_dot, compose, inverse
 
 
@@ -466,6 +466,35 @@ def test_verify_with_seeded_relabelling_passes_block_claims(
     verdicts = dict(line.split()[:2] for line in out.splitlines()[:-1])
     assert verdicts["blocks.cocliques"] == "PASS"
     assert verdicts["halved_delta.complement"] == "PASS"
+
+
+def test_a_failed_coclique_check_shows_its_witness(tmp_path, capsys, monkeypatch):
+    # join two coset neighbours of the first flat in the gamma_half model:
+    # that block is no longer a coclique, and (flat, u, v) names it
+    real = constructions.orbital_model
+    witness = []
+
+    def corrupted(decomp, which, half):
+        model = real(decomp, which, half=half)
+        if which != "gamma_half":
+            return model
+        delta = real(decomp, "delta", half=half)
+        flat = delta.half_b[0]
+        u, v = delta.graph.neighbors(flat)[:2]
+        witness.append((flat, u, v))
+        joined = (half.index(u), half.index(v))
+        return Graph(model.n, list(model.edges()) + [joined])
+
+    monkeypatch.setattr(constructions, "orbital_model", corrupted)
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "--skip", "iso", "--json", str(out_path))
+    assert code == 1
+    (flat, u, v), = witness
+    entries = {e["claim_id"]: e for e in json.loads(out_path.read_text())["entries"]}
+    assert entries["blocks.cocliques"]["verdict"] == "FAIL"
+    assert entries["blocks.cocliques"]["observed"] == (
+        f"0 blocks of size 45, cocliques=False ({flat}, {u}, {v})"
+    )
 
 
 def test_gens_files_are_read_at_the_bundled_degree(tmp_path, capsys):

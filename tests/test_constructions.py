@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import pickle
 import random
 from collections import Counter
 from itertools import product
@@ -30,7 +31,7 @@ from golay486.graph import (
     srg_parameters,
     verify_bijection,
 )
-from oracles import dot, ladder_codes, vec_add
+from oracles import dot, ladder_codes, product_antipodal_fold, vec_add
 
 
 def test_gamma_parameters(gamma):
@@ -113,6 +114,53 @@ def test_classify_types_rejects_a_repeated_leader(golay, leaders):
     repeated[7] = leaders[3]
     with pytest.raises(ValueError, match="81 distinct Golay cosets"):
         constructions.classify_types(golay, repeated)
+
+
+def test_flat_family_pickle_is_unchanged(family):
+    # digest of the family built with one null_space per kernel basis and
+    # one tally per functional
+    digest = hashlib.sha256(pickle.dumps(family, protocol=4)).hexdigest()
+    assert digest == "1c082a057301876a54adc71f888c766357a077b30db345a40d4172e0019c2a07"
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (
+            lambda tallies: tallies * 2,
+            "subspace of functional (1, 0, 0, 0, 0, 1, 0, 1, 2, 2, 2) has unmatched "
+            "weight tally (2, 20, 140, 840, 3540, 9984, 19644, 27960, 28320, 18880, "
+            "7360, 1408)",
+        ),
+        (
+            lambda tallies: np.roll(tallies, 1, axis=0),
+            "subspace of functional (1, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0) has unmatched "
+            "weight tally (0, 6, 75, 450, 1755, 4896, 9873, 14130, 14040, 9360, 3792, 672)",
+        ),
+    ],
+    ids=["doubled", "rolled"],
+)
+def test_classify_types_names_the_first_unmatched_tally(
+    golay, leaders, monkeypatch, corrupt, message
+):
+    real = constructions._coset_tallies
+    monkeypatch.setattr(
+        constructions, "_coset_tallies", lambda code, rows: corrupt(real(code, rows))
+    )
+    with pytest.raises(ValueError) as info:
+        constructions.classify_types(golay, leaders)
+    assert str(info.value) == message
+
+
+def test_classify_types_names_the_first_functional_without_81_cosets(golay, leaders):
+    repeated = leaders.copy()
+    repeated[6] = leaders[3]
+    with pytest.raises(ValueError) as info:
+        constructions.classify_types(golay, repeated)
+    assert str(info.value) == (
+        "functional (1, 0, 0, 0, 0, 1, 0, 1, 2, 2, 2) does not vanish on 81 "
+        "distinct Golay cosets"
+    )
 
 
 def test_flat_types_follow_the_functional_weight(family):
@@ -242,6 +290,15 @@ def test_fold_sizes_multiply_back(orbital_models):
         folded, classes = antipodal_fold(graph)
         assert len({len(c) for c in classes}) == 1
         assert folded.n * len(classes[0]) == graph.n
+
+
+def test_folds_match_the_product_criterion(orbital_models, golay):
+    for graph in (
+        orbital_models["upsilon"].graph,
+        orbital_models["lambda"],
+        build_lambda_coordinate(golay),
+    ):
+        assert antipodal_fold(graph) == product_antipodal_fold(graph)
 
 
 def test_upsilon_antipodal_classes_are_2_suborbits(orbital_models, decomp):

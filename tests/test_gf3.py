@@ -1,12 +1,22 @@
 import random
+import re
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golay486 import gf3
 from golay486.codes import golay_code
-from oracles import brute_force_functionals, dot, in_row_space, vec_add, vec_scale
+from oracles import (
+    brute_force_functionals,
+    dot,
+    in_row_space,
+    kernel_bases,
+    vec_add,
+    vec_scale,
+)
 
 
 def random_vector(rng, n):
@@ -204,6 +214,27 @@ def test_hyperplane_functionals_match_brute_force():
         else:
             with pytest.raises(ValueError, match="lies in the subspace"):
                 gf3.hyperplane_functionals(sub_basis, excluded)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 7), st.randoms(use_true_random=False))
+def test_intermediate_hyperplanes_match_row_reduction(n, k, rng):
+    # the closed-form bases against one null_space per functional
+    sub_basis = random_independent_rows(rng, min(k, n), n)
+    excluded = random_vector(rng, n)
+    try:
+        expected = kernel_bases(sub_basis, excluded)
+    except ValueError as error:
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            gf3.intermediate_hyperplanes(sub_basis, excluded)
+    else:
+        assert gf3.intermediate_hyperplanes(sub_basis, excluded) == expected
+
+
+def test_intermediate_hyperplanes_of_golay_match_row_reduction(golay):
+    e0 = gf3.unit_vector(11, 0)
+    expected = kernel_bases(golay.generator, e0)
+    assert gf3.intermediate_hyperplanes(golay.generator, e0) == expected
 
 
 def test_projective_points_match_brute_force():

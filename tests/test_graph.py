@@ -37,6 +37,7 @@ from oracles import (
     oracle_intersection_array,
     path_graph,
     petersen_graph,
+    product_antipodal_fold,
 )
 
 
@@ -476,8 +477,72 @@ def test_antipodal_fold_cycle():
 
 
 def test_antipodal_fold_rejects_non_equivalence():
-    with pytest.raises(GraphStructureError):
-        antipodal_fold(path_graph(4))
+    # the path 0-1-2-3 with a leaf 4 on 1: 0 and 4 are both at distance 3
+    # from 3, but at distance 2 from each other
+    fork = Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)])
+    with pytest.raises(GraphStructureError, match=r"witness triple \(0,3,4\)$"):
+        antipodal_fold(fork)
+
+
+def fold_outcome(fold, g):
+    """The fold of g, or the message it raises."""
+    try:
+        return fold(g)
+    except GraphStructureError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("g", [path_graph(4), complete_bipartite_graph(1, 3)], ids=["P4", "star"])
+def test_antipodal_fold_rejects_unequal_classes(g):
+    # the distance-d relation is an equivalence, with classes {0, 3}, {1},
+    # {2} on the path and {0}, {1, 2, 3} on the star K_{1,3}
+    with pytest.raises(GraphStructureError, match="non-uniform sizes"):
+        antipodal_fold(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        path_graph(4),
+        complete_bipartite_graph(1, 3),
+        Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)]),
+        cycle_graph(6),
+        cycle_graph(7),
+        complete_bipartite_graph(3, 3),
+        petersen_graph(),
+        disjoint_union(cycle_graph(4), cycle_graph(4)),
+    ],
+    ids=["P4", "star", "fork", "C6", "C7", "K33", "petersen", "2C4"],
+)
+def test_antipodal_fold_matches_the_product_criterion(g):
+    assert fold_outcome(antipodal_fold, g) == fold_outcome(product_antipodal_fold, g)
+
+
+def test_antipodal_fold_matches_the_product_criterion_on_random_graphs():
+    # G(n, p) graphs, and complete multipartite graphs, whose distance-2
+    # relation is "same part": an equivalence, uniform or not
+    rng = random.Random(65)
+    kinds = Counter()
+    for _ in range(400):
+        n = rng.randrange(1, 15)
+        if rng.random() < 0.5:
+            p = rng.uniform(0.05, 0.9)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        else:
+            parts = rng.randrange(1, 5)
+            part = [i % parts for i in range(n)]
+            if rng.random() < 0.5:
+                part[0] = rng.randrange(4)
+            rng.shuffle(part)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
+        g = Graph(n, edges)
+        outcome = fold_outcome(antipodal_fold, g)
+        assert outcome == fold_outcome(product_antipodal_fold, g)
+        if not isinstance(outcome, str):
+            kinds["folded"] += 1
+        else:
+            kinds[next(k for k in ("disconnected", "equivalence", "non-uniform") if k in outcome)] += 1
+    assert min(kinds[k] for k in ("folded", "disconnected", "equivalence", "non-uniform")) >= 10, kinds
 
 
 def test_induced_subgraph():
