@@ -581,10 +581,10 @@ def run_verification(
 # ---------------------------------------------------------------------------
 
 
-def distance_diagram_dot(name: str, graph: Graph) -> str:
+def distance_diagram_dot(name: str, arr: IntersectionArray | None) -> str:
     """One node per distance class (labeled k_i), edges labeled b_i/c_{i+1};
-    classes with a_i > 0 carry the a-value on the node."""
-    arr = is_distance_regular(graph)
+    classes with a_i > 0 carry the a-value on the node.  `arr` is the
+    graph's intersection array, None if it is not distance-regular."""
     if arr is None:
         raise GraphStructureError(f"{name} is not distance-regular")
     sizes = arr.distance_class_sizes()
@@ -708,7 +708,7 @@ def _cmd_diagram(args) -> int:
         return 2
     run = Run(constructions.bundled_action())
     if args.kind == "distance":
-        text = distance_diagram_dot(args.graph, run.graph(args.graph))
+        text = distance_diagram_dot(args.graph, run.array(args.graph))
     else:
         text = orbit_diagram_dot(args.graph, run.graph(args.graph), run.decomp)
     if args.out:

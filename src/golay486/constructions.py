@@ -98,6 +98,10 @@ class LabeledModel:
 
 @dataclass(frozen=True)
 class BlocksReport:
+    """blocks_checked counts the flat-side blocks, all checked at once;
+    block_size is their common size, -1 if sizes differ; counterexample is
+    the first (flat, u, v) whose block holds the edge uv of gamma_half."""
+
     blocks_checked: int
     block_size: int
     all_cocliques: bool
@@ -264,24 +268,18 @@ def compute_coset_half(decomp: OrbitalDecomposition) -> tuple[int, ...]:
     """The bipartition class of the 45-orbital graph holding the cosets.
 
     Computed, not assumed: it is the union of the suborbits of sizes
-    1,2,20,40,180, and must agree with the bipartition class of the
-    45-orbital graph containing the base vertex.
+    1,2,20,40,180, read off the base row of the pair table by one mask, and
+    must agree with the bipartition class of the 45-orbital graph
+    containing the base vertex.  Every suborbit meets the base row, so the
+    sizes are checked on decomp.suborbit_sizes alone.
     """
-    size_of = [decomp.suborbit_sizes[s] for s in decomp.suborbit_of_vertex]
-    half = tuple(
-        sorted(
-            v
-            for v in range(decomp.action.degree)
-            if size_of[v] in COSET_SUBORBIT_SIZES
-        )
-    )
-    leftover = {size_of[v] for v in range(decomp.action.degree)} - (
-        COSET_SUBORBIT_SIZES | FLAT_SUBORBIT_SIZES
-    )
+    leftover = set(decomp.suborbit_sizes) - (COSET_SUBORBIT_SIZES | FLAT_SUBORBIT_SIZES)
     if leftover:
         raise GraphStructureError(
             f"unexpected suborbit sizes {sorted(leftover)}; not the rank-9 action"
         )
+    coset = np.array([size in COSET_SUBORBIT_SIZES for size in decomp.suborbit_sizes])
+    half = tuple(np.flatnonzero(coset[decomp.pair_ids[decomp.base]]).tolist())
     delta = orbital_graph(decomp, {45})
     side0, _ = bipartition(delta)
     if half != side0:
@@ -306,8 +304,9 @@ def orbital_model(
     if which in ("delta", "upsilon", "sigma"):
         sizes = {"delta": {45}, "upsilon": {20, 36}, "sigma": {45, 36}}[which]
         graph = orbital_graph(decomp, sizes)
-        in_half = set(half)
-        other = tuple(v for v in range(graph.n) if v not in in_half)
+        flat = np.ones(graph.n, dtype=bool)
+        flat[list(half)] = False
+        other = tuple(np.flatnonzero(flat).tolist())
         return LabeledModel(graph=graph, half_a=half, half_b=other)
     sizes = {"lambda": {20}, "gamma_half": {2, 20}}[which]
     graph, labels = induced_subgraph(orbital_graph(decomp, sizes), half)
@@ -332,19 +331,18 @@ def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:
     members = a[np.ix_(flats, delta.half_a)].astype(np.float32)
     meets = members @ gamma_half.adjacency_matrix.astype(np.float32)
     inside = (meets * members).any(axis=1)
-    blocks = int(np.argmax(inside)) if inside.any() else len(flats)
     counterexample = None
-    if blocks < len(flats):
-        f = int(flats[blocks])
+    if inside.any():
+        f = int(flats[np.argmax(inside)])
         block = np.flatnonzero(a[f])
         pos = position[block]
         u, v = np.argwhere(np.triu(gamma_half.adjacency_matrix[np.ix_(pos, pos)], 1))[0]
         counterexample = (f, int(block[u]), int(block[v]))
-    sizes = a[flats[: blocks + 1]].sum(axis=1)
+    sizes = a[flats].sum(axis=1)
     half0, _, (side0, _) = bipartite_halves(delta.graph)
     halved_ok = side0 == delta.half_a and half0 == complement(gamma_half)
     return BlocksReport(
-        blocks_checked=blocks,
+        blocks_checked=len(flats),
         block_size=int(sizes[0]) if len(sizes) and (sizes == sizes[0]).all() else -1,
         all_cocliques=counterexample is None,
         halved_equals_complement=halved_ok,

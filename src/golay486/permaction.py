@@ -16,7 +16,9 @@ level keeps one table, the inverses of its transversal elements in orbit
 order, and writes every Schreier generator from it.  The chain stops with
 ChainBudgetError before its arrays would pass MAX_CHAIN_BYTES.  orbitals()
 reads the suborbits and the whole pair table off the chain, whose base
-starts at point 0.
+starts at point 0.  The pair table is one read-only n x n intc array; the
+orbital-union graphs, the collapsed matrices and the scan index it
+directly, and row `base` labels every vertex by its suborbit.
 
 Orbits are labelled by their least point in array passes (orbit_labels), and
 the scan tests the suborbit quotients of a block of unions at once, by one
@@ -26,7 +28,6 @@ layered breadth-first search over the block.
 from __future__ import annotations
 
 import re
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from collections.abc import Iterable, Sequence
@@ -47,10 +48,10 @@ MAX_SCAN_RANK = 16
 _SCAN_BLOCK_BYTES = 1 << 20
 
 # Largest degree a generator file may have.  At this degree the two
-# degree^2 tables behind an orbital decomposition are the int32 pair_ids,
-# 64 MiB, and level 0 of the stabilizer chain, 32 MiB (its inverse table,
-# degree rows of degree uint16 points).  Each deeper level adds |orbit| such
-# rows, 2 * degree * |orbit| bytes.
+# degree^2 tables behind an orbital decomposition are the int32 pair_ids
+# array, 64 MiB, and level 0 of the stabilizer chain, 32 MiB (its inverse
+# table, degree rows of degree uint16 points).  Each deeper level adds
+# |orbit| such rows, 2 * degree * |orbit| bytes.
 MAX_DEGREE = 4096
 
 # Bytes a stabilizer chain may hold: the arrays of its levels (inverse
@@ -507,28 +508,26 @@ def group_order(action: GroupAction) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitalDecomposition:
     """Orbit partition of ordered pairs under the diagonal action.
 
-    pair_ids[i*n + j] is the orbital id of (i, j).  The orbitals of a
-    transitive action match the suborbits (the orbits of the stabilizer of
-    the base point) through the pairs (base, y); ids number the suborbits
-    by their least point, so the labelling is deterministic.
+    pair_ids[i, j] is the orbital id of (i, j), in a read-only (n, n) intc
+    array.  The orbitals of a transitive action match the suborbits (the
+    orbits of the stabilizer of the base point) through the pairs (base,
+    y), so pair_ids[base] is the suborbit of every vertex; ids number the
+    suborbits by their least point, so the labelling is deterministic.
+    Decompositions compare by identity (== on an array field has no single
+    truth value).
     """
 
     action: GroupAction
     base: int
-    pair_ids: array
+    pair_ids: np.ndarray
     rank: int
     suborbit_sizes: tuple[int, ...]
     pairing: tuple[int, ...]
     diagonal_id: int
-
-    @cached_property
-    def suborbit_of_vertex(self) -> tuple[int, ...]:
-        n = self.action.degree
-        return tuple(self.pair_ids[self.base * n + v] for v in range(n))
 
     def nontrivial_ids(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.rank) if k != self.diagonal_id)
@@ -549,7 +548,8 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
     As the level-0 transversal element t_x, which maps 0 to x, maps (0, z)
     to (x, t_x[z]), row x is pair_ids[x, t_x[z]] = suborbit of z, that is
     pair_ids[x] = suborbit of t_x^-1, the level's row for x.  The rows are
-    gathered from the level-0 inverse table one sift block of rows at a time.
+    gathered from the level-0 inverse table one sift block of rows at a time
+    into one (n, n) array, which is then made read-only.
     """
     chain = action.chain
     top = chain.levels[0]
@@ -559,15 +559,15 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
     stabilizer = chain.levels[1].gens if len(chain.levels) > 1 else ()
     firsts, labels = np.unique(orbit_labels(stabilizer, n), return_inverse=True)
     labels = labels.astype(np.intc)
-    ids = array("i", [0]) * (n * n)
-    rows = np.frombuffer(ids, dtype=np.intc).reshape(n, n)
+    rows = np.empty((n, n), dtype=np.intc)
     step = chain._block
     for lo in range(0, n, step):
         rows[top.orbit[lo : lo + step]] = labels[top.inverse[lo : lo + step]]
+    rows.flags.writeable = False
     return OrbitalDecomposition(
         action=action,
         base=0,
-        pair_ids=ids,
+        pair_ids=rows,
         rank=len(firsts),
         suborbit_sizes=tuple(np.bincount(labels).tolist()),
         pairing=tuple(rows[firsts, 0].tolist()),
@@ -592,11 +592,9 @@ def orbital_union_graph(
                 f"selection is not symmetric: orbital {k} lacks its transpose "
                 f"{decomp.pairing[k]}"
             )
-    n = decomp.action.degree
     selected = np.zeros(decomp.rank, dtype=bool)
     selected[list(chosen)] = True
-    rows = np.frombuffer(decomp.pair_ids, dtype=np.intc).reshape(n, n)
-    return Graph.from_adjacency(selected[rows])
+    return Graph.from_adjacency(selected[decomp.pair_ids])
 
 
 def verify_invariance(action: GroupAction, graph: Graph) -> bool:
@@ -618,7 +616,7 @@ def collapsed_matrix(
     """
     if not verify_invariance(decomp.action, graph):
         raise ValueError("edge set is not invariant under the action")
-    sub = np.array(decomp.suborbit_of_vertex)
+    sub = decomp.pair_ids[decomp.base]
     members = (sub[:, None] == np.arange(decomp.rank)).astype(np.float32)
     counts = (graph.adjacency_matrix.astype(np.float32) @ members).astype(np.int64)
     # the least vertex of each suborbit is its representative
@@ -640,12 +638,11 @@ def _orbital_collapsed_rows(decomp: OrbitalDecomposition) -> np.ndarray:
     Constancy over each suborbit is guaranteed by invariance of orbitals, so
     representatives suffice here (the public collapsed_matrix re-verifies).
     """
-    n, rank = decomp.action.degree, decomp.rank
-    rows = np.frombuffer(decomp.pair_ids, dtype=np.intc).reshape(n, n)
-    sub = rows[decomp.base]
+    rank = decomp.rank
+    sub = decomp.pair_ids[decomp.base]
     # the least vertex of each suborbit is its representative
     reps = np.unique(sub, return_index=True)[1]
-    cells = (rows[reps] * rank + np.arange(rank)[:, None]) * rank + sub
+    cells = (decomp.pair_ids[reps] * rank + np.arange(rank)[:, None]) * rank + sub
     return np.bincount(cells.ravel(), minlength=rank**3).reshape(rank, rank, rank)
 
 

@@ -217,7 +217,7 @@ def test_criterion_11_property_suites(decomp, orbital_models):
     assert sorted(decomp.pairing) == list(range(decomp.rank))
     for k in range(decomp.rank):
         assert decomp.pairing[decomp.pairing[k]] == k
-    pair_counts = Counter(decomp.pair_ids)
+    pair_counts = Counter(decomp.pair_ids.ravel().tolist())
     for k in range(decomp.rank):
         assert pair_counts[k] == 486 * decomp.suborbit_sizes[k]
         assert pair_counts[k] == pair_counts[decomp.pairing[k]]

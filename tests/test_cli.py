@@ -493,7 +493,7 @@ def test_a_failed_coclique_check_shows_its_witness(tmp_path, capsys, monkeypatch
     entries = {e["claim_id"]: e for e in json.loads(out_path.read_text())["entries"]}
     assert entries["blocks.cocliques"]["verdict"] == "FAIL"
     assert entries["blocks.cocliques"]["observed"] == (
-        f"0 blocks of size 45, cocliques=False ({flat}, {u}, {v})"
+        f"243 blocks of size 45, cocliques=False ({flat}, {u}, {v})"
     )
 
 

@@ -20,9 +20,10 @@ from golay486.constructions import (
     experiment_flat_incidence,
     orbital_model,
 )
-from golay486.permaction import orbitals
+from golay486.permaction import GroupAction, orbitals
 from golay486.graph import (
     Graph,
+    GraphStructureError,
     antipodal_fold,
     are_isomorphic,
     bipartite_halves,
@@ -254,6 +255,13 @@ def test_coset_half_is_standard_labelling(decomp):
     assert compute_coset_half(decomp) == tuple(range(243))
 
 
+def test_coset_half_rejects_a_suborbit_size_of_neither_half():
+    # S5 on 5 points has suborbits of sizes 1 and 4
+    s5 = GroupAction(5, ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0)))
+    with pytest.raises(GraphStructureError, match=r"unexpected suborbit sizes \[4\]"):
+        compute_coset_half(orbitals(s5))
+
+
 def test_orbital_models_arrays(orbital_models):
     assert str(is_distance_regular(orbital_models["delta"].graph)) == "{45,44,36,5; 1,9,40,45}"
     assert str(is_distance_regular(orbital_models["upsilon"].graph)) == "{56,45,16,1; 1,8,45,56}"
@@ -313,7 +321,7 @@ def test_upsilon_antipodal_classes_are_2_suborbits(orbital_models, decomp):
         for v in c:
             class_of[v] = set(c)
     for v in range(n):
-        mates = {w for w in range(n) if ids[v * n + w] == two}
+        mates = {w for w in range(n) if ids[v, w] == two}
         assert class_of[v] == {v} | mates
 
 
@@ -375,7 +383,7 @@ def test_halved_delta_equals_complement_directly(orbital_models):
 
 def test_coset_shapes_match_coset_half_suborbits(decomp, golay, leaders):
     shapes = codes.classify_cosets(golay, leaders)
-    half_suborbit_ids = {decomp.suborbit_of_vertex[v] for v in range(243)}
+    half_suborbit_ids = set(decomp.pair_ids[decomp.base, :243].tolist())
     sizes = sorted(decomp.suborbit_sizes[k] for k in half_suborbit_ids)
     assert sorted(shapes.values()) == sizes == [1, 2, 20, 40, 180]
 

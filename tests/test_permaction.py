@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -128,12 +129,22 @@ def orbitals_by_pair_bfs(action):
     return OrbitalDecomposition(
         action=action,
         base=0,
-        pair_ids=ids,
+        pair_ids=np.array(ids, dtype=np.intc).reshape(n, n),
         rank=rank,
         suborbit_sizes=tuple(sizes),
         pairing=tuple(ids[j * n + i] for (i, j) in first_pairs),
         diagonal_id=ids[0],
     )
+
+
+def same_decomposition(got, want):
+    """Field-by-field equality of two decompositions, pair_ids as arrays
+    (decompositions themselves compare by identity)."""
+    for field in dataclasses.fields(OrbitalDecomposition):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if not (np.array_equal(a, b) if field.name == "pair_ids" else a == b):
+            return False
+    return True
 
 
 def order_of(p):
@@ -360,7 +371,7 @@ def test_chain_starts_at_point_0_when_first_generator_fixes_it():
     chain = StabilizerChain(action)
     assert chain.base()[0] == 0
     assert chain.order() == 720
-    assert orbitals(action) == orbitals_by_pair_bfs(action)
+    assert same_decomposition(orbitals(action), orbitals_by_pair_bfs(action))
 
 
 def test_chain_on_group_fixing_point_0():
@@ -627,13 +638,14 @@ def test_orbitals_small_actions():
     ids=["cyclic", "symmetric", "klein_four", "mathieu_11"],
 )
 def test_orbitals_match_pair_bfs(action):
-    assert orbitals(action) == orbitals_by_pair_bfs(action)
+    assert same_decomposition(orbitals(action), orbitals_by_pair_bfs(action))
 
 
 def test_orbitals_match_pair_bfs_on_relabelled_bundled_action(relabelled_action):
     got = orbitals(relabelled_action)
     want = orbitals_by_pair_bfs(relabelled_action)
-    for field in ("pair_ids", "rank", "suborbit_sizes", "pairing", "diagonal_id"):
+    assert np.array_equal(got.pair_ids, want.pair_ids), "pair_ids"
+    for field in ("rank", "suborbit_sizes", "pairing", "diagonal_id"):
         assert getattr(got, field) == getattr(want, field), field
 
 
@@ -645,11 +657,19 @@ def test_bundled_orbitals(decomp):
     # every orbital is self-paired here
     assert decomp.pairing == tuple(range(9))
     # the pair ids really partition all ordered pairs
-    assert len(decomp.pair_ids) == 486 * 486
-    assert Counter(decomp.pair_ids)[decomp.diagonal_id] == 486
-    sizes_from_pairs = Counter(decomp.pair_ids)
+    assert decomp.pair_ids.size == 486 * 486
+    assert Counter(decomp.pair_ids.ravel().tolist())[decomp.diagonal_id] == 486
+    sizes_from_pairs = Counter(decomp.pair_ids.ravel().tolist())
     for k in range(9):
         assert sizes_from_pairs[k] == 486 * decomp.suborbit_sizes[k]
+
+
+def test_pair_table_is_one_read_only_array(decomp):
+    assert isinstance(decomp.pair_ids, np.ndarray)
+    assert decomp.pair_ids.shape == (486, 486)
+    assert decomp.pair_ids.dtype == np.intc
+    with pytest.raises(ValueError):
+        decomp.pair_ids[0, 0] = decomp.pair_ids[0, 1]
 
 
 def test_edge_orbit_graph_cycle():
@@ -669,7 +689,7 @@ def test_edge_orbit_graph_invariance_random(bundled_action):
 
 def test_edge_orbit_graph_from_45_suborbit(decomp, bundled_action):
     by_size = decomp.id_by_suborbit_size()
-    seed = decomp.suborbit_of_vertex.index(by_size[45])
+    seed = decomp.pair_ids[decomp.base].tolist().index(by_size[45])
     g = edge_orbit_graph(bundled_action, [(0, seed)])
     arr = is_distance_regular(g)
     assert arr is not None and str(arr) == "{45,44,36,5; 1,9,40,45}"
@@ -677,7 +697,7 @@ def test_edge_orbit_graph_from_45_suborbit(decomp, bundled_action):
 
 def test_edge_orbit_graph_from_2_suborbit_is_triangles(decomp, bundled_action):
     by_size = decomp.id_by_suborbit_size()
-    seed = decomp.suborbit_of_vertex.index(by_size[2])
+    seed = decomp.pair_ids[decomp.base].tolist().index(by_size[2])
     g = edge_orbit_graph(bundled_action, [(0, seed)])
     assert all(g.degree(v) == 2 for v in range(g.n))
     # 162 disjoint triangles: every vertex's neighbors are adjacent
@@ -692,7 +712,7 @@ def test_orbital_union_graph_matches_edge_orbit_graph(fixture, request):
     action = request.getfixturevalue(fixture)
     decomp = orbitals(action)
     for k in decomp.nontrivial_ids():
-        y = decomp.suborbit_of_vertex.index(k)
+        y = decomp.pair_ids[decomp.base].tolist().index(k)
         union = orbital_union_graph(decomp, {k, decomp.pairing[k]})
         assert union == edge_orbit_graph(action, [(0, y)])
 
