@@ -8,9 +8,12 @@ numbers of every ordered pair are read off the products of the distance
 layers with the adjacency matrix that the search forms anyway, and a
 graph of diameter d needs d - 1 of them.  A connected bipartite graph is
 searched from each class in turn against its biadjacency block, so each
-product is a quarter of the n x n one.  Counts never exceed the vertex
-count, so float32 matmuls (each function converts the matrix locally) are
-exact and fast at the 486-vertex scale this library works at.
+product is a quarter of the n x n one, and a regular one needs d - 2 per
+class: its last layer follows from an edge count.  Counts never exceed
+the vertex count, so float32 matmuls (each function converts the matrix
+locally) are exact and fast at the 486-vertex scale this library works
+at.  graph6 text is packed and unpacked in 24-bit words, three bytes to
+four characters.
 
 Isomorphism testing is colour refinement with individualization and
 deterministic branching, run as numpy passes over one CSR adjacency of both
@@ -179,100 +182,156 @@ def _bfs(g: Graph, source: int) -> np.ndarray:
     return dist
 
 
-def _layers(g: Graph):
+def _layers(g: Graph, degree: np.ndarray):
     """Breadth-first search from every vertex at once, by layered matmuls.
 
     With D_j the pairs at distance j and A the adjacency matrix, (D_j A)[x,
     y] counts the neighbours of y at distance j from x.  So D_j A is zero
     off D_{j-1}, D_j and D_{j+1} and positive on all of D_{j+1}, which is
-    its support without the first two.
+    its support less the ball, the pairs reached so far.  D_1 A is the
+    product of D_1's block of A with its own transpose, which numpy forms
+    as a symmetric rank-k update (syrk), in about 70% of a general
+    product's time.
 
     The sources are searched in blocks.  If g is connected and bipartite,
     its classes X and Y are the parities of the BFS distance from vertex 0,
     and there are two blocks.  From X, the layers of even j lie in the
     columns X and those of odd j in the columns Y, so each D_j A is an |X| x
     |Y| or |X| x |X| product with the biadjacency block B = A[X, Y] or with
-    B^T; then the same from Y.  Any other graph is one block: every source,
-    every column, A both ways.
+    B^T, and the ball is held per parity; then the same from Y.  Any other
+    graph is one block: every source, every column, A both ways.
+
+    A block of a k-regular bipartite graph (degree holds every vertex's
+    degree) forms no last product.  No edge joins two vertices of one
+    layer, so e_j(x), the number of edges from D_j(x) onward, is k |D_j(x)|
+    - e_{j-1}(x), with e_0 = k.  Let U(x) be the vertices of the parity of
+    j + 1 not yet reached.  Every edge from D_j(x) onward ends in U(x), and
+    U(x) lies in one class, with no edge inside it, so e_j(x) <= k |U(x)|,
+    with equality exactly when every edge at U(x) ends in D_j(x): then U(x)
+    is D_{j+1}(x) and nothing lies beyond it.  Since the inequality holds on
+    every row, it is an equality on every row exactly when the sums over
+    the block's sources are equal, and these are exact integers read off
+    the layer and ball sizes.  Then U is the block's last layer, yielded
+    with counts k on every pair (c = k there) in place of D_j A, and the
+    block ends.
 
     Yields (block, j, counts, same, nxt) for j = 0, 1, ... of each block in
-    turn.  counts is D_j A as float32 and nxt is D_{j+1} as bool, both on
-    the part of the n x n pair matrix that the index `block` selects; same
-    is D_j on those columns, or None if D_j lies in the other class.  A
-    block ends once every pair from its sources is reached, or when D_{j+1}
-    is empty.  So a connected graph of diameter d costs d - 1 products per
-    block: D_0 A is A itself, and D_d A is never formed.  The buffers are
-    reused in place, so each is valid only until the next step, and the
-    second block reuses the first block's when their shapes match: the
-    reader still holds the last of them when the second block starts.
-    Counts never exceed n, so float32 is exact.
+    turn.  counts is D_j A as float32 (read it only on nxt and same) and
+    nxt is D_{j+1} as bool, both on the part of the n x n pair matrix that
+    the index `block` selects; same is D_j on those columns, or None if D_j
+    lies in the other class.  A block ends once every pair from its sources
+    is reached, or when D_{j+1} is empty.  So from sources of eccentricity
+    at most E, a block costs E - 1 products, and E - 2 in a regular
+    bipartite graph: D_0 A is A itself, and D_E A is never formed.  The
+    buffers are reused in place, so each is valid only until the next
+    step, and the second block reuses the first block's when their shapes
+    match: the reader still holds the last of them when the second block
+    starts.  Counts never exceed n, so float32 is exact.
     """
     n, a = g.n, g.adjacency_matrix
     dist = _bfs(g, 0)
     x, y = np.flatnonzero(dist % 2 == 0), np.flatnonzero(dist % 2 == 1)
     b = a[np.ix_(x, y)]
     # connected, with an edge, and every edge between the two classes
-    if len(y) and len(x) + len(y) == n and 2 * np.count_nonzero(b) == np.count_nonzero(a):
+    if len(y) and len(x) + len(y) == n and 2 * np.count_nonzero(b) == degree.sum():
         b = b.astype(np.float32)
         blocks = [
             (((x[:, None], x), (x[:, None], y)), (b, b.T)),
             (((y[:, None], y), (y[:, None], x)), (b.T, b)),
         ]
+        # the valency of a regular graph, or 0: no layer from an edge count
+        k = int(degree[0]) if (degree == degree[0]).all() else 0
     else:
         whole = (slice(None), slice(None))
         a = a.astype(np.float32)
         blocks = [((whole, whole), (a, a))]
+        k = 0
     shared = len(blocks) == 1
     del b  # in the one-block case, the bool block is not needed again
-    layer = floats = None
-    # index[p] and mult[p] serve the layers of parity p: the block they lie
-    # in, and the block of A that carries them into the next layer
+    floats = layer = ball = None
+    # index[p], mult[p], layer[p] and ball[p] serve the layers of parity p:
+    # the block they lie in, the block of A that carries them into the next
+    # layer, the newest of them and every one so far
     for index, mult in blocks:
         rows = len(mult[0])
         shapes = [(rows, rows), mult[0].shape]
         # the second block writes into the first block's buffers when it
         # can (|X| = |Y|, as in every regular bipartite graph), rather than
         # allocate beside the ones the reader holds
-        if layer is None or [m.shape for m in layer] != shapes:
-            layer = [np.empty(s, dtype=bool) for s in shapes]
+        if floats is None or [f.shape for f in floats] != shapes:
             floats = [np.empty(s, dtype=np.float32) for s in shapes]
-        layer[0].fill(False)
-        np.fill_diagonal(layer[0], True)
+            layer = [np.empty(shapes[0], dtype=bool)]
+            if shared:
+                # both parities lie in every column: one ball, and D_j is
+                # yielded beside D_{j+1}
+                ball = [np.empty(shapes[0], dtype=bool)] * 2
+                layer.append(np.empty(shapes[1], dtype=bool))
+            else:
+                # only the newest layer is held, so one buffer serves both
+                # parities when their shapes agree
+                ball = [np.empty(s, dtype=bool) for s in shapes]
+                same_shape = shapes[0] == shapes[1]
+                layer.append(layer[0] if same_shape else np.empty(shapes[1], dtype=bool))
+        ball[0].fill(False)
+        np.fill_diagonal(ball[0], True)
         np.greater(mult[0], 0, out=layer[1])
-        counts, reached, j = mult[0], rows, 0
+        if shared:  # D_0, the first `same`, and then D_0 + D_1 reached
+            np.copyto(layer[0], ball[0])
+            ball[0] |= layer[1]
+        else:
+            np.copyto(ball[1], layer[1])
+        counts, nxt, reached, j = mult[0], layer[1], rows, 0
+        edges = k * rows  # e_0, summed over the sources
         while True:
-            p, q = j % 2, 1 - j % 2
-            fresh = np.count_nonzero(layer[q])
+            fresh = np.count_nonzero(nxt)
             reached += fresh
-            yield index[q], j, counts, layer[p] if shared else None, layer[q]
+            yield index[1 - j % 2], j, counts, layer[j % 2] if shared else None, nxt
             if not fresh or reached == rows * n:
                 break
             j += 1
-            p, q = q, p
-            np.copyto(floats[p], layer[p])
-            np.matmul(floats[p], mult[p], out=floats[q])
+            p, q = j % 2, 1 - j % 2
+            if k:
+                edges = k * fresh - edges  # fresh is |D_j|
+                if edges == k * (ball[q].size - np.count_nonzero(ball[q])):
+                    counts = np.broadcast_to(np.float32(k), shapes[q])
+                    nxt = np.logical_not(ball[q], out=ball[q])
+                    continue
+            if j == 1:
+                np.matmul(mult[0], mult[0].T, out=floats[q])
+            else:
+                np.copyto(floats[p], layer[p])
+                np.matmul(floats[p], mult[p], out=floats[q])
             counts = floats[q]
-            # D_{j+1} in place of D_{j-1}: the support of counts without
-            # D_{j-1}, and without D_j when it shares the columns
-            np.greater(counts > 0, layer[q], out=layer[q])
-            if shared:
-                np.greater(layer[q], layer[p], out=layer[q])
+            nxt = np.greater(counts, 0, out=layer[q])
+            np.greater(nxt, ball[q], out=nxt)
+            ball[q] |= nxt
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs distances (int32, -1 for unreachable) via layered matmuls.
 
     Each layer of _layers is written into its block of the matrix: in place
-    for the one block of a non-bipartite graph, through a copy of each
-    biadjacency block otherwise.
+    for the one block of a non-bipartite graph.  A bipartite block's
+    distances are filled in two local copies, one per parity of the layers,
+    and stored into the matrix once, when the block is done.
     """
     dist = np.full((g.n, g.n), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
-    for block, j, _, _, nxt in _layers(g):
-        part = dist[block]
-        np.copyto(part, j + 1, where=nxt)
-        if part.base is not dist:  # a copy, not a view
-            dist[block] = part
+    parts: list[tuple[tuple, np.ndarray]] = []  # (block, its distances) by parity of j
+
+    def store():
+        for block, part in parts:
+            if part.base is not dist:  # a copy, not a view
+                dist[block] = part
+        parts.clear()
+
+    for block, j, _, _, nxt in _layers(g, np.count_nonzero(g.adjacency_matrix, axis=1)):
+        if j == 0:
+            store()
+        if j < 2:
+            parts.append((block, dist[block]))
+        np.copyto(parts[j % 2][1], j + 1, where=nxt)
+    store()
     return dist
 
 
@@ -355,7 +414,9 @@ def _constant_on(values: np.ndarray, mask: np.ndarray) -> int | None:
     one), or None if there are several: every such cell must equal the
     first.  Unlike values[mask], this gathers nothing."""
     first = values.flat[np.argmax(mask)]
-    same = np.count_nonzero((values == first) & mask) == np.count_nonzero(mask)
+    equal = values == first
+    equal &= mask  # in place: one temporary of that shape, not two
+    same = np.count_nonzero(equal) == np.count_nonzero(mask)
     return int(first) if same else None
 
 
@@ -369,15 +430,17 @@ def is_distance_regular(g: Graph) -> IntersectionArray | None:
     distance j + 1, and each must be one value there, and the same from
     every block of sources.  If every degree is k as well, the neighbours
     of y at distance j + 1 number b_j = k - a_j - c_j for every pair, so
-    D_{d-1} A is the last product a diameter-d graph needs.  The BFS
-    always runs to the end, and GraphStructureError is raised if g is
-    disconnected, whether or not a layer was irregular.
+    D_{d-1} A is the last product a diameter-d graph needs.  A bipartite
+    one needs D_{d-2} A at most: its last layer, with c_d = k, is read off
+    an edge count (see _layers).  The BFS always runs to the end, and
+    GraphStructureError is raised if g is disconnected, whether or not a
+    layer was irregular.
     """
     degree = np.count_nonzero(g.adjacency_matrix, axis=1)
     regular = bool((degree == degree[0]).all())
     reached = g.n  # pairs at finite distance
     arrays: list[list[tuple[int, int]]] = []  # (a_j, c_{j+1}) from each block
-    for _, j, counts, same, nxt in _layers(g):
+    for _, j, counts, same, nxt in _layers(g, degree):
         if j == 0:
             arrays.append([])
         size = np.count_nonzero(nxt)
@@ -714,10 +777,20 @@ def are_isomorphic(
 # ---------------------------------------------------------------------------
 
 _G6_MAX_N = 68719476735
+# a 24-bit word is four 6-bit characters, or three bytes
+_G6_CHAR_SHIFTS = np.array([18, 12, 6, 0], dtype=np.uint32)
+_G6_BYTE_SHIFTS = np.array([16, 8, 0], dtype=np.uint32)
 
 
 def graph6_encode(g: Graph) -> str:
-    """Standard graph6 text for g (no >>graph6<< header, no newline)."""
+    """Standard graph6 text for g (no >>graph6<< header, no newline).
+
+    The body is the bits (j, k) for j < k, column by column, six to a
+    character: the strict lower triangle row by row, packed into bytes in
+    one pass.  Three bytes are four characters, so the bytes are read as
+    24-bit words, zero-padded to a whole word, and each word is shifted
+    into its four 6-bit characters.
+    """
     n = g.n
     if n > _G6_MAX_N:
         raise ValueError(f"n={n} exceeds the graph6 limit")
@@ -727,17 +800,26 @@ def graph6_encode(g: Graph) -> str:
         head = [126] + [((n >> s) & 63) + 63 for s in (12, 6, 0)]
     else:
         head = [126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
-    # bit (j, k) for j < k, column by column: the strict lower triangle
-    # row by row, six bits to a byte
+    packed = np.packbits(g.adjacency_matrix[np.tri(n, k=-1, dtype=bool)])
+    words = np.zeros((len(packed) + 2) // 3 * 3, dtype=np.uint32)
+    words[: len(packed)] = packed
+    words = words.reshape(-1, 3) << _G6_BYTE_SHIFTS
+    words = words[:, 0] | words[:, 1] | words[:, 2]
+    chars = (words[:, None] >> _G6_CHAR_SHIFTS) & 63
     nbits = n * (n - 1) // 2
-    bits = np.zeros(6 * ((nbits + 5) // 6), dtype=bool)
-    bits[:nbits] = g.adjacency_matrix[np.tri(n, k=-1, dtype=bool)]
-    body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
+    body = chars.astype(np.uint8).ravel()[: (nbits + 5) // 6] + 63
     return (bytes(head) + body.tobytes()).decode("ascii")
 
 
 def graph6_decode(text: str) -> Graph:
-    """Inverse of graph6_encode; malformed input raises Graph6ParseError."""
+    """Inverse of graph6_encode; malformed input raises Graph6ParseError.
+
+    The body is unpacked four characters, one 24-bit word of three bytes,
+    at a time.  The last word is zero-padded, so a nonzero bit past the
+    n(n-1)/2 bits of the matrix is the text's own padding, and its error
+    names the character that holds it.  The matrix is rebuilt as a | a^T and
+    goes through Graph.from_adjacency's checks, like any input.
+    """
     s = text.rstrip("\n")
     if not s:
         raise Graph6ParseError("empty graph6 text", 0)
@@ -772,8 +854,12 @@ def graph6_decode(text: str) -> Graph:
         raise Graph6ParseError(
             f"expected {need} body bytes for n={n}, got {len(s) - pos}", pos
         )
-    values = (codes[pos:] - 63).astype(np.uint8)
-    bits = np.unpackbits(values[:, None], axis=1)[:, 2:].ravel()
+    words = np.zeros((need + 3) // 4 * 4, dtype=np.uint32)
+    words[:need] = codes[pos:] - 63
+    words = words.reshape(-1, 4) << _G6_CHAR_SHIFTS
+    words = words[:, 0] | words[:, 1] | words[:, 2] | words[:, 3]
+    # astype keeps the low 8 bits of each shifted word: its byte
+    bits = np.unpackbits((words[:, None] >> _G6_BYTE_SHIFTS).astype(np.uint8).ravel())
     padding = np.flatnonzero(bits[nbits:])
     if len(padding):
         offset = pos + (nbits + int(padding[0])) // 6

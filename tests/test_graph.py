@@ -280,7 +280,9 @@ def test_distance_regularity_takes_d_minus_1_products_per_block(monkeypatch, orb
         for reader in (is_distance_regular, graph.distance_matrix):
             shapes.clear()
             reader(g)
-            assert len(shapes) == blocks * (d - 1), (g, reader)
+            # every two-block case here is regular, so its last layer comes
+            # from an edge count, one product fewer per block
+            assert len(shapes) == blocks * (d - 1 if blocks == 1 else d - 2), (g, reader)
             if blocks == 2:  # every product is on a biadjacency block
                 assert all(max(x + y) < g.n for x, y in shapes)
 
@@ -312,6 +314,113 @@ def test_product_count_follows_the_eccentricities(monkeypatch):
         assert len(shapes) == expected
         kinds["bipartite" if bipartite else "not bipartite"] += 1
     assert min(kinds.values()) >= 10
+
+
+def random_regular_bipartite(rng, m, k):
+    """A k-regular bipartite graph on the classes 0..m-1 and m..2m-1: the
+    circulant i ~ m + (i + t) % m for t < k, then random switches of two
+    edges ab, cd to ad, cb that keep it simple, so every degree stays k."""
+    edges = {(i, m + (i + t) % m) for i in range(m) for t in range(k)}
+    for _ in range(4 * m * k):
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if (a, d) not in edges and (c, b) not in edges:
+            edges -= {(a, b), (c, d)}
+            edges |= {(a, d), (c, b)}
+    return Graph(2 * m, edges)
+
+
+def random_bipartite(rng, n, extra):
+    """A random tree on n vertices, plus up to `extra` random edges between
+    the classes of its 2-colouring: connected and bipartite."""
+    parent = [rng.randrange(v) for v in range(1, n)]
+    edges = {(u, v) for v, u in enumerate(parent, 1)}
+    depth = [0]
+    for u in parent:
+        depth.append(depth[u] + 1)
+    for _ in range(extra):
+        u, v = sorted(rng.sample(range(n), 2))
+        if (depth[u] - depth[v]) % 2:
+            edges.add((u, v))
+    return Graph(n, edges)
+
+
+def bipartite_search_cases():
+    rng = random.Random(66)
+    cases = [cycle_graph(2 * m) for m in range(2, 9)] + [hypercube(4), heawood()]
+    for _ in range(30):
+        m = rng.randrange(2, 12)
+        cases.append(random_regular_bipartite(rng, m, rng.randrange(1, m + 1)))
+        n = rng.randrange(2, 20)
+        cases.append(random_bipartite(rng, n, 0))  # a tree
+        cases.append(random_bipartite(rng, n, rng.randrange(1, 2 * n)))
+    return cases
+
+
+def test_bipartite_search_matches_the_oracles():
+    # regular bipartite graphs end each block on an edge count, irregular
+    # ones and trees on their last product; both must give the brute-force
+    # array (or None, or "disconnected") and the single-source distances
+    kinds = Counter()
+    for g in bipartite_search_cases():
+        try:
+            arr = is_distance_regular(g)
+            got = None if arr is None else (arr.b, arr.c)
+        except GraphStructureError:
+            got = "disconnected"
+        assert got == oracle_intersection_array(g), g
+        dist = graph.distance_matrix(g)
+        for source in range(g.n):
+            assert dist[source].tolist() == graph._bfs(g, source).tolist()
+        regular = len({g.degree(v) for v in range(g.n)}) == 1
+        kinds[(regular, "disconnected" if isinstance(got, str) else got is not None)] += 1
+    # regular: disconnected, distance-regular and not; irregular: not
+    wanted = [(True, "disconnected"), (True, True), (True, False), (False, False)]
+    assert min(kinds[k] for k in wanted) >= 5, kinds
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_ag_design_graphs_match_the_oracles(m):
+    g = build_std_ag(m)
+    q = 3 ** (m - 2)
+    known = ((3 * q, 3 * q - 1, 2 * q, 1), (1, q, 3 * q - 1, 3 * q))
+    if m < 5:  # the brute-force oracle takes about 20 s on 486 vertices
+        assert oracle_intersection_array(g) == known
+    arr = is_distance_regular(g)
+    assert (arr.b, arr.c) == known
+    dist = graph.distance_matrix(g)
+    for source in range(g.n):
+        assert dist[source].tolist() == graph._bfs(g, source).tolist()
+
+
+def test_regular_bipartite_blocks_form_no_last_product(monkeypatch):
+    # per class of sources of eccentricity E: E - 2 products when the graph
+    # is regular, its last layer read off an edge count; else E - 1
+    shapes = count_products(monkeypatch)
+    rng = random.Random(67)
+    kinds = Counter()
+    for trial in range(40):
+        if trial % 2:
+            m = rng.randrange(2, 12)
+            g = random_regular_bipartite(rng, m, rng.randrange(2, m + 1))
+        else:
+            n = rng.randrange(3, 20)
+            g = random_bipartite(rng, n, rng.randrange(2 * n))
+        parity = graph._bfs(g, 0)
+        if (parity < 0).any():
+            continue
+        parity %= 2
+        ecc = eccentricities(g)
+        regular = len({g.degree(v) for v in range(g.n)}) == 1
+        expected = sum(
+            max(max(e for e, p in zip(ecc, parity) if p == side) - 1 - regular, 0)
+            for side in (0, 1)
+        )
+        for reader in (is_distance_regular, graph.distance_matrix):
+            shapes.clear()
+            reader(g)
+            assert len(shapes) == expected, (g, reader)
+        kinds["regular" if regular else "irregular"] += 1
+    assert min(kinds.values()) >= 10, kinds
 
 
 def test_checker_matches_networkx_on_the_named_graphs(golay, gamma):
@@ -840,6 +949,37 @@ def test_graph6_byte_exact_against_networkx():
         nxg.add_nodes_from(range(n))
         nxg.add_edges_from(edges)
         assert mine == nx.to_graph6_bytes(nxg, header=False).decode().strip()
+
+
+def test_graph6_byte_exact_against_networkx_at_every_small_order():
+    # n = 1..48 is a full period of n(n-1)/2 mod 24, so every fill of the
+    # last 24-bit word that occurs; n >= 63 takes the long vertex count
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(18)
+    for n in range(1, 71):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        g = Graph(n, edges)
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(n))
+        nxg.add_edges_from(edges)
+        text = graph6_encode(g)
+        assert text == nx.to_graph6_bytes(nxg, header=False).decode().strip(), n
+        assert graph6_decode(text) == g
+
+
+def test_graph6_nonzero_padding_is_reported_at_its_character():
+    # the last word is zero-padded past the text, so each padding bit the
+    # text holds is reported at the last character, for every fill
+    checked = 0
+    for n in range(2, 71):
+        text = graph6_encode(complete_graph(n))
+        for bit in range(-n * (n - 1) // 2 % 6):
+            bad = text[:-1] + chr(63 + (ord(text[-1]) - 63 | 1 << bit))
+            with pytest.raises(Graph6ParseError, match="padding") as info:
+                graph6_decode(bad)
+            assert info.value.offset == len(text) - 1
+            checked += 1
+    assert checked > 100
 
 
 def test_isomorphism_agrees_with_vf2():
