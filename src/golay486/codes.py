@@ -84,7 +84,8 @@ def golay_code() -> LinearCode:
     row = golay_sign_row()
     shifts = [row[i:] + row[:i] for i in range(11)]
     code = linear_code(shifts)
-    assert code.dimension == 6
+    if code.dimension != 6:
+        raise ValueError(f"Golay shifts span dimension {code.dimension}, not 6")
     return code
 
 

@@ -27,14 +27,7 @@ import numpy as np
 
 from . import codes, gf3, permaction
 from .gf3 import Matrix, Vector
-from .graph import (
-    Graph,
-    GraphStructureError,
-    bipartition,
-    bipartite_halves,
-    complement,
-    induced_subgraph,
-)
+from .graph import Graph, GraphStructureError, bipartite_halves, complement
 from .permaction import GroupAction, OrbitalDecomposition
 
 # Weight tallies of the two classes of ten-spaces between the Golay code
@@ -267,26 +260,37 @@ def orbital_graph(decomp: OrbitalDecomposition, sizes: set[int]) -> Graph:
 def compute_coset_half(decomp: OrbitalDecomposition) -> tuple[int, ...]:
     """The bipartition class of the 45-orbital graph holding the cosets.
 
-    Computed, not assumed: it is the union of the suborbits of sizes
-    1,2,20,40,180, read off the base row of the pair table by one mask, and
-    must agree with the bipartition class of the 45-orbital graph
-    containing the base vertex.  Every suborbit meets the base row, so the
-    sizes are checked on decomp.suborbit_sizes alone.
+    The half is the union of the suborbits of sizes 1,2,20,40,180, read off
+    the base row of the pair table by one mask; every suborbit meets the
+    base row, so the sizes are checked on decomp.suborbit_sizes alone.
+
+    It is checked as a block of the action, with no graph built: each
+    generator must map the half onto itself or onto its complement.  Then
+    the whole group permutes the two halves, and every 45-orbital pair,
+    the image of (base, z) with base in the half and z in the 45-suborbit
+    outside it, crosses between them.  So the 45-orbital graph is bipartite
+    with the half, which holds the base, as one colour class.  Each
+    generator costs O(n).  blocks_report derives the class a second time,
+    by a BFS bipartition of the graph.
     """
     leftover = set(decomp.suborbit_sizes) - (COSET_SUBORBIT_SIZES | FLAT_SUBORBIT_SIZES)
     if leftover:
         raise GraphStructureError(
             f"unexpected suborbit sizes {sorted(leftover)}; not the rank-9 action"
         )
+    if 45 not in decomp.id_by_suborbit_size():
+        raise GraphStructureError("no suborbits of sizes [45]")
     coset = np.array([size in COSET_SUBORBIT_SIZES for size in decomp.suborbit_sizes])
-    half = tuple(np.flatnonzero(coset[decomp.pair_ids[decomp.base]]).tolist())
-    delta = orbital_graph(decomp, {45})
-    side0, _ = bipartition(delta)
-    if half != side0:
-        raise GraphStructureError(
-            "coset suborbits do not form a bipartition class of the 45-orbital graph"
-        )
-    return half
+    side = coset[decomp.pair_ids[decomp.base]]
+    for i, g in enumerate(decomp.action.generators):
+        kept = side[list(g)] == side
+        if kept.any() and not kept.all():
+            raise GraphStructureError(
+                f"coset suborbits are not a block of the action: generator {i} "
+                f"keeps vertex {int(np.argmax(kept))} on its side and moves "
+                f"vertex {int(np.argmin(kept))} across"
+            )
+    return tuple(np.flatnonzero(side).tolist())
 
 
 def orbital_model(
@@ -297,7 +301,9 @@ def orbital_model(
     delta = the 45-orbital; upsilon = 20+36; sigma = 45+36; lambda = the
     20-orbital induced on the coset half; gamma_half = the (2+20)-union
     induced on the coset half.  Suborbit-to-size matching is computed;
-    `half` is the coset half, from compute_coset_half(decomp).
+    `half` is the coset half, from compute_coset_half(decomp), and an
+    induced model is the union's adjacency sliced to it, vertex i being
+    half[i].
     """
     if which not in ORBITAL_MODELS:
         raise ValueError(f"unknown model {which!r}; expected one of {ORBITAL_MODELS}")
@@ -309,9 +315,8 @@ def orbital_model(
         other = tuple(np.flatnonzero(flat).tolist())
         return LabeledModel(graph=graph, half_a=half, half_b=other)
     sizes = {"lambda": {20}, "gamma_half": {2, 20}}[which]
-    graph, labels = induced_subgraph(orbital_graph(decomp, sizes), half)
-    assert labels == half
-    return graph
+    union = orbital_graph(decomp, sizes).adjacency_matrix
+    return Graph.from_adjacency(union[np.ix_(half, half)])
 
 
 def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:

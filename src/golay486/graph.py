@@ -562,19 +562,6 @@ def antipodal_fold(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
     return Graph.from_adjacency(folded), tuple(map(tuple, members.tolist()))
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the given vertices, relabelled in sorted order.
-
-    Returns (subgraph, labels) where labels[i] is the original label of
-    new vertex i.
-    """
-    labels = tuple(sorted(set(vertices)))
-    if labels and not (0 <= labels[0] and labels[-1] < g.n):
-        raise ValueError("vertex out of range")
-    keep = np.array(labels, dtype=np.int64)
-    return Graph.from_adjacency(g.adjacency_matrix[np.ix_(keep, keep)]), labels
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism by color refinement + individualization
 # ---------------------------------------------------------------------------
@@ -731,15 +718,17 @@ def are_isomorphic(
             col = split
 
     def children(col, classes, h, color):
-        """The refined colourings below col, computed one at a time."""
+        """The refined colourings below col, computed one at a time; u's
+        distances in g1 are searched once, for every candidate v."""
         u = int(np.flatnonzero(col[:n] == color)[0])
+        from_u = _bfs(g1, u)
         for v in np.flatnonzero(col[n:] == color) + n:
-            dist = np.concatenate((_bfs(g1, u), _bfs(g2, int(v) - n)))
+            dist = np.concatenate((from_u, _bfs(g2, int(v) - n)))
             split, count, moved = _split(col, dist, classes)
             child = h.copy()
             recolour(child, col, split, moved)
             node = refine(split, count, child)
-            # a suspended level of a deep search keeps only col and h
+            # a suspended level of a deep search keeps only col, h and from_u
             del dist, split, moved, child
             yield node
 

@@ -1,8 +1,7 @@
-import random
-
 import pytest
 
 from golay486 import codes, constructions, permaction
+from oracles import relabel_action
 
 
 @pytest.fixture(scope="session")
@@ -34,16 +33,7 @@ def bundled_action():
 def relabelled_action(bundled_action):
     """The bundled action conjugated by a seeded random relabelling, so the
     coset half is no longer 0..242."""
-    n = bundled_action.degree
-    sigma = list(range(n))
-    random.Random(2024).shuffle(sigma)
-    gens = []
-    for g in bundled_action.generators:
-        conj = [0] * n
-        for x in range(n):
-            conj[sigma[x]] = sigma[g[x]]
-        gens.append(tuple(conj))
-    return permaction.GroupAction(n, tuple(gens))
+    return relabel_action(bundled_action, 2024)[0]
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ by the tests.  The library does not need any of them: they build fixtures,
 or recompute by a second route what the library computes.
 """
 
+import random
 import re
 from collections import deque
 from itertools import product
@@ -12,7 +13,7 @@ import numpy as np
 from golay486 import codes, gf3
 from golay486.gf3 import DimensionError
 from golay486.graph import Graph, GraphStructureError, IntersectionArray, distance_matrix
-from golay486.permaction import MAX_DEGREE, CycleParseError, Permutation, _point
+from golay486.permaction import MAX_DEGREE, CycleParseError, GroupAction, Permutation, _point
 
 
 def vec_add(u, v):
@@ -190,6 +191,20 @@ def inverse(p):
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
+
+
+def relabel_action(action, seed):
+    """action conjugated by a seeded random permutation sigma, which
+    renames point x sigma[x]; returns the action and sigma."""
+    sigma = list(range(action.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for g in action.generators:
+        conj = [0] * action.degree
+        for x in range(action.degree):
+            conj[sigma[x]] = sigma[g[x]]
+        gens.append(tuple(conj))
+    return GroupAction(action.degree, tuple(gens)), sigma
 
 
 # The token-at-a-time cycle parser that permaction.parse_cycles replaced.

@@ -638,6 +638,66 @@ def test_orbit_diagram_bytes(which, tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ORBIT_DIAGRAM_SHA256[which]
 
 
+# sha256 of outputs recorded before the coset half was checked as a block of
+# the action: the 32 verify claim lines (not the timed overall line), the
+# group subcommands, the distance diagrams and the edge-list exports.
+VERIFY_CLAIM_LINES_SHA256 = "11909d8db1667e1f0c3d816e571b2401e26a05a882a90021b48f7eba7228f827"
+GROUP_SHA256 = {
+    "order": "c60e0f9f89ac171a9a1061882520bb6c4c7b0e54d3d30b888ecd102bcbda68ec",
+    "orbitals": "639798f240b19e212dc34ebe0e899070e5c5c315c3e3f577ed1e43a1af05dabe",
+    "scan": "dd59b080215ae9b354390aee551dca58163bd955e2df0369b225b63e89eb06d8",
+}
+DISTANCE_DIAGRAM_SHA256 = {
+    "gamma": "02ba64004165871d4b3dd711b7bc64b94f821066aff4ae41d3717ef73c25195f",
+    "delta": "3311d5d89bbd8b3612008b516544fe61a8830a7ce376e5bb1262fb1dd6dbd7af",
+    "upsilon": "358bef26b94d70d98c60908cfb6772d1ce16f7354e2237db135101c339564db6",
+    "sigma": "4831116335ddfd3de29d1a3e5f46064b33374cd2fb77b2a4f5b6453efa49ab28",
+    "lambda": "1e89428c6369b1a7ac1be1f3307ccb6561d161cac1c073a8e45862d8b91a38b8",
+}
+EXPORT_EDGELIST_SHA256 = {
+    "gamma": "65dc2bc9c070f9780fc313b6a8d279cd9be015858fdb9763088299b885800367",
+    "delta": "03781bb907f28e9413faa0d6baedbfe5dd2db104aff35885d03b1389dab5ff85",
+    "upsilon": "1315895a68ebf5da39c32b8cacaeafb1a27c66e721e6296a32b8b38e01e90556",
+    "sigma": "0f634531e1d7edce04659c25f89e5f2fd8ebf468daca1162f32bad993dc8826d",
+    "lambda": "eab08d20a6cb13c998e08b6984deaaf1ab257c39bd332a646b089e56ca9cf102",
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_verify_claim_lines_are_golden(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    claims = out[: out.index("overall:")]
+    assert len(claims.splitlines()) == 32
+    assert _sha256(claims) == VERIFY_CLAIM_LINES_SHA256
+
+
+@pytest.mark.parametrize("action", sorted(GROUP_SHA256))
+def test_group_output_is_golden(action, capsys):
+    code, out, _ = run(capsys, "group", action)
+    assert code == 0
+    assert _sha256(out) == GROUP_SHA256[action]
+
+
+@pytest.mark.parametrize("which", cli.GRAPH_SELECTORS)
+def test_distance_diagram_is_golden(which, tmp_path, capsys):
+    path = tmp_path / f"{which}.dot"
+    code, _, _ = run(capsys, "diagram", which, "--kind", "distance", "-o", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DISTANCE_DIAGRAM_SHA256[which]
+
+
+@pytest.mark.parametrize("which", cli.GRAPH_SELECTORS)
+def test_export_edgelist_is_golden(which, tmp_path, capsys):
+    path = tmp_path / f"{which}.txt"
+    code, _, _ = run(capsys, "export", which, "--format", "edgelist", "-o", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EXPORT_EDGELIST_SHA256[which]
+
+
 def test_check_dot_rejects_garbage():
     assert not check_dot("digraph g { a -> b; }")
     assert not check_dot("graph g {\n  unterminated\n}")

@@ -50,6 +50,14 @@ def test_golay_first_row_and_shape(golay):
     assert sum(1 for _ in codewords(golay)) == 729
 
 
+def test_golay_code_refuses_shifts_of_the_wrong_dimension(monkeypatch):
+    # the shifts of a constant row span one dimension; the check is a raise,
+    # which python -O keeps
+    monkeypatch.setattr(codes, "GOLAY_SIGNS", "+" * 11)
+    with pytest.raises(ValueError, match="span dimension 1, not 6"):
+        codes.golay_code()
+
+
 def test_golay_minimum_distance(golay):
     assert codes.minimum_distance(golay) == 5
 

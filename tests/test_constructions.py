@@ -32,7 +32,7 @@ from golay486.graph import (
     srg_parameters,
     verify_bijection,
 )
-from oracles import dot, ladder_codes, product_antipodal_fold, vec_add
+from oracles import dot, ladder_codes, product_antipodal_fold, relabel_action, vec_add
 
 
 def test_gamma_parameters(gamma):
@@ -262,6 +262,59 @@ def test_coset_half_rejects_a_suborbit_size_of_neither_half():
         compute_coset_half(orbitals(s5))
 
 
+@pytest.mark.parametrize("seed", [None, *range(10)])
+def test_coset_half_is_the_block_of_the_base_and_the_bfs_class(bundled_action, seed):
+    if seed is None:
+        action, sigma = bundled_action, list(range(bundled_action.degree))
+    else:
+        action, sigma = relabel_action(bundled_action, seed)
+    decomp = orbitals(action)
+    half = compute_coset_half(decomp)
+    # the bundled blocks are 0..242 and 243..485; the base 0 is the image
+    # of a point of one of them, and the half is that block renamed
+    block = range(243) if sigma.index(0) < 243 else range(243, 486)
+    assert half == tuple(sorted(sigma[x] for x in block))
+    delta = orbital_model(decomp, "delta", half=half)
+    assert bipartite_halves(delta.graph)[2][0] == half
+
+
+def test_coset_half_refuses_a_generator_that_splits_it(decomp):
+    # a transposition of a coset-half vertex and a flat-half one keeps every
+    # other vertex on its side
+    n = decomp.action.degree
+    swap = list(range(n))
+    swap[1], swap[243] = 243, 1
+    action = GroupAction(n, decomp.action.generators + (tuple(swap),))
+    split = dataclasses.replace(decomp, action=action)
+    with pytest.raises(
+        GraphStructureError,
+        match=r"not a block of the action: generator 3 keeps vertex 0 on its "
+        r"side and moves vertex 1 across",
+    ):
+        compute_coset_half(split)
+
+
+def test_coset_half_needs_a_45_suborbit():
+    # S3 on 3 points: suborbits of sizes 1 and 2, both coset-like
+    s3 = GroupAction(3, ((1, 0, 2), (1, 2, 0)))
+    with pytest.raises(GraphStructureError, match=r"no suborbits of sizes \[45\]"):
+        compute_coset_half(orbitals(s3))
+
+
+def test_coset_half_builds_no_graph_and_runs_no_bfs(monkeypatch, decomp):
+    def refuse(*args):
+        raise AssertionError("compute_coset_half built a graph or ran a BFS")
+
+    for name in (
+        "golay486.constructions.orbital_graph",
+        "golay486.permaction.orbital_union_graph",
+        "golay486.graph.bipartition",
+        "golay486.graph._bfs",
+    ):
+        monkeypatch.setattr(name, refuse)
+    assert compute_coset_half(decomp) == tuple(range(243))
+
+
 def test_orbital_models_arrays(orbital_models):
     assert str(is_distance_regular(orbital_models["delta"].graph)) == "{45,44,36,5; 1,9,40,45}"
     assert str(is_distance_regular(orbital_models["upsilon"].graph)) == "{56,45,16,1; 1,8,45,56}"
@@ -326,13 +379,10 @@ def test_upsilon_antipodal_classes_are_2_suborbits(orbital_models, decomp):
 
 
 def test_upsilon_restricted_to_half_is_lambda(orbital_models):
-    # the induced subgraph of the valency-56 graph on the coset half equals
-    # the induced 20-orbital graph
-    from golay486.graph import induced_subgraph
-
+    # the valency-56 graph restricted to the coset half (0..242 in the
+    # bundled labelling) equals the induced 20-orbital graph
     upsilon = orbital_models["upsilon"].graph
-    induced, labels = induced_subgraph(upsilon, range(243))
-    assert labels == tuple(range(243))
+    induced = Graph.from_adjacency(upsilon.adjacency_matrix[:243, :243])
     assert induced == orbital_models["lambda"]
 
 

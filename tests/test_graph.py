@@ -23,7 +23,6 @@ from golay486.graph import (
     complement,
     graph6_decode,
     graph6_encode,
-    induced_subgraph,
     is_distance_regular,
     srg_parameters,
     verify_bijection,
@@ -654,16 +653,6 @@ def test_antipodal_fold_matches_the_product_criterion_on_random_graphs():
     assert min(kinds[k] for k in ("folded", "disconnected", "equivalence", "non-uniform")) >= 10, kinds
 
 
-def test_induced_subgraph():
-    g = complete_graph(4)
-    sub, labels = induced_subgraph(g, [3, 0, 1])
-    assert sub == complete_graph(3) and labels == (0, 1, 3)
-    whole, labels = induced_subgraph(g, range(4))
-    assert whole == g and labels == (0, 1, 2, 3)
-    with pytest.raises(ValueError):
-        induced_subgraph(g, [0, 5])
-
-
 def test_are_isomorphic_positive():
     g = cycle_graph(5)
     mapping = are_isomorphic(g, relabel(g, [2, 0, 4, 1, 3]))
@@ -682,6 +671,23 @@ def test_are_isomorphic_negative():
     assert are_isomorphic(cycle_graph(6), two_triangles) is None
     assert are_isomorphic(cycle_graph(6), complete_graph(6)) is None
     assert are_isomorphic(petersen_graph(), prism()) is None
+
+
+def test_each_branching_node_searches_its_g1_vertex_once(monkeypatch):
+    # C6 against two triangles: nothing splits, so the root branches on
+    # vertex 0 of C6 against all six vertices of the triangles, and each
+    # child dies on unequal cell sizes; u's distances are searched once
+    c6, triangles = cycle_graph(6), disjoint_union(cycle_graph(3), cycle_graph(3))
+    searched = Counter()
+    bfs = graph._bfs
+
+    def counted(g, source):
+        searched["g1" if g is c6 else "g2"] += 1
+        return bfs(g, source)
+
+    monkeypatch.setattr(graph, "_bfs", counted)
+    assert are_isomorphic(c6, triangles) is None
+    assert searched == {"g1": 1, "g2": 6}
 
 
 def test_verify_bijection_rejects_what_is_not_an_isomorphism():

@@ -1,6 +1,7 @@
 """Guards on the public surface of golay486: every public function and class
 is used by the program or its benchmark, no function is memoised across
-calls, a cold verify does not import numpy.ma, and the README example runs."""
+calls, the program holds no assert statement, a cold verify does not import
+numpy.ma, and the README example runs."""
 
 import ast
 import contextlib
@@ -56,6 +57,18 @@ def test_no_function_is_memoised_across_calls():
                 if name in ("cache", "lru_cache"):
                     memoised.append(f"{path.stem}.{node.name}")
     assert memoised == []
+
+
+def test_the_program_holds_no_assert_statement():
+    # python -O strips assert statements, so a check the program relies on
+    # must raise an exception of its own
+    asserts = [
+        f"{path.stem}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_cold_verify_does_not_import_numpy_ma():
