@@ -192,7 +192,7 @@ def _reads(claim_id, stage, description, expected, observe) -> Claim:
 
 
 def _srg_str(params) -> str:
-    return str(params.as_tuple()) if params is not None else "not strongly regular"
+    return str(params) if params is not None else "not strongly regular"
 
 
 def _array(which: str, description: str, expected: str) -> Claim:
@@ -220,9 +220,7 @@ def _fold(which: str, description: str, folded_srg: tuple[int, int, int, int]) -
         params = srg_parameters(folded)
         return (
             f"classes of size {len(classes[0])}, folded {_srg_str(params)}",
-            len(classes[0]) == 3
-            and params is not None
-            and params.as_tuple() == folded_srg,
+            len(classes[0]) == 3 and params == folded_srg,
         )
 
     expected = f"classes of size 3, folded SRG {folded_srg}"

@@ -344,7 +344,7 @@ def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:
         u, v = np.argwhere(np.triu(gamma_half.adjacency_matrix[np.ix_(pos, pos)], 1))[0]
         counterexample = (f, int(block[u]), int(block[v]))
     sizes = a[flats].sum(axis=1)
-    half0, _, (side0, _) = bipartite_halves(delta.graph)
+    half0, (side0, _) = bipartite_halves(delta.graph)
     halved_ok = side0 == delta.half_a and half0 == complement(gamma_half)
     return BlocksReport(
         blocks_checked=len(flats),

@@ -13,7 +13,8 @@ class: its last layer follows from an edge count.  Counts never exceed
 the vertex count, so float32 matmuls (each function converts the matrix
 locally) are exact and fast at the 486-vertex scale this library works
 at.  graph6 text is packed and unpacked in 24-bit words, three bytes to
-four characters.
+four characters, and its 1-, 3- or 6-character vertex count is written and
+read by one path each.
 
 Isomorphism testing is colour refinement with individualization and
 deterministic branching, run as numpy passes over one CSR adjacency of both
@@ -398,17 +399,6 @@ class IntersectionArray:
         )
 
 
-@dataclass(frozen=True)
-class SrgParameters:
-    n: int
-    k: int
-    lam: int
-    mu: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.n, self.k, self.lam, self.mu)
-
-
 def _constant_on(values: np.ndarray, mask: np.ndarray) -> int | None:
     """The one value of `values` on the True cells of `mask` (at least
     one), or None if there are several: every such cell must equal the
@@ -461,8 +451,8 @@ def is_distance_regular(g: Graph) -> IntersectionArray | None:
     return IntersectionArray(b=b, c=c)
 
 
-def srg_parameters(g: Graph) -> SrgParameters | None:
-    """(n,k,lambda,mu) if g is strongly regular (a connected diameter-2
+def srg_parameters(g: Graph) -> tuple[int, int, int, int] | None:
+    """(n, k, lambda, mu) if g is strongly regular (a connected diameter-2
     DRG), else None."""
     try:
         arr = is_distance_regular(g)
@@ -470,7 +460,7 @@ def srg_parameters(g: Graph) -> SrgParameters | None:
         return None
     if arr is None or arr.diameter != 2:
         return None
-    return SrgParameters(n=g.n, k=arr.valency, lam=arr.a[0], mu=arr.c[1])
+    return (g.n, arr.valency, arr.a[0], arr.c[1])
 
 
 def complement(g: Graph) -> Graph:
@@ -500,23 +490,21 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return side0, side1
 
 
-def bipartite_halves(g: Graph) -> tuple[Graph, Graph, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Halved graphs of a connected bipartite graph.
+def bipartite_halves(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The halved graph on vertex 0's class of a connected bipartite graph,
+    with the class partition (side0, side1) of bipartition.
 
-    Returns the distance-2 graph on each bipartition class (classes
-    relabelled 0..size-1 in sorted label order) plus the class partition.
-    With B the biadjacency block between the classes, two vertices of a
-    class are at distance 2 when they share a neighbour: the halves are the
-    supports of B B^T and B^T B off the diagonal.
+    The half is the distance-2 graph on side0, relabelled 0..size-1 in
+    sorted label order.  With B the biadjacency block between the classes,
+    two vertices of side0 are at distance 2 when they share a neighbour:
+    the half is the support of B B^T off the diagonal.  The other class's
+    half is that of g relabelled so that one of its vertices is vertex 0.
     """
     side0, side1 = bipartition(g)
     b = g.adjacency_matrix[np.ix_(side0, side1)].astype(np.float32)
-    halves = []
-    for shared in (b @ b.T, b.T @ b):
-        two = shared > 0
-        np.fill_diagonal(two, False)
-        halves.append(Graph.from_adjacency(two))
-    return halves[0], halves[1], (side0, side1)
+    two = b @ b.T > 0
+    np.fill_diagonal(two, False)
+    return Graph.from_adjacency(two), (side0, side1)
 
 
 def antipodal_fold(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
@@ -766,6 +754,8 @@ def are_isomorphic(
 # ---------------------------------------------------------------------------
 
 _G6_MAX_N = 68719476735
+# the vertex count takes 1, 3 or 6 characters after 0, 1 or 2 "~"
+_G6_COUNT_WIDTHS = (1, 3, 6)
 # a 24-bit word is four 6-bit characters, or three bytes
 _G6_CHAR_SHIFTS = np.array([18, 12, 6, 0], dtype=np.uint32)
 _G6_BYTE_SHIFTS = np.array([16, 8, 0], dtype=np.uint32)
@@ -783,12 +773,9 @@ def graph6_encode(g: Graph) -> str:
     n = g.n
     if n > _G6_MAX_N:
         raise ValueError(f"n={n} exceeds the graph6 limit")
-    if n <= 62:
-        head = [n + 63]
-    elif n <= 258047:
-        head = [126] + [((n >> s) & 63) + 63 for s in (12, 6, 0)]
-    else:
-        head = [126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
+    tildes = (n > 62) + (n > 258047)
+    shifts = range(6 * _G6_COUNT_WIDTHS[tildes] - 6, -1, -6)
+    head = [126] * tildes + [((n >> s) & 63) + 63 for s in shifts]
     packed = np.packbits(g.adjacency_matrix[np.tri(n, k=-1, dtype=bool)])
     words = np.zeros((len(packed) + 2) // 3 * 3, dtype=np.uint32)
     words[: len(packed)] = packed
@@ -817,24 +804,15 @@ def graph6_decode(text: str) -> Graph:
     if len(invalid):
         i = int(invalid[0])
         raise Graph6ParseError(f"invalid graph6 byte {s[i]!r}", i)
-    pos = 0
-    if ord(s[0]) != 126:
-        n = ord(s[0]) - 63
-        pos = 1
-    elif len(s) >= 2 and ord(s[1]) != 126:
-        if len(s) < 4:
-            raise Graph6ParseError("truncated 18-bit vertex count", len(s))
-        n = 0
-        for ch in s[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        pos = 4
-    else:
-        if len(s) < 8:
-            raise Graph6ParseError("truncated 36-bit vertex count", len(s))
-        n = 0
-        for ch in s[2:8]:
-            n = (n << 6) | (ord(ch) - 63)
-        pos = 8
+    # a lone "~" reads as the start of "~~"
+    tildes = 2 - len(s.ljust(2, "~")[:2].lstrip("~"))
+    width = _G6_COUNT_WIDTHS[tildes]
+    pos = tildes + width
+    if len(s) < pos:
+        raise Graph6ParseError(f"truncated {6 * width}-bit vertex count", len(s))
+    n = 0
+    for ch in s[tildes:pos]:
+        n = (n << 6) | (ord(ch) - 63)
     if n < 1:
         raise Graph6ParseError(f"vertex count {n} out of range", 0)
     nbits = n * (n - 1) // 2

@@ -22,7 +22,9 @@ directly, and row `base` labels every vertex by its suborbit.
 
 Orbits are labelled by their least point in array passes (orbit_labels), and
 the scan tests the suborbit quotients of a block of unions at once, by one
-layered breadth-first search over the block.
+layered breadth-first search over the block.  Both read one table of
+per-orbital quotients, and a collapsed matrix is the sum of the rows of
+the orbitals its (invariant) graph is made of.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphStructureError, IntersectionArray
+from .graph import Graph, GraphStructureError, IntersectionArray, verify_bijection
 
 Permutation = tuple[int, ...]
 
@@ -598,11 +600,11 @@ def orbital_union_graph(
 
 
 def verify_invariance(action: GroupAction, graph: Graph) -> bool:
-    """True iff every generator maps every edge to an edge."""
+    """True iff every generator maps every edge to an edge: each generator,
+    read as a vertex map of the graph onto itself, passes verify_bijection."""
     if action.degree != graph.n:
         raise ValueError("degree and vertex count differ")
-    a = graph.adjacency_matrix
-    return all(np.array_equal(a.take(g, 0).take(g, 1), a) for g in action.generators)
+    return all(verify_bijection(graph, graph, g) for g in action.generators)
 
 
 def collapsed_matrix(
@@ -610,33 +612,29 @@ def collapsed_matrix(
 ) -> tuple[tuple[int, ...], ...]:
     """B[i][j] = neighbors in suborbit j of any vertex in suborbit i.
 
-    Verified two ways: the edge set must be invariant under the action
-    (i.e. a union of orbitals), and the counts must be constant over every
-    vertex of each suborbit, not just a representative.
+    The edge set must be invariant under the action.  An invariant edge set
+    is a union of orbitals, so the orbitals that join the base to its
+    neighbours are all of it, and B is the sum of their rows of
+    _orbital_collapsed_rows, the table the scan reads.  The counts of a
+    union of orbitals are constant on each suborbit, so one representative
+    per suborbit gives them.
     """
     if not verify_invariance(decomp.action, graph):
         raise ValueError("edge set is not invariant under the action")
-    sub = decomp.pair_ids[decomp.base]
-    members = (sub[:, None] == np.arange(decomp.rank)).astype(np.float32)
-    counts = (graph.adjacency_matrix.astype(np.float32) @ members).astype(np.int64)
-    # the least vertex of each suborbit is its representative
-    first = np.unique(sub, return_index=True)[1]
-    differs = np.flatnonzero((counts != counts[first[sub]]).any(axis=1))
-    if len(differs):
-        v = int(differs[0])
-        i = int(sub[v])
-        raise ValueError(
-            f"counts differ within suborbit {i}: vertices {first[i]} and {v}"
-        )
-    return tuple(map(tuple, counts[first].tolist()))
+    row = decomp.pair_ids[decomp.base]
+    chosen = np.zeros(decomp.rank, dtype=bool)
+    chosen[row[graph.adjacency_matrix[decomp.base]]] = True
+    counts = _orbital_collapsed_rows(decomp)[chosen].sum(axis=0)
+    return tuple(map(tuple, counts.tolist()))
 
 
 def _orbital_collapsed_rows(decomp: OrbitalDecomposition) -> np.ndarray:
     """B_k[i][j] for every orbital k, as one rank x rank x rank array, from
     one representative per suborbit.
 
-    Constancy over each suborbit is guaranteed by invariance of orbitals, so
-    representatives suffice here (the public collapsed_matrix re-verifies).
+    Each orbital is invariant, so its counts are constant on each suborbit
+    and representatives suffice; collapsed_matrix sums these rows for an
+    invariant graph.
     """
     rank = decomp.rank
     sub = decomp.pair_ids[decomp.base]

@@ -119,6 +119,18 @@ def disjoint_union(g, h):
     return Graph(g.n + h.n, edges)
 
 
+def neighbour_counts(g, labels, classes):
+    """Per vertex v, the number of neighbours of v with each label
+    0..classes-1, counted one edge at a time."""
+    rows = []
+    for v in range(g.n):
+        row = [0] * classes
+        for w in g.neighbors(v):
+            row[labels[w]] += 1
+        rows.append(row)
+    return rows
+
+
 def oracle_intersection_array(g):
     """Brute-force pair counting, fully independent of the library checker."""
     n = g.n

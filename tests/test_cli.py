@@ -662,6 +662,14 @@ EXPORT_EDGELIST_SHA256 = {
     "lambda": "eab08d20a6cb13c998e08b6984deaaf1ab257c39bd332a646b089e56ca9cf102",
 }
 
+# sha256 of the code subcommands' output, recorded before collapsed_matrix
+# was read off the scan's quotient table
+CODE_SHA256 = {
+    "info": "6b8eee412d962b587b114c77d504b415239d729ed78fbee78a5e4e7fbfa1fc8e",
+    "wd": "d0dde20895acd86993bf2f7740ccf536d38ca4eebd282aedf2f024141a8d4f3d",
+    "cosets": "8e5a3c59c9c22a8092597f6e3c68c3aef17228cc0fbb8d177c56feaa3feb7285",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -680,6 +688,13 @@ def test_group_output_is_golden(action, capsys):
     code, out, _ = run(capsys, "group", action)
     assert code == 0
     assert _sha256(out) == GROUP_SHA256[action]
+
+
+@pytest.mark.parametrize("action", sorted(CODE_SHA256))
+def test_code_output_is_golden(action, capsys):
+    code, out, _ = run(capsys, "code", action)
+    assert code == 0
+    assert _sha256(out) == CODE_SHA256[action]
 
 
 @pytest.mark.parametrize("which", cli.GRAPH_SELECTORS)

@@ -36,7 +36,7 @@ from oracles import dot, ladder_codes, product_antipodal_fold, relabel_action, v
 
 
 def test_gamma_parameters(gamma):
-    assert srg_parameters(gamma).as_tuple() == (243, 22, 1, 2)
+    assert srg_parameters(gamma) == (243, 22, 1, 2)
     eig = np.linalg.eigvalsh(gamma.adjacency_matrix.astype(np.float64))
     assert sorted(set(np.round(eig, 6).tolist()), reverse=True) == [22, 4, -5]
 
@@ -275,7 +275,7 @@ def test_coset_half_is_the_block_of_the_base_and_the_bfs_class(bundled_action, s
     block = range(243) if sigma.index(0) < 243 else range(243, 486)
     assert half == tuple(sorted(sigma[x] for x in block))
     delta = orbital_model(decomp, "delta", half=half)
-    assert bipartite_halves(delta.graph)[2][0] == half
+    assert bipartite_halves(delta.graph)[1][0] == half
 
 
 def test_coset_half_refuses_a_generator_that_splits_it(decomp):
@@ -320,7 +320,7 @@ def test_orbital_models_arrays(orbital_models):
     assert str(is_distance_regular(orbital_models["upsilon"].graph)) == "{56,45,16,1; 1,8,45,56}"
     assert str(is_distance_regular(orbital_models["sigma"].graph)) == "{81,80,54,1; 1,27,80,81}"
     assert str(is_distance_regular(orbital_models["lambda"])) == "{20,18,4,1; 1,2,18,20}"
-    assert srg_parameters(orbital_models["gamma_half"]).as_tuple() == (243, 22, 1, 2)
+    assert srg_parameters(orbital_models["gamma_half"]) == (243, 22, 1, 2)
 
 
 def test_orbital_model_halves(orbital_models):
@@ -422,13 +422,20 @@ def test_blocks_report_on_relabelled_action(relabelled_action):
 
 
 def test_halved_delta_equals_complement_directly(orbital_models):
-    half0, half1, (side0, side1) = bipartite_halves(orbital_models["delta"].graph)
+    delta = orbital_models["delta"].graph
+    half0, (side0, side1) = bipartite_halves(delta)
     assert side0 == tuple(range(243))
     comp = complement(orbital_models["gamma_half"])
     assert half0 == comp
-    # the other half has the same strongly regular parameters
-    assert srg_parameters(half0).as_tuple() == (243, 220, 199, 200)
-    assert srg_parameters(half1).as_tuple() == (243, 220, 199, 200)
+    assert srg_parameters(half0) == (243, 220, 199, 200)
+    # the flat half has the same strongly regular parameters: rotate the
+    # labels by 243, so that flat vertex 243 becomes vertex 0, and halve again
+    rotate = (np.arange(486) + 243) % 486
+    flat0, (flats, _) = bipartite_halves(
+        Graph.from_adjacency(delta.adjacency_matrix[np.ix_(rotate, rotate)])
+    )
+    assert flats == tuple(range(243))
+    assert srg_parameters(flat0) == (243, 220, 199, 200)
 
 
 def test_coset_shapes_match_coset_half_suborbits(decomp, golay, leaders):
@@ -444,7 +451,7 @@ def test_lambda_coordinate(golay):
     assert str(arr) == "{20,18,4,1; 1,2,18,20}"
     folded, classes = antipodal_fold(lam)
     assert len(classes[0]) == 3
-    assert srg_parameters(folded).as_tuple() == (81, 20, 1, 6)
+    assert srg_parameters(folded) == (81, 20, 1, 6)
 
 
 def test_lambda_coordinate_adjacency_is_unchanged(golay):

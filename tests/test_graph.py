@@ -491,8 +491,10 @@ def test_parameter_identity_on_arrays():
 
 
 def test_srg_parameters():
-    n, k, lam, mu = srg_parameters(cycle_graph(5)).as_tuple()
-    assert (n, k, lam, mu) == (5, 2, 0, 1)
+    params = srg_parameters(cycle_graph(5))
+    assert params == (5, 2, 0, 1)
+    assert type(params) is tuple and all(type(x) is int for x in params)
+    n, k, lam, mu = params
     assert k * (k - lam - 1) == (n - k - 1) * mu
     assert srg_parameters(complete_graph(5)) is None  # diameter 1
     assert srg_parameters(path_graph(4)) is None
@@ -515,12 +517,20 @@ def test_complement():
 
 
 def test_bipartite_halves_small():
-    half0, half1, (side0, side1) = bipartite_halves(cycle_graph(6))
-    assert half0 == complete_graph(3) and half1 == complete_graph(3)
+    half0, (side0, side1) = bipartite_halves(cycle_graph(6))
+    assert half0 == complete_graph(3)
     assert side0 == (0, 2, 4) and side1 == (1, 3, 5)
 
-    half0, half1, _ = bipartite_halves(complete_bipartite_graph(243, 243))
-    assert half0 == complete_graph(243) and half1 == complete_graph(243)
+    half0, _ = bipartite_halves(complete_bipartite_graph(243, 243))
+    assert half0 == complete_graph(243)
+
+    # the half is on vertex 0's class: a star halves to a single vertex
+    # from its centre and to K3 from a leaf
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    half0, sides = bipartite_halves(star)
+    assert half0.n == 1 and sides == ((0,), (1, 2, 3))
+    half0, sides = bipartite_halves(Graph(4, [(1, 0), (1, 2), (1, 3)]))
+    assert half0 == complete_graph(3) and sides == ((0, 2, 3), (1,))
 
     with pytest.raises(GraphStructureError):
         bipartite_halves(complete_graph(3))
@@ -735,8 +745,8 @@ def test_shrikhande_vs_rook():
     # same SRG parameters and 1-WL-equivalent, yet non-isomorphic: forces the
     # individualization search to exhaust honestly
     r, s = rook_4x4(), shrikhande()
-    assert srg_parameters(r).as_tuple() == (16, 6, 2, 2)
-    assert srg_parameters(s).as_tuple() == (16, 6, 2, 2)
+    assert srg_parameters(r) == (16, 6, 2, 2)
+    assert srg_parameters(s) == (16, 6, 2, 2)
     assert are_isomorphic(r, s) is None
     mapping = are_isomorphic(s, relabel(s, random.Random(4).sample(range(16), 16)))
     assert mapping is not None
@@ -1068,6 +1078,11 @@ def test_graph6_long_form_vertex_count():
     text = graph6_encode(g)
     assert text.startswith("~")
     assert graph6_decode(text) == g
+    assert graph6_encode(Graph(62))[0] == chr(62 + 63)
+    assert graph6_encode(Graph(63)).startswith("~??~")
+    # the longer forms decode a count that would fit a shorter one
+    for text in ("Bw", "~??Bw", "~~?????Bw"):
+        assert graph6_decode(text) == complete_graph(3)
 
 
 def test_graph6_parse_errors_carry_offsets():
@@ -1080,6 +1095,25 @@ def test_graph6_parse_errors_carry_offsets():
         graph6_decode("Bww")  # extra body byte
     with pytest.raises(Graph6ParseError):
         graph6_decode("B")  # missing body
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("~", "truncated 36-bit vertex count", 1),  # a lone ~ starts ~~
+        ("~~", "truncated 36-bit vertex count", 2),
+        ("~?", "truncated 18-bit vertex count", 2),
+        ("~~?????", "truncated 36-bit vertex count", 7),
+        ("~~?????B", "expected 1 body bytes for n=3, got 0", 8),
+        ("~??~", "expected 326 body bytes for n=63, got 0", 4),
+        ("~???B", "vertex count 0 out of range", 0),
+    ],
+)
+def test_graph6_header_errors(text, message, offset):
+    with pytest.raises(Graph6ParseError) as info:
+        graph6_decode(text)
+    assert str(info.value) == f"{message} (byte offset {offset})"
+    assert info.value.offset == offset
 
 
 def test_graph6_decode_checks_the_body_length_before_allocating():

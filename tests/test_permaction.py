@@ -39,8 +39,10 @@ from oracles import (
     edge_orbit_graph,
     identity,
     inverse,
+    neighbour_counts,
     orbit,
     quotient_intersection_array,
+    relabel_action,
     sequential_chain,
     token_parse_cycles,
 )
@@ -863,6 +865,25 @@ def test_collapsed_matrices_on_bundled_graphs(decomp, orbital_models):
         for i in range(decomp.rank):
             for j in range(decomp.rank):
                 assert b[i][j] * sizes[i] == b[j][i] * sizes[j]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_collapsed_matrix_matches_the_counts_at_every_vertex(bundled_action, seed):
+    # collapsed_matrix reads one representative per suborbit; counting the
+    # neighbours of every vertex checks that the counts are constant on
+    # each suborbit and equal to those rows
+    action = bundled_action if seed is None else relabel_action(bundled_action, seed)[0]
+    decomp = orbitals(action)
+    suborbit = decomp.pair_ids[decomp.base].tolist()
+    results = scan_orbital_unions(decomp)
+    assert len(results) == 6
+    for result in results:
+        graph = orbital_union_graph(decomp, result.orbital_ids)
+        b = collapsed_matrix(graph, decomp)
+        counts = neighbour_counts(graph, suborbit, decomp.rank)
+        assert all(counts[v] == list(b[suborbit[v]]) for v in range(graph.n))
+    empty = collapsed_matrix(Graph(action.degree), decomp)
+    assert empty == ((0,) * decomp.rank,) * decomp.rank
 
 
 def test_verify_invariance(decomp, bundled_action, orbital_models):

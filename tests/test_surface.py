@@ -1,5 +1,6 @@
-"""Guards on the public surface of golay486: every public function and class
-is used by the program or its benchmark, no function is memoised across
+"""Guards on the surface of golay486: every public function and class and
+every private top-level function is used by the program or its benchmark,
+no function is memoised across
 calls, the program holds no assert statement, a cold verify does not import
 numpy.ma, and the README example runs."""
 
@@ -20,14 +21,15 @@ PROGRAM = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 def test_every_public_name_is_used_by_the_program():
     # A use is an ast.Name or ast.Attribute in src/golay486 or perfbench
     # outside the name's own definition; tests, imports and docstrings do
-    # not count.
+    # not count.  A private function that only tests call is dead code too.
     defined = []
     used_in: dict[str, set] = {}
     for path in PROGRAM:
         for top in ast.parse(path.read_text()).body:
             is_def = isinstance(top, (ast.FunctionDef, ast.ClassDef))
             owner = (path, top.name) if is_def else None
-            if is_def and path in SOURCES and not top.name.startswith("_"):
+            private_class = isinstance(top, ast.ClassDef) and top.name.startswith("_")
+            if is_def and path in SOURCES and not private_class:
                 defined.append(owner)
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
