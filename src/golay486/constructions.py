@@ -303,7 +303,8 @@ def orbital_model(
     induced on the coset half.  Suborbit-to-size matching is computed;
     `half` is the coset half, from compute_coset_half(decomp), and an
     induced model is the union's adjacency sliced to it, vertex i being
-    half[i].
+    half[i].  The whole union is built, so that orbital_union_graph stays
+    the one selection path.
     """
     if which not in ORBITAL_MODELS:
         raise ValueError(f"unknown model {which!r}; expected one of {ORBITAL_MODELS}")
@@ -316,7 +317,7 @@ def orbital_model(
         return LabeledModel(graph=graph, half_a=half, half_b=other)
     sizes = {"lambda": {20}, "gamma_half": {2, 20}}[which]
     union = orbital_graph(decomp, sizes).adjacency_matrix
-    return Graph.from_adjacency(union[np.ix_(half, half)])
+    return Graph.from_adjacency(union[list(half)][:, list(half)])
 
 
 def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:
@@ -333,7 +334,7 @@ def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:
     position[list(delta.half_a)] = np.arange(len(delta.half_a))
     # members[b, i]: coset-half vertex i (gamma_half's label) is in block b;
     # a block holds an edge of gamma_half iff it meets its own neighbourhood
-    members = a[np.ix_(flats, delta.half_a)].astype(np.float32)
+    members = a[flats][:, list(delta.half_a)].astype(np.float32)
     meets = members @ gamma_half.adjacency_matrix.astype(np.float32)
     inside = (meets * members).any(axis=1)
     counterexample = None
@@ -341,7 +342,7 @@ def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:
         f = int(flats[np.argmax(inside)])
         block = np.flatnonzero(a[f])
         pos = position[block]
-        u, v = np.argwhere(np.triu(gamma_half.adjacency_matrix[np.ix_(pos, pos)], 1))[0]
+        u, v = np.argwhere(np.triu(gamma_half.adjacency_matrix[pos][:, pos], 1))[0]
         counterexample = (f, int(block[u]), int(block[v]))
     sizes = a[flats].sum(axis=1)
     half0, (side0, _) = bipartite_halves(delta.graph)

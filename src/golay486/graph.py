@@ -232,7 +232,7 @@ def _layers(g: Graph, degree: np.ndarray):
     n, a = g.n, g.adjacency_matrix
     dist = _bfs(g, 0)
     x, y = np.flatnonzero(dist % 2 == 0), np.flatnonzero(dist % 2 == 1)
-    b = a[np.ix_(x, y)]
+    b = a[x][:, y]
     # connected, with an edge, and every edge between the two classes
     if len(y) and len(x) + len(y) == n and 2 * np.count_nonzero(b) == degree.sum():
         b = b.astype(np.float32)
@@ -474,19 +474,23 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
     The classes are the vertices at even and at odd distance from vertex 0;
     an edge whose ends are at equal distance closes an odd walk, and the
-    lexicographically first such edge is reported.
+    lexicographically first such edge is reported.  The ends of an edge are
+    at distances at most 1 apart, so they are at equal distance exactly when
+    they have equal parity: one parity mask over the adjacency matrix tests
+    every edge, and the witness is searched only when the test fails.
     """
     dist = _bfs(g, 0)
     if (dist < 0).any():
         raise GraphStructureError("graph is disconnected")
-    clash = np.argwhere(np.triu(g.adjacency_matrix, 1) & (dist[:, None] == dist))
-    if len(clash):
-        u, v = clash[0].tolist()
+    odd = dist % 2 == 1
+    clash = g.adjacency_matrix & (odd[:, None] == odd)
+    if clash.any():
+        u, v = np.argwhere(np.triu(clash, 1))[0].tolist()
         raise GraphStructureError(
             f"graph is not bipartite: odd closed walk through {u},{v}"
         )
-    side0 = tuple(np.flatnonzero(dist % 2 == 0).tolist())
-    side1 = tuple(np.flatnonzero(dist % 2 == 1).tolist())
+    side0 = tuple(np.flatnonzero(~odd).tolist())
+    side1 = tuple(np.flatnonzero(odd).tolist())
     return side0, side1
 
 
@@ -501,7 +505,7 @@ def bipartite_halves(g: Graph) -> tuple[Graph, tuple[tuple[int, ...], tuple[int,
     half is that of g relabelled so that one of its vertices is vertex 0.
     """
     side0, side1 = bipartition(g)
-    b = g.adjacency_matrix[np.ix_(side0, side1)].astype(np.float32)
+    b = g.adjacency_matrix[list(side0)][:, list(side1)].astype(np.float32)
     two = b @ b.T > 0
     np.fill_diagonal(two, False)
     return Graph.from_adjacency(two), (side0, side1)

@@ -551,7 +551,9 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
     to (x, t_x[z]), row x is pair_ids[x, t_x[z]] = suborbit of z, that is
     pair_ids[x] = suborbit of t_x^-1, the level's row for x.  The rows are
     gathered from the level-0 inverse table one sift block of rows at a time
-    into one (n, n) array, which is then made read-only.
+    into one (n, n) array, which is then made read-only.  Each block is
+    one labels.take of its uint16 inverse rows, about twice as fast at
+    n = 486 as indexing labels with them.
     """
     chain = action.chain
     top = chain.levels[0]
@@ -564,7 +566,7 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
     rows = np.empty((n, n), dtype=np.intc)
     step = chain._block
     for lo in range(0, n, step):
-        rows[top.orbit[lo : lo + step]] = labels[top.inverse[lo : lo + step]]
+        rows[top.orbit[lo : lo + step]] = labels.take(top.inverse[lo : lo + step])
     rows.flags.writeable = False
     return OrbitalDecomposition(
         action=action,
@@ -580,7 +582,14 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
 def orbital_union_graph(
     decomp: OrbitalDecomposition, orbital_ids: Iterable[int]
 ) -> Graph:
-    """Graph whose edges are exactly the chosen orbital classes."""
+    """Graph whose edges are exactly the chosen orbital classes.
+
+    The ids must be in range, off the diagonal and closed under pairing.
+    The adjacency is the union of pair_ids == k over the chosen ids, one
+    comparison of the intc table per id; a gather through a per-id mask
+    would first cast the whole table to intp and runs several times
+    slower at n = 486.
+    """
     chosen = set(orbital_ids)
     if not chosen:
         raise ValueError("no orbitals chosen")
@@ -594,9 +603,10 @@ def orbital_union_graph(
                 f"selection is not symmetric: orbital {k} lacks its transpose "
                 f"{decomp.pairing[k]}"
             )
-    selected = np.zeros(decomp.rank, dtype=bool)
-    selected[list(chosen)] = True
-    return Graph.from_adjacency(selected[decomp.pair_ids])
+    adjacency = np.zeros(decomp.pair_ids.shape, dtype=bool)
+    for k in chosen:
+        adjacency |= decomp.pair_ids == k
+    return Graph.from_adjacency(adjacency)
 
 
 def verify_invariance(action: GroupAction, graph: Graph) -> bool:

@@ -309,6 +309,21 @@ def orbit(action, point):
     return seen
 
 
+def gathered_orbital_union(decomp, orbital_ids):
+    """Adjacency of the union of the chosen orbitals, gathered through a
+    per-id selection mask: the reference for permaction.orbital_union_graph,
+    which compares the pair table with each chosen id in turn."""
+    selected = np.zeros(decomp.rank, dtype=bool)
+    selected[list(orbital_ids)] = True
+    return selected[decomp.pair_ids]
+
+
+def ix_block(a, rows, cols):
+    """The block of a on rows x cols by np.ix_: the reference for the
+    row-then-column slices a[rows][:, cols] of the library."""
+    return a[np.ix_(rows, cols)]
+
+
 def quotient_intersection_array(b_union, diagonal):
     """DRG test on one union's suborbit quotient, one suborbit at a time.
 

@@ -32,7 +32,15 @@ from golay486.graph import (
     srg_parameters,
     verify_bijection,
 )
-from oracles import dot, ladder_codes, product_antipodal_fold, relabel_action, vec_add
+from oracles import (
+    dot,
+    gathered_orbital_union,
+    ix_block,
+    ladder_codes,
+    product_antipodal_fold,
+    relabel_action,
+    vec_add,
+)
 
 
 def test_gamma_parameters(gamma):
@@ -384,6 +392,17 @@ def test_upsilon_restricted_to_half_is_lambda(orbital_models):
     upsilon = orbital_models["upsilon"].graph
     induced = Graph.from_adjacency(upsilon.adjacency_matrix[:243, :243])
     assert induced == orbital_models["lambda"]
+
+
+@pytest.mark.parametrize("fixture", ["bundled_action", "relabelled_action"])
+def test_induced_models_are_the_ix_block_of_their_union(fixture, request):
+    decomp = orbitals(request.getfixturevalue(fixture))
+    half = compute_coset_half(decomp)
+    by_size = decomp.id_by_suborbit_size()
+    for which, sizes in (("lambda", (20,)), ("gamma_half", (2, 20))):
+        union = gathered_orbital_union(decomp, [by_size[s] for s in sizes])
+        model = orbital_model(decomp, which, half=half)
+        assert np.array_equal(model.adjacency_matrix, ix_block(union, half, half))
 
 
 def test_blocks_report(orbital_models):

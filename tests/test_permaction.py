@@ -37,6 +37,7 @@ from oracles import (
     compose,
     cycle_graph,
     edge_orbit_graph,
+    gathered_orbital_union,
     identity,
     inverse,
     neighbour_counts,
@@ -717,6 +718,22 @@ def test_orbital_union_graph_matches_edge_orbit_graph(fixture, request):
         y = decomp.pair_ids[decomp.base].tolist().index(k)
         union = orbital_union_graph(decomp, {k, decomp.pairing[k]})
         assert union == edge_orbit_graph(action, [(0, y)])
+
+
+@pytest.mark.parametrize("fixture", ["bundled_action", "relabelled_action"])
+def test_orbital_union_graph_matches_the_gather_on_every_union(fixture, request):
+    # all 8 nontrivial orbitals are self-paired, so each of the 255
+    # nonempty selections is a graph
+    decomp = orbitals(request.getfixturevalue(fixture))
+    ids = decomp.nontrivial_ids()
+    assert len(ids) == 8 and all(decomp.pairing[k] == k for k in ids)
+    unions = 0
+    for r in range(1, len(ids) + 1):
+        for chosen in itertools.combinations(ids, r):
+            union = orbital_union_graph(decomp, chosen)
+            assert np.array_equal(union.adjacency_matrix, gathered_orbital_union(decomp, chosen))
+            unions += 1
+    assert unions == 255
 
 
 def test_orbital_union_graph_validation(decomp):

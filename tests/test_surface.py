@@ -1,8 +1,8 @@
 """Guards on the surface of golay486: every public function and class and
 every private top-level function is used by the program or its benchmark,
 no function is memoised across
-calls, the program holds no assert statement, a cold verify does not import
-numpy.ma, and the README example runs."""
+calls, the program holds no assert statement and makes no np.ix_ gather, a
+cold verify does not import numpy.ma, and the README example runs."""
 
 import ast
 import contextlib
@@ -71,6 +71,18 @@ def test_the_program_holds_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def test_the_program_makes_no_ix_gather():
+    # a[np.ix_(r, c)] gathers a block 4-7 times slower than a[r][:, c] at
+    # n = 243-729 (numpy 2.4), and gives the same array
+    gathers = [
+        f"{path.stem}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "ix_"
+    ]
+    assert gathers == []
 
 
 def test_cold_verify_does_not_import_numpy_ma():
