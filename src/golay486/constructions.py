@@ -18,7 +18,6 @@ arguments too, so a caller builds each artifact once and passes it on
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from importlib import resources
@@ -150,46 +149,38 @@ def classify_types(golay: codes.LinearCode, leaders: np.ndarray) -> FlatFamily:
     vanishes, and its tally is the sum of theirs: the 243 cosets are
     tallied once (3^5 x 3^6 vectors, see _coset_tallies), not 81 kernels
     of 3^10.  All 81 kernel tallies are one product, the 0/1 matrix of
-    (functional, vanishing coset) pairs times the coset tallies.  Each
-    functional must keep 81 leaders with distinct syndromes, counted by
-    one more product against the one-hot syndromes, so a wrong leader
-    table (`leaders`, from codes.syndrome_table(golay)) fails here rather
-    than mis-tallying.
+    (functional, vanishing coset) pairs times the coset tallies.
 
-    Both reference tallies must occur, with 45 Type I and 36 Type II
-    subspaces and nothing else.  The first functional that fails either
-    check raises, and an unmatched tally is reported verbatim.
+    The leader table (`leaders`, from codes.syndrome_table(golay)) is
+    checked by its definition first: 243 rows, row i in coset i.  So every
+    coset is tallied once, and build_sigma_coordinate may rely on the row
+    order; the first row in the wrong coset is named.  Every subspace must
+    then match one of the two reference tallies, and the first that does
+    not is reported verbatim.
     """
+    if len(leaders) != 243:
+        raise ValueError(f"leader table has {len(leaders)} rows, not 243")
+    syndromes = codes.syndrome_index(golay, leaders)
+    misplaced = syndromes != np.arange(243)
+    if misplaced.any():
+        i = int(np.argmax(misplaced))
+        raise ValueError(f"leader table row {i} lies in coset {syndromes[i]}, not coset {i}")
     e0 = gf3.unit_vector(golay.length, 0)
     functionals = gf3.hyperplane_functionals(golay.generator, e0)
     bases = gf3.intermediate_hyperplanes(golay.generator, e0)
     coset_tallies = _coset_tallies(golay, leaders)
-    syndromes = codes.syndrome_index(golay, leaders)
     vanishes = (leaders @ np.array(functionals, dtype=np.int64).T) % 3 == 0
     tallies = vanishes.T.astype(np.int64) @ coset_tallies
-    # hits[f, s]: how many leaders of functional f's cosets have syndrome s
-    onehot = syndromes[:, None] == np.arange(syndromes.max() + 1)
-    hits = vanishes.T.astype(np.float32) @ onehot.astype(np.float32)
-    guarded = (vanishes.sum(axis=0) == 81) & (np.count_nonzero(hits, axis=1) == 81)
     type_i = (tallies == TYPE_I_WEIGHTS).all(axis=1)
-    type_ii = (tallies == TYPE_II_WEIGHTS).all(axis=1)
-    failed = ~guarded | ~(type_i | type_ii)
-    if failed.any():
-        f = int(np.argmax(failed))
-        if not guarded[f]:
-            raise ValueError(
-                f"functional {functionals[f]} does not vanish on 81 distinct Golay cosets"
-            )
+    unmatched = ~type_i & ~(tallies == TYPE_II_WEIGHTS).all(axis=1)
+    if unmatched.any():
+        f = int(np.argmax(unmatched))
         raise ValueError(
             f"subspace of functional {functionals[f]} has unmatched weight tally "
             f"{tuple(tallies[f].tolist())}"
         )
     types = tuple("I" if t else "II" for t in type_i)
-    family = FlatFamily(functionals=functionals, bases=bases, types=types)
-    counts = Counter(types)
-    if counts["I"] != 45 or counts["II"] != 36:
-        raise ValueError(f"unexpected type counts {dict(counts)}")
-    return family
+    return FlatFamily(functionals=functionals, bases=bases, types=types)
 
 
 def _flat_incidence(
@@ -248,28 +239,19 @@ def bundled_action() -> GroupAction:
     return permaction.parse_generator_file(_bundled_generators_text(), degree=486)
 
 
-def orbital_graph(decomp: OrbitalDecomposition, sizes: set[int]) -> Graph:
-    """Union of the orbitals whose suborbit sizes are given (sizes are unique)."""
-    by_size = decomp.id_by_suborbit_size()
-    missing = sizes - by_size.keys()
-    if missing:
-        raise GraphStructureError(f"no suborbits of sizes {sorted(missing)}")
-    return permaction.orbital_union_graph(decomp, {by_size[s] for s in sizes})
-
-
 def compute_coset_half(decomp: OrbitalDecomposition) -> tuple[int, ...]:
     """The bipartition class of the 45-orbital graph holding the cosets.
 
     The half is the union of the suborbits of sizes 1,2,20,40,180, read off
-    the base row of the pair table by one mask; every suborbit meets the
-    base row, so the sizes are checked on decomp.suborbit_sizes alone.
+    row 0 of the pair table by one mask; every suborbit meets row 0, so the
+    sizes are checked on decomp.suborbit_sizes alone.
 
     It is checked as a block of the action, with no graph built: each
     generator must map the half onto itself or onto its complement.  Then
     the whole group permutes the two halves, and every 45-orbital pair,
-    the image of (base, z) with base in the half and z in the 45-suborbit
+    the image of (0, z) with 0 in the half and z in the 45-suborbit
     outside it, crosses between them.  So the 45-orbital graph is bipartite
-    with the half, which holds the base, as one colour class.  Each
+    with the half, which holds vertex 0, as one colour class.  Each
     generator costs O(n).  blocks_report derives the class a second time,
     by a BFS bipartition of the graph.
     """
@@ -281,7 +263,7 @@ def compute_coset_half(decomp: OrbitalDecomposition) -> tuple[int, ...]:
     if 45 not in decomp.id_by_suborbit_size():
         raise GraphStructureError("no suborbits of sizes [45]")
     coset = np.array([size in COSET_SUBORBIT_SIZES for size in decomp.suborbit_sizes])
-    side = coset[decomp.pair_ids[decomp.base]]
+    side = coset[decomp.pair_ids[0]]
     for i, g in enumerate(decomp.action.generators):
         kept = side[list(g)] == side
         if kept.any() and not kept.all():
@@ -300,24 +282,31 @@ def orbital_model(
 
     delta = the 45-orbital; upsilon = 20+36; sigma = 45+36; lambda = the
     20-orbital induced on the coset half; gamma_half = the (2+20)-union
-    induced on the coset half.  Suborbit-to-size matching is computed;
-    `half` is the coset half, from compute_coset_half(decomp), and an
-    induced model is the union's adjacency sliced to it, vertex i being
-    half[i].  The whole union is built, so that orbital_union_graph stays
-    the one selection path.
+    induced on the coset half.  This is the one map from suborbit sizes to
+    orbitals: each size is matched to its suborbit's id (the sizes are
+    distinct), and a size the action lacks raises.  `half` is the coset
+    half, from compute_coset_half(decomp), and an induced model is the
+    union's adjacency sliced to it, vertex i being half[i].  The whole
+    union is built, so that orbital_union_graph stays the one selection
+    path.
     """
     if which not in ORBITAL_MODELS:
         raise ValueError(f"unknown model {which!r}; expected one of {ORBITAL_MODELS}")
-    if which in ("delta", "upsilon", "sigma"):
-        sizes = {"delta": {45}, "upsilon": {20, 36}, "sigma": {45, 36}}[which]
-        graph = orbital_graph(decomp, sizes)
-        flat = np.ones(graph.n, dtype=bool)
-        flat[list(half)] = False
-        other = tuple(np.flatnonzero(flat).tolist())
-        return LabeledModel(graph=graph, half_a=half, half_b=other)
-    sizes = {"lambda": {20}, "gamma_half": {2, 20}}[which]
-    union = orbital_graph(decomp, sizes).adjacency_matrix
-    return Graph.from_adjacency(union[list(half)][:, list(half)])
+    sizes = {
+        "delta": {45}, "upsilon": {20, 36}, "sigma": {45, 36}, "lambda": {20},
+        "gamma_half": {2, 20},
+    }[which]
+    by_size = decomp.id_by_suborbit_size()
+    missing = sizes - by_size.keys()
+    if missing:
+        raise GraphStructureError(f"no suborbits of sizes {sorted(missing)}")
+    graph = permaction.orbital_union_graph(decomp, {by_size[s] for s in sizes})
+    if which in ("lambda", "gamma_half"):
+        return Graph.from_adjacency(graph.adjacency_matrix[list(half)][:, list(half)])
+    flat = np.ones(graph.n, dtype=bool)
+    flat[list(half)] = False
+    other = tuple(np.flatnonzero(flat).tolist())
+    return LabeledModel(graph=graph, half_a=half, half_b=other)
 
 
 def blocks_report(delta: LabeledModel, gamma_half: Graph) -> BlocksReport:

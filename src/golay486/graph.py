@@ -135,9 +135,6 @@ class Graph:
             self.adjacency_matrix, other.adjacency_matrix
         )
 
-    def __hash__(self) -> int:
-        return hash(self.adjacency_matrix.tobytes())
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 

@@ -18,7 +18,7 @@ ChainBudgetError before its arrays would pass MAX_CHAIN_BYTES.  orbitals()
 reads the suborbits and the whole pair table off the chain, whose base
 starts at point 0.  The pair table is one read-only n x n intc array; the
 orbital-union graphs, the collapsed matrices and the scan index it
-directly, and row `base` labels every vertex by its suborbit.
+directly, and row 0 labels every vertex by its suborbit.
 
 Orbits are labelled by their least point in array passes (orbit_labels), and
 the scan tests the suborbit quotients of a block of unions at once, by one
@@ -516,23 +516,22 @@ class OrbitalDecomposition:
 
     pair_ids[i, j] is the orbital id of (i, j), in a read-only (n, n) intc
     array.  The orbitals of a transitive action match the suborbits (the
-    orbits of the stabilizer of the base point) through the pairs (base,
-    y), so pair_ids[base] is the suborbit of every vertex; ids number the
-    suborbits by their least point, so the labelling is deterministic.
+    orbits of the stabilizer of point 0, where the chain's base begins)
+    through the pairs (0, y), so pair_ids[0] is the suborbit of every
+    vertex.  Ids number the suborbits by their least point, so the
+    labelling is deterministic and the diagonal, the suborbit {0}, is id 0.
     Decompositions compare by identity (== on an array field has no single
     truth value).
     """
 
     action: GroupAction
-    base: int
     pair_ids: np.ndarray
     rank: int
     suborbit_sizes: tuple[int, ...]
     pairing: tuple[int, ...]
-    diagonal_id: int
 
-    def nontrivial_ids(self) -> tuple[int, ...]:
-        return tuple(k for k in range(self.rank) if k != self.diagonal_id)
+    def nontrivial_ids(self) -> range:
+        return range(1, self.rank)
 
     def id_by_suborbit_size(self) -> dict[int, int]:
         """size -> orbital id; raises if any two suborbits share a size."""
@@ -546,7 +545,8 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
     """Pair-orbit decomposition of a transitive action, read off the
     stabilizer chain, whose base starts at 0: the orbits of the level-1 strong
     generators, which generate the stabilizer of 0, are the suborbits,
-    labelled in one orbit_labels pass and numbered by their least points.
+    labelled in one orbit_labels pass and numbered by their least points,
+    so the suborbit {0} is id 0.
     As the level-0 transversal element t_x, which maps 0 to x, maps (0, z)
     to (x, t_x[z]), row x is pair_ids[x, t_x[z]] = suborbit of z, that is
     pair_ids[x] = suborbit of t_x^-1, the level's row for x.  The rows are
@@ -570,12 +570,10 @@ def orbitals(action: GroupAction) -> OrbitalDecomposition:
     rows.flags.writeable = False
     return OrbitalDecomposition(
         action=action,
-        base=0,
         pair_ids=rows,
         rank=len(firsts),
         suborbit_sizes=tuple(np.bincount(labels).tolist()),
         pairing=tuple(rows[firsts, 0].tolist()),
-        diagonal_id=int(labels[0]),
     )
 
 
@@ -593,7 +591,7 @@ def orbital_union_graph(
     chosen = set(orbital_ids)
     if not chosen:
         raise ValueError("no orbitals chosen")
-    if decomp.diagonal_id in chosen:
+    if 0 in chosen:
         raise ValueError("the diagonal orbital is not an edge set")
     for k in chosen:
         if not 0 <= k < decomp.rank:
@@ -623,7 +621,7 @@ def collapsed_matrix(
     """B[i][j] = neighbors in suborbit j of any vertex in suborbit i.
 
     The edge set must be invariant under the action.  An invariant edge set
-    is a union of orbitals, so the orbitals that join the base to its
+    is a union of orbitals, so the orbitals that join vertex 0 to its
     neighbours are all of it, and B is the sum of their rows of
     _orbital_collapsed_rows, the table the scan reads.  The counts of a
     union of orbitals are constant on each suborbit, so one representative
@@ -631,9 +629,8 @@ def collapsed_matrix(
     """
     if not verify_invariance(decomp.action, graph):
         raise ValueError("edge set is not invariant under the action")
-    row = decomp.pair_ids[decomp.base]
     chosen = np.zeros(decomp.rank, dtype=bool)
-    chosen[row[graph.adjacency_matrix[decomp.base]]] = True
+    chosen[decomp.pair_ids[0, graph.adjacency_matrix[0]]] = True
     counts = _orbital_collapsed_rows(decomp)[chosen].sum(axis=0)
     return tuple(map(tuple, counts.tolist()))
 
@@ -647,23 +644,21 @@ def _orbital_collapsed_rows(decomp: OrbitalDecomposition) -> np.ndarray:
     invariant graph.
     """
     rank = decomp.rank
-    sub = decomp.pair_ids[decomp.base]
+    sub = decomp.pair_ids[0]
     # the least vertex of each suborbit is its representative
     reps = np.unique(sub, return_index=True)[1]
     cells = (decomp.pair_ids[reps] * rank + np.arange(rank)[:, None]) * rank + sub
     return np.bincount(cells.ravel(), minlength=rank**3).reshape(rank, rank, rank)
 
 
-def _distance_partitions(
-    quotients: np.ndarray, diagonal: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _distance_partitions(quotients: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distance-partition test for distance-regularity (Brouwer, Cohen
     and Neumaier 1989, section 4.1) on a block of suborbit quotients, where
     quotients[u, s, t] counts the neighbours in suborbit t of a vertex in
-    suborbit s, in the graph of union u.
+    suborbit s, in the graph of union u, and suborbit 0 is {0}.
 
     In a vertex-transitive graph whose edges are a union of orbitals, the
-    distance classes around the base vertex are unions of suborbits and
+    distance classes around vertex 0 are unions of suborbits and
     the neighbour counts are constant on each suborbit.  So one breadth-first
     search on the quotient, by layered boolean products as in graph._layers,
     gives every suborbit's distance, and the graph is distance-regular iff
@@ -675,7 +670,7 @@ def _distance_partitions(
     m, rank, _ = quotients.shape
     adjacent = quotients > 0
     dist = np.full((m, rank), -1)
-    dist[:, diagonal] = 0
+    dist[:, 0] = 0
     layer = dist == 0
     for j in range(1, rank):
         layer = np.matmul(layer[:, None, :], adjacent)[:, 0] & (dist < 0)
@@ -732,9 +727,7 @@ def scan_orbital_unions(decomp: OrbitalDecomposition) -> list[ScanResult]:
         masks = np.arange(lo, min(lo + step, end))
         # chosen[u, k]: orbital k is in the union of masks[u]
         chosen = ((masks[:, None] >> np.arange(len(leaders))) & 1) @ members
-        dist, counts, regular = _distance_partitions(
-            np.tensordot(chosen, collapsed, axes=1), decomp.diagonal_id
-        )
+        dist, counts, regular = _distance_partitions(np.tensordot(chosen, collapsed, axes=1))
         for u in np.flatnonzero(regular):
             ids = np.flatnonzero(chosen[u]).tolist()
             results.append(

@@ -311,7 +311,7 @@ def test_verify_reports_an_exhausted_isomorphism_budget(tmp_path, capsys, monkey
 
 
 def test_verify_reports_a_failed_data_check(tmp_path, capsys, monkeypatch):
-    # a leader table that repeats one leader fails classify_types' guard.
+    # a leader table that repeats one leader fails classify_types' check.
     # Row 6 (2 e3) becomes row 3 (e3): the coset shape counts stay the same,
     # so only the claims that need the flat family fail.
     real_table = codes.syndrome_table
@@ -346,8 +346,7 @@ def test_verify_reports_a_failed_data_check(tmp_path, capsys, monkeypatch):
     for e in entries:
         if e["claim_id"] in needs_family:
             assert e["verdict"] == "FAIL"
-            assert e["observed"].startswith("unavailable: functional (")
-            assert e["observed"].endswith("does not vanish on 81 distinct Golay cosets")
+            assert e["observed"] == "unavailable: leader table row 6 lies in coset 3, not coset 6"
         else:
             assert e["verdict"] == "PASS", e["claim_id"]
     # the failed build is kept: every claim that needs it sees the same error

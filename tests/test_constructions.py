@@ -121,8 +121,22 @@ def test_coset_tallies_product_equals_one_shifted_span_each(golay, leaders):
 def test_classify_types_rejects_a_repeated_leader(golay, leaders):
     repeated = leaders.copy()
     repeated[7] = leaders[3]
-    with pytest.raises(ValueError, match="81 distinct Golay cosets"):
+    with pytest.raises(ValueError, match="^leader table row 7 lies in coset 3, not coset 7$"):
         constructions.classify_types(golay, repeated)
+
+
+def test_classify_types_rejects_swapped_leader_rows(golay, leaders):
+    # each functional still vanishes on 81 distinct cosets, but row i is no
+    # longer the leader of coset i, as build_sigma_coordinate relies on
+    swapped = leaders.copy()
+    swapped[[3, 7]] = leaders[[7, 3]]
+    with pytest.raises(ValueError, match="^leader table row 3 lies in coset 7, not coset 3$"):
+        constructions.classify_types(golay, swapped)
+
+
+def test_classify_types_rejects_a_short_leader_table(golay, leaders):
+    with pytest.raises(ValueError, match="^leader table has 242 rows, not 243$"):
+        constructions.classify_types(golay, leaders[:-1])
 
 
 def test_flat_family_pickle_is_unchanged(family):
@@ -166,10 +180,7 @@ def test_classify_types_names_the_first_functional_without_81_cosets(golay, lead
     repeated[6] = leaders[3]
     with pytest.raises(ValueError) as info:
         constructions.classify_types(golay, repeated)
-    assert str(info.value) == (
-        "functional (1, 0, 0, 0, 0, 1, 0, 1, 2, 2, 2) does not vanish on 81 "
-        "distinct Golay cosets"
-    )
+    assert str(info.value) == "leader table row 6 lies in coset 3, not coset 6"
 
 
 def test_flat_types_follow_the_functional_weight(family):
@@ -314,7 +325,6 @@ def test_coset_half_builds_no_graph_and_runs_no_bfs(monkeypatch, decomp):
         raise AssertionError("compute_coset_half built a graph or ran a BFS")
 
     for name in (
-        "golay486.constructions.orbital_graph",
         "golay486.permaction.orbital_union_graph",
         "golay486.graph.bipartition",
         "golay486.graph._bfs",
@@ -459,7 +469,7 @@ def test_halved_delta_equals_complement_directly(orbital_models):
 
 def test_coset_shapes_match_coset_half_suborbits(decomp, golay, leaders):
     shapes = codes.classify_cosets(golay, leaders)
-    half_suborbit_ids = set(decomp.pair_ids[decomp.base, :243].tolist())
+    half_suborbit_ids = set(decomp.pair_ids[0, :243].tolist())
     sizes = sorted(decomp.suborbit_sizes[k] for k in half_suborbit_ids)
     assert sorted(shapes.values()) == sizes == [1, 2, 20, 40, 180]
 

@@ -131,12 +131,10 @@ def orbitals_by_pair_bfs(action):
         sizes[ids[y]] += 1
     return OrbitalDecomposition(
         action=action,
-        base=0,
         pair_ids=np.array(ids, dtype=np.intc).reshape(n, n),
         rank=rank,
         suborbit_sizes=tuple(sizes),
         pairing=tuple(ids[j * n + i] for (i, j) in first_pairs),
-        diagonal_id=ids[0],
     )
 
 
@@ -648,20 +646,24 @@ def test_orbitals_match_pair_bfs_on_relabelled_bundled_action(relabelled_action)
     got = orbitals(relabelled_action)
     want = orbitals_by_pair_bfs(relabelled_action)
     assert np.array_equal(got.pair_ids, want.pair_ids), "pair_ids"
-    for field in ("rank", "suborbit_sizes", "pairing", "diagonal_id"):
+    for field in ("rank", "suborbit_sizes", "pairing"):
         assert getattr(got, field) == getattr(want, field), field
 
 
-def test_bundled_orbitals(decomp):
+def test_bundled_orbitals(decomp, relabelled_action):
     assert decomp.rank == 9
     assert sorted(decomp.suborbit_sizes) == [1, 2, 20, 36, 40, 45, 72, 90, 180]
     assert sum(decomp.suborbit_sizes) == 486
-    assert decomp.suborbit_sizes[decomp.diagonal_id] == 1
+    # id 0 is the diagonal, on the bundled labelling and off it
+    for d in (decomp, orbitals(relabelled_action)):
+        assert d.suborbit_sizes[0] == 1
+        assert (d.pair_ids.diagonal() == 0).all()
+        assert np.flatnonzero(d.pair_ids[0] == 0).tolist() == [0]
     # every orbital is self-paired here
     assert decomp.pairing == tuple(range(9))
     # the pair ids really partition all ordered pairs
     assert decomp.pair_ids.size == 486 * 486
-    assert Counter(decomp.pair_ids.ravel().tolist())[decomp.diagonal_id] == 486
+    assert Counter(decomp.pair_ids.ravel().tolist())[0] == 486
     sizes_from_pairs = Counter(decomp.pair_ids.ravel().tolist())
     for k in range(9):
         assert sizes_from_pairs[k] == 486 * decomp.suborbit_sizes[k]
@@ -692,7 +694,7 @@ def test_edge_orbit_graph_invariance_random(bundled_action):
 
 def test_edge_orbit_graph_from_45_suborbit(decomp, bundled_action):
     by_size = decomp.id_by_suborbit_size()
-    seed = decomp.pair_ids[decomp.base].tolist().index(by_size[45])
+    seed = decomp.pair_ids[0].tolist().index(by_size[45])
     g = edge_orbit_graph(bundled_action, [(0, seed)])
     arr = is_distance_regular(g)
     assert arr is not None and str(arr) == "{45,44,36,5; 1,9,40,45}"
@@ -700,7 +702,7 @@ def test_edge_orbit_graph_from_45_suborbit(decomp, bundled_action):
 
 def test_edge_orbit_graph_from_2_suborbit_is_triangles(decomp, bundled_action):
     by_size = decomp.id_by_suborbit_size()
-    seed = decomp.pair_ids[decomp.base].tolist().index(by_size[2])
+    seed = decomp.pair_ids[0].tolist().index(by_size[2])
     g = edge_orbit_graph(bundled_action, [(0, seed)])
     assert all(g.degree(v) == 2 for v in range(g.n))
     # 162 disjoint triangles: every vertex's neighbors are adjacent
@@ -715,7 +717,7 @@ def test_orbital_union_graph_matches_edge_orbit_graph(fixture, request):
     action = request.getfixturevalue(fixture)
     decomp = orbitals(action)
     for k in decomp.nontrivial_ids():
-        y = decomp.pair_ids[decomp.base].tolist().index(k)
+        y = decomp.pair_ids[0].tolist().index(k)
         union = orbital_union_graph(decomp, {k, decomp.pairing[k]})
         assert union == edge_orbit_graph(action, [(0, y)])
 
@@ -740,7 +742,7 @@ def test_orbital_union_graph_validation(decomp):
     with pytest.raises(ValueError):
         orbital_union_graph(decomp, set())
     with pytest.raises(ValueError):
-        orbital_union_graph(decomp, {decomp.diagonal_id})
+        orbital_union_graph(decomp, {0})
     d2 = orbitals(cyclic_action(5))
     one_directed = d2.nontrivial_ids()[0]
     with pytest.raises(ValueError) as info:
@@ -870,7 +872,7 @@ def test_collapsed_matrices_on_bundled_graphs(decomp, orbital_models):
     delta = orbital_models["delta"].graph
     b = collapsed_matrix(delta, decomp)
     assert all(sum(row) == 45 for row in b)
-    assert b[decomp.diagonal_id][by_size[45]] == 45
+    assert b[0][by_size[45]] == 45
 
     sigma = orbital_models["sigma"].graph
     b = collapsed_matrix(sigma, decomp)
@@ -891,7 +893,7 @@ def test_collapsed_matrix_matches_the_counts_at_every_vertex(bundled_action, see
     # each suborbit and equal to those rows
     action = bundled_action if seed is None else relabel_action(bundled_action, seed)[0]
     decomp = orbitals(action)
-    suborbit = decomp.pair_ids[decomp.base].tolist()
+    suborbit = decomp.pair_ids[0].tolist()
     results = scan_orbital_unions(decomp)
     assert len(results) == 6
     for result in results:
@@ -970,10 +972,10 @@ def assert_scan_matches_per_union_oracle(decomp):
     quotients = np.array(
         [collapsed[union].sum(0) for union in unions], dtype=np.int64
     ).reshape(-1, rank, rank)
-    dist, counts, regular = permaction._distance_partitions(quotients, decomp.diagonal_id)
+    dist, counts, regular = permaction._distance_partitions(quotients)
     expected = []
     for i, union in enumerate(unions):
-        want = quotient_intersection_array(quotients[i].tolist(), decomp.diagonal_id)
+        want = quotient_intersection_array(quotients[i].tolist(), 0)
         if (dist[i] < 0).any():
             got = "disconnected"
         elif regular[i]:
@@ -1012,7 +1014,7 @@ def test_distance_partitions_reject_a_neighbour_that_skips_a_layer():
     # suborbit 2 lies at distance 2 but counts a neighbour at distance 0;
     # its counts alone would match a path's
     quotient = [[0, 1, 0], [1, 0, 1], [1, 1, 0]]
-    dist, _, regular = permaction._distance_partitions(np.array([quotient]), 0)
+    dist, _, regular = permaction._distance_partitions(np.array([quotient]))
     assert dist.tolist() == [[0, 1, 2]]
     assert not regular[0]
     assert quotient_intersection_array(quotient, 0) is None
