@@ -177,6 +177,29 @@ def shorten(code: LinearCode, position: int) -> LinearCode:
     return linear_code([r[1:] for r in reduced if not r[0]], length=n - 1)
 
 
+def shortening_map(code: LinearCode, position: int) -> np.ndarray:
+    """The coset-graph isomorphism that shortening gives, with no search.
+
+    Entry j is the coset of `code` (its syndrome_index) that holds x with a
+    0 inserted at `position`, for x a word of coset j of
+    C' = shorten(code, position).  (0 | x) lies in `code` exactly when x
+    lies in C', by the definition of shortening, so the map is well defined
+    and one-to-one, and it sends the coset of a e_i to that of a e_i', i'
+    being i's coordinate in `code`.  So it maps coset_graph(C') onto
+    coset_graph(code, positions) with `position` left out of positions,
+    once both have as many cosets (for the Golay code at position 0, 243:
+    build_lambda_coordinate's graph).  Each x is one of C''s coset lifts,
+    the words coset_graph shifts, so no leader table is built.
+    """
+    short = shorten(code, position)
+    words = _coset_lifts(short)
+    mapping = np.empty(len(words), dtype=np.int64)
+    mapping[syndrome_index(short, words)] = syndrome_index(
+        code, np.insert(words, position, 0, axis=1)
+    )
+    return mapping
+
+
 def truncate(code: LinearCode, position: int) -> LinearCode:
     """Delete the coordinate from every codeword (puncturing)."""
     n = code.length
@@ -240,6 +263,18 @@ def classify_cosets(code: LinearCode, leaders: np.ndarray) -> dict[str, int]:
     return dict(zip(_COSET_SHAPES, np.bincount(shapes, minlength=5).tolist()))
 
 
+def _coset_lifts(code: LinearCode) -> np.ndarray:
+    """One word of each coset of `code`, one uint8 row each.
+
+    A word that is zero off the pivot columns of the reduced parity check
+    has its pivot entries as its syndrome, so the span of those unit
+    vectors meets every coset once.
+    """
+    pivots = gf3.rref(parity_check_matrix(code))[2]
+    units = tuple(gf3.unit_vector(code.length, p) for p in pivots)
+    return gf3._span(units, length=code.length)
+
+
 def coset_graph(code: LinearCode, positions: Iterable[int] | None = None) -> Graph:
     """Graph on the cosets, adjacent when representatives differ in one place.
 
@@ -258,10 +293,7 @@ def coset_graph(code: LinearCode, positions: Iterable[int] | None = None) -> Gra
     _check_bytes(f"the adjacency of 3^{width} cosets", 9**width)
     shifts = 1 + 2 * len(positions)
     _check_bytes(f"the {shifts} shifts of 3^{width} words", shifts * 3**width * n * 8)
-    # a word that is zero off the pivot columns of the reduced parity check
-    # has its pivot entries as its syndrome, so these words meet every coset
-    pivots = gf3.rref(parity_check_matrix(code))[2]
-    lifts = gf3._span(tuple(gf3.unit_vector(n, p) for p in pivots), length=n)
+    lifts = _coset_lifts(code)
     units = [(0,) * n] + [
         gf3.unit_vector(n, i, a)
         for i in positions

@@ -298,16 +298,117 @@ def test_verify_reports_an_exhausted_isomorphism_budget(tmp_path, capsys, monkey
         for e in json.loads(out_path.read_text())["entries"]
         if e["verdict"] != "SKIPPED"
     }
-    # the first round of refinement charges one step per vertex of both graphs
+    # the first round of refinement charges one step per vertex of both
+    # graphs; the code-side claims certify a constructed map and search nothing
     assert observed == {
-        claim_id: ("FAIL", f"unavailable: refinement budget exhausted after {steps} steps")
-        for claim_id, steps in (
-            ("iso.sigma_orbital_coordinate", 2 * 486),
-            ("iso.sigma_coordinate_affine", 2 * 486),
-            ("iso.lambda_orbital_coordinate", 2 * 243),
-            ("iso.lambda_coordinate_shortened", 2 * 243),
-        )
+        "iso.sigma_orbital_coordinate": (
+            "FAIL", f"unavailable: refinement budget exhausted after {2 * 486} steps"
+        ),
+        "iso.sigma_coordinate_affine": ("PASS", "isomorphic"),
+        "iso.lambda_orbital_coordinate": (
+            "FAIL", f"unavailable: refinement budget exhausted after {2 * 243} steps"
+        ),
+        "iso.lambda_coordinate_shortened": ("PASS", "isomorphic"),
     }
+
+
+def test_cold_verify_searches_only_the_orbital_claims(monkeypatch):
+    real = cli.are_isomorphic
+    searched = []
+
+    def counted(g1, g2):
+        searched.append((g1.n, g2.n))
+        return real(g1, g2)
+
+    monkeypatch.setattr(cli, "are_isomorphic", counted)
+    report = cli.run_verification()
+    assert report.overall
+    # iso.sigma_orbital_coordinate, then iso.lambda_orbital_coordinate
+    assert searched == [(486, 486), (243, 243)]
+
+
+# the claims certified by a constructed map: the map's module and name, and
+# the graphs it maps from and onto
+CONSTRUCTED_MAPS = {
+    "iso.sigma_coordinate_affine": (
+        constructions,
+        "syndrome_map",
+        lambda golay, family, leaders: (
+            constructions.build_sigma_coordinate(family, leaders),
+            constructions.build_std_ag(5),
+        ),
+    ),
+    "iso.lambda_coordinate_shortened": (
+        codes,
+        "shortening_map",
+        lambda golay, family, leaders: (
+            codes.coset_graph(codes.shorten(golay, 0)),
+            constructions.build_lambda_coordinate(golay),
+        ),
+    ),
+}
+
+
+def _first_broken_pair(g1, g2, mapping, moved):
+    """The first pair (u, v) in row-major order whose adjacency in g1
+    differs from that of its image in g2, when only the vertices in
+    `moved` map differently from an isomorphism."""
+    pairs = sorted(
+        (min(u, v), max(u, v)) for u in moved for v in range(g1.n) if u != v
+    )
+    return next(
+        (u, v)
+        for u, v in pairs
+        if g1.has_edge(u, v) != g2.has_edge(int(mapping[u]), int(mapping[v]))
+    )
+
+
+@pytest.mark.parametrize("claim_id", sorted(CONSTRUCTED_MAPS))
+def test_a_constructed_map_that_breaks_adjacency_names_the_pair(
+    tmp_path, capsys, monkeypatch, golay, family, leaders, claim_id
+):
+    module, name, graphs = CONSTRUCTED_MAPS[claim_id]
+    real = getattr(module, name)
+    swapped = (5, 17)
+    maps = []
+
+    def swapping(*args):
+        mapping = real(*args).copy()
+        mapping[list(swapped)] = mapping[list(swapped[::-1])]
+        maps.append(mapping)
+        return mapping
+
+    monkeypatch.setattr(module, name, swapping)
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--json", str(out_path))
+    assert code == 1
+    assert "Traceback" not in err
+    assert f"first failing claim: {claim_id}" in err
+    g1, g2 = graphs(golay, family, leaders)
+    [mapping] = maps
+    u, v = _first_broken_pair(g1, g2, mapping, swapped)
+    kind = "edge" if g1.has_edge(u, v) else "non-edge"
+    entries = {e["claim_id"]: e for e in json.loads(out_path.read_text())["entries"]}
+    assert entries[claim_id]["verdict"] == "FAIL"
+    assert entries[claim_id]["observed"] == f"the map breaks the {kind} ({u}, {v})"
+    assert [c for c, e in entries.items() if e["verdict"] == "FAIL"] == [claim_id]
+
+
+@pytest.mark.parametrize("claim_id", sorted(CONSTRUCTED_MAPS))
+def test_a_constructed_map_that_is_no_bijection_fails(monkeypatch, claim_id):
+    module, name, _ = CONSTRUCTED_MAPS[claim_id]
+    real = getattr(module, name)
+
+    def merging(*args):
+        mapping = real(*args).copy()
+        mapping[1] = mapping[0]
+        return mapping
+
+    monkeypatch.setattr(module, name, merging)
+    entries = {e.claim_id: e for e in cli.run_verification().entries}
+    assert (entries[claim_id].verdict, entries[claim_id].observed) == (
+        "FAIL", "the map is not a bijection"
+    )
 
 
 def test_verify_reports_a_failed_data_check(tmp_path, capsys, monkeypatch):

@@ -497,6 +497,56 @@ def test_lambda_coordinate_isomorphic_to_shortened_coset_graph(golay):
     assert mapping is not None and verify_bijection(lam, shortened, mapping)
 
 
+@pytest.mark.parametrize("position", [0, 3, 10])
+def test_shortening_map_sends_each_unit_coset_to_its_golay_coordinate(golay, position):
+    short = codes.shorten(golay, position)
+    mapping = codes.shortening_map(golay, position)
+    assert sorted(mapping.tolist()) == list(range(243))
+    kept = [i for i in range(golay.length) if i != position]
+    for i, j in enumerate(kept):
+        for a in (1, 2):
+            [source] = codes.syndrome_index(short, [gf3.unit_vector(10, i, a)]).tolist()
+            [target] = codes.syndrome_index(golay, [gf3.unit_vector(11, j, a)]).tolist()
+            assert mapping[source] == target
+    shortened = codes.coset_graph(short)
+    weight_one = codes.coset_graph(golay, positions=kept)
+    assert verify_bijection(shortened, weight_one, mapping)
+    assert verify_bijection(weight_one, shortened, np.argsort(mapping))
+
+
+def test_shortening_map_certifies_the_lambda_coordinate_model(golay):
+    mapping = codes.shortening_map(golay, 0)
+    lam = build_lambda_coordinate(golay)
+    shortened = codes.coset_graph(codes.shorten(golay, 0))
+    assert verify_bijection(lam, shortened, np.argsort(mapping))
+    assert not verify_bijection(lam, shortened, np.arange(243))
+
+
+def test_affine_frame_sends_every_nonzero_vector_to_the_first_unit_vector():
+    first = np.eye(5, dtype=np.int64)[0]
+    for s0 in product(range(3), repeat=5):
+        if not any(s0):
+            with pytest.raises(ValueError, match="e0 lies in the code"):
+                constructions._affine_frame(s0)
+            continue
+        m, inverse = constructions._affine_frame(s0)
+        assert (m @ np.array(s0) % 3).tolist() == first.tolist()
+        assert (m @ inverse % 3).tolist() == np.eye(5, dtype=np.int64).tolist()
+        assert inverse[:, 0].tolist() == list(s0)
+
+
+def test_syndrome_map_sends_e0_to_the_first_unit_vector(golay, family, leaders):
+    mapping = constructions.syndrome_map(golay, family)
+    # the AG(5,3) point with digits (a,0,0,0,0) is vertex 81 a
+    for a in (1, 2):
+        [coset] = codes.syndrome_index(golay, [gf3.unit_vector(11, 0, a)]).tolist()
+        assert mapping[coset] == 81 * a
+    sigma = build_sigma_coordinate(family, leaders)
+    assert verify_bijection(sigma, build_std_ag(5), mapping)
+    # s(e0) is the first unit vector, so M = I and the map is the identity
+    assert mapping.tolist() == list(range(486))
+
+
 def test_experiment_flat_incidence(family, leaders):
     report = experiment_flat_incidence(family, leaders)
     assert report.coset_degree_counts == ((45, 243),)
