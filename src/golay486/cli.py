@@ -227,24 +227,6 @@ def _fold(which: str, description: str, folded_srg: tuple[int, int, int, int]) -
     return Claim(f"{which}.fold", "models", description, expected, evaluate)
 
 
-ISOMORPHIC = "isomorphic (certificate re-verified edge by edge)"
-
-
-def _isomorphic(claim_id: str, description: str, first, second) -> Claim:
-    """A claim that first(run) and second(run) are isomorphic, by the
-    individualization-refinement search of are_isomorphic, whose
-    certificate verify_bijection re-checks.  Only the two orbital-vs-
-    coordinate claims search; the code-side claims are _mapped."""
-
-    def evaluate(run):
-        g1, g2 = first(run), second(run)
-        mapping = are_isomorphic(g1, g2)
-        ok = mapping is not None and verify_bijection(g1, g2, mapping)
-        return ("isomorphic" if ok else "no isomorphism found"), ok
-
-    return Claim(claim_id, "iso", description, ISOMORPHIC, evaluate)
-
-
 def _broken_pair(g1: Graph, g2: Graph, mapping: np.ndarray) -> str:
     """Why verify_bijection rejected `mapping`: it is no bijection, or it
     breaks the first pair (u, v) of g1, in row-major order, whose adjacency
@@ -257,19 +239,25 @@ def _broken_pair(g1: Graph, g2: Graph, mapping: np.ndarray) -> str:
     return f"the map breaks the {kind} ({u}, {v})"
 
 
-def _mapped(claim_id: str, description: str, first, second, mapping) -> Claim:
-    """A claim that mapping(run), built from the code with no search, is an
-    isomorphism from first(run) onto second(run), vertex v going to
-    mapping(run)[v].  verify_bijection certifies it edge by edge; if it
-    fails, the observation names the first pair the map breaks."""
+def _isomorphic(claim_id: str, description: str, first, second, mapping) -> Claim:
+    """A claim that first(run) and second(run) are isomorphic, vertex v
+    going to m[v].  m is mapping(run), built from the code with no search,
+    or, where mapping is None (the two orbital-vs-coordinate claims), the
+    certificate of are_isomorphic's individualization-refinement search.
+    verify_bijection certifies either edge by edge; a map it rejects is
+    named by the first pair it breaks."""
 
     def evaluate(run):
-        g1, g2, m = first(run), second(run), mapping(run)
+        g1, g2 = first(run), second(run)
+        m = are_isomorphic(g1, g2) if mapping is None else mapping(run)
+        if m is None:
+            return "no isomorphism found", False
         if verify_bijection(g1, g2, m):
             return "isomorphic", True
         return _broken_pair(g1, g2, m), False
 
-    return Claim(claim_id, "iso", description, ISOMORPHIC, evaluate)
+    expected = "isomorphic (certificate re-verified edge by edge)"
+    return Claim(claim_id, "iso", description, expected, evaluate)
 
 
 def _transitive(run) -> tuple[str, bool]:
@@ -291,10 +279,7 @@ def _code_perfect(run) -> tuple[str, bool]:
 
 
 def _functional_counts(run) -> str:
-    golay = run.golay
-    n = golay.length
-    duals = gf3.null_space(golay.generator, width=n)
-    classes = len(gf3.projective_points(duals, length=n))
+    classes = len(gf3.projective_points(run.golay.check))
     kept = run.family.subspace_count
     return f"{classes} classes, {classes - kept} excluded, {kept} kept"
 
@@ -534,8 +519,9 @@ CLAIMS = (
         "orbital 45+36 graph vs coset/flat incidence model",
         lambda run: run.graph("sigma"),
         lambda run: run.sigma_coordinate,
+        None,
     ),
-    _mapped(
+    _isomorphic(
         "iso.sigma_coordinate_affine",
         "coset/flat incidence model vs AG(5,3) design graph",
         lambda run: run.sigma_coordinate,
@@ -547,8 +533,9 @@ CLAIMS = (
         "induced orbital graph vs weight-1 coset graph",
         lambda run: run.graph("lambda"),
         lambda run: run.lambda_coordinate,
+        None,
     ),
-    _mapped(
+    _isomorphic(
         "iso.lambda_coordinate_shortened",
         "weight-1 coset graph vs coset graph of the shortened Golay code",
         lambda run: codes.coset_graph(codes.shorten(run.golay, 0)),

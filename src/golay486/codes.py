@@ -2,11 +2,13 @@
 the table of coset leaders, and coset graphs.
 
 A code is stored by its canonical (RREF) generator matrix, so structurally
-equal codes compare equal.  Cosets are numbered by syndrome under a fixed
-parity-check matrix derived from that generator (`syndrome_index`), which
-pins the row order of the leader table and the vertex order of every coset
-graph across runs.  Nothing here is cached: `golay486.cli.Run` builds the
-Golay code and its leader table once per run and passes them on.
+equal codes compare equal.  Its reduced parity check, `LinearCode.check`,
+is derived from that generator once per code object, and every syndrome,
+coset word and functional is taken against it.  Cosets are numbered by
+syndrome (`syndrome_index`), which pins the row order of the leader table
+and the vertex order of every coset graph across runs.  Nothing else is
+kept between calls: `golay486.cli.Run` builds the Golay code and its leader
+table once per run and passes them on.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -66,6 +69,15 @@ class LinearCode:
         if any(len(row) != self.length for row in self.generator):
             raise ValueError("generator rows must have the code length")
 
+    @cached_property
+    def check(self) -> Matrix:
+        """The reduced (RREF) basis of the dual code, the parity check H.
+
+        It is derived once per object and is not a field, so equality and
+        hashing still read the generator alone.
+        """
+        return gf3.null_space(self.generator, width=self.length)
+
 
 def linear_code(rows: Iterable[Iterable[int]], length: int | None = None) -> LinearCode:
     """Build a code from spanning rows (reduced; dependent rows dropped)."""
@@ -93,21 +105,16 @@ def golay_sign_row() -> Vector:
     return tuple(1 if ch == "+" else 2 for ch in GOLAY_SIGNS)
 
 
-def parity_check_matrix(code: LinearCode) -> Matrix:
-    """Canonical basis of the dual; syndromes are taken against this matrix."""
-    return gf3.null_space(code.generator, width=code.length)
-
-
 def syndrome_index(code: LinearCode, words) -> np.ndarray:
     """The coset number of each word in `words`, a word being a row along
     the last axis.
 
     It is the base-3 number whose digits are the word's syndrome against
-    parity_check_matrix(code), the first parity-check row most significant.
-    This is the one encoding of cosets: the leader table's rows and the
-    coset graph's vertices are in its order.
+    code.check, the first parity-check row most significant.  This is the
+    one encoding of cosets: the leader table's rows and the coset graph's
+    vertices are in its order.
     """
-    check = np.array(parity_check_matrix(code), dtype=np.int64).reshape(-1, code.length)
+    check = np.array(code.check, dtype=np.int64).reshape(-1, code.length)
     places = 3 ** np.arange(len(check) - 1, -1, -1)
     return (np.asarray(words, dtype=np.int64) @ check.T) % 3 @ places
 
@@ -188,16 +195,11 @@ def shortening_map(code: LinearCode, position: int) -> np.ndarray:
     being i's coordinate in `code`.  So it maps coset_graph(C') onto
     coset_graph(code, positions) with `position` left out of positions,
     once both have as many cosets (for the Golay code at position 0, 243:
-    build_lambda_coordinate's graph).  Each x is one of C''s coset lifts,
-    the words coset_graph shifts, so no leader table is built.
+    build_lambda_coordinate's graph).  x is row j of C''s coset lifts, the
+    words coset_graph shifts, so no leader table is built.
     """
-    short = shorten(code, position)
-    words = _coset_lifts(short)
-    mapping = np.empty(len(words), dtype=np.int64)
-    mapping[syndrome_index(short, words)] = syndrome_index(
-        code, np.insert(words, position, 0, axis=1)
-    )
-    return mapping
+    lifts = _coset_lifts(shorten(code, position))
+    return syndrome_index(code, np.insert(lifts, position, 0, axis=1))
 
 
 def truncate(code: LinearCode, position: int) -> LinearCode:
@@ -264,13 +266,15 @@ def classify_cosets(code: LinearCode, leaders: np.ndarray) -> dict[str, int]:
 
 
 def _coset_lifts(code: LinearCode) -> np.ndarray:
-    """One word of each coset of `code`, one uint8 row each.
+    """One word of each coset of `code`, one uint8 row each, row i in coset i.
 
-    A word that is zero off the pivot columns of the reduced parity check
-    has its pivot entries as its syndrome, so the span of those unit
-    vectors meets every coset once.
+    A word that is zero off the pivot columns of code.check, which is
+    reduced, has its pivot entries as its syndrome, so the span of those
+    unit vectors meets every coset once.  _span lists the coefficients in
+    lex order, so row i's pivot entries are the base-3 digits of i, and
+    syndrome_index gives it i.
     """
-    pivots = gf3.rref(parity_check_matrix(code))[2]
+    pivots = gf3.rref(code.check)[2]
     units = tuple(gf3.unit_vector(code.length, p) for p in pivots)
     return gf3._span(units, length=code.length)
 

@@ -166,8 +166,8 @@ def classify_types(golay: codes.LinearCode, leaders: np.ndarray) -> FlatFamily:
         i = int(np.argmax(misplaced))
         raise ValueError(f"leader table row {i} lies in coset {syndromes[i]}, not coset {i}")
     e0 = gf3.unit_vector(golay.length, 0)
-    functionals = gf3.hyperplane_functionals(golay.generator, e0)
-    bases = gf3.intermediate_hyperplanes(golay.generator, e0)
+    functionals = gf3.hyperplane_functionals(golay.check, e0)
+    bases = gf3.intermediate_hyperplanes(golay.check, e0)
     coset_tallies = _coset_tallies(golay, leaders)
     vanishes = (leaders @ np.array(functionals, dtype=np.int64).T) % 3 == 0
     tallies = vanishes.T.astype(np.int64) @ coset_tallies
@@ -224,27 +224,8 @@ def build_std_ag(n: int) -> Graph:
     if not 2 <= n <= 7:
         raise ValueError(f"n={n} outside the supported range 2..7")
     full = tuple(gf3.unit_vector(n, i) for i in range(n))
-    functionals = gf3.hyperplane_functionals((), full[0])
+    functionals = gf3.hyperplane_functionals(full, full[0])
     return _flat_incidence(gf3._span(full), functionals, range(len(functionals)))
-
-
-def _affine_frame(s0: Vector) -> tuple[np.ndarray, np.ndarray]:
-    """(M, M^-1) for an M in GL(r,3) with M s0 = the first unit vector.
-
-    M^-1 has the columns s0, then the unit vectors other than the one at
-    s0's first nonzero entry; that entry makes it invertible.  One
-    gf3.rref of [M^-1 | I] leaves [I | M].  For s0 the first unit vector
-    this gives M = I.
-    """
-    r = len(s0)
-    if not any(s0):
-        raise ValueError("s(e0) is zero: e0 lies in the code")
-    lead = next(k for k, v in enumerate(s0) if v)
-    columns = [s0] + [gf3.unit_vector(r, k) for k in range(r) if k != lead]
-    inverse = tuple(zip(*columns))
-    augmented = tuple(row + gf3.unit_vector(r, i) for i, row in enumerate(inverse))
-    reduced = np.array(gf3.rref(augmented)[0], dtype=np.int64)
-    return reduced[:, r:], np.array(inverse, dtype=np.int64)
 
 
 def syndrome_map(golay: codes.LinearCode, family: FlatFamily) -> np.ndarray:
@@ -252,38 +233,31 @@ def syndrome_map(golay: codes.LinearCode, family: FlatFamily) -> np.ndarray:
     build_std_ag(5) that the syndromes give, with no search: entry v is the
     image of vertex v.
 
-    Coset i has the base-3 digits of i as its syndrome s(i) against the
-    parity check H (codes.syndrome_index), and goes to the AG(5,3) point
-    M s(i), where M sends s(e0) to the first unit vector, the direction
-    build_std_ag excludes (_affine_frame).  A kept functional phi vanishes
-    on the code, so phi = y^T H, and y is phi at H's pivot columns, H being
-    reduced.  Its flat {x : phi(x) = c} is then the set of cosets whose
-    point p has y^T M^-1 p = c, so flat (phi, c) goes to the flat of the
-    canonical form a y^T M^-1 with the value a c, a being the first nonzero
-    entry of y^T M^-1 (self-inverse mod 3).  That entry is phi(e0), which is
-    nonzero, so build_std_ag keeps the form.
+    Coset i has the base-3 digits of i as its syndrome against the parity
+    check H = golay.check (codes.syndrome_index), and so does AG(5,3) point
+    i: coset i goes to point i.  A kept functional phi vanishes on the code,
+    so phi = y^T H, and y is phi at H's pivot columns, H being reduced.  Its
+    flat {x : phi(x) = c} is then the set of cosets whose point p has
+    y^T p = c, so flat (phi, c) goes to flat (y, c).  H's first column is
+    the first unit vector, as e0 is not a codeword (classify_types refuses
+    a code that holds it), so y[0] = phi[0] = 1: y is canonical, and
+    build_std_ag keeps it.  A y that build_std_ag does not list gives
+    flat -1, whose three images are points, so the map is then no
+    bijection and verify_bijection fails.
 
-    On the Golay code's reduced parity check s(e0) is the first unit
-    vector, so M = I, and y -> y^T H keeps the lex order of canonical
-    functionals, H being reduced: the map is the identity, and the two
-    graphs share one adjacency matrix.
+    y -> y^T H keeps the lex order of canonical functionals, H being
+    reduced, so the map is the identity, and the two graphs share one
+    adjacency matrix.
     """
-    check = codes.parity_check_matrix(golay)
+    check = golay.check
     r = len(check)
-    m, inverse = _affine_frame(tuple(row[0] for row in check))
-    places = 3 ** np.arange(r - 1, -1, -1)
-    syndromes = gf3._span(tuple(gf3.unit_vector(r, k) for k in range(r)))
-    points = (syndromes @ m.T) % 3 @ places
     pivots = list(gf3.rref(check)[2])
-    forms = np.array(family.functionals, dtype=np.int64)[:, pivots] @ inverse % 3
-    scale = forms[np.arange(len(forms)), np.argmax(forms != 0, axis=1)]
-    kept = gf3.hyperplane_functionals((), gf3.unit_vector(r, 0))
-    index = {psi: f for f, psi in enumerate(kept)}
-    canonical = (forms * scale[:, None] % 3).tolist()
-    # a form build_std_ag does not list lands on a point: no bijection
-    flat = np.array([index.get(tuple(psi), -1) for psi in canonical])
-    flats = 3 * flat[:, None] + scale[:, None] * np.arange(3) % 3
-    return np.concatenate([points, len(points) + flats.ravel()])
+    full = tuple(gf3.unit_vector(r, k) for k in range(r))
+    index = {psi: f for f, psi in enumerate(gf3.hyperplane_functionals(full, full[0]))}
+    ys = np.array(family.functionals, dtype=np.int64)[:, pivots].tolist()
+    flat = np.array([index.get(tuple(y), -1) for y in ys])
+    flats = 3 * flat[:, None] + np.arange(3)
+    return np.concatenate([np.arange(3**r), 3**r + flats.ravel()])
 
 
 def _bundled_generators_text() -> str:

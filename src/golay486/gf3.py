@@ -3,13 +3,15 @@
 Vectors are tuples of ints in {0,1,2}; matrices are tuples of equal-length
 row vectors.  Tuples keep them hashable and immutable, and all arithmetic
 is exact.
-The one bulk operation, listing all 3^k elements of a subspace or of one
-of its cosets, is one numpy routine, `_span` (one byte per field
-element).  It serves the weight tally, the points of AG(n,3), the words
-a coset graph shifts and the flat classification, which lists the
-Golay code once.  The projective points and the hyperplane functionals
-are one array pass over a `_span` as well.  Row reduction (`rref`,
-`row_space_basis`, `null_space`) is plain Python over tuples.
+The one bulk operation, listing all 3^k elements of a subspace, is one
+numpy routine, `_span` (one byte per field element).  It serves the
+weight tally, the points of AG(n,3), the words a coset graph shifts and
+the flat classification, which lists the Golay code once.  The
+projective points and the hyperplane functionals are one array pass over
+a `_span` as well; the functionals are read off a dual basis that the
+caller passes (a code's `check`), so hyperplane_functionals takes no null
+space.  Row reduction (`rref`, `row_space_basis`, `null_space`) is plain
+Python over tuples.
 """
 
 from __future__ import annotations
@@ -110,15 +112,13 @@ def null_space(m: Matrix, width: int | None = None) -> Matrix:
     return row_space_basis(tuple(basis))
 
 
-def _span(
-    basis: Matrix, length: int | None = None, shift: Vector | None = None
-) -> np.ndarray:
-    """All 3^rank elements of span(basis)+shift, one uint8 row each.
+def _span(basis: Matrix, length: int | None = None) -> np.ndarray:
+    """All 3^rank elements of span(basis), one uint8 row each.
 
     Rows are lexicographic in the coefficient vectors (the first basis row
-    varies slowest), so the shift itself comes first.  The array grows by
-    one basis row at a time: each word w becomes w, w+row, w+2*row.
-    `length` is required for an empty basis.
+    varies slowest), so the zero word comes first.  The array grows by one
+    basis row at a time: each word w becomes w, w+row, w+2*row.  `length`
+    is required for an empty basis.
     """
     k = len(basis)
     n = len(basis[0]) if basis else length
@@ -129,23 +129,21 @@ def _span(
         raise ValueError(f"basis rows are dependent (rank {rank} < {k})")
     if k > MAX_ENUM_DIM:
         raise ValueError(f"refusing to enumerate 3^{k} vectors")
-    words = np.array([shift if shift is not None else (0,) * n], dtype=np.uint8)
+    words = np.zeros((1, n), dtype=np.uint8)
     for row in basis:
         multiples = np.outer((0, 1, 2), row).astype(np.uint8) % 3
         words = ((words[:, None, :] + multiples) % 3).reshape(-1, n)
     return words
 
 
-def subspace_weight_counts(
-    basis: Matrix, length: int | None = None, shift: Vector | None = None
-) -> tuple[int, ...]:
-    """Tally Hamming weights over all 3^rank elements of span(basis)+shift.
+def subspace_weight_counts(basis: Matrix, length: int | None = None) -> tuple[int, ...]:
+    """Tally Hamming weights over all 3^rank elements of span(basis).
 
-    Returns counts indexed by weight 0..n.  The program calls it for the
-    weight distribution of a code; `shift` tallies a single coset, which
-    the flat classification does for all 243 Golay cosets at once instead.
+    Returns counts indexed by weight 0..n: the weight distribution of a
+    code.  The flat classification tallies all 243 Golay cosets at once
+    instead (constructions._coset_tallies).
     """
-    words = _span(basis, length, shift)
+    words = _span(basis, length)
     weights = np.count_nonzero(words, axis=1)
     return tuple(np.bincount(weights, minlength=words.shape[1] + 1).tolist())
 
@@ -170,22 +168,20 @@ def projective_points(basis: Matrix, length: int | None = None) -> tuple[Vector,
     return tuple(map(tuple, _points(basis, length).tolist()))
 
 
-def hyperplane_functionals(sub_basis: Matrix, excluded: Vector) -> tuple[Vector, ...]:
-    """Canonical functionals whose kernels contain span(sub_basis) but miss `excluded`.
+def hyperplane_functionals(duals: Matrix, excluded: Vector) -> tuple[Vector, ...]:
+    """Canonical functionals in span(duals) that do not vanish on `excluded`.
 
-    These are the projective points of the null space of sub_basis that
-    do not vanish on `excluded`, kept by one product against it.  Each
-    one cuts out a hyperplane of the ambient space containing the
-    subspace.  A row whose length is not len(excluded) raises
-    DimensionError.  Dependent rows raise ValueError, and so does an
-    `excluded` inside their span, which leaves no functional.
+    With `duals` a basis of the annihilator of a subspace U (for a code, its
+    check), each one cuts out a hyperplane of the ambient space that
+    contains U but not `excluded`.  They are the projective points of
+    span(duals), kept by one product against `excluded`.  A row whose
+    length is not len(excluded) raises DimensionError.  Dependent rows
+    raise ValueError (_span's rank check), and so does an `excluded` that
+    every dual annihilates, which lies in U and leaves no functional.
     """
     n = len(excluded)
-    if any(len(row) != n for row in sub_basis):
+    if any(len(row) != n for row in duals):
         raise DimensionError("excluded vector length differs from basis width")
-    duals = null_space(sub_basis, width=n)
-    if len(duals) + len(sub_basis) != n:
-        raise ValueError("sub_basis rows are dependent")
     points = _points(duals, n)
     values = points.astype(np.int64) @ np.array(excluded, dtype=np.int64) % 3
     kept = points[values != 0]
@@ -194,8 +190,9 @@ def hyperplane_functionals(sub_basis: Matrix, excluded: Vector) -> tuple[Vector,
     return tuple(map(tuple, kept.tolist()))
 
 
-def intermediate_hyperplanes(sub_basis: Matrix, excluded: Vector) -> tuple[Matrix, ...]:
-    """Bases of all hyperplanes containing span(sub_basis) but not `excluded`.
+def intermediate_hyperplanes(duals: Matrix, excluded: Vector) -> tuple[Matrix, ...]:
+    """Bases of all hyperplanes containing the subspace that `duals`
+    annihilates but not `excluded`.
 
     Each returned matrix is the canonical (RREF) basis of one kernel, in the
     lex order of the defining functionals from hyperplane_functionals.  It
@@ -204,7 +201,7 @@ def intermediate_hyperplanes(sub_basis: Matrix, excluded: Vector) -> tuple[Matri
     pivot c is e_c - phi[c] phi[q] e_q (phi[q] is its own inverse), which
     phi annihilates.  All bases are written in one uint8 array pass.
     """
-    phis = np.array(hyperplane_functionals(sub_basis, excluded), dtype=np.uint8)
+    phis = np.array(hyperplane_functionals(duals, excluded), dtype=np.uint8)
     m, n = phis.shape
     rows = np.arange(m)[:, None]
     q = n - 1 - np.argmax(phis[:, ::-1] != 0, axis=1)

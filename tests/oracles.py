@@ -57,13 +57,22 @@ def brute_force_functionals(sub_basis, excluded=None, length=None):
 
 
 def kernel_bases(sub_basis, excluded):
-    """The RREF basis of each kernel of hyperplane_functionals, one
-    row-reduced null space per functional."""
+    """The RREF basis of each hyperplane containing span(sub_basis) but not
+    `excluded`, one row-reduced null space per functional."""
     n = len(excluded)
+    duals = gf3.null_space(sub_basis, width=n)
     return tuple(
         gf3.null_space((phi,), width=n)
-        for phi in gf3.hyperplane_functionals(sub_basis, excluded)
+        for phi in gf3.hyperplane_functionals(duals, excluded)
     )
+
+
+def shifted_weight_counts(basis, shift):
+    """The Hamming weight tally (weights 0..n) over the coset
+    span(basis) + shift: the words of gf3._span, each moved by shift."""
+    n = len(shift)
+    words = (gf3._span(basis, n) + np.array(shift, dtype=np.uint8)) % 3
+    return tuple(np.bincount(np.count_nonzero(words, axis=1), minlength=n + 1).tolist())
 
 
 def product_antipodal_fold(g):

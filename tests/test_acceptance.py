@@ -56,7 +56,7 @@ def test_criterion_03_flat_enumeration(golay, family):
     e0 = gf3.unit_vector(11, 0)
     duals = gf3.null_space(golay.generator, width=11)
     all_classes = gf3.projective_points(duals, length=11)
-    kept = gf3.hyperplane_functionals(golay.generator, e0)
+    kept = gf3.hyperplane_functionals(duals, e0)
     assert len(all_classes) == 121
     assert len(all_classes) - len(kept) == 40
     assert len(kept) == 81

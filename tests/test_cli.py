@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from golay486 import cli, codes, constructions, permaction
+from golay486 import cli, codes, constructions, gf3, permaction
 from golay486.graph import Graph, graph6_decode
 from oracles import check_dot, compose, inverse
 
@@ -325,6 +325,22 @@ def test_cold_verify_searches_only_the_orbital_claims(monkeypatch):
     assert report.overall
     # iso.sigma_orbital_coordinate, then iso.lambda_orbital_coordinate
     assert searched == [(486, 486), (243, 243)]
+
+
+def test_cold_verify_takes_three_null_spaces(monkeypatch):
+    real = gf3.null_space
+    widths = []
+
+    def counted(m, width=None):
+        widths.append(width)
+        return real(m, width=width)
+
+    monkeypatch.setattr(gf3, "null_space", counted)
+    assert cli.run_verification().overall
+    # the Golay code's check, then that of each shorten(golay, 0) that
+    # iso.lambda_coordinate_shortened builds; every other syndrome, coset
+    # word and functional reads one of these
+    assert widths == [11, 10, 10]
 
 
 # the claims certified by a constructed map: the map's module and name, and

@@ -6,10 +6,20 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golay486 import codes, gf3
 from golay486.graph import is_distance_regular, srg_parameters
-from oracles import dot, ladder_codes, oracle_intersection_array, vec_add, vec_scale
+from oracles import (
+    dot,
+    in_row_space,
+    ladder_codes,
+    oracle_intersection_array,
+    shifted_weight_counts,
+    vec_add,
+    vec_scale,
+)
 
 # Frozen by enumerating all 3^6 codewords (oracle below re-derives it).
 GOLAY_WEIGHT_COUNTS = {0: 1, 5: 132, 6: 132, 8: 330, 9: 110, 11: 24}
@@ -88,11 +98,11 @@ def test_weight_distribution_of_coset_sums_to_codeword_count(golay):
     rng = random.Random(11)
     for _ in range(5):
         shift = tuple(rng.randrange(3) for _ in range(11))
-        assert sum(gf3.subspace_weight_counts(golay.generator, shift=shift)) == 729
+        assert sum(shifted_weight_counts(golay.generator, shift)) == 729
 
 
 def test_macwilliams_transform(golay):
-    dual = codes.linear_code(codes.parity_check_matrix(golay))
+    dual = codes.linear_code(golay.check)
     assert codes.weight_distribution(dual) == (1, 0, 0, 0, 0, 0, 132, 0, 0, 110, 0, 0)
     assert codes.macwilliams_transform(codes.weight_distribution(dual)) == (
         codes.weight_distribution(golay)
@@ -239,7 +249,7 @@ def test_classify_cosets(golay, leaders):
 
 
 def test_syndrome_index_reads_the_syndrome_as_base_3(golay):
-    check = codes.parity_check_matrix(golay)
+    check = golay.check
     rng = random.Random(5)
     words = [tuple(rng.randrange(3) for _ in range(11)) for _ in range(30)]
     # the syndrome's digits read in base 3, first parity-check row first
@@ -250,6 +260,57 @@ def test_syndrome_index_reads_the_syndrome_as_base_3(golay):
     assert codes.syndrome_index(golay, words[0]) == expected[0]
     stacked = np.array(words, dtype=np.uint8).reshape(5, 6, 11)
     assert codes.syndrome_index(golay, stacked).ravel().tolist() == expected
+
+
+def test_check_annihilates_the_generator_and_is_derived_once(monkeypatch):
+    real = gf3.null_space
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gf3, "null_space", counted)
+    for name, code in ladder_codes(codes.golay_code()).items():
+        before = len(calls)
+        check = code.check
+        assert code.check is check
+        assert len(calls) == before + 1, name
+        assert len(check) == code.length - code.dimension
+        assert gf3.row_space_basis(check) == check  # reduced
+        assert all(dot(h, g) == 0 for h in check for g in code.generator)
+    assert zero_code(3).check == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert full_space_code(3).check == ()
+
+
+def test_a_derived_check_leaves_equality_and_hash_alone():
+    first, second = codes.golay_code(), codes.golay_code()
+    assert first.check
+    assert "check" in vars(first) and "check" not in vars(second)
+    assert first == second and hash(first) == hash(second)
+    assert {first: "golay"}[second] == "golay"
+    assert repr(first) == repr(second)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 6), st.booleans(), st.randoms(use_true_random=False))
+def test_check_starts_with_the_first_unit_vector_unless_e0_is_a_codeword(n, k, with_e0, rng):
+    # H e0 = 0 exactly when e0 is a codeword; otherwise the reduced H has
+    # its first pivot in column 0.  syndrome_map relies on this.
+    e0 = gf3.unit_vector(n, 0)
+    rows = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(k)]
+    code = codes.linear_code(rows + [e0] * with_e0, length=n)
+    column = tuple(row[0] for row in code.check)
+    unit = column[:1] == (1,) and not any(column[1:])
+    assert unit == (not in_row_space(code.generator, e0))
+    assert unit or not any(column)
+
+
+def test_each_coset_lift_lies_in_its_own_coset(golay):
+    for name, code in ladder_codes(golay).items():
+        lifts = codes._coset_lifts(code)
+        assert lifts.shape == (3 ** (code.length - code.dimension), code.length)
+        assert codes.syndrome_index(code, lifts).tolist() == list(range(len(lifts))), name
 
 
 # sha256 of the repr of each leader table as a tuple of tuples in syndrome

@@ -14,6 +14,7 @@ from oracles import (
     dot,
     in_row_space,
     kernel_bases,
+    shifted_weight_counts,
     vec_add,
     vec_scale,
 )
@@ -60,7 +61,7 @@ def test_vec_properties_random():
 
 def hamming_weight(v):
     """The weight of v as the one-vector tally span()+v counts it."""
-    return gf3.subspace_weight_counts((), length=len(v), shift=v).index(1)
+    return shifted_weight_counts((), v).index(1)
 
 
 def test_hamming_weight():
@@ -152,26 +153,31 @@ def test_enumerate_subspace_rejects_dependent_basis():
 
 
 def test_subspace_weight_counts_against_enumeration():
+    # the coset tally is the oracle of constructions._coset_tallies
     rng = random.Random(505)
     for _ in range(20):
         ncols = rng.randrange(1, 7)
         rows = [random_vector(rng, ncols) for _ in range(rng.randrange(0, 4))]
         basis = gf3.row_space_basis(gf3.matrix(rows))
         shift = random_vector(rng, ncols)
-        counts = gf3.subspace_weight_counts(basis, length=ncols, shift=shift)
-        expected = [0] * (ncols + 1)
-        for v in brute_force_span(basis, ncols, shift):
-            expected[sum(1 for x in v if x)] += 1
-        assert counts == tuple(expected)
+        for tally, words in (
+            (gf3.subspace_weight_counts(basis, length=ncols), brute_force_span(basis, ncols)),
+            (shifted_weight_counts(basis, shift), brute_force_span(basis, ncols, shift)),
+        ):
+            expected = [0] * (ncols + 1)
+            for v in words:
+                expected[sum(1 for x in v if x)] += 1
+            assert tally == tuple(expected)
 
 
 def test_intermediate_hyperplanes_of_golay(golay):
     e0 = gf3.unit_vector(11, 0)
     duals = gf3.null_space(golay.generator, width=11)
     assert len(gf3.projective_points(duals, length=11)) == 121
-    functionals = gf3.hyperplane_functionals(golay.generator, e0)
+    assert duals == golay.check
+    functionals = gf3.hyperplane_functionals(golay.check, e0)
     assert len(functionals) == 81  # 121 - 40 through e0
-    hyperplanes = gf3.intermediate_hyperplanes(golay.generator, e0)
+    hyperplanes = gf3.intermediate_hyperplanes(golay.check, e0)
     assert len(hyperplanes) == 81
     assert len(set(hyperplanes)) == 81  # pairwise distinct row spaces
     for basis in hyperplanes:
@@ -184,14 +190,15 @@ def test_intermediate_hyperplanes_of_golay(golay):
 
 def test_intermediate_hyperplanes_precondition_errors(golay):
     with pytest.raises(ValueError):
-        gf3.hyperplane_functionals(golay.generator, golay.generator[0])
-    with pytest.raises(ValueError):
+        gf3.hyperplane_functionals(golay.check, golay.generator[0])
+    # dependent duals fail _span's rank check
+    with pytest.raises(ValueError, match="dependent"):
         gf3.hyperplane_functionals(gf3.matrix([[1, 2], [2, 1]]), (1, 0))
     # a ragged basis: only its second row is short
     with pytest.raises(gf3.DimensionError):
         gf3.hyperplane_functionals(((1, 0, 0), (1, 0)), (0, 0, 1))
     with pytest.raises(ValueError, match="lies in the subspace"):
-        gf3.hyperplane_functionals(golay.generator, (0,) * 11)
+        gf3.hyperplane_functionals(golay.check, (0,) * 11)
 
 
 def random_independent_rows(rng, k, n):
@@ -209,11 +216,12 @@ def test_hyperplane_functionals_match_brute_force():
         sub_basis = random_independent_rows(rng, rng.randrange(0, n + 1), n)
         excluded = random_vector(rng, n)
         expected = brute_force_functionals(sub_basis, excluded)
+        duals = gf3.null_space(sub_basis, width=n)
         if expected:
-            assert list(gf3.hyperplane_functionals(sub_basis, excluded)) == expected
+            assert list(gf3.hyperplane_functionals(duals, excluded)) == expected
         else:
             with pytest.raises(ValueError, match="lies in the subspace"):
-                gf3.hyperplane_functionals(sub_basis, excluded)
+                gf3.hyperplane_functionals(duals, excluded)
 
 
 @settings(max_examples=120, deadline=None)
@@ -222,19 +230,20 @@ def test_intermediate_hyperplanes_match_row_reduction(n, k, rng):
     # the closed-form bases against one null_space per functional
     sub_basis = random_independent_rows(rng, min(k, n), n)
     excluded = random_vector(rng, n)
+    duals = gf3.null_space(sub_basis, width=n)
     try:
         expected = kernel_bases(sub_basis, excluded)
     except ValueError as error:
         with pytest.raises(type(error), match=re.escape(str(error))):
-            gf3.intermediate_hyperplanes(sub_basis, excluded)
+            gf3.intermediate_hyperplanes(duals, excluded)
     else:
-        assert gf3.intermediate_hyperplanes(sub_basis, excluded) == expected
+        assert gf3.intermediate_hyperplanes(duals, excluded) == expected
 
 
 def test_intermediate_hyperplanes_of_golay_match_row_reduction(golay):
     e0 = gf3.unit_vector(11, 0)
     expected = kernel_bases(golay.generator, e0)
-    assert gf3.intermediate_hyperplanes(golay.generator, e0) == expected
+    assert gf3.intermediate_hyperplanes(golay.check, e0) == expected
 
 
 def test_projective_points_match_brute_force():
@@ -250,7 +259,7 @@ def test_projective_points_match_brute_force():
 
 def test_parallel_weight_counts_match_serial(golay):
     e0 = gf3.unit_vector(11, 0)
-    bases = gf3.intermediate_hyperplanes(golay.generator, e0)[:8]
+    bases = gf3.intermediate_hyperplanes(golay.check, e0)[:8]
     serial = [gf3.subspace_weight_counts(b) for b in bases]
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(gf3.subspace_weight_counts, bases))
