@@ -86,11 +86,12 @@ class Run:
     run, or the graph that export and diagram write.
 
     Each is built on first use and at most once, the same way for the
-    bundled action and a --gens action.  The Golay code (`golay`) and its
-    coset leaders (`leaders`, one row per coset vertex) are artifacts too:
-    every builder and claim that needs them reads them here.  A build that
-    raises ValueError (GraphStructureError among them) is not retried:
-    every caller that needs it gets the same error.
+    bundled action and a --gens action.  The Golay code (`golay`) is an
+    artifact too: every builder and claim that needs it reads it here, and
+    every coset-side builder takes one word of each coset from
+    `golay.lifts`.  A build that raises ValueError (GraphStructureError
+    among them) is not retried: every caller that needs it gets the same
+    error.
     """
 
     def __init__(self, action: GroupAction):
@@ -113,20 +114,16 @@ class Run:
         return codes.golay_code()
 
     @_artifact
-    def leaders(self) -> np.ndarray:
-        return codes.syndrome_table(self.golay)
-
-    @_artifact
     def gamma(self) -> Graph:
         return codes.coset_graph(self.golay)
 
     @_artifact
     def family(self) -> FlatFamily:
-        return constructions.classify_types(self.golay, self.leaders)
+        return constructions.classify_types(self.golay)
 
     @_artifact
     def sigma_coordinate(self) -> Graph:
-        return constructions.build_sigma_coordinate(self.family, self.leaders)
+        return constructions.build_sigma_coordinate(self.family, self.golay)
 
     @_artifact
     def lambda_coordinate(self) -> Graph:
@@ -313,8 +310,7 @@ def _macwilliams(run) -> str:
 
 
 def _coset_shapes(run) -> tuple[int, ...]:
-    shapes = codes.classify_cosets(run.golay, run.leaders)
-    return tuple(shapes[s] for s in ("0", "+-e0", "+-ei", "+-e0+-ei", "+-ei+-ej"))
+    return tuple(codes.classify_cosets(codes.syndrome_table(run.golay)).values())
 
 
 def _blocks_cocliques(run) -> tuple[str, bool]:
@@ -335,7 +331,7 @@ def _halved_delta(run) -> tuple[str, bool]:
 
 
 def _incidence_degrees(run) -> tuple[str, bool]:
-    report = constructions.experiment_flat_incidence(run.family, run.leaders)
+    report = constructions.experiment_flat_incidence(run.family, run.golay)
     return (
         f"cosets {dict(report.coset_degree_counts)}; "
         f"flats {dict(report.flat_degree_counts)}; regular={report.regular}",
@@ -681,7 +677,7 @@ def _cmd_code(args) -> int:
             if count:
                 print(f"{w} {count}")
     else:  # cosets
-        shapes = codes.classify_cosets(golay, codes.syndrome_table(golay))
+        shapes = codes.classify_cosets(codes.syndrome_table(golay))
         for shape, count in shapes.items():
             print(f"{shape} {count}")
     return 0

@@ -2,13 +2,16 @@
 the table of coset leaders, and coset graphs.
 
 A code is stored by its canonical (RREF) generator matrix, so structurally
-equal codes compare equal.  Its reduced parity check, `LinearCode.check`,
-is derived from that generator once per code object, and every syndrome,
-coset word and functional is taken against it.  Cosets are numbered by
-syndrome (`syndrome_index`), which pins the row order of the leader table
-and the vertex order of every coset graph across runs.  Nothing else is
-kept between calls: `golay486.cli.Run` builds the Golay code and its leader
-table once per run and passes them on.
+equal codes compare equal.  Two facts are derived from that generator once
+per code object: its reduced parity check, `LinearCode.check`, against
+which every syndrome and functional is taken, and `LinearCode.lifts`, the
+one table of coset words, which every builder on the coset side reads.
+Cosets are numbered by syndrome (`syndrome_index`), which pins the row
+order of `lifts`, of the leader table and the vertex order of every coset
+graph across runs.  The minimum-weight leaders (`syndrome_table`) serve
+only the coset shape count, whose definition needs them.  Nothing else is
+kept between calls: `golay486.cli.Run` builds the Golay code once per run
+and passes it on.
 """
 
 from __future__ import annotations
@@ -51,10 +54,6 @@ def _check_bytes(what: str, nbytes: int) -> None:
         )
 
 
-class UnsupportedCodeError(ValueError):
-    """The operation is specified for the Golay code only."""
-
-
 @dataclass(frozen=True)
 class LinearCode:
     """A subspace of GF(3)^n given by a reduced (RREF) generator matrix."""
@@ -77,6 +76,23 @@ class LinearCode:
         hashing still read the generator alone.
         """
         return gf3.null_space(self.generator, width=self.length)
+
+    @cached_property
+    def lifts(self) -> np.ndarray:
+        """One word of each coset, one read-only uint8 row each, row i in
+        coset i (its syndrome_index).
+
+        A word that is zero off the pivot columns of `check`, which is
+        reduced, has its pivot entries as its syndrome, so the span of those
+        unit vectors meets every coset once.  _span lists the coefficients
+        in lex order, so row i's pivot entries are the base-3 digits of i.
+        Like `check`, it is derived once per object and is not a field.
+        """
+        pivots = gf3.rref(self.check)[2]
+        units = tuple(gf3.unit_vector(self.length, p) for p in pivots)
+        words = gf3._span(units, length=self.length)
+        words.flags.writeable = False
+        return words
 
 
 def linear_code(rows: Iterable[Iterable[int]], length: int | None = None) -> LinearCode:
@@ -111,8 +127,8 @@ def syndrome_index(code: LinearCode, words) -> np.ndarray:
 
     It is the base-3 number whose digits are the word's syndrome against
     code.check, the first parity-check row most significant.  This is the
-    one encoding of cosets: the leader table's rows and the coset graph's
-    vertices are in its order.
+    one encoding of cosets: the rows of code.lifts and of the leader table,
+    and the coset graph's vertices, are in its order.
     """
     check = np.array(code.check, dtype=np.int64).reshape(-1, code.length)
     places = 3 ** np.arange(len(check) - 1, -1, -1)
@@ -195,10 +211,10 @@ def shortening_map(code: LinearCode, position: int) -> np.ndarray:
     being i's coordinate in `code`.  So it maps coset_graph(C') onto
     coset_graph(code, positions) with `position` left out of positions,
     once both have as many cosets (for the Golay code at position 0, 243:
-    build_lambda_coordinate's graph).  x is row j of C''s coset lifts, the
-    words coset_graph shifts, so no leader table is built.
+    build_lambda_coordinate's graph).  x is row j of C'.lifts, the words
+    coset_graph shifts, so no leader table is built.
     """
-    lifts = _coset_lifts(shorten(code, position))
+    lifts = shorten(code, position).lifts
     return syndrome_index(code, np.insert(lifts, position, 0, axis=1))
 
 
@@ -249,14 +265,13 @@ def syndrome_table(code: LinearCode) -> np.ndarray:
 _COSET_SHAPES = ("0", "+-e0", "+-ei", "+-e0+-ei", "+-ei+-ej")
 
 
-def classify_cosets(code: LinearCode, leaders: np.ndarray) -> dict[str, int]:
-    """Partition the 243 Golay coset leaders (syndrome_table) into five shapes.
+def classify_cosets(leaders: np.ndarray) -> dict[str, int]:
+    """Count the coset leaders (a syndrome_table) of each of five shapes.
 
-    Counts come out as 1, 2, 20, 40, 180 for 0, +-e0, +-ei (i!=0),
-    +-e0+-ei and +-ei+-ej (0<i<j) respectively.
+    For the Golay code the counts come out as 1, 2, 20, 40, 180 for 0,
+    +-e0, +-ei (i!=0), +-e0+-ei and +-ei+-ej (0<i<j) respectively.  A
+    leader of weight over 2 has no shape and raises ValueError.
     """
-    if code != golay_code():
-        raise UnsupportedCodeError("coset shapes are defined for the Golay code")
     weights = np.count_nonzero(leaders, axis=1)
     if weights.max() > 2:
         raise ValueError(f"a leader of weight {weights.max()} has no shape")
@@ -265,28 +280,14 @@ def classify_cosets(code: LinearCode, leaders: np.ndarray) -> dict[str, int]:
     return dict(zip(_COSET_SHAPES, np.bincount(shapes, minlength=5).tolist()))
 
 
-def _coset_lifts(code: LinearCode) -> np.ndarray:
-    """One word of each coset of `code`, one uint8 row each, row i in coset i.
-
-    A word that is zero off the pivot columns of code.check, which is
-    reduced, has its pivot entries as its syndrome, so the span of those
-    unit vectors meets every coset once.  _span lists the coefficients in
-    lex order, so row i's pivot entries are the base-3 digits of i, and
-    syndrome_index gives it i.
-    """
-    pivots = gf3.rref(code.check)[2]
-    units = tuple(gf3.unit_vector(code.length, p) for p in pivots)
-    return gf3._span(units, length=code.length)
-
-
 def coset_graph(code: LinearCode, positions: Iterable[int] | None = None) -> Graph:
     """Graph on the cosets, adjacent when representatives differ in one place.
 
     Vertex i is the coset of syndrome_index i, so vertex i has the base-3
     digits of i as its syndrome.  Adjacency is translation-invariant: cosets
     of u and v are adjacent iff u-v's coset contains a weight-1 vector.  So
-    one word of each coset is shifted by each weight-1 vector, and
-    syndrome_index names both ends of every edge at once.  `positions`
+    row i of code.lifts, a word of coset i, is shifted by each weight-1
+    vector, and syndrome_index names the far end of every edge.  `positions`
     restricts those vectors to the given coordinates (default: all of them).
     The dense adjacency and the int64 words are bounded by MAX_ARRAY_BYTES
     before either is allocated.
@@ -295,16 +296,13 @@ def coset_graph(code: LinearCode, positions: Iterable[int] | None = None) -> Gra
     width = n - k
     positions = tuple(range(n) if positions is None else positions)
     _check_bytes(f"the adjacency of 3^{width} cosets", 9**width)
-    shifts = 1 + 2 * len(positions)
+    shifts = 2 * len(positions)
     _check_bytes(f"the {shifts} shifts of 3^{width} words", shifts * 3**width * n * 8)
-    lifts = _coset_lifts(code)
-    units = [(0,) * n] + [
-        gf3.unit_vector(n, i, a)
-        for i in positions
-        for a in (1, 2)
-    ]
-    index = syndrome_index(code, lifts + np.array(units, dtype=np.uint8)[:, None])
+    units = [gf3.unit_vector(n, i, a) for i in positions for a in (1, 2)]
+    # shaped (shifts, 1, n), so that an empty `positions` still broadcasts
+    units = np.array(units, dtype=np.uint8).reshape(shifts, 1, n)
+    index = syndrome_index(code, code.lifts + units)
     adjacency = np.zeros((3**width, 3**width), dtype=bool)
-    adjacency[index[0], index[1:]] = True
+    adjacency[np.arange(3**width), index] = True
     np.fill_diagonal(adjacency, False)  # a weight-1 codeword joins nothing
     return Graph.from_adjacency(adjacency)

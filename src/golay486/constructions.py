@@ -9,11 +9,14 @@ graph) and the induced 243-vertex subgraph: each as an orbital model over
 the action and, where one exists, as a coordinate model.  The claims that
 tie the models together are declared once, in `golay486.cli.CLAIMS`.
 
-Everything here is a pure function of its arguments: nothing is cached.
-The Golay code and its coset leaders (`codes.syndrome_table`, row i the
-leader of the coset with syndrome index i, which is coset vertex i) are
-arguments too, so a caller builds each artifact once and passes it on
-(`golay486.cli.Run` does this for every subcommand).
+Everything here is a pure function of its arguments: nothing is cached
+but what a code object derives from itself.  The Golay code is an argument
+too, so a caller builds each artifact once and passes it on
+(`golay486.cli.Run` does this for every subcommand).  Every coset-side
+builder reads one word of each coset from `golay.lifts`, row i in coset i,
+which is coset vertex i.  Every kept functional vanishes on the code, so
+any word of a coset gives the same values, the same flats and the same
+tally; no minimum-weight leader is needed here.
 """
 
 from __future__ import annotations
@@ -41,7 +44,16 @@ TYPE_II_WEIGHTS = (1, 10, 70, 420, 1770, 4992, 9822, 13980, 14160, 9440, 3680, 7
 COSET_SUBORBIT_SIZES = frozenset({1, 2, 20, 40, 180})
 FLAT_SUBORBIT_SIZES = frozenset({36, 45, 72, 90})
 
-ORBITAL_MODELS = ("delta", "upsilon", "sigma", "lambda", "gamma_half")
+# The one map from the five orbital models to their suborbit sizes: delta =
+# the 45-orbital; upsilon = 20+36; sigma = 45+36; lambda = the 20-orbital
+# induced on the coset half; gamma_half = the (2+20)-union induced on it.
+ORBITAL_MODELS = {
+    "delta": frozenset({45}),
+    "upsilon": frozenset({20, 36}),
+    "sigma": frozenset({45, 36}),
+    "lambda": frozenset({20}),
+    "gamma_half": frozenset({2, 20}),
+}
 
 
 @dataclass(frozen=True)
@@ -116,13 +128,13 @@ class IncidenceExperimentReport:
     regular: bool
 
 
-def _coset_tallies(code: codes.LinearCode, leaders: np.ndarray) -> np.ndarray:
-    """Row i tallies the Hamming weights (0..n) over the coset leaders[i] + code.
+def _coset_tallies(code: codes.LinearCode, shifts: np.ndarray) -> np.ndarray:
+    """Row i tallies the Hamming weights (0..n) over the coset shifts[i] + code.
 
     The code's words are listed once as 0/1 rows, has[j, 3p + v] = 1 when
-    word j has value v at position p.  For leader l_i, pick[i, 3p + (-l_i[p]
+    word j has value v at position p.  For shift l_i, pick[i, 3p + (-l_i[p]
     mod 3)] = 1 marks the value a word needs at p for l_i + word to vanish
-    there, so one product pick @ has.T counts the zeros of every leader +
+    there, so one product pick @ has.T counts the zeros of every shift +
     word at once.  Each entry is at most n, so float32 is exact; the weight
     is n minus it, and one bincount over (coset, weight) tallies every coset.
     """
@@ -131,17 +143,17 @@ def _coset_tallies(code: codes.LinearCode, leaders: np.ndarray) -> np.ndarray:
     columns = 3 * np.arange(n)
     has = np.zeros((len(words), 3 * n), dtype=np.float32)
     has[np.arange(len(words))[:, None], columns + words] = 1
-    needs = (-leaders.astype(np.int64)) % 3
-    pick = np.zeros((len(leaders), 3 * n), dtype=np.float32)
-    pick[np.arange(len(leaders))[:, None], columns + needs] = 1
+    needs = (-shifts.astype(np.int64)) % 3
+    pick = np.zeros((len(shifts), 3 * n), dtype=np.float32)
+    pick[np.arange(len(shifts))[:, None], columns + needs] = 1
     weights = n - (pick @ has.T).astype(np.intp)
     width = n + 1
-    cells = np.arange(len(leaders))[:, None] * width + weights
-    tallies = np.bincount(cells.ravel(), minlength=len(leaders) * width)
-    return tallies.reshape(len(leaders), width)
+    cells = np.arange(len(shifts))[:, None] * width + weights
+    tallies = np.bincount(cells.ravel(), minlength=len(shifts) * width)
+    return tallies.reshape(len(shifts), width)
 
 
-def classify_types(golay: codes.LinearCode, leaders: np.ndarray) -> FlatFamily:
+def classify_types(golay: codes.LinearCode) -> FlatFamily:
     """Classify the 81 ten-spaces by weight distribution.
 
     The kernel of each functional contains the Golay code, so it is the
@@ -149,27 +161,17 @@ def classify_types(golay: codes.LinearCode, leaders: np.ndarray) -> FlatFamily:
     vanishes, and its tally is the sum of theirs: the 243 cosets are
     tallied once (3^5 x 3^6 vectors, see _coset_tallies), not 81 kernels
     of 3^10.  All 81 kernel tallies are one product, the 0/1 matrix of
-    (functional, vanishing coset) pairs times the coset tallies.
+    (functional, vanishing coset) pairs times the coset tallies.  Both read
+    golay.lifts, one word of each coset.
 
-    The leader table (`leaders`, from codes.syndrome_table(golay)) is
-    checked by its definition first: 243 rows, row i in coset i.  So every
-    coset is tallied once, and build_sigma_coordinate may rely on the row
-    order; the first row in the wrong coset is named.  Every subspace must
-    then match one of the two reference tallies, and the first that does
-    not is reported verbatim.
+    Every subspace must match one of the two reference tallies, and the
+    first that does not is reported verbatim.
     """
-    if len(leaders) != 243:
-        raise ValueError(f"leader table has {len(leaders)} rows, not 243")
-    syndromes = codes.syndrome_index(golay, leaders)
-    misplaced = syndromes != np.arange(243)
-    if misplaced.any():
-        i = int(np.argmax(misplaced))
-        raise ValueError(f"leader table row {i} lies in coset {syndromes[i]}, not coset {i}")
     e0 = gf3.unit_vector(golay.length, 0)
     functionals = gf3.hyperplane_functionals(golay.check, e0)
-    bases = gf3.intermediate_hyperplanes(golay.check, e0)
-    coset_tallies = _coset_tallies(golay, leaders)
-    vanishes = (leaders @ np.array(functionals, dtype=np.int64).T) % 3 == 0
+    bases = gf3.intermediate_hyperplanes(functionals)
+    coset_tallies = _coset_tallies(golay, golay.lifts)
+    vanishes = (golay.lifts @ np.array(functionals, dtype=np.int64).T) % 3 == 0
     tallies = vanishes.T.astype(np.int64) @ coset_tallies
     type_i = (tallies == TYPE_I_WEIGHTS).all(axis=1)
     unmatched = ~type_i & ~(tallies == TYPE_II_WEIGHTS).all(axis=1)
@@ -201,23 +203,26 @@ def _flat_incidence(
     return Graph.from_adjacency(a)
 
 
-def build_sigma_coordinate(family: FlatFamily, leaders: np.ndarray) -> Graph:
+def build_sigma_coordinate(family: FlatFamily, golay: codes.LinearCode) -> Graph:
     """Incidence graph of all 243 cosets versus all 243 flats.
 
-    The cosets are vertices 0..242, coset i holding leaders[i], and flat
-    {x : family.functionals[f](x) = c} is vertex 243 + 3f + c.
+    The cosets are vertices 0..242, coset i holding golay.lifts[i], and
+    flat {x : family.functionals[f](x) = c} is vertex 243 + 3f + c.
     Distance-regular with array {81,80,54,1; 1,27,80,81}, bipartite and
     antipodal: the flat-side antipodal classes are the translate triples.
     """
     functionals = family.functionals
-    return _flat_incidence(leaders, functionals, range(len(functionals)))
+    return _flat_incidence(golay.lifts, functionals, range(len(functionals)))
 
 
 def build_std_ag(n: int) -> Graph:
     """Incidence graph of the symmetric transversal design from AG(n,3).
 
-    Points are the vectors of F_3^n; blocks are the hyperplane flats whose
-    direction does not contain the first unit vector.  The result is
+    Points are the vectors of F_3^n, point i having the base-3 digits of i
+    as coordinates.  Blocks are the hyperplane flats whose direction does
+    not contain the first unit vector: the functionals y = (1, t), listed
+    in the lex order of t, so that flat {x : y^T x = c} is vertex
+    3^n + 3 f + c with f the base-3 number t.  The result is
     bipartite antipodal distance-regular on 2*3^n vertices, with array
     {3^(n-1), 3^(n-1)-1, 3^(n-1)-3^(n-2), 1; 1, 3^(n-2), 3^(n-1)-1, 3^(n-1)}.
     """
@@ -229,7 +234,7 @@ def build_std_ag(n: int) -> Graph:
 
 
 def syndrome_map(golay: codes.LinearCode, family: FlatFamily) -> np.ndarray:
-    """The isomorphism from build_sigma_coordinate(family, leaders) onto
+    """The isomorphism from build_sigma_coordinate(family, golay) onto
     build_std_ag(5) that the syndromes give, with no search: entry v is the
     image of vertex v.
 
@@ -240,10 +245,10 @@ def syndrome_map(golay: codes.LinearCode, family: FlatFamily) -> np.ndarray:
     flat {x : phi(x) = c} is then the set of cosets whose point p has
     y^T p = c, so flat (phi, c) goes to flat (y, c).  H's first column is
     the first unit vector, as e0 is not a codeword (classify_types refuses
-    a code that holds it), so y[0] = phi[0] = 1: y is canonical, and
-    build_std_ag keeps it.  A y that build_std_ag does not list gives
-    flat -1, whose three images are points, so the map is then no
-    bijection and verify_bijection fails.
+    a code that holds it), so y[0] = phi[0] = 1, and y = (1, t) is
+    build_std_ag's flat base-3(t).  Any y[0] other than 1 gives flat -1,
+    whose three images are points, so the map is then no bijection and
+    verify_bijection fails.
 
     y -> y^T H keeps the lex order of canonical functionals, H being
     reduced, so the map is the identity, and the two graphs share one
@@ -252,10 +257,8 @@ def syndrome_map(golay: codes.LinearCode, family: FlatFamily) -> np.ndarray:
     check = golay.check
     r = len(check)
     pivots = list(gf3.rref(check)[2])
-    full = tuple(gf3.unit_vector(r, k) for k in range(r))
-    index = {psi: f for f, psi in enumerate(gf3.hyperplane_functionals(full, full[0]))}
-    ys = np.array(family.functionals, dtype=np.int64)[:, pivots].tolist()
-    flat = np.array([index.get(tuple(y), -1) for y in ys])
+    ys = np.array(family.functionals, dtype=np.int64)[:, pivots]
+    flat = np.where(ys[:, 0] == 1, ys[:, 1:] @ 3 ** np.arange(r - 2, -1, -1), -1)
     flats = 3 * flat[:, None] + np.arange(3)
     return np.concatenate([np.arange(3**r), 3**r + flats.ravel()])
 
@@ -312,10 +315,8 @@ def orbital_model(
 ) -> LabeledModel | Graph:
     """Orbital model of one of the five graphs, for any rank-9 action.
 
-    delta = the 45-orbital; upsilon = 20+36; sigma = 45+36; lambda = the
-    20-orbital induced on the coset half; gamma_half = the (2+20)-union
-    induced on the coset half.  This is the one map from suborbit sizes to
-    orbitals: each size is matched to its suborbit's id (the sizes are
+    `which` is a key of ORBITAL_MODELS, whose suborbit sizes select the
+    union.  Each size is matched to its suborbit's id (the sizes are
     distinct), and a size the action lacks raises.  `half` is the coset
     half, from compute_coset_half(decomp), and an induced model is the
     union's adjacency sliced to it, vertex i being half[i].  The whole
@@ -323,11 +324,10 @@ def orbital_model(
     path.
     """
     if which not in ORBITAL_MODELS:
-        raise ValueError(f"unknown model {which!r}; expected one of {ORBITAL_MODELS}")
-    sizes = {
-        "delta": {45}, "upsilon": {20, 36}, "sigma": {45, 36}, "lambda": {20},
-        "gamma_half": {2, 20},
-    }[which]
+        raise ValueError(
+            f"unknown model {which!r}; expected one of {tuple(ORBITAL_MODELS)}"
+        )
+    sizes = ORBITAL_MODELS[which]
     by_size = decomp.id_by_suborbit_size()
     missing = sizes - by_size.keys()
     if missing:
@@ -384,7 +384,7 @@ def build_lambda_coordinate(golay: codes.LinearCode) -> Graph:
 
 
 def experiment_flat_incidence(
-    family: FlatFamily, leaders: np.ndarray
+    family: FlatFamily, golay: codes.LinearCode
 ) -> IncidenceExperimentReport:
     """Build the literal translate-incidence graph and report its degrees.
 
@@ -394,7 +394,7 @@ def experiment_flat_incidence(
     that split and deliberately asserts nothing more.
     """
     chosen = family.type_indices("I")
-    graph = _flat_incidence(leaders, family.functionals, chosen)
+    graph = _flat_incidence(golay.lifts, family.functionals, chosen)
     degrees = graph.adjacency_matrix.sum(axis=1)
 
     def counts(part):

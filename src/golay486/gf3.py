@@ -10,13 +10,14 @@ the flat classification, which lists the Golay code once.  The
 projective points and the hyperplane functionals are one array pass over
 a `_span` as well; the functionals are read off a dual basis that the
 caller passes (a code's `check`), so hyperplane_functionals takes no null
-space.  Row reduction (`rref`, `row_space_basis`, `null_space`) is plain
-Python over tuples.
+space, and intermediate_hyperplanes takes the functionals that its caller
+already holds.  Row reduction (`rref`, `row_space_basis`, `null_space`) is
+plain Python over tuples.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -190,18 +191,19 @@ def hyperplane_functionals(duals: Matrix, excluded: Vector) -> tuple[Vector, ...
     return tuple(map(tuple, kept.tolist()))
 
 
-def intermediate_hyperplanes(duals: Matrix, excluded: Vector) -> tuple[Matrix, ...]:
-    """Bases of all hyperplanes containing the subspace that `duals`
-    annihilates but not `excluded`.
+def intermediate_hyperplanes(functionals: Sequence[Vector]) -> tuple[Matrix, ...]:
+    """The kernel of each nonzero functional phi, in the same order.
 
-    Each returned matrix is the canonical (RREF) basis of one kernel, in the
-    lex order of the defining functionals from hyperplane_functionals.  It
-    has a closed form, so no row reduction runs: with q the last nonzero
-    column of phi, the pivots are every column but q, and the row with
-    pivot c is e_c - phi[c] phi[q] e_q (phi[q] is its own inverse), which
-    phi annihilates.  All bases are written in one uint8 array pass.
+    With `functionals` from hyperplane_functionals(duals, excluded), these
+    are the bases of all hyperplanes containing the subspace that `duals`
+    annihilates but not `excluded`.  Each returned matrix is the canonical
+    (RREF) basis of one kernel.  It has a closed form, so no row reduction
+    runs: with q the last nonzero column of phi, the pivots are every
+    column but q, and the row with pivot c is e_c - phi[c] phi[q] e_q
+    (phi[q] is its own inverse), which phi annihilates.  All bases are
+    written in one uint8 array pass.
     """
-    phis = np.array(hyperplane_functionals(duals, excluded), dtype=np.uint8)
+    phis = np.array(functionals, dtype=np.uint8)
     m, n = phis.shape
     rows = np.arange(m)[:, None]
     q = n - 1 - np.argmax(phis[:, ::-1] != 0, axis=1)

@@ -20,8 +20,8 @@ def leaders(golay):
 
 
 @pytest.fixture(scope="session")
-def family(golay, leaders):
-    return constructions.classify_types(golay, leaders)
+def family(golay):
+    return constructions.classify_types(golay)
 
 
 @pytest.fixture(scope="session")

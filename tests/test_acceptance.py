@@ -79,8 +79,8 @@ def test_criterion_04_type_classification(family):
     report(4, "45 Type I + 36 Type II subspaces, tallies exact, no third class")
 
 
-def test_criterion_05_coset_shapes(golay, leaders):
-    shapes = codes.classify_cosets(golay, leaders)
+def test_criterion_05_coset_shapes(leaders):
+    shapes = codes.classify_cosets(leaders)
     assert tuple(shapes[s] for s in ("0", "+-e0", "+-ei", "+-e0+-ei", "+-ei+-ej")) == (
         1, 2, 20, 40, 180,
     )
@@ -161,8 +161,8 @@ def test_criterion_09_internal_structure(orbital_models):
     report(9, "coset-half SRG, halved-graph complement equality, 243 blocks are 45-cocliques")
 
 
-def test_criterion_10_isomorphism_claims(orbital_models, golay, leaders, family):
-    sigma = constructions.build_sigma_coordinate(family, leaders)
+def test_criterion_10_isomorphism_claims(orbital_models, golay, family):
+    sigma = constructions.build_sigma_coordinate(family, golay)
     lam = constructions.build_lambda_coordinate(golay)
     pairs = [
         ("orbital sigma vs coordinate sigma", orbital_models["sigma"].graph, sigma),
@@ -235,8 +235,8 @@ def test_criterion_11_property_suites(decomp, orbital_models):
     report(11, "oracle agreement on small graphs; orbital and collapsed-matrix identities")
 
 
-def test_criterion_12_documented_negative_result(family, leaders):
-    result = constructions.experiment_flat_incidence(family, leaders)
+def test_criterion_12_documented_negative_result(family, golay):
+    result = constructions.experiment_flat_incidence(family, golay)
     assert result.flat_degree_counts == ((0, 108), (81, 135))
     assert result.coset_degree_counts == ((45, 243),)
     assert not result.regular

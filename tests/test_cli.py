@@ -343,21 +343,46 @@ def test_cold_verify_takes_three_null_spaces(monkeypatch):
     assert widths == [11, 10, 10]
 
 
+def test_cold_verify_counts_each_golay_fact_once(monkeypatch):
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(codes, "golay_code")
+    counted(gf3, "hyperplane_functionals")
+    counted(gf3, "_span")
+    assert cli.run_verification().overall
+    # one Golay code per run.  The functionals are listed by classify_types
+    # and by build_std_ag(5) alone: syndrome_map reads AG(5,3)'s flat
+    # numbers in closed form.  The nine spans are golay.lifts, the Golay
+    # words that _coset_tallies and minimum_distance list, the two lists of
+    # functionals, projective_points of golay.check, AG(5,3)'s points, and
+    # the lifts of each of the two shorten(golay, 0).
+    assert calls == {"golay_code": 1, "hyperplane_functionals": 2, "_span": 9}
+
+
 # the claims certified by a constructed map: the map's module and name, and
 # the graphs it maps from and onto
 CONSTRUCTED_MAPS = {
     "iso.sigma_coordinate_affine": (
         constructions,
         "syndrome_map",
-        lambda golay, family, leaders: (
-            constructions.build_sigma_coordinate(family, leaders),
+        lambda golay, family: (
+            constructions.build_sigma_coordinate(family, golay),
             constructions.build_std_ag(5),
         ),
     ),
     "iso.lambda_coordinate_shortened": (
         codes,
         "shortening_map",
-        lambda golay, family, leaders: (
+        lambda golay, family: (
             codes.coset_graph(codes.shorten(golay, 0)),
             constructions.build_lambda_coordinate(golay),
         ),
@@ -381,7 +406,7 @@ def _first_broken_pair(g1, g2, mapping, moved):
 
 @pytest.mark.parametrize("claim_id", sorted(CONSTRUCTED_MAPS))
 def test_a_constructed_map_that_breaks_adjacency_names_the_pair(
-    tmp_path, capsys, monkeypatch, golay, family, leaders, claim_id
+    tmp_path, capsys, monkeypatch, golay, family, claim_id
 ):
     module, name, graphs = CONSTRUCTED_MAPS[claim_id]
     real = getattr(module, name)
@@ -400,7 +425,7 @@ def test_a_constructed_map_that_breaks_adjacency_names_the_pair(
     assert code == 1
     assert "Traceback" not in err
     assert f"first failing claim: {claim_id}" in err
-    g1, g2 = graphs(golay, family, leaders)
+    g1, g2 = graphs(golay, family)
     [mapping] = maps
     u, v = _first_broken_pair(g1, g2, mapping, swapped)
     kind = "edge" if g1.has_edge(u, v) else "non-edge"
@@ -428,24 +453,20 @@ def test_a_constructed_map_that_is_no_bijection_fails(monkeypatch, claim_id):
 
 
 def test_verify_reports_a_failed_data_check(tmp_path, capsys, monkeypatch):
-    # a leader table that repeats one leader fails classify_types' check.
-    # Row 6 (2 e3) becomes row 3 (e3): the coset shape counts stay the same,
-    # so only the claims that need the flat family fail.
-    real_table = codes.syndrome_table
-
-    def repeated(code):
-        table = real_table(code).copy()
-        assert table[6].tolist() == [2 * x for x in table[3].tolist()]
-        table[6] = table[3]
-        return table
-
-    monkeypatch.setattr(codes, "syndrome_table", repeated)
+    # doubled coset tallies match neither reference tally, so classify_types
+    # fails its check on the first subspace.  The coset shape count reads
+    # the leader table, not the tallies, so only the claims that need the
+    # flat family fail.
+    real_tallies = constructions._coset_tallies
+    monkeypatch.setattr(
+        constructions, "_coset_tallies", lambda code, rows: 2 * real_tallies(code, rows)
+    )
     calls = Counter()
     real = constructions.classify_types
 
-    def counted(golay, leaders):
+    def counted(golay):
         calls["classify_types"] += 1
-        return real(golay, leaders)
+        return real(golay)
 
     monkeypatch.setattr(constructions, "classify_types", counted)
     out_path = tmp_path / "report.json"
@@ -463,7 +484,11 @@ def test_verify_reports_a_failed_data_check(tmp_path, capsys, monkeypatch):
     for e in entries:
         if e["claim_id"] in needs_family:
             assert e["verdict"] == "FAIL"
-            assert e["observed"] == "unavailable: leader table row 6 lies in coset 3, not coset 6"
+            assert e["observed"] == (
+                "unavailable: subspace of functional (1, 0, 0, 0, 0, 1, 0, 1, 2, 2, 2) "
+                "has unmatched weight tally (2, 20, 140, 840, 3540, 9984, 19644, "
+                "27960, 28320, 18880, 7360, 1408)"
+            )
         else:
             assert e["verdict"] == "PASS", e["claim_id"]
     # the failed build is kept: every claim that needs it sees the same error
@@ -507,8 +532,8 @@ def test_verify_builds_the_golay_artifacts_once(monkeypatch):
     monkeypatch.setattr(codes, "golay_code", golay)
     assert cli.run_verification().overall
     assert tables == {real_code(): 1}
-    # Run.golay builds the code; classify_cosets compares its argument with it
-    assert callers == {"golay": 1, "classify_cosets": 1}
+    # Run.golay builds the code, and nothing builds it again
+    assert callers == {"golay": 1}
 
 
 def test_each_run_builds_its_artifacts_once(tmp_path, capsys, monkeypatch):

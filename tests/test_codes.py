@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -233,8 +234,8 @@ def test_representatives_are_all_small_weight_vectors(leaders):
     assert reps == small  # 1 + 22 + 220 vectors of weight <= 2
 
 
-def test_classify_cosets(golay, leaders):
-    shapes = codes.classify_cosets(golay, leaders)
+def test_classify_cosets(leaders):
+    shapes = codes.classify_cosets(leaders)
     assert shapes == {
         "0": 1,
         "+-e0": 2,
@@ -243,9 +244,11 @@ def test_classify_cosets(golay, leaders):
         "+-ei+-ej": 180,
     }
     assert sum(shapes.values()) == 243
-    full = full_space_code(3)
-    with pytest.raises(codes.UnsupportedCodeError):
-        codes.classify_cosets(full, codes.syndrome_table(full))
+    # the full space has one coset, whose leader is the zero word
+    full = codes.syndrome_table(full_space_code(3))
+    assert codes.classify_cosets(full) == {
+        "0": 1, "+-e0": 0, "+-ei": 0, "+-e0+-ei": 0, "+-ei+-ej": 0,
+    }
 
 
 def test_syndrome_index_reads_the_syndrome_as_base_3(golay):
@@ -263,33 +266,50 @@ def test_syndrome_index_reads_the_syndrome_as_base_3(golay):
 
 
 def test_check_annihilates_the_generator_and_is_derived_once(monkeypatch):
-    real = gf3.null_space
-    calls = []
+    # and so is lifts, the one table of coset words
+    calls = Counter()
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(name):
+        real = getattr(gf3, name)
 
-    monkeypatch.setattr(gf3, "null_space", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gf3, name, wrapper)
+
+    counted("null_space")
+    counted("_span")
     for name, code in ladder_codes(codes.golay_code()).items():
-        before = len(calls)
+        calls.clear()
         check = code.check
         assert code.check is check
-        assert len(calls) == before + 1, name
+        lifts = code.lifts
+        assert code.lifts is lifts
+        assert calls == {"null_space": 1, "_span": 1}, name
         assert len(check) == code.length - code.dimension
         assert gf3.row_space_basis(check) == check  # reduced
         assert all(dot(h, g) == 0 for h in check for g in code.generator)
+        # every builder shares the one table, so none may write to it
+        assert lifts.dtype == np.uint8 and not lifts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            lifts[0, 0] = 1
     assert zero_code(3).check == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert full_space_code(3).check == ()
+    assert full_space_code(3).lifts.tolist() == [[0, 0, 0]]
 
 
 def test_a_derived_check_leaves_equality_and_hash_alone():
-    first, second = codes.golay_code(), codes.golay_code()
-    assert first.check
-    assert "check" in vars(first) and "check" not in vars(second)
-    assert first == second and hash(first) == hash(second)
-    assert {first: "golay"}[second] == "golay"
-    assert repr(first) == repr(second)
+    # and so do derived lifts, which derive the check they are read from
+    golay, with_check, with_lifts = (codes.golay_code() for _ in range(3))
+    assert with_check.check
+    assert len(with_lifts.lifts) == 243
+    assert set(vars(with_check)) - set(vars(golay)) == {"check"}
+    assert set(vars(with_lifts)) - set(vars(golay)) == {"check", "lifts"}
+    for derived in (with_check, with_lifts):
+        assert derived == golay and hash(derived) == hash(golay)
+        assert {derived: "golay"}[golay] == "golay"
+        assert repr(derived) == repr(golay)
 
 
 @settings(max_examples=150, deadline=None)
@@ -308,7 +328,7 @@ def test_check_starts_with_the_first_unit_vector_unless_e0_is_a_codeword(n, k, w
 
 def test_each_coset_lift_lies_in_its_own_coset(golay):
     for name, code in ladder_codes(golay).items():
-        lifts = codes._coset_lifts(code)
+        lifts = code.lifts
         assert lifts.shape == (3 ** (code.length - code.dimension), code.length)
         assert codes.syndrome_index(code, lifts).tolist() == list(range(len(lifts))), name
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import pickle
 import random
+import re
 from collections import Counter
 from itertools import product
 
@@ -117,27 +118,6 @@ def test_coset_tallies_product_equals_one_shifted_span_each(golay, leaders):
         assert table.tolist() == expected
 
 
-def test_classify_types_rejects_a_repeated_leader(golay, leaders):
-    repeated = leaders.copy()
-    repeated[7] = leaders[3]
-    with pytest.raises(ValueError, match="^leader table row 7 lies in coset 3, not coset 7$"):
-        constructions.classify_types(golay, repeated)
-
-
-def test_classify_types_rejects_swapped_leader_rows(golay, leaders):
-    # each functional still vanishes on 81 distinct cosets, but row i is no
-    # longer the leader of coset i, as build_sigma_coordinate relies on
-    swapped = leaders.copy()
-    swapped[[3, 7]] = leaders[[7, 3]]
-    with pytest.raises(ValueError, match="^leader table row 3 lies in coset 7, not coset 3$"):
-        constructions.classify_types(golay, swapped)
-
-
-def test_classify_types_rejects_a_short_leader_table(golay, leaders):
-    with pytest.raises(ValueError, match="^leader table has 242 rows, not 243$"):
-        constructions.classify_types(golay, leaders[:-1])
-
-
 def test_flat_family_pickle_is_unchanged(family):
     # digest of the family built with one null_space per kernel basis and
     # one tally per functional
@@ -162,24 +142,14 @@ def test_flat_family_pickle_is_unchanged(family):
     ],
     ids=["doubled", "rolled"],
 )
-def test_classify_types_names_the_first_unmatched_tally(
-    golay, leaders, monkeypatch, corrupt, message
-):
+def test_classify_types_names_the_first_unmatched_tally(golay, monkeypatch, corrupt, message):
     real = constructions._coset_tallies
     monkeypatch.setattr(
         constructions, "_coset_tallies", lambda code, rows: corrupt(real(code, rows))
     )
     with pytest.raises(ValueError) as info:
-        constructions.classify_types(golay, leaders)
+        constructions.classify_types(golay)
     assert str(info.value) == message
-
-
-def test_classify_types_names_the_first_functional_without_81_cosets(golay, leaders):
-    repeated = leaders.copy()
-    repeated[6] = leaders[3]
-    with pytest.raises(ValueError) as info:
-        constructions.classify_types(golay, repeated)
-    assert str(info.value) == "leader table row 6 lies in coset 3, not coset 6"
 
 
 def test_flat_types_follow_the_functional_weight(family):
@@ -205,8 +175,8 @@ def test_type_tally_is_basis_independent(family):
         assert tally == gf3.subspace_weight_counts(family.bases[index])
 
 
-def test_sigma_coordinate_structure(golay, leaders, family):
-    g = build_sigma_coordinate(family, leaders)
+def test_sigma_coordinate_structure(golay, family):
+    g = build_sigma_coordinate(family, golay)
     assert g.n == 486
     arr = is_distance_regular(g)
     assert str(arr) == "{81,80,54,1; 1,27,80,81}"
@@ -223,12 +193,12 @@ def test_sigma_coordinate_structure(golay, leaders, family):
     for c in flat_classes:
         assert len(c) == 3
         assert len({(f - 243) // 3 for f in c}) == 1
-    # coset vertices pair with the canonical representatives in syndrome
-    # order, each syndrome taken vector by vector
+    # coset vertices pair with the coset words in syndrome order, each
+    # syndrome taken vector by vector
     check = golay.check
     syndromes = list(product((0, 1, 2), repeat=5))
     for i in (0, 100, 242):
-        assert tuple(dot(h, tuple(leaders[i].tolist())) for h in check) == syndromes[i]
+        assert tuple(dot(h, tuple(golay.lifts[i].tolist())) for h in check) == syndromes[i]
 
 
 def test_std_ag_small_arrays():
@@ -260,13 +230,27 @@ def _adjacency_digest(g) -> str:
     ).hexdigest()
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_std_ag_numbers_flat_one_t_by_t_in_base_3(n):
+    # point i has the base-3 digits of i as coordinates, and the flat
+    # {x : (1, t)^T x = c} is vertex 3^n + 3 f + c, f being t read in
+    # base 3: syndrome_map relies on this numbering
+    g = build_std_ag(n)
+    points = np.array(list(product(range(3), repeat=n)))
+    ys = np.array([(1, *t) for t in product(range(3), repeat=n - 1)])
+    flats = 3**n + 3 * np.arange(len(ys)) + points @ ys.T % 3
+    expected = np.zeros((g.n, g.n), dtype=bool)
+    expected[np.arange(3**n)[:, None], flats] = True
+    assert np.array_equal(g.adjacency_matrix, expected | expected.T)
+
+
 @pytest.mark.parametrize("n", sorted(STD_AG_DIGESTS))
 def test_std_ag_adjacency_is_unchanged(n):
     assert _adjacency_digest(build_std_ag(n)) == STD_AG_DIGESTS[n]
 
 
-def test_sigma_coordinate_adjacency_is_unchanged(family, leaders):
-    assert _adjacency_digest(build_sigma_coordinate(family, leaders)) == STD_AG_DIGESTS[5]
+def test_sigma_coordinate_adjacency_is_unchanged(family, golay):
+    assert _adjacency_digest(build_sigma_coordinate(family, golay)) == STD_AG_DIGESTS[5]
 
 
 def test_coset_half_is_standard_labelling(decomp):
@@ -347,7 +331,8 @@ def test_orbital_model_halves(orbital_models):
 
 
 def test_build_from_orbitals_rejects_unknown(decomp):
-    with pytest.raises(ValueError):
+    expected = "('delta', 'upsilon', 'sigma', 'lambda', 'gamma_half')"
+    with pytest.raises(ValueError, match=re.escape(f"expected one of {expected}")):
         orbital_model(decomp, "theta", half=compute_coset_half(decomp))
 
 
@@ -466,8 +451,8 @@ def test_halved_delta_equals_complement_directly(orbital_models):
     assert srg_parameters(flat0) == (243, 220, 199, 200)
 
 
-def test_coset_shapes_match_coset_half_suborbits(decomp, golay, leaders):
-    shapes = codes.classify_cosets(golay, leaders)
+def test_coset_shapes_match_coset_half_suborbits(decomp, leaders):
+    shapes = codes.classify_cosets(leaders)
     half_suborbit_ids = set(decomp.pair_ids[0, :243].tolist())
     sizes = sorted(decomp.suborbit_sizes[k] for k in half_suborbit_ids)
     assert sorted(shapes.values()) == sizes == [1, 2, 20, 40, 180]
@@ -521,20 +506,20 @@ def test_shortening_map_certifies_the_lambda_coordinate_model(golay):
     assert not verify_bijection(lam, shortened, np.arange(243))
 
 
-def test_syndrome_map_sends_e0_to_the_first_unit_vector(golay, family, leaders):
+def test_syndrome_map_sends_e0_to_the_first_unit_vector(golay, family):
     mapping = constructions.syndrome_map(golay, family)
     # the AG(5,3) point with digits (a,0,0,0,0) is vertex 81 a
     for a in (1, 2):
         [coset] = codes.syndrome_index(golay, [gf3.unit_vector(11, 0, a)]).tolist()
         assert mapping[coset] == 81 * a
-    sigma = build_sigma_coordinate(family, leaders)
+    sigma = build_sigma_coordinate(family, golay)
     assert verify_bijection(sigma, build_std_ag(5), mapping)
     # y -> y^T H keeps the lex order of the functionals: the identity
     assert mapping.tolist() == list(range(486))
 
 
-def test_experiment_flat_incidence(family, leaders):
-    report = experiment_flat_incidence(family, leaders)
+def test_experiment_flat_incidence(family, golay):
+    report = experiment_flat_incidence(family, golay)
     assert report.coset_degree_counts == ((45, 243),)
     assert report.flat_degree_counts == ((0, 108), (81, 135))
     assert not report.regular

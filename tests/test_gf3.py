@@ -177,7 +177,7 @@ def test_intermediate_hyperplanes_of_golay(golay):
     assert duals == golay.check
     functionals = gf3.hyperplane_functionals(golay.check, e0)
     assert len(functionals) == 81  # 121 - 40 through e0
-    hyperplanes = gf3.intermediate_hyperplanes(golay.check, e0)
+    hyperplanes = gf3.intermediate_hyperplanes(functionals)
     assert len(hyperplanes) == 81
     assert len(set(hyperplanes)) == 81  # pairwise distinct row spaces
     for basis in hyperplanes:
@@ -235,15 +235,17 @@ def test_intermediate_hyperplanes_match_row_reduction(n, k, rng):
         expected = kernel_bases(sub_basis, excluded)
     except ValueError as error:
         with pytest.raises(type(error), match=re.escape(str(error))):
-            gf3.intermediate_hyperplanes(duals, excluded)
+            gf3.intermediate_hyperplanes(gf3.hyperplane_functionals(duals, excluded))
     else:
-        assert gf3.intermediate_hyperplanes(duals, excluded) == expected
+        functionals = gf3.hyperplane_functionals(duals, excluded)
+        assert gf3.intermediate_hyperplanes(functionals) == expected
 
 
 def test_intermediate_hyperplanes_of_golay_match_row_reduction(golay):
     e0 = gf3.unit_vector(11, 0)
     expected = kernel_bases(golay.generator, e0)
-    assert gf3.intermediate_hyperplanes(golay.check, e0) == expected
+    functionals = gf3.hyperplane_functionals(golay.check, e0)
+    assert gf3.intermediate_hyperplanes(functionals) == expected
 
 
 def test_projective_points_match_brute_force():
@@ -259,7 +261,7 @@ def test_projective_points_match_brute_force():
 
 def test_parallel_weight_counts_match_serial(golay):
     e0 = gf3.unit_vector(11, 0)
-    bases = gf3.intermediate_hyperplanes(golay.check, e0)[:8]
+    bases = gf3.intermediate_hyperplanes(gf3.hyperplane_functionals(golay.check, e0))[:8]
     serial = [gf3.subspace_weight_counts(b) for b in bases]
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(gf3.subspace_weight_counts, bases))

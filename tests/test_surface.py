@@ -1,8 +1,9 @@
 """Guards on the surface of golay486: every public function and class and
 every private top-level function is used by the program or its benchmark,
 no function is memoised across
-calls, the program holds no assert statement and makes no np.ix_ gather, a
-cold verify does not import numpy.ma, and the README example runs."""
+calls, the program holds no assert statement and makes no np.ix_ gather,
+the Golay code is built in one place per command, a cold verify does not
+import numpy.ma, and the README example runs."""
 
 import ast
 import contextlib
@@ -83,6 +84,33 @@ def test_the_program_makes_no_ix_gather():
         if isinstance(node, ast.Attribute) and node.attr == "ix_"
     ]
     assert gathers == []
+
+
+def _callers(tree: ast.AST, name: str, scope: str = "") -> list[str]:
+    """The dotted scope (class and function names) of every call to `name`,
+    whether by its bare name or as an attribute."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _callers(node, name, f"{scope}.{node.name}")
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == name:
+                found.append(scope)
+        found += _callers(node, name, scope)
+    return found
+
+
+def test_only_the_run_and_the_code_command_build_the_golay_code():
+    # every other caller reads the code from cli.Run, so that its facts
+    # (check, lifts) are derived once per command
+    callers = sorted(
+        f"{path.stem}{scope}"
+        for path in SOURCES
+        for scope in _callers(ast.parse(path.read_text()), "golay_code")
+    )
+    assert callers == ["cli.Run.golay", "cli._cmd_code"]
 
 
 def test_cold_verify_does_not_import_numpy_ma():
