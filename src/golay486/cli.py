@@ -54,6 +54,10 @@ MAX_GENERATOR_BYTES = 1 << 20
 
 GRAPH_SELECTORS = ("gamma", "delta", "upsilon", "sigma", "lambda")
 
+# What makes a claim read "unavailable: <reason>" rather than a traceback:
+# an artifact that cannot be built or checked, or a search out of budget.
+UNAVAILABLE = (ValueError, IsomorphismBudgetError)
+
 
 @dataclass(frozen=True)
 class ReportEntry:
@@ -89,9 +93,12 @@ class Run:
     bundled action and a --gens action.  The Golay code (`golay`) is an
     artifact too: every builder and claim that needs it reads it here, and
     every coset-side builder takes one word of each coset from
-    `golay.lifts`.  A build that raises ValueError (GraphStructureError
-    among them) is not retried: every caller that needs it gets the same
-    error.
+    `golay.lifts`; so is C' = shorten(golay, 0), whose coset graph and
+    shortening map read it.  The one isomorphism search of a run,
+    `lambda_certificate`, is an artifact as well, which the two claims it
+    certifies share.  A build that raises ValueError (GraphStructureError
+    among them) or IsomorphismBudgetError is not retried: every caller that
+    needs it gets the same error.
     """
 
     def __init__(self, action: GroupAction):
@@ -102,10 +109,10 @@ class Run:
         if key not in self._built:
             try:
                 self._built[key] = build()
-            except ValueError as exc:
+            except UNAVAILABLE as exc:
                 self._built[key] = exc
         value = self._built[key]
-        if isinstance(value, ValueError):
+        if isinstance(value, UNAVAILABLE):
             raise value
         return value
 
@@ -116,6 +123,10 @@ class Run:
     @_artifact
     def gamma(self) -> Graph:
         return codes.coset_graph(self.golay)
+
+    @_artifact
+    def shortened(self) -> codes.LinearCode:
+        return codes.shorten(self.golay, 0)
 
     @_artifact
     def family(self) -> FlatFamily:
@@ -158,6 +169,12 @@ class Run:
         return self._once(
             ("array", which), lambda: is_distance_regular(self.graph(which))
         )
+
+    @_artifact
+    def lambda_certificate(self) -> list[int] | None:
+        """An isomorphism from the orbital lambda model onto
+        lambda_coordinate, found by are_isomorphic's search, or None."""
+        return are_isomorphic(self.graph("lambda"), self.lambda_coordinate)
 
     @_artifact
     def blocks(self) -> BlocksReport:
@@ -238,15 +255,16 @@ def _broken_pair(g1: Graph, g2: Graph, mapping: np.ndarray) -> str:
 
 def _isomorphic(claim_id: str, description: str, first, second, mapping) -> Claim:
     """A claim that first(run) and second(run) are isomorphic, vertex v
-    going to m[v].  m is mapping(run), built from the code with no search,
-    or, where mapping is None (the two orbital-vs-coordinate claims), the
-    certificate of are_isomorphic's individualization-refinement search.
-    verify_bijection certifies either edge by edge; a map it rejects is
-    named by the first pair it breaks."""
+    going to m[v], with m = mapping(run).  Three maps are built with no
+    search, from the code or from Sigma's parallel classes; the lambda and
+    gamma_half claims share Run.lambda_certificate, the one search, which
+    is None when it finds no isomorphism.  verify_bijection certifies each
+    map edge by edge; a map it rejects is named by the first pair it
+    breaks."""
 
     def evaluate(run):
         g1, g2 = first(run), second(run)
-        m = are_isomorphic(g1, g2) if mapping is None else mapping(run)
+        m = mapping(run)
         if m is None:
             return "no isomorphism found", False
         if verify_bijection(g1, g2, m):
@@ -515,7 +533,7 @@ CLAIMS = (
         "orbital 45+36 graph vs coset/flat incidence model",
         lambda run: run.graph("sigma"),
         lambda run: run.sigma_coordinate,
-        None,
+        lambda run: constructions.design_map(run.model("sigma")),
     ),
     _isomorphic(
         "iso.sigma_coordinate_affine",
@@ -529,14 +547,21 @@ CLAIMS = (
         "induced orbital graph vs weight-1 coset graph",
         lambda run: run.graph("lambda"),
         lambda run: run.lambda_coordinate,
-        None,
+        lambda run: run.lambda_certificate,
+    ),
+    _isomorphic(
+        "iso.gamma_half_coset",
+        "2+20 union on the coset half vs coset graph of the Golay code",
+        lambda run: run.graph("gamma_half"),
+        lambda run: run.gamma,
+        lambda run: run.lambda_certificate,
     ),
     _isomorphic(
         "iso.lambda_coordinate_shortened",
         "weight-1 coset graph vs coset graph of the shortened Golay code",
-        lambda run: codes.coset_graph(codes.shorten(run.golay, 0)),
+        lambda run: codes.coset_graph(run.shortened),
         lambda run: run.lambda_coordinate,
-        lambda run: codes.shortening_map(run.golay, 0),
+        lambda run: codes.shortening_map(run.golay, run.shortened, 0),
     ),
     Claim(
         "experiment.incidence_degrees",
@@ -575,7 +600,7 @@ def run_verification(
             start = time.perf_counter()
             try:
                 observed, passed = claim.evaluate(run)
-            except (ValueError, IsomorphismBudgetError) as exc:
+            except UNAVAILABLE as exc:
                 observed, passed = f"unavailable: {exc}", False
             seconds[claim.stage] += time.perf_counter() - start
             verdict = "PASS" if passed else "FAIL"

@@ -200,12 +200,13 @@ def shorten(code: LinearCode, position: int) -> LinearCode:
     return linear_code([r[1:] for r in reduced if not r[0]], length=n - 1)
 
 
-def shortening_map(code: LinearCode, position: int) -> np.ndarray:
+def shortening_map(code: LinearCode, shortened: LinearCode, position: int) -> np.ndarray:
     """The coset-graph isomorphism that shortening gives, with no search.
 
     Entry j is the coset of `code` (its syndrome_index) that holds x with a
-    0 inserted at `position`, for x a word of coset j of
-    C' = shorten(code, position).  (0 | x) lies in `code` exactly when x
+    0 inserted at `position`, for x a word of coset j of C' = `shortened`,
+    which must be shorten(code, position); the caller builds C' once and
+    hands it to coset_graph too.  (0 | x) lies in `code` exactly when x
     lies in C', by the definition of shortening, so the map is well defined
     and one-to-one, and it sends the coset of a e_i to that of a e_i', i'
     being i's coordinate in `code`.  So it maps coset_graph(C') onto
@@ -214,8 +215,7 @@ def shortening_map(code: LinearCode, position: int) -> np.ndarray:
     build_lambda_coordinate's graph).  x is row j of C'.lifts, the words
     coset_graph shifts, so no leader table is built.
     """
-    lifts = shorten(code, position).lifts
-    return syndrome_index(code, np.insert(lifts, position, 0, axis=1))
+    return syndrome_index(code, np.insert(shortened.lifts, position, 0, axis=1))
 
 
 def truncate(code: LinearCode, position: int) -> LinearCode:

@@ -263,6 +263,114 @@ def syndrome_map(golay: codes.LinearCode, family: FlatFamily) -> np.ndarray:
     return np.concatenate([np.arange(3**r), 3**r + flats.ravel()])
 
 
+def design_map(model: LabeledModel) -> np.ndarray:
+    """The isomorphism from a model of the AG(n,3) design graph onto
+    build_std_ag(n) that the design's own parallel classes give, with no
+    search: entry v is the image of vertex v.  model.half_a holds the
+    points, 3^n of them, and model.half_b the flats.
+
+    With B the flat x point block of the adjacency, two flats are parallel
+    when B B^T is 0 for them, and each flat must have exactly two
+    parallels, its class being the three.  A class labels each point by
+    which of its flats holds it; classes are chosen while each one triples
+    the number of distinct joint labels (np.bincount), until n of them give
+    every point a vector X in GF(3)^n.  Every permutation of GF(3) is
+    x -> ax + b, so in the design each class's label is y.X + c, with y and
+    c read off the points X = 0 and X = e_i; this is checked on every
+    class and point.  Two points that share no flat (B^T B) differ by u,
+    the direction in no flat, so y.u != 0 for every class.  With P the
+    basis u, e_j (j != u's first nonzero index) and M = P^-1, from one
+    gf3.rref of [P | I], point X goes to base-3(M X), and the flat of label
+    r in class (y, c) to flat (s y P, s (r - c)), s = (y.u)^-1, whose first
+    entry is 1 as in build_std_ag.
+
+    A miss raises ValueError with a witness: a point count that is not 3^n,
+    a flat without two parallels or a class that is not closed, fewer than
+    n classes that each triple the joint labels (two points that share
+    those labels), a class that is not affine, or y.u = 0.
+    A map that is well defined is certified by the caller (verify_bijection).
+    """
+    points = np.array(model.half_a, dtype=np.int64)
+    flats = np.array(model.half_b, dtype=np.int64)
+    size, n = len(points), 0
+    while 3**n < size:
+        n += 1
+    if 3**n != size or n < 2:
+        raise ValueError(f"{size} points is not 3^n for any n >= 2")
+    block = model.graph.adjacency_matrix[flats][:, points]
+    b = block.astype(np.float32)
+    parallel = b @ b.T == 0  # entries are at most size, so float32 is exact
+    counts = np.count_nonzero(parallel, axis=1)
+    if (counts != 2).any():
+        f = int(np.argmax(counts != 2))
+        raise ValueError(f"flat {flats[f]} has {counts[f]} parallel flats, not 2")
+    triple = np.sort(
+        np.column_stack([np.arange(size), np.nonzero(parallel)[1].reshape(size, 2)]),
+        axis=1,
+    )
+    open_class = (triple[triple] != triple[:, None]).any(axis=(1, 2))
+    if open_class.any():
+        f = int(np.argmax(open_class))
+        raise ValueError(
+            f"the flats parallel to flat {flats[f]}, {tuple(flats[triple[f]].tolist())}, "
+            "are not parallel to each other"
+        )
+    classes = triple[triple[:, 0] == np.arange(size)]
+    labels = block[classes[:, 1]].astype(np.int64) + 2 * block[classes[:, 2]]
+    key, chosen = np.zeros(size, dtype=np.int64), []
+    for k, label in enumerate(labels):
+        trial = 3 * key + label
+        if np.count_nonzero(np.bincount(trial)) == 3 ** (len(chosen) + 1):
+            key, chosen = trial, chosen + [k]
+            if len(chosen) == n:
+                break
+    if len(chosen) < n:
+        order = np.argsort(key, kind="stable")
+        p, q = order[np.argmax(np.diff(key[order]) == 0) + np.arange(2)]
+        raise ValueError(
+            f"only {len(chosen)} parallel classes, not {n}, each triple the joint "
+            f"labels: points {points[p]} and {points[q]} share the labels of those"
+        )
+    coords = labels[chosen].T
+    at = np.empty(size, dtype=np.int64)
+    at[key] = np.arange(size)
+    origin, units = at[0], at[3 ** np.arange(n - 1, -1, -1)]
+    offsets = labels[:, origin]
+    ys = (labels[:, units] - offsets[:, None]) % 3
+    wrong = (ys @ coords.T + offsets[:, None]) % 3 != labels
+    if wrong.any():
+        k, p = np.unravel_index(np.argmax(wrong), wrong.shape)
+        raise ValueError(
+            f"the class of flats {tuple(flats[classes[k]].tolist())} is not affine "
+            f"at point {points[p]}"
+        )
+    apart = np.flatnonzero(b[:, origin] @ b == 0)
+    if not len(apart):
+        raise ValueError(f"point {points[origin]} shares a flat with every point")
+    u = coords[apart[0]]
+    frame = np.eye(n, dtype=np.int64)
+    lead = int(np.argmax(u != 0))
+    frame[:, lead] = frame[:, 0]
+    frame[:, 0] = u
+    reduced = gf3.rref(np.hstack([frame, np.eye(n, dtype=np.int64)]).tolist())[0]
+    inverse = np.array(reduced, dtype=np.int64)[:, n:]
+    directions = ys @ frame % 3
+    scale = directions[:, 0]
+    if not scale.all():
+        k = int(np.argmin(scale))
+        raise ValueError(
+            f"points {points[origin]} and {points[apart[0]]} share no flat, yet the "
+            f"class of flats {tuple(flats[classes[k]].tolist())} holds their line"
+        )
+    places = 3 ** np.arange(n - 1, -1, -1)
+    mapping = np.empty(2 * size, dtype=np.int64)
+    mapping[points] = coords @ inverse.T % 3 @ places
+    t = scale[:, None] * directions[:, 1:] % 3 @ places[1:]
+    values = scale[:, None] * (np.arange(3) - offsets[:, None]) % 3
+    mapping[flats[classes]] = size + 3 * t[:, None] + values
+    return mapping
+
+
 def _bundled_generators_text() -> str:
     return (
         resources.files("golay486").joinpath("data/generators_486.txt").read_text()

@@ -3,10 +3,12 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 import sys
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from golay486 import cli, codes, constructions, gf3, permaction
@@ -169,8 +171,8 @@ VERIFY_IDS = (
     "sigma.imprimitivity", "lambda.array", "lambda.fold", "gamma_half.srg",
     "blocks.cocliques", "halved_delta.complement",
     "iso.sigma_orbital_coordinate", "iso.sigma_coordinate_affine",
-    "iso.lambda_orbital_coordinate", "iso.lambda_coordinate_shortened",
-    "experiment.incidence_degrees",
+    "iso.lambda_orbital_coordinate", "iso.gamma_half_coset",
+    "iso.lambda_coordinate_shortened", "experiment.incidence_degrees",
 )
 STAGES = ["code", "flats", "group", "scan", "models", "iso", "experiment"]
 
@@ -202,7 +204,7 @@ def test_verify_reports_every_claim_in_order(full_run):
         f"observed {e['observed']}"
         for e in entries
     ]
-    assert out.splitlines()[-1].startswith("overall: PASS (32 claims, ")
+    assert out.splitlines()[-1].startswith("overall: PASS (33 claims, ")
 
 
 def test_macwilliams_claim_checks_the_enumerated_types(family, monkeypatch):
@@ -270,8 +272,9 @@ def test_verify_without_orbitals_lists_every_claim(tmp_path, capsys):
     needs_orbitals = {
         "group.rank", "group.suborbits", "scan.count", "scan.arrays", *models,
         "iso.sigma_orbital_coordinate", "iso.lambda_orbital_coordinate",
+        "iso.gamma_half_coset",
     }
-    assert len(needs_orbitals) == 17
+    assert len(needs_orbitals) == 18
     for e in entries:
         if e["claim_id"] in needs_orbitals:
             assert e["verdict"] == "FAIL"
@@ -284,7 +287,13 @@ def test_verify_without_orbitals_lists_every_claim(tmp_path, capsys):
 
 def test_verify_reports_an_exhausted_isomorphism_budget(tmp_path, capsys, monkeypatch):
     real = cli.are_isomorphic
-    monkeypatch.setattr(cli, "are_isomorphic", lambda g1, g2: real(g1, g2, budget=10))
+    searched = []
+
+    def exhausted(g1, g2):
+        searched.append((g1.n, g2.n))
+        return real(g1, g2, budget=10)
+
+    monkeypatch.setattr(cli, "are_isomorphic", exhausted)
     others = sorted({c.split(".")[0] for c in VERIFY_IDS} - {"iso"})
     out_path = tmp_path / "report.json"
     code, out, err = run(
@@ -292,24 +301,25 @@ def test_verify_reports_an_exhausted_isomorphism_budget(tmp_path, capsys, monkey
     )
     assert code == 1
     assert "Traceback" not in err
-    assert "first failing claim: iso.sigma_orbital_coordinate" in err
+    assert "first failing claim: iso.lambda_orbital_coordinate" in err
     observed = {
         e["claim_id"]: (e["verdict"], e["observed"])
         for e in json.loads(out_path.read_text())["entries"]
         if e["verdict"] != "SKIPPED"
     }
     # the first round of refinement charges one step per vertex of both
-    # graphs; the code-side claims certify a constructed map and search nothing
+    # graphs.  The one search fails both claims that share its certificate;
+    # the others certify a constructed map and search nothing.
+    exhausted = ("FAIL", f"unavailable: refinement budget exhausted after {2 * 243} steps")
     assert observed == {
-        "iso.sigma_orbital_coordinate": (
-            "FAIL", f"unavailable: refinement budget exhausted after {2 * 486} steps"
-        ),
+        "iso.sigma_orbital_coordinate": ("PASS", "isomorphic"),
         "iso.sigma_coordinate_affine": ("PASS", "isomorphic"),
-        "iso.lambda_orbital_coordinate": (
-            "FAIL", f"unavailable: refinement budget exhausted after {2 * 243} steps"
-        ),
+        "iso.lambda_orbital_coordinate": exhausted,
+        "iso.gamma_half_coset": exhausted,
         "iso.lambda_coordinate_shortened": ("PASS", "isomorphic"),
     }
+    # the run keeps the budget error, so the search is not repeated
+    assert searched == [(243, 243)]
 
 
 def test_cold_verify_searches_only_the_orbital_claims(monkeypatch):
@@ -323,8 +333,9 @@ def test_cold_verify_searches_only_the_orbital_claims(monkeypatch):
     monkeypatch.setattr(cli, "are_isomorphic", counted)
     report = cli.run_verification()
     assert report.overall
-    # iso.sigma_orbital_coordinate, then iso.lambda_orbital_coordinate
-    assert searched == [(486, 486), (243, 243)]
+    # Run.lambda_certificate, which iso.lambda_orbital_coordinate and
+    # iso.gamma_half_coset share; Sigma is coordinatised with no search
+    assert searched == [(243, 243)]
 
 
 def test_cold_verify_takes_three_null_spaces(monkeypatch):
@@ -337,10 +348,10 @@ def test_cold_verify_takes_three_null_spaces(monkeypatch):
 
     monkeypatch.setattr(gf3, "null_space", counted)
     assert cli.run_verification().overall
-    # the Golay code's check, then that of each shorten(golay, 0) that
-    # iso.lambda_coordinate_shortened builds; every other syndrome, coset
-    # word and functional reads one of these
-    assert widths == [11, 10, 10]
+    # the Golay code's check, then that of Run.shortened, the one
+    # shorten(golay, 0); every other syndrome, coset word and functional
+    # reads one of these
+    assert widths == [11, 10]
 
 
 def test_cold_verify_counts_each_golay_fact_once(monkeypatch):
@@ -361,31 +372,30 @@ def test_cold_verify_counts_each_golay_fact_once(monkeypatch):
     assert cli.run_verification().overall
     # one Golay code per run.  The functionals are listed by classify_types
     # and by build_std_ag(5) alone: syndrome_map reads AG(5,3)'s flat
-    # numbers in closed form.  The nine spans are golay.lifts, the Golay
+    # numbers in closed form.  The eight spans are golay.lifts, the Golay
     # words that _coset_tallies and minimum_distance list, the two lists of
     # functionals, projective_points of golay.check, AG(5,3)'s points, and
-    # the lifts of each of the two shorten(golay, 0).
-    assert calls == {"golay_code": 1, "hyperplane_functionals": 2, "_span": 9}
+    # the lifts of Run.shortened.
+    assert calls == {"golay_code": 1, "hyperplane_functionals": 2, "_span": 8}
 
 
 # the claims certified by a constructed map: the map's module and name, and
-# the graphs it maps from and onto
+# the graphs of a Run that it maps from and onto
 CONSTRUCTED_MAPS = {
+    "iso.sigma_orbital_coordinate": (
+        constructions,
+        "design_map",
+        lambda run: (run.graph("sigma"), run.sigma_coordinate),
+    ),
     "iso.sigma_coordinate_affine": (
         constructions,
         "syndrome_map",
-        lambda golay, family: (
-            constructions.build_sigma_coordinate(family, golay),
-            constructions.build_std_ag(5),
-        ),
+        lambda run: (run.sigma_coordinate, constructions.build_std_ag(5)),
     ),
     "iso.lambda_coordinate_shortened": (
         codes,
         "shortening_map",
-        lambda golay, family: (
-            codes.coset_graph(codes.shorten(golay, 0)),
-            constructions.build_lambda_coordinate(golay),
-        ),
+        lambda run: (codes.coset_graph(run.shortened), run.lambda_coordinate),
     ),
 }
 
@@ -406,7 +416,7 @@ def _first_broken_pair(g1, g2, mapping, moved):
 
 @pytest.mark.parametrize("claim_id", sorted(CONSTRUCTED_MAPS))
 def test_a_constructed_map_that_breaks_adjacency_names_the_pair(
-    tmp_path, capsys, monkeypatch, golay, family, claim_id
+    tmp_path, capsys, monkeypatch, bundled_action, claim_id
 ):
     module, name, graphs = CONSTRUCTED_MAPS[claim_id]
     real = getattr(module, name)
@@ -425,7 +435,7 @@ def test_a_constructed_map_that_breaks_adjacency_names_the_pair(
     assert code == 1
     assert "Traceback" not in err
     assert f"first failing claim: {claim_id}" in err
-    g1, g2 = graphs(golay, family)
+    g1, g2 = graphs(cli.Run(bundled_action))
     [mapping] = maps
     u, v = _first_broken_pair(g1, g2, mapping, swapped)
     kind = "edge" if g1.has_edge(u, v) else "non-edge"
@@ -450,6 +460,53 @@ def test_a_constructed_map_that_is_no_bijection_fails(monkeypatch, claim_id):
     assert (entries[claim_id].verdict, entries[claim_id].observed) == (
         "FAIL", "the map is not a bijection"
     )
+
+
+def _sigma_orbital_entry():
+    """The iso.sigma_orbital_coordinate entry of a verify run that skips
+    every other claim."""
+    claim_id = "iso.sigma_orbital_coordinate"
+    others = tuple(c.claim_id for c in cli.CLAIMS if c.claim_id != claim_id)
+    entries = {e.claim_id: e for e in cli.run_verification(skip=others).entries}
+    return entries[claim_id]
+
+
+def test_a_sigma_with_two_flats_partly_swapped_fails_with_a_witness(monkeypatch):
+    real = constructions.orbital_model
+
+    def swapping(decomp, which, half):
+        # flat f takes a point of a parallel flat g, and gives g one of its own
+        model = real(decomp, which, half=half)
+        if which != "sigma":
+            return model
+        a = model.graph.adjacency_matrix.copy()
+        f = model.half_b[0]
+        g = next(g for g in model.half_b if g != f and not (a[f] & a[g]).any())
+        p, q = np.flatnonzero(a[f])[0], np.flatnonzero(a[g])[0]
+        for flat, drop, add in ((f, p, q), (g, q, p)):
+            a[flat, drop] = a[drop, flat] = False
+            a[flat, add] = a[add, flat] = True
+        return dataclasses.replace(model, graph=Graph.from_adjacency(a))
+
+    monkeypatch.setattr(constructions, "orbital_model", swapping)
+    entry = _sigma_orbital_entry()
+    assert entry.verdict == "FAIL"
+    # f's class is among the first the labels are read from, so the
+    # coordinates themselves break
+    assert re.fullmatch(
+        r"unavailable: only [0-4] parallel classes, not 5, each triple the joint "
+        r"labels: points \d+ and \d+ share the labels of those",
+        entry.observed,
+    ), entry.observed
+
+
+def test_delta_read_as_sigma_fails_with_a_witness(monkeypatch):
+    monkeypatch.setitem(constructions.ORBITAL_MODELS, "sigma", frozenset({45}))
+    entry = _sigma_orbital_entry()
+    assert entry.verdict == "FAIL"
+    assert re.fullmatch(
+        r"unavailable: flat \d+ has 22 parallel flats, not 2", entry.observed
+    ), entry.observed
 
 
 def test_verify_reports_a_failed_data_check(tmp_path, capsys, monkeypatch):
@@ -780,9 +837,12 @@ def test_orbit_diagram_bytes(which, tmp_path, capsys):
 
 
 # sha256 of outputs recorded before the coset half was checked as a block of
-# the action: the 32 verify claim lines (not the timed overall line), the
-# group subcommands, the distance diagrams and the edge-list exports.
-VERIFY_CLAIM_LINES_SHA256 = "11909d8db1667e1f0c3d816e571b2401e26a05a882a90021b48f7eba7228f827"
+# the action: the 32 verify claim lines (not the timed overall line) before
+# iso.gamma_half_coset was added, the group subcommands, the distance
+# diagrams and the edge-list exports.  VERIFY_CLAIM_LINES_SHA256 covers all
+# 33 claim lines, recorded when iso.gamma_half_coset was added.
+VERIFY_32_CLAIM_LINES_SHA256 = "11909d8db1667e1f0c3d816e571b2401e26a05a882a90021b48f7eba7228f827"
+VERIFY_CLAIM_LINES_SHA256 = "afcf3b1c93a1217d83bf88bb00f879c3ac0fb4937bd359347b66e8674dcb0287"
 GROUP_SHA256 = {
     "order": "c60e0f9f89ac171a9a1061882520bb6c4c7b0e54d3d30b888ecd102bcbda68ec",
     "orbitals": "639798f240b19e212dc34ebe0e899070e5c5c315c3e3f577ed1e43a1af05dabe",
@@ -820,8 +880,13 @@ def test_verify_claim_lines_are_golden(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     claims = out[: out.index("overall:")]
-    assert len(claims.splitlines()) == 32
+    assert len(claims.splitlines()) == 33
     assert _sha256(claims) == VERIFY_CLAIM_LINES_SHA256
+    # the lines of the 32 claims that came before iso.gamma_half_coset
+    # are unchanged
+    older = [ln for ln in claims.splitlines(True) if ln.split()[0] != "iso.gamma_half_coset"]
+    assert len(older) == 32
+    assert _sha256("".join(older)) == VERIFY_32_CLAIM_LINES_SHA256
 
 
 @pytest.mark.parametrize("action", sorted(GROUP_SHA256))

@@ -13,6 +13,7 @@ from golay486 import codes, constructions, gf3
 from golay486.constructions import (
     TYPE_I_WEIGHTS,
     TYPE_II_WEIGHTS,
+    LabeledModel,
     blocks_report,
     build_lambda_coordinate,
     build_sigma_coordinate,
@@ -484,7 +485,7 @@ def test_lambda_coordinate_isomorphic_to_shortened_coset_graph(golay):
 @pytest.mark.parametrize("position", [0, 3, 10])
 def test_shortening_map_sends_each_unit_coset_to_its_golay_coordinate(golay, position):
     short = codes.shorten(golay, position)
-    mapping = codes.shortening_map(golay, position)
+    mapping = codes.shortening_map(golay, short, position)
     assert sorted(mapping.tolist()) == list(range(243))
     kept = [i for i in range(golay.length) if i != position]
     for i, j in enumerate(kept):
@@ -499,9 +500,10 @@ def test_shortening_map_sends_each_unit_coset_to_its_golay_coordinate(golay, pos
 
 
 def test_shortening_map_certifies_the_lambda_coordinate_model(golay):
-    mapping = codes.shortening_map(golay, 0)
+    short = codes.shorten(golay, 0)
+    mapping = codes.shortening_map(golay, short, 0)
     lam = build_lambda_coordinate(golay)
-    shortened = codes.coset_graph(codes.shorten(golay, 0))
+    shortened = codes.coset_graph(short)
     assert verify_bijection(lam, shortened, np.argsort(mapping))
     assert not verify_bijection(lam, shortened, np.arange(243))
 
@@ -516,6 +518,50 @@ def test_syndrome_map_sends_e0_to_the_first_unit_vector(golay, family):
     assert verify_bijection(sigma, build_std_ag(5), mapping)
     # y -> y^T H keeps the lex order of the functionals: the identity
     assert mapping.tolist() == list(range(486))
+
+
+@pytest.mark.parametrize("seed", [11, 22, 33, 44, 55])
+def test_design_map_certifies_relabelled_actions(bundled_action, family, golay, seed):
+    action, _ = relabel_action(bundled_action, seed)
+    decomp = orbitals(action)
+    model = orbital_model(decomp, "sigma", half=compute_coset_half(decomp))
+    mapping = constructions.design_map(model)
+    assert verify_bijection(model.graph, build_sigma_coordinate(family, golay), mapping)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_design_map_coordinatises_a_relabelled_std_ag(n):
+    g = build_std_ag(n)
+    # vertex v of g is vertex rename[v] of h
+    rename = np.array(random.Random(n).sample(range(g.n), g.n))
+    back = np.argsort(rename)
+    h = Graph.from_adjacency(g.adjacency_matrix[back][:, back])
+    points, flats = sorted(rename[: 3**n].tolist()), sorted(rename[3**n :].tolist())
+    mapping = constructions.design_map(LabeledModel(h, tuple(points), tuple(flats)))
+    assert verify_bijection(h, g, mapping)
+
+
+def test_design_map_misses_name_a_witness(orbital_models):
+    with pytest.raises(ValueError, match=r"^flat \d+ has 22 parallel flats, not 2$"):
+        constructions.design_map(orbital_models["delta"])
+    matching = Graph(24, [(i, 12 + i) for i in range(12)])
+    halves = (tuple(range(12)), tuple(range(12, 24)))
+    with pytest.raises(ValueError, match="^12 points is not 3\\^n for any n >= 2$"):
+        constructions.design_map(LabeledModel(matching, *halves))
+    # in AG(3,3), move point p from its flat f to a parallel flat g, and a
+    # point q of g to f: parallelism is kept, but f's class is not affine
+    g = build_std_ag(3)
+    a = g.adjacency_matrix.copy()
+    f, other = 27 + 3 * 8, 27 + 3 * 8 + 1
+    p, q = np.flatnonzero(a[f])[0], np.flatnonzero(a[other])[0]
+    for flat, drop, add in ((f, p, q), (other, q, p)):
+        a[flat, drop] = a[drop, flat] = False
+        a[flat, add] = a[add, flat] = True
+    swapped = LabeledModel(Graph.from_adjacency(a), tuple(range(27)), tuple(range(27, 54)))
+    with pytest.raises(
+        ValueError, match=r"^the class of flats \(51, 52, 53\) is not affine at point \d+$"
+    ):
+        constructions.design_map(swapped)
 
 
 def test_experiment_flat_incidence(family, golay):

@@ -346,6 +346,14 @@ def test_group_order_small():
     assert group_order(klein_four_regular_action()) == 4
 
 
+def test_bundled_group_order_agrees_with_sympy(bundled_action):
+    # an independent oracle: sympy's own Schreier-Sims, not this package's
+    # chain or tests/oracles.py:sequential_chain, which is the same algorithm
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    gens = [combinatorics.Permutation(list(g)) for g in bundled_action.generators]
+    assert combinatorics.PermutationGroup(gens).order() == 349920
+
+
 def test_group_order_mathieu_11():
     # sporadic group with a known order, a sharp stabilizer-chain oracle
     assert group_order(mathieu_11_action()) == 7920

@@ -2,8 +2,9 @@
 every private top-level function is used by the program or its benchmark,
 no function is memoised across
 calls, the program holds no assert statement and makes no np.ix_ gather,
-the Golay code is built in one place per command, a cold verify does not
-import numpy.ma, and the README example runs."""
+the Golay code is built in one place per command, one isomorphism search
+is left, a cold verify does not import numpy.ma, and the README example
+runs."""
 
 import ast
 import contextlib
@@ -111,6 +112,17 @@ def test_only_the_run_and_the_code_command_build_the_golay_code():
         for scope in _callers(ast.parse(path.read_text()), "golay_code")
     )
     assert callers == ["cli.Run.golay", "cli._cmd_code"]
+
+
+def test_the_lambda_certificate_is_the_one_isomorphism_search():
+    # every other isomorphism claim is certified by a map built with no
+    # search; the lambda certificate is one Run artifact that two claims share
+    callers = sorted(
+        f"{path.stem}{scope}"
+        for path in SOURCES
+        for scope in _callers(ast.parse(path.read_text()), "are_isomorphic")
+    )
+    assert callers == ["cli.Run.lambda_certificate"]
 
 
 def test_cold_verify_does_not_import_numpy_ma():
