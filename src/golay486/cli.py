@@ -43,10 +43,6 @@ from .permaction import ChainBudgetError, CycleParseError, GroupAction, OrbitalD
 
 SCHEMA_VERSION = 1
 
-# Every --gens file, for verify and group alike, is read as an action of the
-# bundled degree; a point above it is a parse error (exit 2).
-GENS_DEGREE = 486
-
 # Largest --gens file, in bytes; a longer one is refused after reading one
 # byte past this.  The bundled file is about 6 kB, and one generator of
 # degree permaction.MAX_DEGREE about 20 kB.
@@ -710,7 +706,8 @@ def _cmd_code(args) -> int:
 
 def _load_action(gens_path: str | None) -> GroupAction:
     """The bundled action, or a --gens file of at most MAX_GENERATOR_BYTES
-    read at the bundled degree."""
+    read at the bundled degree, for verify and group alike: a point above
+    it is a parse error (exit 2)."""
     if gens_path is None:
         return constructions.bundled_action()
     with open(gens_path, "rb") as handle:
@@ -721,7 +718,7 @@ def _load_action(gens_path: str | None) -> GroupAction:
         )
     # decoded as a text-mode open() would, newlines included
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-    return permaction.parse_generator_file(text, degree=GENS_DEGREE)
+    return permaction.parse_generator_file(text, degree=constructions.BUNDLED_DEGREE)
 
 
 def _cmd_group(args) -> int:

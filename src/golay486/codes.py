@@ -2,16 +2,18 @@
 the table of coset leaders, and coset graphs.
 
 A code is stored by its canonical (RREF) generator matrix, so structurally
-equal codes compare equal.  Two facts are derived from that generator once
-per code object: its reduced parity check, `LinearCode.check`, against
-which every syndrome and functional is taken, and `LinearCode.lifts`, the
-one table of coset words, which every builder on the coset side reads.
-Cosets are numbered by syndrome (`syndrome_index`), which pins the row
-order of `lifts`, of the leader table and the vertex order of every coset
-graph across runs.  The minimum-weight leaders (`syndrome_table`) serve
-only the coset shape count, whose definition needs them.  Nothing else is
-kept between calls: `golay486.cli.Run` builds the Golay code once per run
-and passes it on.
+equal codes compare equal, and its dimension is that matrix's row count.
+Two facts are derived from that generator once per code object: its
+reduced parity check, `LinearCode.check`, against which every syndrome and
+functional is taken, and `LinearCode.lifts`, the one table of coset words,
+which every builder on the coset side reads.  Cosets are numbered by
+syndrome (`syndrome_index`), which pins the row order of `lifts`, of the
+leader table and the vertex order of every coset graph across runs.  The
+minimum-weight leaders (`syndrome_table`) serve only the coset shape
+count, whose definition needs them.  The leader table, its weight shells
+and a coset graph's arrays are each checked against MAX_ARRAY_BYTES before
+they are allocated.  Nothing else is kept between calls:
+`golay486.cli.Run` builds the Golay code once per run and passes it on.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ from .graph import Graph
 # The sign string whose 11 cyclic shifts generate the ternary Golay code;
 # '-' is the field element 2 (= -1 mod 3).
 GOLAY_SIGNS = "-+-+++---+-"
-
-# Leader tables of more than 3^this many cosets are refused.
-DEFAULT_COSET_BOUND = 12
 
 # An array of more bytes than this is refused before it is allocated.  The
 # largest one the program asks for here is the 729 x 729 adjacency of the
@@ -59,14 +58,15 @@ class LinearCode:
     """A subspace of GF(3)^n given by a reduced (RREF) generator matrix."""
 
     length: int
-    dimension: int
     generator: Matrix
 
     def __post_init__(self):
-        if self.dimension != len(self.generator):
-            raise ValueError("dimension must equal the generator row count")
         if any(len(row) != self.length for row in self.generator):
             raise ValueError("generator rows must have the code length")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.generator)
 
     @cached_property
     def check(self) -> Matrix:
@@ -101,9 +101,8 @@ def linear_code(rows: Iterable[Iterable[int]], length: int | None = None) -> Lin
     if not m:
         if length is None:
             raise ValueError("length required for a zero code")
-        return LinearCode(length=length, dimension=0, generator=())
-    basis = gf3.row_space_basis(m)
-    return LinearCode(length=len(m[0]), dimension=len(basis), generator=basis)
+        return LinearCode(length=length, generator=())
+    return LinearCode(length=len(m[0]), generator=gf3.row_space_basis(m))
 
 
 def golay_code() -> LinearCode:
@@ -233,13 +232,13 @@ def syndrome_table(code: LinearCode) -> np.ndarray:
     Row i is the minimum-weight word of coset i, lexicographically first
     among those.  Words are scanned one weight shell at a time, so for a
     perfect code of minimum distance 2e+1 the scan stops after shell e.
-    The shell of weight w holds C(n, w) 2^w words; one whose int64 syndrome
-    pass would exceed MAX_ARRAY_BYTES raises ResourceLimitError before it
-    is built.
+    The table and its fill mask, 3^(n-k) (n + 1) bytes, and the shell of
+    weight w, C(n, w) 2^w words whose int64 syndrome pass takes 8 n bytes
+    each, are each bounded by MAX_ARRAY_BYTES before they are built
+    (ResourceLimitError).
     """
     n, k = code.length, code.dimension
-    if n - k > DEFAULT_COSET_BOUND:
-        raise ResourceLimitError(f"3^{n - k} cosets exceed the configured bound")
+    _check_bytes(f"the leaders of 3^{n - k} cosets", 3 ** (n - k) * (n + 1))
     table = np.zeros((3 ** (n - k), n), dtype=np.uint8)
     filled = np.zeros(len(table), dtype=bool)
     for w in range(n + 1):

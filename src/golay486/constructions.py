@@ -39,6 +39,9 @@ from .permaction import GroupAction, OrbitalDecomposition
 TYPE_I_WEIGHTS = (1, 4, 76, 456, 1716, 4956, 9912, 13944, 14214, 9314, 3776, 680)
 TYPE_II_WEIGHTS = (1, 10, 70, 420, 1770, 4992, 9822, 13980, 14160, 9440, 3680, 704)
 
+# Degree of the bundled action; every --gens file is read at this degree too.
+BUNDLED_DEGREE = 486
+
 # Suborbit sizes of the bundled action, split by the bipartition of the
 # Koolen-Riebeek graph: coset-like and flat-like.
 COSET_SUBORBIT_SIZES = frozenset({1, 2, 20, 40, 180})
@@ -379,7 +382,7 @@ def _bundled_generators_text() -> str:
 
 def bundled_action() -> GroupAction:
     """The rank-9 degree-486 action shipped with the package."""
-    return permaction.parse_generator_file(_bundled_generators_text(), degree=486)
+    return permaction.parse_generator_file(_bundled_generators_text(), degree=BUNDLED_DEGREE)
 
 
 def compute_coset_half(decomp: OrbitalDecomposition) -> tuple[int, ...]:
@@ -509,8 +512,9 @@ def experiment_flat_incidence(
         values, times = np.unique(part, return_counts=True)
         return tuple(zip(values.tolist(), times.tolist()))
 
+    cosets = len(golay.lifts)
     return IncidenceExperimentReport(
-        coset_degree_counts=counts(degrees[:243]),
-        flat_degree_counts=counts(degrees[243:]),
+        coset_degree_counts=counts(degrees[:cosets]),
+        flat_degree_counts=counts(degrees[cosets:]),
         regular=bool((degrees == degrees[0]).all()),
     )

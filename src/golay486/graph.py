@@ -26,7 +26,8 @@ change colour add the change of their weight to their neighbours' sums
 (Hopcroft's "smaller half" rule).  A hash collision can only leave a
 partition coarser, never prune an isomorphism, and every returned
 bijection is re-verified against both adjacency matrices, by two takes,
-before being trusted.
+before being trusted.  A search that takes more than ISOMORPHISM_BUDGET
+refinement steps raises IsomorphismBudgetError, which is no verdict.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ from collections.abc import Iterable, Sequence
 from itertools import chain
 
 import numpy as np
+
+# Refinement steps an isomorphism search may take (one per vertex of both
+# graphs per round) before it raises IsomorphismBudgetError.
+ISOMORPHISM_BUDGET = 10**7
 
 
 class GraphStructureError(ValueError):
@@ -56,8 +61,8 @@ class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
     Its one field, `adjacency_matrix`, is a read-only n x n bool array,
-    symmetric and with a False diagonal; neighbours, degrees and edges are
-    read off it.
+    symmetric and with a False diagonal; neighbours and edges are read off
+    it.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
@@ -114,9 +119,6 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.adjacency_matrix[v]).tolist())
-
-    def degree(self, v: int) -> int:
-        return int(np.count_nonzero(self.adjacency_matrix[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency_matrix[u, v])
@@ -309,27 +311,16 @@ def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs distances (int32, -1 for unreachable) via layered matmuls.
 
     Each layer of _layers is written into its block of the matrix: in place
-    for the one block of a non-bipartite graph.  A bipartite block's
-    distances are filled in two local copies, one per parity of the layers,
-    and stored into the matrix once, when the block is done.
+    where the block is a view (the one block of a non-bipartite graph), and
+    through a copy stored back where it is gathered (a bipartite block).
     """
     dist = np.full((g.n, g.n), -1, dtype=np.int32)
     np.fill_diagonal(dist, 0)
-    parts: list[tuple[tuple, np.ndarray]] = []  # (block, its distances) by parity of j
-
-    def store():
-        for block, part in parts:
-            if part.base is not dist:  # a copy, not a view
-                dist[block] = part
-        parts.clear()
-
     for block, j, _, _, nxt in _layers(g, np.count_nonzero(g.adjacency_matrix, axis=1)):
-        if j == 0:
-            store()
-        if j < 2:
-            parts.append((block, dist[block]))
-        np.copyto(parts[j % 2][1], j + 1, where=nxt)
-    store()
+        part = dist[block]
+        np.copyto(part, j + 1, where=nxt)
+        if part.base is not dist:  # a copy, not a view
+            dist[block] = part
     return dist
 
 
@@ -619,9 +610,7 @@ def verify_bijection(g1: Graph, g2: Graph, mapping: Sequence[int]) -> bool:
     return np.array_equal(g2.adjacency_matrix.take(m, 0).take(m, 1), g1.adjacency_matrix)
 
 
-def are_isomorphic(
-    g1: Graph, g2: Graph, budget: int = 10**7
-) -> list[int] | None:
+def are_isomorphic(g1: Graph, g2: Graph) -> list[int] | None:
     """A certified vertex bijection g1 -> g2, or None if none exists.
 
     Colour refinement with individualization-refinement backtracking over
@@ -652,13 +641,15 @@ def are_isomorphic(
     partition coarser, which makes the search longer, and a discrete leaf
     is accepted only after verify_bijection re-checks it.
 
-    Each round charges one step per vertex of both graphs against the
-    budget; IsomorphismBudgetError when it runs out is a resource failure,
-    distinct from a non-isomorphism verdict.
+    Each round charges one step per vertex of both graphs against
+    ISOMORPHISM_BUDGET, read when the search starts;
+    IsomorphismBudgetError when it runs out is a resource failure, distinct
+    from a non-isomorphism verdict.
     """
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return None
     n = g1.n
+    budget = ISOMORPHISM_BUDGET
     dst, starts, degree = _csr(g1, g2)
     steps = 0
 

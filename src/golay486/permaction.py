@@ -519,9 +519,9 @@ class OrbitalDecomposition:
     orbits of the stabilizer of point 0, where the chain's base begins)
     through the pairs (0, y), so pair_ids[0] is the suborbit of every
     vertex.  Ids number the suborbits by their least point, so the
-    labelling is deterministic and the diagonal, the suborbit {0}, is id 0.
-    Decompositions compare by identity (== on an array field has no single
-    truth value).
+    labelling is deterministic and the diagonal, the suborbit {0}, is id 0:
+    the nontrivial orbitals are ids 1 to rank - 1.  Decompositions compare
+    by identity (== on an array field has no single truth value).
     """
 
     action: GroupAction
@@ -529,9 +529,6 @@ class OrbitalDecomposition:
     rank: int
     suborbit_sizes: tuple[int, ...]
     pairing: tuple[int, ...]
-
-    def nontrivial_ids(self) -> range:
-        return range(1, self.rank)
 
     def id_by_suborbit_size(self) -> dict[int, int]:
         """size -> orbital id; raises if any two suborbits share a size."""
@@ -715,7 +712,7 @@ def scan_orbital_unions(decomp: OrbitalDecomposition) -> list[ScanResult]:
     rank = decomp.rank
     if rank > MAX_SCAN_RANK:
         raise GraphStructureError(f"rank {rank} exceeds the scan bound {MAX_SCAN_RANK}")
-    leaders = [k for k in decomp.nontrivial_ids() if decomp.pairing[k] >= k]
+    leaders = [k for k in range(1, rank) if decomp.pairing[k] >= k]
     members = np.zeros((len(leaders), rank), dtype=np.int64)
     members[np.arange(len(leaders)), leaders] = 1
     members[np.arange(len(leaders)), [decomp.pairing[k] for k in leaders]] = 1

@@ -291,9 +291,10 @@ def test_verify_reports_an_exhausted_isomorphism_budget(tmp_path, capsys, monkey
 
     def exhausted(g1, g2):
         searched.append((g1.n, g2.n))
-        return real(g1, g2, budget=10)
+        return real(g1, g2)
 
     monkeypatch.setattr(cli, "are_isomorphic", exhausted)
+    monkeypatch.setattr("golay486.graph.ISOMORPHISM_BUDGET", 10)
     others = sorted({c.split(".")[0] for c in VERIFY_IDS} - {"iso"})
     out_path = tmp_path / "report.json"
     code, out, err = run(

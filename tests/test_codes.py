@@ -363,7 +363,7 @@ def test_syndrome_table_of_degenerate_codes():
 def test_coset_graph_of_zero_code_is_hamming_h23():
     g = codes.coset_graph(zero_code(2))
     assert g.n == 9
-    assert all(g.degree(v) == 4 for v in range(9))
+    assert all(np.count_nonzero(g.adjacency_matrix[v]) == 4 for v in range(9))
     oracle = oracle_intersection_array(g)
     assert oracle == ((4, 2), (1, 2))
     arr = is_distance_regular(g)
@@ -372,13 +372,13 @@ def test_coset_graph_of_zero_code_is_hamming_h23():
 
 def test_coset_graph_of_golay_is_bvls(gamma):
     assert srg_parameters(gamma) == (243, 22, 1, 2)
-    assert all(gamma.degree(v) == 22 for v in range(gamma.n))
+    assert all(np.count_nonzero(gamma.adjacency_matrix[v]) == 22 for v in range(gamma.n))
 
 
 def test_coset_graph_of_shortened_golay(golay):
     g = codes.coset_graph(codes.shorten(golay, 0))
     assert g.n == 243
-    assert all(g.degree(v) == 20 for v in range(g.n))
+    assert all(np.count_nonzero(g.adjacency_matrix[v]) == 20 for v in range(g.n))
     arr = is_distance_regular(g)
     assert arr is not None and str(arr) == "{20,18,4,1; 1,2,18,20}"
 
@@ -413,7 +413,7 @@ def test_coset_graph_positions(golay, gamma):
     assert codes.coset_graph(golay, positions=range(11)) == gamma
     # without coordinate 0 the +-e0 offsets are gone: valency 22 - 2
     g = codes.coset_graph(golay, positions=range(1, 11))
-    assert all(g.degree(v) == 20 for v in range(g.n))
+    assert all(np.count_nonzero(g.adjacency_matrix[v]) == 20 for v in range(g.n))
     assert codes.coset_graph(golay, positions=()).edge_count == 0
 
 
@@ -440,9 +440,10 @@ def _peak_bytes(call):
 
 
 def test_coset_graph_bounds_its_adjacency_before_allocating():
-    # 3^12 cosets pass the leader-table bound, but a dense adjacency on them
-    # would take 3^24 bytes (282 GB); the refusal allocates nothing of it
-    assert 12 <= codes.DEFAULT_COSET_BOUND
+    # the leader table of 3^12 cosets of length 12 (and its fill mask) fits
+    # the byte bound, but a dense adjacency on them would take 3^24 bytes
+    # (282 GB); the refusal allocates nothing of it
+    assert 3**12 * (12 + 1) <= codes.MAX_ARRAY_BYTES
     assert 9**12 > codes.MAX_ARRAY_BYTES
     assert _peak_bytes(lambda: codes.coset_graph(zero_code(12))) < 2**20
     # the bound sits between 3^7 and 3^8 vertices: H(7,3) is built
@@ -450,6 +451,18 @@ def test_coset_graph_bounds_its_adjacency_before_allocating():
     assert codes.coset_graph(zero_code(7)).n == 3**7
     with pytest.raises(codes.ResourceLimitError, match="adjacency"):
         codes.coset_graph(zero_code(8))
+
+
+def test_syndrome_table_bounds_its_table_before_allocating():
+    # 3^12 cosets: a table of length 30 and its fill mask fit the byte
+    # bound, and one of length 31 does not
+    assert 3**12 * (30 + 1) <= codes.MAX_ARRAY_BYTES < 3**12 * (31 + 1)
+    n, r = 31, 12
+    code = codes.linear_code([gf3.unit_vector(n, i) for i in range(r, n)])
+    assert n - code.dimension == r
+    assert _peak_bytes(lambda: codes.syndrome_table(code)) < 2**20
+    with pytest.raises(codes.ResourceLimitError, match=r"^the leaders of 3\^12 cosets"):
+        codes.syndrome_table(code)
 
 
 def test_syndrome_table_bounds_each_shell_before_building_it():

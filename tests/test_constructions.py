@@ -564,8 +564,71 @@ def test_design_map_misses_name_a_witness(orbital_models):
         constructions.design_map(swapped)
 
 
+def _incidence(points: int, flats) -> LabeledModel:
+    """The point-flat incidence graph of the given flats (sets of points),
+    the flats numbered after the points."""
+    a = np.zeros((points + len(flats),) * 2, dtype=bool)
+    for f, flat in enumerate(flats):
+        for p in flat:
+            a[points + f, p] = a[p, points + f] = True
+    n = points + len(flats)
+    return LabeledModel(Graph.from_adjacency(a), tuple(range(points)), tuple(range(points, n)))
+
+
+def test_design_map_names_a_class_that_is_not_closed():
+    # every flat has exactly two parallels, but flat 9's two are not
+    # parallel to each other: 11 = {2, 6, 8} and 15 = {1, 2, 5} share 2
+    flats = [
+        {0, 3, 4}, {0, 1, 6}, {2, 6, 8}, {2, 4, 5}, {1, 3, 6},
+        {2, 3, 8}, {1, 2, 5}, {0, 1, 4}, {0, 4, 8},
+    ]
+    with pytest.raises(
+        ValueError,
+        match=r"^the flats parallel to flat 9, \(9, 11, 15\), are not parallel to each other$",
+    ):
+        constructions.design_map(_incidence(9, flats))
+
+
+def test_design_map_names_a_class_that_holds_the_line_of_two_apart_points():
+    # AG(3,3) with nine hyperplane classes y.x = c, then point 0 dropped
+    # from the flat y.x = 0 of y = (0, 1, 2): the labels stay affine (no
+    # flat of that class holds point 0 now, which reads as label 0), and
+    # points 0 and 17 = (1, 2, 2) share no flat, but y.(1, 2, 2) = 0
+    points = gf3._span(tuple(gf3.unit_vector(3, i) for i in range(3))).astype(np.int64)
+    ys = [
+        (1, 1, 1), (0, 1, 2), (0, 1, 0), (1, 2, 0), (1, 1, 2),
+        (1, 0, 2), (0, 1, 1), (0, 0, 1), (1, 2, 1),
+    ]
+    values = points @ np.array(ys).T % 3
+    flats = [set(np.flatnonzero(values[:, k] == c).tolist()) for k in range(9) for c in range(3)]
+    flats[3].remove(0)
+    with pytest.raises(
+        ValueError,
+        match=r"^points 0 and 17 share no flat, yet the class of flats \(30, 31, 32\) "
+        r"holds their line$",
+    ):
+        constructions.design_map(_incidence(27, flats))
+
+
 def test_experiment_flat_incidence(family, golay):
     report = experiment_flat_incidence(family, golay)
     assert report.coset_degree_counts == ((45, 243),)
     assert report.flat_degree_counts == ((0, 108), (81, 135))
     assert not report.regular
+
+
+def test_experiment_flat_incidence_splits_at_the_coset_count():
+    # the tetracode [4,2,3]: 9 cosets and 3 kept functionals, here all
+    # typed I, so each coset meets 3 flats and each of the 9 flats 3 cosets
+    tetracode = codes.linear_code([(1, 0, 1, 1), (0, 1, 1, 2)])
+    functionals = gf3.hyperplane_functionals(tetracode.check, gf3.unit_vector(4, 0))
+    family = constructions.FlatFamily(
+        functionals=functionals,
+        bases=gf3.intermediate_hyperplanes(functionals),
+        types=("I",) * len(functionals),
+    )
+    report = experiment_flat_incidence(family, tetracode)
+    assert len(tetracode.lifts) == 9 and len(functionals) == 3
+    assert report.coset_degree_counts == ((3, 9),)
+    assert report.flat_degree_counts == ((3, 9),)
+    assert report.regular

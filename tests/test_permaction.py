@@ -627,7 +627,7 @@ def test_orbitals_small_actions():
     decomp = orbitals(cyclic_action(3))
     assert decomp.rank == 3
     assert sorted(decomp.suborbit_sizes) == [1, 1, 1]
-    non_diag = decomp.nontrivial_ids()
+    non_diag = range(1, decomp.rank)
     assert decomp.pairing[non_diag[0]] == non_diag[1]
 
     assert orbitals(symmetric_action(5)).rank == 2  # 2-transitive
@@ -712,7 +712,7 @@ def test_edge_orbit_graph_from_2_suborbit_is_triangles(decomp, bundled_action):
     by_size = decomp.id_by_suborbit_size()
     seed = decomp.pair_ids[0].tolist().index(by_size[2])
     g = edge_orbit_graph(bundled_action, [(0, seed)])
-    assert all(g.degree(v) == 2 for v in range(g.n))
+    assert all(np.count_nonzero(g.adjacency_matrix[v]) == 2 for v in range(g.n))
     # 162 disjoint triangles: every vertex's neighbors are adjacent
     for v in range(g.n):
         x, y = g.neighbors(v)
@@ -724,7 +724,7 @@ def test_edge_orbit_graph_from_2_suborbit_is_triangles(decomp, bundled_action):
 def test_orbital_union_graph_matches_edge_orbit_graph(fixture, request):
     action = request.getfixturevalue(fixture)
     decomp = orbitals(action)
-    for k in decomp.nontrivial_ids():
+    for k in range(1, decomp.rank):
         y = decomp.pair_ids[0].tolist().index(k)
         union = orbital_union_graph(decomp, {k, decomp.pairing[k]})
         assert union == edge_orbit_graph(action, [(0, y)])
@@ -735,7 +735,7 @@ def test_orbital_union_graph_matches_the_gather_on_every_union(fixture, request)
     # all 8 nontrivial orbitals are self-paired, so each of the 255
     # nonempty selections is a graph
     decomp = orbitals(request.getfixturevalue(fixture))
-    ids = decomp.nontrivial_ids()
+    ids = range(1, decomp.rank)
     assert len(ids) == 8 and all(decomp.pairing[k] == k for k in ids)
     unions = 0
     for r in range(1, len(ids) + 1):
@@ -752,7 +752,7 @@ def test_orbital_union_graph_validation(decomp):
     with pytest.raises(ValueError):
         orbital_union_graph(decomp, {0})
     d2 = orbitals(cyclic_action(5))
-    one_directed = d2.nontrivial_ids()[0]
+    one_directed = range(1, d2.rank)[0]
     with pytest.raises(ValueError) as info:
         orbital_union_graph(d2, {one_directed})
     assert str(one_directed) in str(info.value)
@@ -760,7 +760,7 @@ def test_orbital_union_graph_validation(decomp):
 
 def test_orbital_union_complete_graphs(decomp):
     by_size = decomp.id_by_suborbit_size()
-    k486 = orbital_union_graph(decomp, set(decomp.nontrivial_ids()))
+    k486 = orbital_union_graph(decomp, set(range(1, decomp.rank)))
     assert k486 == complete_graph(486)
     arr = is_distance_regular(k486)
     assert str(arr) == "{485; 1}"
@@ -873,7 +873,7 @@ def test_collapsed_matrices_on_bundled_graphs(decomp, orbital_models):
     sizes = decomp.suborbit_sizes
     by_size = decomp.id_by_suborbit_size()
 
-    k486 = orbital_union_graph(decomp, set(decomp.nontrivial_ids()))
+    k486 = orbital_union_graph(decomp, set(range(1, decomp.rank)))
     b = collapsed_matrix(k486, decomp)
     assert all(sum(row) == 485 for row in b)
 
@@ -967,7 +967,7 @@ def assert_scan_matches_per_union_oracle(decomp):
     distance-regular, or disconnected) equals quotient_intersection_array's,
     and the scan reports exactly the unions with an array, in that order."""
     units, seen = [], set()
-    for k in decomp.nontrivial_ids():
+    for k in range(1, decomp.rank):
         if k not in seen:
             units.append({k, decomp.pairing[k]})
             seen |= units[-1]

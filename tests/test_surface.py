@@ -1,5 +1,6 @@
 """Guards on the surface of golay486: every public function and class and
 every private top-level function is used by the program or its benchmark,
+every parameter default of a public function is overridden by some caller,
 no function is memoised across
 calls, the program holds no assert statement and makes no np.ix_ gather,
 the Golay code is built in one place per command, one isomorphism search
@@ -44,6 +45,75 @@ def test_every_public_name_is_used_by_the_program():
         if not used_in.get(name, set()) - {(path, name)}
     ]
     assert unused == []
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """The parameters of fn with a default other than None, each with its
+    position in a call (None for keyword-only); a method's self or cls is
+    not passed by position."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    offset = 1 if method else 0
+    tail = positional[len(positional) - len(args.defaults) :]
+    found = [
+        (arg.arg, positional.index(arg) - offset)
+        for arg, default in zip(tail, args.defaults)
+        if not (isinstance(default, ast.Constant) and default.value is None)
+    ]
+    return found + [
+        (arg.arg, None)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+        and not (isinstance(default, ast.Constant) and default.value is None)
+    ]
+
+
+def test_every_parameter_default_is_overridden_by_a_caller():
+    # A default that no call in src/golay486 or perfbench overrides, by
+    # keyword or by position, is a knob with one value: a constant or the
+    # default's own value says the same with less code.  A call is matched
+    # by the bare or attribute name of the function (the class name for
+    # __init__); a *args or **kwargs call may set anything.
+    knobs = []  # (qualified name, called name, parameter, position)
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
+                knobs += [
+                    (f"{path.stem}.{top.name}", top.name, *p) for p in _defaulted(top, False)
+                ]
+            if not isinstance(top, ast.ClassDef) or top.name.startswith("_"):
+                continue
+            for fn in top.body:
+                if not isinstance(fn, ast.FunctionDef) or (
+                    fn.name.startswith("_") and fn.name != "__init__"
+                ):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                called = top.name if fn.name == "__init__" else fn.name
+                knobs += [
+                    (f"{path.stem}.{top.name}.{fn.name}", called, *p)
+                    for p in _defaulted(fn, not static)
+                ]
+    calls: dict[str, list[ast.Call]] = {}
+    for path in PROGRAM:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def overrides(call: ast.Call, param: str, position: int | None) -> bool:
+        return (
+            any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, param) for k in call.keywords)
+            or (position is not None and position < len(call.args))
+        )
+
+    unset = [
+        f"{qualified}({param}=)"
+        for qualified, called, param, position in knobs
+        if not any(overrides(c, param, position) for c in calls.get(called, []))
+    ]
+    assert unset == []
 
 
 def test_no_function_is_memoised_across_calls():
