@@ -58,7 +58,7 @@ MAX_DEGREE = 4096
 
 # Bytes a stabilizer chain may hold: the arrays of its levels (inverse
 # tables, strong generators, point index, done marks) and one sift block.
-# The bundled rank-9 action peaks at 1.16 MiB (tracemalloc) while it is
+# The bundled rank-9 action peaks at 1.15 MiB (tracemalloc) while it is
 # built; a transitive action of degree MAX_DEGREE needs 32 MiB for level 0
 # alone.
 MAX_CHAIN_BYTES = 128 << 20
@@ -294,8 +294,16 @@ class StabilizerChain:
     """A base and strong generating set, by incremental deterministic
     Schreier-Sims (Seress, *Permutation Group Algorithms*, 2003, ch. 4).
 
+    The input generators are added one at a time, with a membership test
+    (Seress 2003, section 4.2).  Each is sifted through the chain that the
+    ones before it built.  One that sifts to the identity lies in that group
+    already and is skipped, so it never becomes a strong generator.  Any
+    other leaves a residue, which fixes b_0..b_{k-1} if it dropped out at
+    level k; the residue joins S_0..S_k, and levels k down to 0 are
+    completed before the next generator is read.
+
     The base starts at point 0 (orbitals() reads the suborbits of 0 off
-    level 1) and is extended by the least point moved by a generator that
+    level 1) and is extended by the least point moved by a residue that
     fixes every base point so far; if every generator fixes 0, level 0 just
     has orbit {0}, a factor of 1 in the order.  Level j holds the strong
     generators S_j fixing b_0..b_{j-1}; H_j = <S_j>.  Levels are completed
@@ -311,8 +319,9 @@ class StabilizerChain:
     The Schreier generators of a level are sifted in blocks of rows of a
     matrix, taken in (generator, orbit position) order, each block through
     the deeper levels with one gather per level.  The chain is the one that
-    sifting them one at a time, in that order, builds: the same base,
-    strong generators, orbit orders and transversal elements.  Transversal
+    sifting them one at a time, in that order, builds, with the input
+    generators taken one at a time as above: the same base, strong
+    generators, orbit orders and transversal elements.  Transversal
     elements never change once set and orbits only grow, so a row that sifts
     to the identity does so again later, along the same path; such rows are
     marked done and never sifted again, and so are the Schreier-tree edges (x, s),
@@ -326,7 +335,7 @@ class StabilizerChain:
     complete, so they sift every element of the group they generate, which
     contains it.  Rows after it that were not seen to reach the identity
     are sifted again then; ``sifted`` counts every row sifted, these
-    re-sifts included.
+    re-sifts and each input generator's own sift included.
 
     Each level holds only the inverses t_x^-1.  In this module's convention
     the Schreier generator g = t_x s t_{x^s}^-1 is g[t_x^-1[q]] =
@@ -357,17 +366,13 @@ class StabilizerChain:
         if n:
             self.levels.append(_ChainLevel(0, self._ident))
         for g in action.generators:
-            s = np.array(g, dtype=self._dtype)
-            if np.array_equal(s, self._ident):
+            residue, j = self._residue(g)
+            self.sifted += 1
+            if residue is None:
                 continue
-            depth = next(
-                (j for j, lv in enumerate(self.levels) if s[lv.base] != lv.base),
-                len(self.levels),
-            )
-            self._add_strong(s, 0, depth)
-        j = len(self.levels) - 1
-        while j >= 0:
-            j = self._complete_level(j)
+            self._add_strong(residue, 0, j)
+            while j >= 0:
+                j = self._complete_level(j)
 
     def _reserve(self, table_bytes: int):
         """Raise ChainBudgetError unless the arrays the levels hold,
@@ -484,6 +489,15 @@ class StabilizerChain:
             block = _gather(level.inverse, rows, block)
         return block, residue, depth
 
+    def _residue(self, g: Permutation) -> tuple[np.ndarray | None, int]:
+        """Sift g through every level.  Return (None, len(levels)) if g is
+        in the group; else its residue and the level it dropped out at,
+        len(levels) if it passed them all."""
+        block, residue, k = self._sift(np.array([g], dtype=self._dtype), 0)
+        if residue is None and not np.array_equal(block[0], self._ident):
+            residue = block[0]
+        return residue, k
+
     def order(self) -> int:
         n = 1
         for level in self.levels:
@@ -493,8 +507,7 @@ class StabilizerChain:
     def contains(self, g: Permutation) -> bool:
         if len(g) != self.degree:
             raise ValueError(f"degree mismatch: {len(g)} vs {self.degree}")
-        block, _, _ = self._sift(np.array([g], dtype=self._dtype), 0)
-        return len(block) == 1 and np.array_equal(block[0], self._ident)
+        return self._residue(g)[0] is None
 
     def base(self) -> tuple[int, ...]:
         return tuple(level.base for level in self.levels)

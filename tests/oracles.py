@@ -454,7 +454,10 @@ class _SequentialChain:
     """Incremental deterministic Schreier-Sims that sifts one Schreier
     generator per call, in (generator, orbit position) order, skipping only
     Schreier-tree edges; permaction.StabilizerChain must build the same
-    chain in blocks."""
+    chain in blocks.  The input generators are taken one at a time: each is
+    sifted through the chain of the ones before it (one row in sifted),
+    skipped if it sifts to the identity, and otherwise its residue is added
+    and the levels are completed before the next one is read."""
 
     def __init__(self, action):
         self.degree = action.degree
@@ -465,17 +468,13 @@ class _SequentialChain:
         if self.degree:
             self.levels.append(_SequentialLevel(0, self._ident))
         for g in action.generators:
-            s = np.array(g, dtype=self._dtype)
-            if np.array_equal(s, self._ident):
+            residue, j = self._sift(np.array(g, dtype=self._dtype), 0)
+            self.sifted += 1
+            if residue is None:
                 continue
-            depth = next(
-                (j for j, lv in enumerate(self.levels) if s[lv.base] != lv.base),
-                len(self.levels),
-            )
-            self._add_strong(s, 0, depth)
-        j = len(self.levels) - 1
-        while j >= 0:
-            j = self._complete_level(j)
+            self._add_strong(residue, 0, j)
+            while j >= 0:
+                j = self._complete_level(j)
 
     def _add_strong(self, s, first, last):
         if last == len(self.levels):

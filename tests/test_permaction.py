@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -521,19 +522,29 @@ def rotations(k, degree):
     )
 
 
+def regular_elementary_abelian(m):
+    """(Z_2)^m acting regularly on its own 2^m elements, by m generators."""
+    return GroupAction(
+        2**m, tuple(tuple(x ^ (1 << i) for x in range(2**m)) for i in range(m))
+    )
+
+
 @pytest.mark.parametrize(
-    "action, order, budget",
+    "action, order, budget, where",
     [
         # the tables of many levels
-        (symmetric_on_first_points(20, 486), math.factorial(20), 3 * 2**18),
+        (symmetric_on_first_points(20, 486), math.factorial(20), 3 * 2**18, "_add_generator"),
         # the table of level 0
-        (rotations(1, 486), 486, 2**19),
-        # the list of 100 * 486 pending Schreier generators of level 0
-        (rotations(100, 486), 486, 5 * 2**18),
+        (rotations(1, 486), 486, 2**19, "_add_generator"),
+        # the pending Schreier generators of level 0 once the sixth
+        # generator doubles its orbit to 64 points: 6 * 32 rows of two intp
+        # indices, 1280 bytes over every earlier reservation, beside a
+        # 640 KiB sift block
+        (regular_elementary_abelian(6), 64, 5 * 2**17 + 2**13, "_complete_level"),
     ],
-    ids=["S20", "C486", "C486_100_generators"],
+    ids=["S20", "C486", "Z2^6_pending_rows"],
 )
-def test_chain_budget_stops_before_it_allocates(action, order, budget, monkeypatch):
+def test_chain_budget_stops_before_it_allocates(action, order, budget, where, monkeypatch):
     assert StabilizerChain(action).order() == order
     monkeypatch.setattr(permaction, "MAX_CHAIN_BYTES", budget)
     tracemalloc.start()
@@ -545,9 +556,64 @@ def test_chain_budget_stops_before_it_allocates(action, order, budget, monkeypat
         tracemalloc.stop()
     assert isinstance(info.value, ValueError)
     assert str(info.value).endswith(f"over MAX_CHAIN_BYTES={budget}")
+    # the reservation that refused: the one before a table grows, or the
+    # one before a level's pending rows are listed
+    assert info.traceback[-2].name == where
     assert peak <= budget
     # a smaller group under the same budget is built in full
     assert StabilizerChain(symmetric_on_first_points(8, 486)).order() == math.factorial(8)
+
+
+def test_redundant_rotations_fit_the_budget(monkeypatch):
+    # rotations 2..100 lie in the group of the first, so they are never
+    # strong generators and their 99 * 486 Schreier generators never listed
+    action, budget = rotations(100, 486), 5 * 2**18
+    monkeypatch.setattr(permaction, "MAX_CHAIN_BYTES", budget)
+    tracemalloc.start()
+    try:
+        chain = StabilizerChain(action)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chain.order() == 486
+    assert len(chain.levels[0].gens) == 1
+    assert chain.sifted == 100 + 486 - 485  # one per input, one per non-tree row
+    assert peak <= budget
+
+
+def test_bundled_chain_skips_the_generator_it_already_holds(bundled_action):
+    # the third bundled generator lies in the group of the first two
+    chain = StabilizerChain(bundled_action)
+    assert len(chain.levels[0].gens) == 2
+    assert chain.levels[0].gens.tolist() == [list(g) for g in bundled_action.generators[:2]]
+    assert chain.sifted < 1646  # all three inputs at level 0 sifted 1646 rows
+
+
+def test_a_member_as_an_extra_generator_changes_nothing(bundled_action):
+    a, b = bundled_action.generators[:2]
+    chain = StabilizerChain(bundled_action)
+    want = orbitals(bundled_action).pair_ids
+    for extra in (compose(a, b), a, identity(bundled_action.degree)):
+        action = GroupAction(bundled_action.degree, bundled_action.generators + (extra,))
+        assert len(action.chain.levels[0].gens) == len(chain.levels[0].gens)
+        assert action.chain.order() == chain.order() == 349920
+        assert np.array_equal(orbitals(action).pair_ids, want)
+
+
+# sha256 of pair_ids as little-endian int32, recorded from a chain whose
+# level 0 held all three input generators: the suborbits are numbered by
+# their least points, whichever strong generators the chain holds
+PAIR_IDS_SHA256 = {
+    "bundled": "6c35248b4db0c71ca73168385c5cfcfda39c897d3567d53190af7f8b035aea8c",
+    "relabelled": "b90fe609e10dc41d4727b74e053d8d09efc8940638ccf2d9e7da03a5321464ae",
+}
+
+
+@pytest.mark.parametrize("which", sorted(PAIR_IDS_SHA256))
+def test_pair_ids_do_not_depend_on_the_strong_generators(which, bundled_action, relabelled_action):
+    action = {"bundled": bundled_action, "relabelled": relabelled_action}[which]
+    digest = hashlib.sha256(orbitals(action).pair_ids.astype("<i4").tobytes()).hexdigest()
+    assert digest == PAIR_IDS_SHA256[which]
 
 
 def test_group_order_and_orbitals_share_one_chain(relabelled_action, monkeypatch):
