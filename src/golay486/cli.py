@@ -8,8 +8,9 @@ same path.
 Exit codes follow a CI-friendly contract: 0 when every evaluated claim
 passes, 1 when a claim fails, 2 when the environment is unusable (missing
 or corrupt generator data, a generated group too large for the stabilizer
-chain's MAX_CHAIN_BYTES, an action that `group orbitals|scan` cannot
-decompose or scan, unwritable output, memory exhausted).
+chain's MAX_CHAIN_BYTES or MAX_SIFTED_ROWS, an action that `group
+orbitals|scan` cannot decompose or scan, unwritable output, memory
+exhausted).
 """
 
 from __future__ import annotations

@@ -84,12 +84,12 @@ class LinearCode:
 
         A word that is zero off the pivot columns of `check`, which is
         reduced, has its pivot entries as its syndrome, so the span of those
-        unit vectors meets every coset once.  _span lists the coefficients
-        in lex order, so row i's pivot entries are the base-3 digits of i.
-        Like `check`, it is derived once per object and is not a field.
+        unit vectors meets every coset once; a row's pivot is its first
+        nonzero entry, a 1.  _span lists the coefficients in lex order, so
+        row i's pivot entries are the base-3 digits of i.  Like `check`, it
+        is derived once per object and is not a field.
         """
-        pivots = gf3.rref(self.check)[2]
-        units = tuple(gf3.unit_vector(self.length, p) for p in pivots)
+        units = tuple(gf3.unit_vector(self.length, row.index(1)) for row in self.check)
         words = gf3._span(units, length=self.length)
         words.flags.writeable = False
         return words

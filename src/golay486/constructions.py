@@ -259,7 +259,7 @@ def syndrome_map(golay: codes.LinearCode, family: FlatFamily) -> np.ndarray:
     """
     check = golay.check
     r = len(check)
-    pivots = list(gf3.rref(check)[2])
+    pivots = [row.index(1) for row in check]  # check is reduced
     ys = np.array(family.functionals, dtype=np.int64)[:, pivots]
     flat = np.where(ys[:, 0] == 1, ys[:, 1:] @ 3 ** np.arange(r - 2, -1, -1), -1)
     flats = 3 * flat[:, None] + np.arange(3)

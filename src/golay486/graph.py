@@ -12,8 +12,9 @@ product is a quarter of the n x n one, and a regular one needs d - 2 per
 class: its last layer follows from an edge count.  Counts never exceed
 the vertex count, so float32 matmuls (each function converts the matrix
 locally) are exact and fast at the 486-vertex scale this library works
-at.  graph6 text is packed and unpacked in 24-bit words, three bytes to
-four characters, and its 1-, 3- or 6-character vertex count is written and
+at.  A graph6 body is base64 written in the characters ? to ~, so it goes
+through the interpreter's base64 codec (binascii) and one translation
+table each way, and its 1-, 3- or 6-character vertex count is written and
 read by one path each.
 
 Isomorphism testing is colour refinement with individualization and
@@ -32,6 +33,7 @@ refinement steps raises IsomorphismBudgetError, which is no verdict.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 from itertools import chain
@@ -748,9 +750,11 @@ def are_isomorphic(g1: Graph, g2: Graph) -> list[int] | None:
 _G6_MAX_N = 68719476735
 # the vertex count takes 1, 3 or 6 characters after 0, 1 or 2 "~"
 _G6_COUNT_WIDTHS = (1, 3, 6)
-# a 24-bit word is four 6-bit characters, or three bytes
-_G6_CHAR_SHIFTS = np.array([18, 12, 6, 0], dtype=np.uint32)
-_G6_BYTE_SHIFTS = np.array([16, 8, 0], dtype=np.uint32)
+# graph6 writes the six-bit value v as chr(v + 63), base64 (RFC 4648) as
+# the v-th character of this alphabet
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_FROM_G6 = bytes.maketrans(bytes(range(63, 127)), _B64)
 
 
 def graph6_encode(g: Graph) -> str:
@@ -758,9 +762,10 @@ def graph6_encode(g: Graph) -> str:
 
     The body is the bits (j, k) for j < k, column by column, six to a
     character: the strict lower triangle row by row, packed into bytes in
-    one pass.  Three bytes are four characters, so the bytes are read as
-    24-bit words, zero-padded to a whole word, and each word is shifted
-    into its four 6-bit characters.
+    one pass.  Base64 cuts bytes into six-bit characters the same way,
+    three bytes to four characters with the last group zero-padded, so
+    the body is the packed bytes' base64 text, cut to its length and
+    translated into graph6's characters.
     """
     n = g.n
     if n > _G6_MAX_N:
@@ -768,25 +773,20 @@ def graph6_encode(g: Graph) -> str:
     tildes = (n > 62) + (n > 258047)
     shifts = range(6 * _G6_COUNT_WIDTHS[tildes] - 6, -1, -6)
     head = [126] * tildes + [((n >> s) & 63) + 63 for s in shifts]
-    packed = np.packbits(g.adjacency_matrix[np.tri(n, k=-1, dtype=bool)])
-    words = np.zeros((len(packed) + 2) // 3 * 3, dtype=np.uint32)
-    words[: len(packed)] = packed
-    words = words.reshape(-1, 3) << _G6_BYTE_SHIFTS
-    words = words[:, 0] | words[:, 1] | words[:, 2]
-    chars = (words[:, None] >> _G6_CHAR_SHIFTS) & 63
-    nbits = n * (n - 1) // 2
-    body = chars.astype(np.uint8).ravel()[: (nbits + 5) // 6] + 63
-    return (bytes(head) + body.tobytes()).decode("ascii")
+    packed = np.packbits(g.adjacency_matrix[np.tri(n, k=-1, dtype=bool)]).tobytes()
+    body = binascii.b2a_base64(packed, newline=False)[: (n * (n - 1) // 2 + 5) // 6]
+    return (bytes(head) + body.translate(_TO_G6)).decode("ascii")
 
 
 def graph6_decode(text: str) -> Graph:
     """Inverse of graph6_encode; malformed input raises Graph6ParseError.
 
-    The body is unpacked four characters, one 24-bit word of three bytes,
-    at a time.  The last word is zero-padded, so a nonzero bit past the
-    n(n-1)/2 bits of the matrix is the text's own padding, and its error
-    names the character that holds it.  The matrix is rebuilt as a | a^T and
-    goes through Graph.from_adjacency's checks, like any input.
+    The validated body is padded with "?" (zero) to whole groups of four
+    characters, translated into base64's alphabet and decoded to bytes,
+    three to a group.  So a nonzero bit past the n(n-1)/2 bits of the
+    matrix is the text's own padding, and its error names the character
+    that holds it.  The matrix is rebuilt as a | a^T and goes through
+    Graph.from_adjacency's checks, like any input.
     """
     s = text.rstrip("\n")
     if not s:
@@ -813,12 +813,8 @@ def graph6_decode(text: str) -> Graph:
         raise Graph6ParseError(
             f"expected {need} body bytes for n={n}, got {len(s) - pos}", pos
         )
-    words = np.zeros((need + 3) // 4 * 4, dtype=np.uint32)
-    words[:need] = codes[pos:] - 63
-    words = words.reshape(-1, 4) << _G6_CHAR_SHIFTS
-    words = words[:, 0] | words[:, 1] | words[:, 2] | words[:, 3]
-    # astype keeps the low 8 bits of each shifted word: its byte
-    bits = np.unpackbits((words[:, None] >> _G6_BYTE_SHIFTS).astype(np.uint8).ravel())
+    body = s[pos:].ljust((need + 3) // 4 * 4, "?").encode("ascii").translate(_FROM_G6)
+    bits = np.unpackbits(np.frombuffer(binascii.a2b_base64(body), dtype=np.uint8))
     padding = np.flatnonzero(bits[nbits:])
     if len(padding):
         offset = pos + (nbits + int(padding[0])) // 6

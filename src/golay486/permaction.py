@@ -14,9 +14,10 @@ separate verification pass, and why sifting the Schreier generators in
 blocks of rows builds the same chain as sifting them one at a time).  Each
 level keeps one table, the inverses of its transversal elements in orbit
 order, and writes every Schreier generator from it.  The chain stops with
-ChainBudgetError before its arrays would pass MAX_CHAIN_BYTES.  orbitals()
-reads the suborbits and the whole pair table off the chain, whose base
-starts at point 0.  The pair table is one read-only n x n intc array; the
+ChainBudgetError before its arrays would pass MAX_CHAIN_BYTES, or once it
+has sifted more than MAX_SIFTED_ROWS rows.  orbitals() reads the
+suborbits and the whole pair table off the chain, whose base starts at
+point 0.  The pair table is one read-only n x n intc array; the
 orbital-union graphs, the collapsed matrices and the scan index it
 directly, and row 0 labels every vertex by its suborbit.
 
@@ -62,6 +63,11 @@ MAX_DEGREE = 4096
 # built; a transitive action of degree MAX_DEGREE needs 32 MiB for level 0
 # alone.
 MAX_CHAIN_BYTES = 128 << 20
+
+# Rows (Schreier generators and input generators) a stabilizer chain may
+# sift, which bounds its time.  The bundled action sifts 1164 and S_60 at
+# degree 486 (a 60-cycle and a transposition) 58982.
+MAX_SIFTED_ROWS = 1 << 17
 
 # Bytes of one block of Schreier generators, sifted together: 67 rows at
 # degree 486.
@@ -243,7 +249,8 @@ def orbit_labels(generators: Sequence[Permutation] | np.ndarray, degree: int) ->
 
 
 class ChainBudgetError(ValueError):
-    """The stabilizer chain would hold more than MAX_CHAIN_BYTES."""
+    """The stabilizer chain would hold more than MAX_CHAIN_BYTES, or has
+    sifted more than MAX_SIFTED_ROWS rows."""
 
 
 def _gather(table: np.ndarray, rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -347,7 +354,12 @@ class StabilizerChain:
     old and the new one are both held while it is copied) and before a
     level's pending rows are listed and cut into blocks, the levels' arrays,
     the new ones and one sift block must fit in MAX_CHAIN_BYTES, else
-    ChainBudgetError (a ValueError) is raised.
+    ChainBudgetError (a ValueError) is raised.  Its time is bounded too:
+    each block of Schreier generators is counted in ``sifted`` before it is
+    sifted, and a block that takes ``sifted`` past MAX_SIFTED_ROWS raises
+    ChainBudgetError.  So S_486 (a 486-cycle and a transposition) is
+    refused after about 2^17 rows, long before its levels would fill
+    MAX_CHAIN_BYTES.
 
     Internally permutations are numpy index arrays of the smallest unsigned
     type that holds a point ("p, then q" is q[p]); the public methods take
@@ -455,6 +467,11 @@ class StabilizerChain:
             block = _gather(level.inverse, level.index[images], level.gens[c])
             block = _scatter(level.inverse, i, block)
             self.sifted += len(block)
+            if self.sifted > MAX_SIFTED_ROWS:
+                raise ChainBudgetError(
+                    f"stabilizer chain of degree {self.degree} sifted {self.sifted} rows, "
+                    f"over MAX_SIFTED_ROWS={MAX_SIFTED_ROWS}"
+                )
             block, residue, k = self._sift(block, j + 1)
             moved = (block != self._ident).any(axis=1)
             same = np.flatnonzero(~moved)

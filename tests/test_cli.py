@@ -355,6 +355,23 @@ def test_cold_verify_takes_three_null_spaces(monkeypatch):
     assert widths == [11, 10]
 
 
+def test_cold_verify_row_reduces_sixteen_matrices(monkeypatch):
+    real = gf3.rref
+    shapes = []
+
+    def counted(m):
+        shapes.append((len(m), len(m[0])))
+        return real(m)
+
+    monkeypatch.setattr(gf3, "rref", counted)
+    assert cli.run_verification().overall
+    # the Golay code and its spans, C' = shorten(golay, 0), both checks,
+    # design_map's frame and AG(5,3).  A check's pivots are read off its
+    # reduced rows, so neither check (5 x 11, 5 x 10) is reduced again.
+    assert len(shapes) == 16
+    assert Counter(shapes) == {(11, 11): 1, (6, 11): 4, (5, 11): 4, (5, 10): 5, (5, 5): 2}
+
+
 def test_cold_verify_counts_each_golay_fact_once(monkeypatch):
     calls = Counter()
 
@@ -734,6 +751,28 @@ def test_a_group_over_the_chain_budget_exits_2_or_reads_unavailable(
     observed = {e["claim_id"]: e["observed"] for e in entries}
     assert observed["group.order"].startswith(f"unavailable: {message}")
     assert observed["group.rank"].startswith(f"unavailable: {message}")
+
+
+def test_a_group_over_the_sift_bound_exits_2_or_reads_unavailable(
+    tmp_path, capsys, monkeypatch
+):
+    # a 486-cycle and a transposition generate S_486, whose chain would
+    # sift rows for minutes; never build it without a bound
+    gens = tmp_path / "s486.txt"
+    gens.write_text("a := (1,2)\nb := (" + ",".join(map(str, range(1, 487))) + ")\n")
+    monkeypatch.setattr(permaction, "MAX_SIFTED_ROWS", 1000)
+    message = "stabilizer chain of degree 486 sifted"
+    code, out, err = run(capsys, "group", "order", "--gens", str(gens))
+    assert code == 2 and out == ""
+    assert err.startswith(f"generated group is too large: {message}")
+    assert err.endswith("over MAX_SIFTED_ROWS=1000\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    out_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--gens", str(gens), "--json", str(out_path))
+    assert code == 1 and "Traceback" not in err
+    entries = json.loads(out_path.read_text())["entries"]
+    observed = {e["claim_id"]: e["observed"] for e in entries}
+    assert observed["group.order"].startswith(f"unavailable: {message}")
 
 
 def test_a_scan_over_the_rank_bound_exits_2(tmp_path, capsys):

@@ -326,6 +326,16 @@ def test_check_starts_with_the_first_unit_vector_unless_e0_is_a_codeword(n, k, w
     assert unit or not any(column)
 
 
+def test_a_reduced_checks_pivots_are_its_rows_first_ones(golay):
+    # lifts and syndrome_map read the pivots off the reduced check, with no
+    # second row reduction
+    tetracode = codes.linear_code([(1, 0, 1, 1), (0, 1, 1, 2)])
+    for code in (golay, codes.shorten(golay, 0), tetracode, zero_code(5), full_space_code(5)):
+        check = code.check
+        assert [row.index(1) for row in check] == list(gf3.rref(check)[2])
+        assert all(not any(row[: row.index(1)]) for row in check)
+
+
 def test_each_coset_lift_lies_in_its_own_coset(golay):
     for name, code in ladder_codes(golay).items():
         lifts = code.lifts

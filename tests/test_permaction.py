@@ -564,6 +564,22 @@ def test_chain_budget_stops_before_it_allocates(action, order, budget, where, mo
     assert StabilizerChain(symmetric_on_first_points(8, 486)).order() == math.factorial(8)
 
 
+def test_chain_sift_bound_stops_a_long_build(monkeypatch):
+    # S_30 at degree 486 sifts 6721 rows in full; each block of Schreier
+    # generators is counted before it is sifted, so the chain stops within
+    # one block of the bound
+    action, bound = symmetric_on_first_points(30, 486), 2048
+    monkeypatch.setattr(permaction, "MAX_SIFTED_ROWS", bound)
+    with pytest.raises(ChainBudgetError) as info:
+        StabilizerChain(action)
+    assert str(info.value).endswith(f"over MAX_SIFTED_ROWS={bound}")
+    sifted = int(re.search(r"sifted (\d+) rows", str(info.value)).group(1))
+    block = StabilizerChain(symmetric_on_first_points(8, 486))._block
+    assert bound < sifted <= bound + block
+    # a smaller group under the same bound is built in full
+    assert StabilizerChain(symmetric_on_first_points(8, 486)).order() == math.factorial(8)
+
+
 def test_redundant_rotations_fit_the_budget(monkeypatch):
     # rotations 2..100 lie in the group of the first, so they are never
     # strong generators and their 99 * 486 Schreier generators never listed
