@@ -368,7 +368,6 @@ def test_cold_verify_row_reduces_sixteen_matrices(monkeypatch):
     # the Golay code and its spans, C' = shorten(golay, 0), both checks,
     # design_map's frame and AG(5,3).  A check's pivots are read off its
     # reduced rows, so neither check (5 x 11, 5 x 10) is reduced again.
-    assert len(shapes) == 16
     assert Counter(shapes) == {(11, 11): 1, (6, 11): 4, (5, 11): 4, (5, 10): 5, (5, 5): 2}
 
 
