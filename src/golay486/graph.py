@@ -34,6 +34,7 @@ refinement steps raises IsomorphismBudgetError, which is no verdict.
 from __future__ import annotations
 
 import binascii
+import sys
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 from itertools import chain
@@ -85,8 +86,9 @@ class Graph:
             raise ValueError("every edge must be a pair of integer vertices")
         pairs = ends.reshape(len(edges), 2)
         loops = pairs[:, 0] == pairs[:, 1]
-        bad = ((pairs < 0) | (pairs >= n)).any(axis=1) | loops
-        if bad.any():
+        # the first bad edge is looked for only once a bound fails
+        if len(ends) and (ends.min() < 0 or ends.max() >= n or loops.any()):
+            bad = ((pairs < 0) | (pairs >= n)).any(axis=1) | loops
             u, v = pairs[np.argmax(bad)].tolist()
             if u == v and 0 <= u < n:
                 raise ValueError(f"loop at vertex {u}")
@@ -315,15 +317,24 @@ def distance_matrix(g: Graph) -> np.ndarray:
     Each layer of _layers is written into its block of the matrix: in place
     where the block is a view (the one block of a non-bipartite graph), and
     through a copy stored back where it is gathered (a bipartite block).
+    A pair not yet reached holds INT32_MIN, whose most significant byte is
+    0x80.  Subtracting the layer D_{j+1} from those bytes, as uint8 from
+    bool bytes with no cast and so no buffer, takes its pairs to
+    0x7F000000, and the minimum with j + 1 brings them to j + 1 and leaves
+    every pair reached before (at most j, top byte 0) as it is: two
+    unmasked passes, where a masked copy takes about four times as long.
     """
-    dist = np.full((g.n, g.n), -1, dtype=np.int32)
+    dist = np.full((g.n, g.n), np.iinfo(np.int32).min, dtype=np.int32)
     np.fill_diagonal(dist, 0)
+    top = 3 if sys.byteorder == "little" else 0  # the most significant byte
     for block, j, _, _, nxt in _layers(g, np.count_nonzero(g.adjacency_matrix, axis=1)):
         part = dist[block]
-        np.copyto(part, j + 1, where=nxt)
+        high = part.view(np.uint8)[:, top::4]
+        high -= nxt.view(np.uint8)
+        np.minimum(part, j + 1, out=part)
         if part.base is not dist:  # a copy, not a view
             dist[block] = part
-    return dist
+    return np.maximum(dist, -1, out=dist)  # -1 for a pair never reached
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,27 @@ decomposition of a transitive action, collapsed adjacency matrices, and
 the scan that finds every union of orbitals forming a distance-regular
 graph.
 
-Group order and orbitals both read one stabilizer chain per action,
-built on first use by incremental deterministic Schreier-Sims and kept as
-GroupAction.chain (see StabilizerChain for why it is certified with no
-separate verification pass, and why sifting the Schreier generators in
-blocks of rows builds the same chain as sifting them one at a time).  Each
-level keeps one table, the inverses of its transversal elements in orbit
-order, and writes every Schreier generator from it.  The chain stops with
-ChainBudgetError before its arrays would pass MAX_CHAIN_BYTES, or once it
-has sifted more than MAX_SIFTED_ROWS rows.  orbitals() reads the
-suborbits and the whole pair table off the chain, whose base starts at
-point 0.  The pair table is one read-only n x n intc array; the
-orbital-union graphs, the collapsed matrices and the scan index it
-directly, and row 0 labels every vertex by its suborbit.
+Cycle notation is read in one array pass over the code points of the
+text, every generator of a file at once, in memory linear in the text's
+length (_parse_bodies): the characters are classed, the token grammar is
+one transition test over the tokens, repeated points are counted with
+np.bincount, and the images are written by rolling each cycle's points.
+
+Group order and orbitals both read one stabilizer chain per action, built
+on first use by incremental deterministic Schreier-Sims and kept as
+GroupAction.chain or, when it is refused, as its ChainBudgetError, so
+that it is built once either way (see StabilizerChain for why it is
+certified with no separate verification pass, and why sifting the
+Schreier generators in blocks of rows builds the same chain as sifting
+them one at a time).  Each level keeps one table, the inverses of its
+transversal elements in orbit order, and writes every Schreier generator
+from it.  The chain stops with ChainBudgetError before its arrays would
+pass MAX_CHAIN_BYTES, or once it has sifted more than MAX_SIFTED_ROWS
+rows.  orbitals() reads the suborbits and the whole pair table off the
+chain, whose base starts at point 0.  The pair table is one read-only
+n x n intc array; the orbital-union graphs, the collapsed matrices and
+the scan index it directly, and row 0 labels every vertex by its
+suborbit.
 
 Orbits are labelled by their least point in array passes (orbit_labels), and
 the scan tests the suborbit quotients of a block of unions at once, by one
@@ -108,15 +116,43 @@ def format_cycles(p: Permutation) -> str:
     return "".join("(" + ",".join(str(x + 1) for x in c) + ")" for c in cs)
 
 
-# The longest text at which a cycle can begin: "(", then points separated
-# by commas, then ")".  A cycle is well formed exactly when its match ends
-# in ")"; otherwise the text breaks off where the match ends.  A point is
-# ASCII digits only, as _point reads it.
-_CYCLE = re.compile(r"\s*\(\s*(?:[0-9]+\s*(?:,\s*[0-9]+\s*)*(?:\)|,\s*)?|\))?")
 _POINT = re.compile(r"[0-9]+")
-# What may follow the last cycle: an optional ';' or '.' terminator.
-_TAIL = re.compile(r"\s*(?:[;.]\s*)?")
 _ASSIGNMENT = re.compile(r"^\s*\w+\s*:=", re.MULTILINE)
+
+# The classes of the characters of cycle notation.  A point is a run of
+# ASCII digits; whitespace is what re's \s matches (str.isspace); _END
+# stands for the start and the end of a body of cycles.  _SPACE is 0, the
+# class of every byte of a fresh bytearray.
+_SPACE, _DIGIT, _OPEN, _CLOSE, _COMMA, _STOP, _OTHER, _END = range(8)
+_PUNCTUATION = {"(": _OPEN, ")": _CLOSE, ",": _COMMA, ";": _STOP, ".": _STOP}
+# bytes.translate tables over the text encoded one byte per character, as
+# ASCII with "?" for every character beyond it: the class of each byte,
+# and the value of each digit (0 for any other byte).
+_CLASSES = bytes(
+    _SPACE if ch.isspace() else _DIGIT if "0" <= ch <= "9" else _PUNCTUATION.get(ch, _OTHER)
+    for ch in map(chr, range(128))
+).ljust(256, bytes([_OTHER]))
+_DIGIT_VALUES = bytes(int(ch) if "0" <= ch <= "9" else 0 for ch in map(chr, range(256)))
+# Whitespace beyond ASCII: the one class that "?" does not stand for.
+_WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
+# The classes of token that may come next after each class of token.
+# Between cycles (after the start of a body, read as _END, or after ")")
+# come "(", a ";" or "." terminator, or the end; inside a cycle, a point
+# or ")" after "(", "," or ")" after a point, and a point after ",";
+# after a terminator, only the end.
+_NEXT = {
+    _END: (_OPEN, _STOP, _END),
+    _CLOSE: (_OPEN, _STOP, _END),
+    _OPEN: (_DIGIT, _CLOSE),
+    _DIGIT: (_COMMA, _CLOSE),
+    _COMMA: (_DIGIT,),
+    _STOP: (_END,),
+}
+# _FOLLOWS[8 * a + b]: a token of class b may follow one of class a.
+_FOLLOWS = np.array([b in _NEXT.get(a, ()) for a in range(8) for b in range(8)])
+# Places of a point's digits, right to left, up to len(str(MAX_DEGREE)).
+_PLACES = np.arange(len(str(MAX_DEGREE)) + 1)
+_TENS = 10 ** _PLACES[:-1]
 
 
 def _point(token: str, bound: int) -> int:
@@ -127,40 +163,108 @@ def _point(token: str, bound: int) -> int:
     return int(token)
 
 
-def parse_cycles(text: str, degree: int) -> Permutation:
-    """Parse a product of disjoint cycles of 1-based points in 1..degree.
+def _parse_bodies(text: str, bodies: list[tuple[int, int]], degree: int) -> list[Permutation]:
+    """The permutation written in each body text[start:end] of bodies, a
+    product of disjoint cycles of 1-based points in 1..degree.
 
     Whitespace and newlines may appear anywhere between tokens; points not
     mentioned are fixed; optional trailing punctuation (';' or '.') is
     allowed.  Repeated points, out-of-range points and malformed text
-    raise CycleParseError with the offending position, and so does a
-    degree above MAX_DEGREE, before anything is allocated.
+    raise CycleParseError with the offending position in the whole text,
+    and so does a degree above MAX_DEGREE, at 0, before anything is
+    allocated.  The error raised is the first in text order: the one a
+    walk through the cycles, one at a time, meets first.
+
+    Every body is read in one array pass over the text, encoded one byte per
+    character (ASCII, and "?" for every other character), in memory linear
+    in its length, apart from degree + 1 counts and degree images per body.
+    Bodies are in text order, and each after the first begins at least two
+    characters after the one before it ends: an _END stands at the end of
+    the one and another at the start of the next, and the rest of the text
+    between bodies reads as whitespace.  Every character is classed, and
+    each run of digits is one token.  A body is well formed exactly when
+    each token may follow the one before it (_FOLLOWS).  A point is read off
+    its run's last len(str(degree)) digits; a nonzero digit before them puts
+    it out of range, as _point does, and the run is never converted.
     """
     if degree > MAX_DEGREE:
         raise CycleParseError(f"degree above MAX_DEGREE={MAX_DEGREE}", 0)
-    images = list(range(degree))
-    seen: set[int] = set()
-    pos = 0
-    while cycle := _CYCLE.match(text, pos):
-        points = []
-        for token in _POINT.finditer(text, cycle.start(), cycle.end()):
-            point = _point(token[0], degree) - 1
-            if not 0 <= point < degree:
-                raise CycleParseError(f"point {token[0]} outside 1..{degree}", token.start())
-            if point in seen:
-                raise CycleParseError(f"point {point + 1} repeated", token.start())
-            seen.add(point)
-            points.append(point)
-        pos = cycle.end()
-        if text[pos - 1] != ")":
-            found = repr(text[pos]) if pos < len(text) else "the end of the text"
+    data = text.encode("ascii", "replace")
+    classes = bytearray(data.translate(_CLASSES))
+    if not text.isascii():
+        for space in _WIDE_SPACE.finditer(text):
+            classes[space.start()] = _SPACE
+    # kind[1 + i] is the class of text[i] inside a body; the rest is _SPACE
+    # but for an _END just before each body's start and one at its end
+    kind = bytearray(len(text) + 2)
+    for start, stop in bodies:
+        kind[start + 1 : stop + 1] = classes[start:stop]
+        kind[start] = kind[stop + 1] = _END
+    kind = np.frombuffer(kind, dtype=np.uint8)
+
+    digit = kind == _DIGIT
+    first = kind != _SPACE
+    first[1:] ^= digit[1:] & digit[:-1]  # a digit after a digit begins no token
+    at = first.nonzero()[0]
+    token = kind[at]
+    at -= 1  # each token's position in the text
+    follows = _FOLLOWS[token[:-1] * 8 + token[1:]]
+    w = int(follows.argmin()) + 1  # the first token that may not follow the one before it
+    broken = not follows[w - 1]
+    # the points read before the first misplaced token, each a run of digits
+    limit = at[w] if broken else len(text)
+    points = (token == _DIGIT).nonzero()[0]
+    runs = at[points]
+    count = runs.searchsorted(limit)
+    points, runs = points[:count], runs[:count]
+    ends = np.greater(digit[:-1], digit[1:]).nonzero()[0][:count]
+
+    width = len(str(degree))
+    digits = np.frombuffer(data.translate(_DIGIT_VALUES), dtype=np.uint8)
+    # the last width characters of each run, right to left, read as 0 before its start
+    back = ends[:, None] - _PLACES[1 : width + 1]
+    value = (digits.take(back, mode="clip") * (back >= runs[:, None])) @ _TENS[:width]
+    long = ends - runs > width
+    if long.any():  # out of range unless only zeros precede the last digits
+        nonzero = np.append(digits.nonzero()[0], len(text))
+        long &= nonzero[np.searchsorted(nonzero, runs)] < ends - width
+    point = value - 1
+    outside = long | (point.view(np.uint64) >= degree)  # value 0 wraps above degree
+    # each point is keyed by its body and value.  An outside point's key can
+    # only equal that of an outside point or of a point in a later body, so
+    # any repeat it makes lies after the first outside point, an error anyway
+    body = np.array([start for start, _ in bodies]).searchsorted(runs, side="right") - 1
+    key = body * (max(degree, 0) + 1) + value
+    counts = np.bincount(key)
+    errors = outside.nonzero()[0][:1]
+    if len(counts) and counts.max() > 1:  # a repeat follows its first in the stable order
+        shared = (counts[key] > 1).nonzero()[0]
+        order = shared[np.argsort(key[shared], kind="stable")]
+        errors = np.append(errors, order[1:][key[order[1:]] == key[order[:-1]]])
+
+    if len(errors):
+        i = int(errors.min())
+        start = int(runs[i])
+        if outside[i]:
+            raise CycleParseError(f"point {text[start:ends[i]]} outside 1..{degree}", start)
+        raise CycleParseError(f"point {value[i]} repeated", start)
+    if broken:
+        pos = int(limit)
+        if token[w - 1] in (_OPEN, _DIGIT, _COMMA):
+            found = "the end of the text" if token[w] == _END else repr(text[pos])
             raise CycleParseError(f"malformed cycle: found {found}", pos)
-        for x, y in zip(points, points[1:] + points[:1]):
-            images[x] = y
-    pos = _TAIL.match(text, pos).end()
-    if pos < len(text):
         raise CycleParseError(f"unexpected {text[pos]!r} outside a cycle", pos)
-    return tuple(images)
+
+    # each point goes to the next of its cycle, and a cycle's last (the one
+    # before a ")") to its first (the one after the last before it)
+    last = token[points + 1] == _CLOSE
+    successor = np.concatenate((point[1:], point[:1]))
+    successor[last] = point[np.concatenate((last[-1:], last[:-1]))]
+    identity = np.arange(degree, dtype=np.uint16)  # uint16 holds every point
+    images = np.empty((len(bodies), len(identity)), dtype=np.uint16)
+    images[:] = identity
+    images[body, point] = successor
+    return [tuple(row.tolist()) for row in images]
 
 
 def parse_generator_file(text: str, degree: int | None = None) -> "GroupAction":
@@ -185,16 +289,8 @@ def parse_generator_file(text: str, degree: int | None = None) -> "GroupAction":
         if not points:
             raise CycleParseError("no points in generator file", 0)
         degree = max(points)
-    if degree > MAX_DEGREE:
-        raise CycleParseError(f"degree above MAX_DEGREE={MAX_DEGREE}", 0)
 
-    def generator(start: int, end: int) -> Permutation:
-        try:
-            return parse_cycles(text[start:end], degree)
-        except CycleParseError as exc:
-            raise CycleParseError(exc.message, start + exc.position) from None
-
-    return GroupAction(degree=degree, generators=tuple(generator(*b) for b in bodies))
+    return GroupAction(degree=degree, generators=tuple(_parse_bodies(text, bodies, degree)))
 
 
 @dataclass(frozen=True)
@@ -205,16 +301,29 @@ class GroupAction:
     generators: tuple[Permutation, ...]
 
     def __post_init__(self):
+        points = set(range(self.degree))
         for g in self.generators:
             if len(g) != self.degree:
                 raise ValueError("generator degree mismatch")
-            if sorted(g) != list(range(self.degree)):
+            if set(g) != points:  # degree images that are all the points
                 raise ValueError("generator is not a permutation")
 
-    @cached_property
+    @property
     def chain(self) -> "StabilizerChain":
-        """The stabilizer chain of the generated group, built once."""
-        return StabilizerChain(self)
+        """The stabilizer chain of the generated group, built once.  A chain
+        refused with ChainBudgetError is not built again: every later read
+        raises the same error."""
+        if isinstance(self._chain, ChainBudgetError):
+            raise self._chain
+        return self._chain
+
+    @cached_property
+    def _chain(self) -> "StabilizerChain | ChainBudgetError":
+        try:
+            return StabilizerChain(self)
+        except ChainBudgetError as exc:
+            # kept without its traceback, whose frames hold the refused arrays
+            return exc.with_traceback(None)
 
 
 def orbit_labels(generators: Sequence[Permutation] | np.ndarray, degree: int) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""Small graph builders, permutation helpers and independent oracles shared
-by the tests.  The library does not need any of them: they build fixtures,
-or recompute by a second route what the library computes.
+"""Small graph builders, permutation helpers, independent oracles and
+Hypothesis strategies shared by the tests.  The library does not need any
+of them: they build fixtures, recompute by a second route what the library
+computes, or draw the text its parsers are fed.
 """
 
 import random
@@ -9,11 +10,19 @@ from collections import deque
 from itertools import product
 
 import numpy as np
+from hypothesis import strategies as st
 
 from golay486 import codes, gf3
 from golay486.gf3 import DimensionError
 from golay486.graph import Graph, GraphStructureError, IntersectionArray, distance_matrix
-from golay486.permaction import MAX_DEGREE, CycleParseError, GroupAction, Permutation, _point
+from golay486.permaction import (
+    MAX_DEGREE,
+    CycleParseError,
+    GroupAction,
+    Permutation,
+    _parse_bodies,
+    _point,
+)
 
 
 def vec_add(u, v):
@@ -228,13 +237,41 @@ def relabel_action(action, seed):
     return GroupAction(action.degree, tuple(gens)), sigma
 
 
-# The token-at-a-time cycle parser that permaction.parse_cycles replaced.
+# Well-formed cycles of small or long points, text near the cycle grammar
+# (with whitespace and digits beyond ASCII: \xa0, \u2003, \x85 and \x1c are
+# whitespace to str.isspace and to re's \s, and \u0663 is a digit to \d),
+# and arbitrary text.
+POINT = st.integers(0, 50).map(str) | st.text("0123456789", min_size=1, max_size=6)
+CYCLE_TEXT = (
+    st.lists(st.lists(POINT, max_size=5).map(",".join).map("({})".format), max_size=4)
+    .map("".join)
+    | st.text(alphabet="(),;.0123456789 \n", max_size=60)
+    | st.text(alphabet="(),;.0123456789 \n\u00a0\u2003\x85\x1c\u0663", max_size=60)
+    | st.text(max_size=30)
+)
+
+# Lines that are mostly "name := cycles" assignments.
+GENERATOR_FILES = st.lists(
+    st.builds("{} := {}".format, st.sampled_from(["a", "b2", "", "x y", "é"]), CYCLE_TEXT)
+    | CYCLE_TEXT,
+    max_size=4,
+).map("\n".join)
+
+
+def parse_cycles(text: str, degree: int) -> Permutation:
+    """The permutation text writes in cycle notation: the one-body case of
+    the array pass that reads every body of a generator file, with error
+    positions in text."""
+    return _parse_bodies(text, [(0, len(text))], degree)[0]
+
+
+# The token-at-a-time cycle parser that the array pass replaced.
 _TOKEN = re.compile(r"\s*([(),;.]|[0-9]+)")
 
 
 def token_parse_cycles(text: str, degree: int) -> Permutation:
     """Parse a product of disjoint cycles of 1-based points in 1..degree,
-    one token at a time: the reference for permaction.parse_cycles.
+    one token at a time: the reference for parse_cycles.
 
     Whitespace and newlines may appear anywhere between tokens; points not
     mentioned are fixed; optional trailing punctuation (';' or '.') is

@@ -5,15 +5,17 @@ import io
 import json
 import re
 import sys
+import tempfile
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from golay486 import cli, codes, constructions, gf3, permaction
 from golay486.graph import Graph, graph6_decode
-from oracles import check_dot, compose, inverse
+from oracles import GENERATOR_FILES, check_dot, compose, inverse
 
 
 def run(capsys, *argv):
@@ -772,6 +774,42 @@ def test_a_group_over_the_sift_bound_exits_2_or_reads_unavailable(
     entries = json.loads(out_path.read_text())["entries"]
     observed = {e["claim_id"]: e["observed"] for e in entries}
     assert observed["group.order"].startswith(f"unavailable: {message}")
+
+
+def test_verify_builds_a_refused_chain_once(tmp_path, capsys, monkeypatch):
+    # group.order and the orbital decomposition read one chain; a refused
+    # chain is refused once, not built again for the second reader
+    gens = tmp_path / "s486.txt"
+    gens.write_text("a := (1,2)\nb := (" + ",".join(map(str, range(1, 487))) + ")\n")
+    monkeypatch.setattr(permaction, "MAX_SIFTED_ROWS", 1000)
+    builds = []
+    build = permaction.StabilizerChain.__init__
+
+    def counted(chain, action):
+        builds.append(action)
+        build(chain, action)
+
+    monkeypatch.setattr(permaction.StabilizerChain, "__init__", counted)
+    code, _, err = run(capsys, "verify", "--gens", str(gens))
+    assert code == 1 and "Traceback" not in err
+    assert len(builds) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(GENERATOR_FILES)
+def test_group_and_scan_exit_0_1_or_2_on_any_generator_file(text):
+    # any --gens text, undecodable bytes included, ends in an exit code:
+    # no exception escapes main
+    with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(permaction, "MAX_SIFTED_ROWS", 1000)
+        gens = f"{scratch}/gens.txt"
+        with open(gens, "wb") as handle:
+            handle.write(text.encode("utf-8", "surrogatepass"))
+        for argv in (["group", "order"], ["scan"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                assert cli.main([*argv, "--gens", gens]) in (0, 1, 2)
 
 
 def test_a_scan_over_the_rank_bound_exits_2(tmp_path, capsys):

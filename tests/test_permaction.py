@@ -28,12 +28,13 @@ from golay486.permaction import (
     group_order,
     orbitals,
     orbital_union_graph,
-    parse_cycles,
     parse_generator_file,
     scan_orbital_unions,
     verify_invariance,
 )
 from oracles import (
+    CYCLE_TEXT,
+    GENERATOR_FILES,
     complete_graph,
     compose,
     cycle_graph,
@@ -43,6 +44,7 @@ from oracles import (
     inverse,
     neighbour_counts,
     orbit,
+    parse_cycles,
     quotient_intersection_array,
     relabel_action,
     sequential_chain,
@@ -209,25 +211,6 @@ def test_degree_bound_rejects_huge_points_before_allocating():
     assert parse_generator_file(f"a := (1,{MAX_DEGREE})\n").degree == MAX_DEGREE
 
 
-# Well-formed cycles of small or long points, text near the cycle grammar,
-# and arbitrary text.
-POINT = st.integers(0, 50).map(str) | st.text("0123456789", min_size=1, max_size=6)
-CYCLE_TEXT = (
-    st.lists(st.lists(POINT, max_size=5).map(",".join).map("({})".format), max_size=4)
-    .map("".join)
-    | st.text(alphabet="(),;.0123456789 \n", max_size=60)
-    | st.text(max_size=30)
-)
-
-
-# Lines that are mostly "name := cycles" assignments.
-GENERATOR_FILES = st.lists(
-    st.builds("{} := {}".format, st.sampled_from(["a", "b2", "", "x y", "é"]), CYCLE_TEXT)
-    | CYCLE_TEXT,
-    max_size=4,
-).map("\n".join)
-
-
 @settings(deadline=None)
 @given(CYCLE_TEXT, st.integers(0, 40))
 def test_parse_cycles_raises_only_cycle_parse_errors(text, degree):
@@ -321,6 +304,64 @@ def test_generator_file_errors_carry_file_offsets():
         with pytest.raises(CycleParseError, match="MAX_DEGREE") as info:
             parse_generator_file(text, degree=degree)
         assert info.value.position == 0
+
+
+def test_an_error_in_the_third_body_carries_its_file_offset():
+    # one array pass reads every body; an error's position is in the file
+    head = "a := (1,2)(3,4)\nb := (2,3);\nc := "
+    for body, at, message in [
+        ("(4,5,4)\n", 5, "point 4 repeated"),
+        ("(1,2)(6)\n", 6, "point 6 outside 1..5"),
+        ("(1,2)(3 4)\n", 8, "malformed cycle: found '4'"),
+        ("(1,2,\n", 6, "malformed cycle: found the end of the text"),
+        ("(1,2) x\n", 6, "unexpected 'x' outside a cycle"),
+    ]:
+        with pytest.raises(CycleParseError) as info:
+            parse_generator_file(head + body, degree=5)
+        assert (info.value.message, info.value.position) == (message, len(head) + at)
+
+
+def read_bodies_one_at_a_time(text, degree):
+    """The generators of a file that starts with an assignment, each body
+    parsed on its own, or the first error's message and file offset."""
+    heads = list(re.finditer(r"^\s*\w+\s*:=", text, re.MULTILINE))
+    ends = [h.start() for h in heads[1:]] + [len(text)]
+    generators = []
+    for head, end in zip(heads, ends):
+        try:
+            generators.append(parse_cycles(text[head.end() : end], degree))
+        except CycleParseError as exc:
+            return exc.message, head.end() + exc.position
+    return tuple(generators)
+
+
+@settings(deadline=None, max_examples=300)
+@given(GENERATOR_FILES, st.integers(0, 40))
+def test_one_pass_over_a_file_reads_each_body_as_it_reads_it_alone(text, degree):
+    # no point, repeat or token leaks from one body into the next
+    if not re.match(r"\s*\w+\s*:=", text):
+        text = "g := " + text
+    try:
+        outcome = parse_generator_file(text, degree).generators
+    except CycleParseError as exc:
+        outcome = exc.message, exc.position
+    assert outcome == read_bodies_one_at_a_time(text, degree)
+
+
+def test_a_negative_degree_puts_every_point_outside():
+    # bodies are keyed apart even when degree + 1 is not positive
+    with pytest.raises(CycleParseError) as info:
+        parse_generator_file("a := ()\nb := (1,2)\n", degree=-3)
+    assert (info.value.message, info.value.position) == ("point 1 outside 1..-3", 14)
+
+
+@pytest.mark.parametrize(
+    "generator", [(0, 0, 2), (0, 1, 3), (0, 1, -1), (0, 1.5, 2), (0, 1), (0, 1, 2, 3)]
+)
+def test_group_action_rejects_what_is_not_a_permutation(generator):
+    with pytest.raises(ValueError):
+        GroupAction(3, ((1, 2, 0), generator))
+    assert GroupAction(3, ((1, 2, 0), (0, 2, 1))).degree == 3
 
 
 def test_compose_inverse_order():
