@@ -275,23 +275,32 @@ def design_map(model: LabeledModel) -> np.ndarray:
     With B the flat x point block of the adjacency, two flats are parallel
     when B B^T is 0 for them, and each flat must have exactly two
     parallels, its class being the three.  A class labels each point by
-    which of its flats holds it; classes are chosen while each one triples
-    the number of distinct joint labels (np.bincount), until n of them give
-    every point a vector X in GF(3)^n.  Every permutation of GF(3) is
-    x -> ax + b, so in the design each class's label is y.X + c, with y and
-    c read off the points X = 0 and X = e_i; this is checked on every
-    class and point.  Two points that share no flat (B^T B) differ by u,
-    the direction in no flat, so y.u != 0 for every class.  With P the
-    basis u, e_j (j != u's first nonzero index) and M = P^-1, from one
-    gf3.rref of [P | I], point X goes to base-3(M X), and the flat of label
-    r in class (y, c) to flat (s y P, s (r - c)), s = (y.u)^-1, whose first
-    entry is 1 as in build_std_ag.
+    which of its flats holds it.  In the design each flat is {x : y.x = c}
+    with y.u != 0, u being the one direction in no flat; every permutation
+    of GF(3) is x -> ax + b, so each class's label is y.x + c for one y.
 
-    A miss raises ValueError with a witness: a point count that is not 3^n,
-    a flat without two parallels or a class that is not closed, fewer than
-    n classes that each triple the joint labels (two points that share
-    those labels), a class that is not affine, or y.u = 0.
-    A map that is well defined is certified by the caller (verify_bijection).
+    The labels are normalised first, then read as build_std_ag's, with no
+    change of basis.  The origin o is model.half_a[0], and the first point
+    that shares no flat with it (B^T B) is o + u.  A class's scale
+    s = label(o + u) - label(o) is y.u, which must not be 0.  As s = 1/s in
+    GF(3), its value s (label - label(o)) is y.(x - o) with y.u = 1, which
+    is how build_std_ag numbers its flats: y = (1, t).  Class 0's value is
+    the first coordinate, and each other class's line, its value less class
+    0's, vanishes along u.  The lines are chosen while each one triples the
+    number of distinct joint labels (np.bincount), until n - 1 of them and
+    class 0 give each point n digits: its index in build_std_ag(n).  A
+    class's t is its line at the points of index 3^(n-2), ..., 3, 1; the
+    class is affine when its line is t times the chosen lines at every
+    point, and then its flat of label r goes to flat 3^n + 3 base-3(t) + c,
+    c = s (r - label(o)).
+
+    A miss raises ValueError with a witness, in this order: a point count
+    that is not 3^n, a flat without two parallels or a class that is not
+    closed, a point o that shares a flat with every point, a class whose
+    scale is 0 (y.u = 0), fewer than n classes that each triple the joint
+    labels (two points that share those labels), or a class that is not
+    affine.  A map that is well defined is certified by the caller
+    (verify_bijection).
     """
     points = np.array(model.half_a, dtype=np.int64)
     flats = np.array(model.half_b, dtype=np.int64)
@@ -319,10 +328,25 @@ def design_map(model: LabeledModel) -> np.ndarray:
             "are not parallel to each other"
         )
     classes = triple[triple[:, 0] == np.arange(size)]
-    labels = block[classes[:, 1]].astype(np.int64) + 2 * block[classes[:, 2]]
+    # int8 labels keep the mod-3 arithmetic below on small integers
+    labels = block[classes[:, 1]] + block[classes[:, 2]] * np.int8(2)
+    apart = np.argmin(b[:, 0] @ b)
+    if b[:, 0] @ b[:, apart]:
+        raise ValueError(f"point {points[0]} shares a flat with every point")
+    scale = (labels[:, apart] - labels[:, 0]) % 3
+    if not scale.all():
+        k = int(np.argmin(scale))
+        raise ValueError(
+            f"points {points[0]} and {points[apart]} share no flat, yet the "
+            f"class of flats {tuple(flats[classes[k]].tolist())} holds their line"
+        )
+    # y.(x - o) up to a multiple of 3: class 0's reads x0, and each other
+    # class's line, its value less class 0's, vanishes along u
+    lines = scale[:, None] * (labels - labels[:, :1])
+    lines[1:] -= lines[0]
     key, chosen = np.zeros(size, dtype=np.int64), []
-    for k, label in enumerate(labels):
-        trial = 3 * key + label
+    for k, line in enumerate(lines):
+        trial = 3 * key + line % 3
         if np.count_nonzero(np.bincount(trial)) == 3 ** (len(chosen) + 1):
             key, chosen = trial, chosen + [k]
             if len(chosen) == n:
@@ -334,43 +358,21 @@ def design_map(model: LabeledModel) -> np.ndarray:
             f"only {len(chosen)} parallel classes, not {n}, each triple the joint "
             f"labels: points {points[p]} and {points[q]} share the labels of those"
         )
-    coords = labels[chosen].T
-    at = np.empty(size, dtype=np.int64)
-    at[key] = np.arange(size)
-    origin, units = at[0], at[3 ** np.arange(n - 1, -1, -1)]
-    offsets = labels[:, origin]
-    ys = (labels[:, units] - offsets[:, None]) % 3
-    wrong = (ys @ coords.T + offsets[:, None]) % 3 != labels
+    places = 3 ** np.arange(n - 1, -1, -1)
+    t = lines[:, np.argsort(key)[places]] % 3
+    # in float32 the product runs on BLAS, exactly: its entries are at most 4n
+    product = t.astype(np.float32) @ (lines[chosen] % 3)
+    wrong = (product.astype(np.int8) - lines) % 3 != 0
     if wrong.any():
         k, p = np.unravel_index(np.argmax(wrong), wrong.shape)
         raise ValueError(
             f"the class of flats {tuple(flats[classes[k]].tolist())} is not affine "
             f"at point {points[p]}"
         )
-    apart = np.flatnonzero(b[:, origin] @ b == 0)
-    if not len(apart):
-        raise ValueError(f"point {points[origin]} shares a flat with every point")
-    u = coords[apart[0]]
-    frame = np.eye(n, dtype=np.int64)
-    lead = int(np.argmax(u != 0))
-    frame[:, lead] = frame[:, 0]
-    frame[:, 0] = u
-    reduced = gf3.rref(np.hstack([frame, np.eye(n, dtype=np.int64)]).tolist())[0]
-    inverse = np.array(reduced, dtype=np.int64)[:, n:]
-    directions = ys @ frame % 3
-    scale = directions[:, 0]
-    if not scale.all():
-        k = int(np.argmin(scale))
-        raise ValueError(
-            f"points {points[origin]} and {points[apart[0]]} share no flat, yet the "
-            f"class of flats {tuple(flats[classes[k]].tolist())} holds their line"
-        )
-    places = 3 ** np.arange(n - 1, -1, -1)
     mapping = np.empty(2 * size, dtype=np.int64)
-    mapping[points] = coords @ inverse.T % 3 @ places
-    t = scale[:, None] * directions[:, 1:] % 3 @ places[1:]
-    values = scale[:, None] * (np.arange(3) - offsets[:, None]) % 3
-    mapping[flats[classes]] = size + 3 * t[:, None] + values
+    mapping[points] = key
+    values = scale[:, None] * (np.arange(3) - labels[:, :1]) % 3
+    mapping[flats[classes]] = size + 3 * (t[:, 1:] @ places[1:])[:, None] + values
     return mapping
 
 

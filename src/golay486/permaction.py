@@ -2,10 +2,10 @@
 
 Permutations are image tuples on 0..n-1 (1-based only in the external
 cycle notation).  The module covers cycle-notation parsing (bounded by
-MAX_DEGREE), orbits, exact group order, the orbital (pair-orbit)
-decomposition of a transitive action, collapsed adjacency matrices, and
-the scan that finds every union of orbitals forming a distance-regular
-graph.
+MAX_DEGREE and MAX_GENERATOR_POINTS), orbits, exact group order, the
+orbital (pair-orbit) decomposition of a transitive action, collapsed
+adjacency matrices, and the scan that finds every union of orbitals
+forming a distance-regular graph.
 
 Cycle notation is read in one array pass over the code points of the
 text, every generator of a file at once, in memory linear in the text's
@@ -65,6 +65,12 @@ _SCAN_BLOCK_BYTES = 1 << 20
 # |orbit| such rows, 2 * degree * |orbit| bytes.
 MAX_DEGREE = 4096
 
+# Points (generators x degree) a generator file may hold, checked before any
+# body is read: 2157 generators at degree 486 (the bundled file has 3), 256
+# at MAX_DEGREE.  The parsed generators are tuples of Python ints, about
+# 8 bytes a point and more for points above 256.
+MAX_GENERATOR_POINTS = 1 << 20
+
 # Bytes a stabilizer chain may hold: the arrays of its levels (inverse
 # tables, strong generators, point index, done marks) and one sift block.
 # The bundled rank-9 action peaks at 1.15 MiB (tracemalloc) while it is
@@ -117,7 +123,7 @@ def format_cycles(p: Permutation) -> str:
 
 
 _POINT = re.compile(r"[0-9]+")
-_ASSIGNMENT = re.compile(r"^\s*\w+\s*:=", re.MULTILINE)
+_ASSIGNMENT = re.compile(r"^\s*(\w+)\s*:=", re.MULTILINE)
 
 # The classes of the characters of cycle notation.  A point is a run of
 # ASCII digits; whitespace is what re's \s matches (str.isspace); _END
@@ -273,8 +279,9 @@ def parse_generator_file(text: str, degree: int | None = None) -> "GroupAction":
     Assignments may span lines; the degree defaults to the largest point
     mentioned.  Text before the first assignment must be blank.  Raises
     CycleParseError on malformed cycle text, at its position in the whole
-    file, and at position 0 on a degree (given or inferred) above
-    MAX_DEGREE, before any body is parsed.
+    file, and, before any body is parsed, at position 0 on a degree (given
+    or inferred) above MAX_DEGREE, or at the name of the first assignment
+    that takes the generators' points over MAX_GENERATOR_POINTS.
     """
     heads = list(_ASSIGNMENT.finditer(text))
     if not heads:
@@ -289,6 +296,10 @@ def parse_generator_file(text: str, degree: int | None = None) -> "GroupAction":
         if not points:
             raise CycleParseError("no points in generator file", 0)
         degree = max(points)
+    if degree <= MAX_DEGREE and len(heads) * degree > MAX_GENERATOR_POINTS:
+        allowed = MAX_GENERATOR_POINTS // degree
+        message = f"more than {allowed} generators of degree {degree} (MAX_GENERATOR_POINTS)"
+        raise CycleParseError(message, heads[allowed].start(1))
 
     return GroupAction(degree=degree, generators=tuple(_parse_bodies(text, bodies, degree)))
 

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
 import sys
 import tempfile
@@ -12,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golay486 import cli, codes, constructions, gf3, permaction
 from golay486.graph import Graph, graph6_decode
@@ -357,7 +359,7 @@ def test_cold_verify_takes_three_null_spaces(monkeypatch):
     assert widths == [11, 10]
 
 
-def test_cold_verify_row_reduces_sixteen_matrices(monkeypatch):
+def test_cold_verify_row_reduces_fifteen_matrices(monkeypatch):
     real = gf3.rref
     shapes = []
 
@@ -367,10 +369,10 @@ def test_cold_verify_row_reduces_sixteen_matrices(monkeypatch):
 
     monkeypatch.setattr(gf3, "rref", counted)
     assert cli.run_verification().overall
-    # the Golay code and its spans, C' = shorten(golay, 0), both checks,
-    # design_map's frame and AG(5,3).  A check's pivots are read off its
-    # reduced rows, so neither check (5 x 11, 5 x 10) is reduced again.
-    assert Counter(shapes) == {(11, 11): 1, (6, 11): 4, (5, 11): 4, (5, 10): 5, (5, 5): 2}
+    # the Golay code and its spans, C' = shorten(golay, 0), both checks and
+    # AG(5,3).  A check's pivots are read off its reduced rows, so neither
+    # check (5 x 11, 5 x 10) is reduced again.
+    assert Counter(shapes) == {(11, 11): 1, (6, 11): 4, (5, 11): 4, (5, 10): 4, (5, 5): 2}
 
 
 def test_cold_verify_counts_each_golay_fact_once(monkeypatch):
@@ -795,6 +797,19 @@ def test_verify_builds_a_refused_chain_once(tmp_path, capsys, monkeypatch):
     assert len(builds) == 1
 
 
+def test_a_file_of_too_many_generators_exits_2(tmp_path, capsys):
+    # 80 kB of empty assignments would parse into 9.7 million points
+    gens = tmp_path / "many.txt"
+    gens.write_text("a:=\n" * 20000)
+    allowed = permaction.MAX_GENERATOR_POINTS // 486
+    code, out, err = run(capsys, "group", "order", "--gens", str(gens))
+    assert code == 2 and out == ""
+    assert err == (
+        f"generator data is corrupt: more than {allowed} generators of degree 486 "
+        f"(MAX_GENERATOR_POINTS) (at position {4 * allowed})\n"
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(GENERATOR_FILES)
 def test_group_and_scan_exit_0_1_or_2_on_any_generator_file(text):
@@ -810,6 +825,74 @@ def test_group_and_scan_exit_0_1_or_2_on_any_generator_file(text):
                 io.StringIO()
             ):
                 assert cli.main([*argv, "--gens", gens]) in (0, 1, 2)
+
+
+# argv for the fuzzer: every path is one of these placeholders, made real in
+# a fresh temporary directory, which is also the working directory, so a
+# junk token read as a path (it holds no "/") stays inside it too.
+ARGV_PATHS = ("<missing>", "<nested>", "<dir>", "<corrupt>", "<intransitive>")
+ARGV_OPTIONS = ("--gens", "--skip", "--json", "--kind", "--format", "-o", "--out")
+ARGV_WORDS = (
+    *ARGV_OPTIONS, "verify", "code", "group", "scan", "diagram", "export", "info", "wd",
+    "cosets", "order", "orbitals", *cli.GRAPH_SELECTORS, "gamma_half", "distance",
+    "orbit", "graph6", "edgelist", "-h", "--help", "--", "-", "",
+)
+# no NUL, which no argv holds; lone surrogates stand for undecodable bytes
+ARGV_JUNK = st.text(
+    st.characters(blacklist_characters="\x00/")
+    | st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF, blacklist_categories=()),
+    max_size=6,
+)
+ARGV_TOKEN = st.sampled_from(ARGV_PATHS) | st.sampled_from(ARGV_WORDS) | ARGV_JUNK
+# options with a value, or single tokens of any kind
+ARGV_REST = st.lists(
+    st.tuples(st.sampled_from(ARGV_OPTIONS), ARGV_TOKEN) | st.tuples(ARGV_TOKEN), max_size=3
+).map(lambda groups: [token for group in groups for token in group])
+ARGV_HEADS = (
+    # verify with a --gens it cannot use or a --skip prefix that matches no
+    # claim, so that few draws pay for a whole run of the claims
+    st.tuples(st.just("verify"), st.just("--gens"), st.sampled_from(ARGV_PATHS))
+    | st.tuples(st.just("verify"), st.just("--skip"), ARGV_JUNK.map("{},no.such".format))
+    | st.tuples(st.just("code"), st.sampled_from(("info", "wd", "cosets")))
+    | st.tuples(st.just("group"), st.sampled_from(("order", "orbitals", "scan")))
+    | st.tuples(st.just("scan"))
+    | st.tuples(st.just("diagram"), st.sampled_from(cli.GRAPH_SELECTORS))
+    | st.tuples(
+        st.just("export"), st.sampled_from(cli.GRAPH_SELECTORS), st.just("-o"), ARGV_TOKEN
+    )
+    | st.tuples(ARGV_TOKEN.filter(lambda token: token != "verify"))
+)
+ARGV = st.builds(lambda head, rest: [*head, *rest], ARGV_HEADS, ARGV_REST)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGV)
+def test_main_exits_0_1_or_2_on_any_argv(argv):
+    # argparse may stop with 0 (help) or 2 (usage); anything else ends in
+    # an exit code from main, never an escaped exception
+    with tempfile.TemporaryDirectory() as scratch, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(scratch)
+        paths = {
+            "<missing>": f"{scratch}/missing",
+            "<nested>": f"{scratch}/missing/out",
+            "<dir>": f"{scratch}/dir",
+            "<corrupt>": f"{scratch}/corrupt.txt",
+            "<intransitive>": f"{scratch}/intransitive.txt",
+        }
+        os.mkdir(paths["<dir>"])
+        with open(paths["<corrupt>"], "w") as handle:
+            handle.write("a := (1,2\n")
+        with open(paths["<intransitive>"], "w") as handle:
+            handle.write("a := (1,2)\n")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            try:
+                code = cli.main([paths.get(token, token) for token in argv])
+            except SystemExit as stop:
+                assert stop.code in (0, 2)
+            else:
+                assert code in (0, 1, 2)
 
 
 def test_a_scan_over_the_rank_bound_exits_2(tmp_path, capsys):

@@ -610,6 +610,22 @@ def test_design_map_names_a_class_that_holds_the_line_of_two_apart_points():
         constructions.design_map(_incidence(27, flats))
 
 
+def test_design_map_names_a_point_that_shares_a_flat_with_every_point():
+    # AG(3,3) with 9 of its 13 classes of planes y.x = c: the four left out
+    # share no direction, so every nonzero point x lies on a kept plane
+    # through 0 (the four y with y.x = 0 are never all left out), while
+    # every flat still has exactly two parallels
+    full = tuple(gf3.unit_vector(3, i) for i in range(3))
+    points = gf3._span(full).astype(np.int64)
+    left_out = {(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)}
+    ys = [y for y in gf3.projective_points(full) if y not in left_out]
+    assert len(ys) == 9
+    values = points @ np.array(ys).T % 3
+    flats = [set(np.flatnonzero(values[:, k] == c).tolist()) for k in range(9) for c in range(3)]
+    with pytest.raises(ValueError, match=r"^point 0 shares a flat with every point$"):
+        constructions.design_map(_incidence(27, flats))
+
+
 def test_experiment_flat_incidence(family, golay):
     report = experiment_flat_incidence(family, golay)
     assert report.coset_degree_counts == ((45, 243),)

@@ -321,6 +321,32 @@ def test_an_error_in_the_third_body_carries_its_file_offset():
         assert (info.value.message, info.value.position) == (message, len(head) + at)
 
 
+def test_the_generator_count_is_bounded_before_any_body_is_read(monkeypatch):
+    # 20,000 empty assignments at degree 486 would be 9.7 million points;
+    # the first assignment past MAX_GENERATOR_POINTS is named by its offset
+    allowed = permaction.MAX_GENERATOR_POINTS // 486
+    assert allowed == 2157
+    real = permaction._parse_bodies
+    monkeypatch.setattr(permaction, "_parse_bodies", None)  # never reached
+    with pytest.raises(CycleParseError) as info:
+        parse_generator_file("a:=\n" * 20000, degree=486)
+    message = f"more than {allowed} generators of degree 486 (MAX_GENERATOR_POINTS)"
+    assert (info.value.message, info.value.position) == (message, 4 * allowed)
+    monkeypatch.setattr(permaction, "_parse_bodies", real)
+    # the degree bound is checked first
+    with pytest.raises(CycleParseError, match="MAX_DEGREE") as info:
+        parse_generator_file("a:=\n" * 20000, degree=10**9)
+    assert info.value.position == 0
+    assert len(parse_generator_file("a:=\n" * allowed, degree=486).generators) == allowed
+    # exactly at the bound parses, one past it is refused at the name
+    monkeypatch.setattr(permaction, "MAX_GENERATOR_POINTS", 10)
+    assert len(parse_generator_file("a:=\n  b := (1,5)\n", degree=5).generators) == 2
+    with pytest.raises(CycleParseError) as info:
+        parse_generator_file("a:=\nb:=\n\n  c := (1,5)\n", degree=5)
+    assert info.value.position == 11
+    assert parse_generator_file("a:=\n" * 20000, degree=0).generators == ((),) * 20000
+
+
 def read_bodies_one_at_a_time(text, degree):
     """The generators of a file that starts with an assignment, each body
     parsed on its own, or the first error's message and file offset."""
