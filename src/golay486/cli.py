@@ -6,11 +6,15 @@ artifacts of one `Run`, so the bundled action and a --gens action take the
 same path.
 
 Exit codes follow a CI-friendly contract: 0 when every evaluated claim
-passes, 1 when a claim fails, 2 when the environment is unusable (missing
-or corrupt generator data, a generated group too large for the stabilizer
-chain's MAX_CHAIN_BYTES or MAX_SIFTED_ROWS, an action that `group
-orbitals|scan` cannot decompose or scan, unwritable output, memory
-exhausted).
+passes, 1 when a claim fails, 2 when the input or the environment is
+unusable.  Every refusal of an input is a ValueError: corrupt generator
+data, a generated group too large for the stabilizer chain's
+MAX_CHAIN_BYTES or MAX_SIFTED_ROWS, an action that `group orbitals|scan`
+cannot decompose or scan, an isomorphism search out of budget, a path
+that holds a NUL.  `main()` exits 2 on it, as on a missing, unreadable or
+unwritable file and on exhausted memory, and inside `verify` it makes a
+claim read "unavailable: <reason>".  Any other exception is a fault of
+the program and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .graph import (
     Graph,
     GraphStructureError,
     IntersectionArray,
-    IsomorphismBudgetError,
     antipodal_fold,
     are_isomorphic,
     complement,
@@ -50,10 +53,6 @@ SCHEMA_VERSION = 1
 MAX_GENERATOR_BYTES = 1 << 20
 
 GRAPH_SELECTORS = ("gamma", "delta", "upsilon", "sigma", "lambda")
-
-# What makes a claim read "unavailable: <reason>" rather than a traceback:
-# an artifact that cannot be built or checked, or a search out of budget.
-UNAVAILABLE = (ValueError, IsomorphismBudgetError)
 
 
 @dataclass(frozen=True)
@@ -93,9 +92,9 @@ class Run:
     `golay.lifts`; so is C' = shorten(golay, 0), whose coset graph and
     shortening map read it.  The one isomorphism search of a run,
     `lambda_certificate`, is an artifact as well, which the two claims it
-    certifies share.  A build that raises ValueError (GraphStructureError
-    among them) or IsomorphismBudgetError is not retried: every caller that
-    needs it gets the same error.
+    certifies share.  A build that raises ValueError, the one type of every
+    refusal (GraphStructureError and IsomorphismBudgetError among them), is
+    not retried: every caller that needs it gets the same error.
     """
 
     def __init__(self, action: GroupAction):
@@ -106,10 +105,10 @@ class Run:
         if key not in self._built:
             try:
                 self._built[key] = build()
-            except UNAVAILABLE as exc:
+            except ValueError as exc:
                 self._built[key] = exc
         value = self._built[key]
-        if isinstance(value, UNAVAILABLE):
+        if isinstance(value, ValueError):
             raise value
         return value
 
@@ -581,11 +580,10 @@ def run_verification(
 ) -> VerificationReport:
     """Evaluate every claim not selected by a --skip prefix, timing the stages.
 
-    A skipped claim is not evaluated.  A claim whose artifacts cannot be
-    built or checked (any ValueError: GraphStructureError, a resource
-    bound, a failed data check), or whose isomorphism search runs out of
-    budget (IsomorphismBudgetError), fails with the reason as its
-    observation.
+    A skipped claim is not evaluated.  A claim whose artifacts are refused
+    (any ValueError: GraphStructureError, a failed data check, or a
+    resource bound such as ChainBudgetError or an isomorphism search out of
+    budget) fails with "unavailable: <reason>" as its observation.
     """
     run = Run(_load_action(gens_path))
     entries = []
@@ -597,7 +595,7 @@ def run_verification(
             start = time.perf_counter()
             try:
                 observed, passed = claim.evaluate(run)
-            except UNAVAILABLE as exc:
+            except ValueError as exc:
                 observed, passed = f"unavailable: {exc}", False
             seconds[claim.stage] += time.perf_counter() - start
             verdict = "PASS" if passed else "FAIL"
@@ -819,23 +817,21 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CycleParseError, UnicodeDecodeError) as exc:
         print(f"generator data is corrupt: {exc}", file=sys.stderr)
-        return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
-        return 2
     except MemoryError:
         print("out of memory", file=sys.stderr)
-        return 2
     except ChainBudgetError as exc:
         print(f"generated group is too large: {exc}", file=sys.stderr)
-        return 2
     except GraphStructureError as exc:
         # an intransitive action, or a rank over permaction.MAX_SCAN_RANK
         print(f"unusable generator data: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        # any other refused input, such as a path that holds a NUL
+        print(f"unusable input: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

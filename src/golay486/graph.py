@@ -28,7 +28,9 @@ change colour add the change of their weight to their neighbours' sums
 partition coarser, never prune an isomorphism, and every returned
 bijection is re-verified against both adjacency matrices, by two takes,
 before being trusted.  A search that takes more than ISOMORPHISM_BUDGET
-refinement steps raises IsomorphismBudgetError, which is no verdict.
+refinement steps raises IsomorphismBudgetError, which is no verdict: like
+every other refusal in the package it is a ValueError, a resource bound
+beside permaction's ChainBudgetError.
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ class GraphStructureError(ValueError):
     """The graph lacks structure an operation requires (connectivity, ...)."""
 
 
-class IsomorphismBudgetError(RuntimeError):
-    """Search budget exhausted before a verdict; not a non-isomorphism proof."""
+class IsomorphismBudgetError(ValueError):
+    """Search budget exhausted before a verdict; not a non-isomorphism proof.
+
+    A resource bound, so a ValueError like every refusal in the package."""
 
 
 class Graph6ParseError(ValueError):

@@ -3,12 +3,13 @@ every private top-level function is used by the program or its benchmark,
 every parameter default of a public function is overridden by some caller,
 no function is memoised across
 calls, the program holds no assert statement and makes no np.ix_ gather,
-the Golay code is built in one place per command, one isomorphism search
+every exception the package defines is a ValueError, the Golay code is built in one place per command, one isomorphism search
 is left, a cold verify does not import numpy.ma, and the README example
 runs."""
 
 import ast
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -155,6 +156,25 @@ def test_the_program_makes_no_ix_gather():
         if isinstance(node, ast.Attribute) and node.attr == "ix_"
     ]
     assert gathers == []
+
+
+def test_every_exception_the_package_defines_is_a_value_error():
+    # one refusal type: cli.main exits 2 on a ValueError and a verify claim
+    # reads it as "unavailable: <reason>"; any other exception is a fault
+    # of the program and keeps its traceback
+    defined = []
+    for path in SOURCES:
+        name = "golay486" if path.stem == "__init__" else f"golay486.{path.stem}"
+        module = importlib.import_module(name)
+        defined += [
+            value
+            for value in vars(module).values()
+            if isinstance(value, type)
+            and issubclass(value, BaseException)
+            and value.__module__ == name
+        ]
+    assert defined
+    assert [c.__qualname__ for c in defined if not issubclass(c, ValueError)] == []
 
 
 def _callers(tree: ast.AST, name: str, scope: str = "") -> list[str]:
